@@ -107,12 +107,27 @@ def _run_pipeline(m: MatchSet, cfg: Config, sparse: bool):
     return outcome, labels, state, elapsed_ms
 
 
+def _warn_if_no_motion(outcome, labels, field: bool) -> None:
+    """Warn when RANSAC found no motion, worded from the labels EM produced.
+
+    EM then starts from the identity motion everywhere, so matches with
+    y close to x can still come out as inliers.
+    """
+    if outcome.hypotheses:
+        return
+    n_in = int(labels.inlier.sum())
+    if n_in == 0:
+        what = "field has no support" if field else "labeling everything outlier"
+    else:
+        what = f"refined from the identity motion, {n_in} of {labels.n} matches are inliers"
+    print(f"warning: no rigid motion found, {what}", file=sys.stderr)
+
+
 def cmd_filter(args) -> int:
     m = _load_input(args)
     cfg = _build_config(args, m)
     outcome, labels, state, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
-    if not outcome.hypotheses:
-        print("warning: no rigid motion found, labeling everything outlier", file=sys.stderr)
+    _warn_if_no_motion(outcome, labels, field=False)
     save_labels(args.output, labels)
     print(
         f"n={m.n} gamma={outcome.gamma:.4f} inliers={int(labels.inlier.sum())} "
@@ -132,8 +147,7 @@ def cmd_field(args) -> int:
     m = _load_input(args)
     cfg = _build_config(args, m)
     outcome, labels, state, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
-    if not outcome.hypotheses:
-        print("warning: no rigid motion found, field has no support", file=sys.stderr)
+    _warn_if_no_motion(outcome, labels, field=True)
     if args.bounds is not None:
         bounds = _parse_bounds(args.bounds, m.dim)
     else:

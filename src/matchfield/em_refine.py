@@ -217,8 +217,12 @@ def m_step(
     wsum = wt.sum(axis=1)
     active = wsum > 0.0
     wsum_safe = np.where(active, wsum, 1.0)
+    # blend with weights that sum to 1: a row of tiny but positive weights
+    # (sums near 1e-224 occur) would otherwise give a blended quaternion
+    # whose squared norm underflows to 0 and normalizes to inf/NaN
+    wt = wt / wsum_safe[:, None]
 
-    mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1) / wsum_safe, state.mus)
+    mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
 
     # inactive rows produce 0/0 inside the blend; they are overwritten with
     # the previous motion right after, so silence the transient warnings

@@ -81,9 +81,11 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
     w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * labels.posterior[inl][jdx]
     support = w.sum(axis=1)
     ok = support > 0.0
-    wsafe = np.where(ok, support, 1.0)
+    # blend normalized weights, as m_step does, so tiny supports cannot
+    # underflow the blended quaternion's norm
+    w = w / np.where(ok, support, 1.0)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        mubar = np.where(ok, (w * state.mus[inl][jdx]).sum(axis=1) / wsafe, 1.0)
+        mubar = np.where(ok, (w * state.mus[inl][jdx]).sum(axis=1), 1.0)
         if state.dim == 2:
             qbar = dq4_blend(w, state.qs[inl][:, PLANAR_COLS][jdx])
             disp = dq4_apply(qbar, mubar, pts)

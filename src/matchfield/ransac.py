@@ -8,6 +8,11 @@ fit/re-weight rounds with weights w_i = min(H / d_i, 1) let the nearby
 consistent matches take the fit over. Each accepted hypothesis reserves its
 inliers so later trials hunt for other locally rigid motions, which yields a
 multi-hypothesis cover of a non-rigid scene.
+
+2D fits are closed form: with points as complex numbers the weighted
+similarity reduces to a few weighted sums of per-match products, built once
+per control. 3D fits take the SVD of the weighted cross matrix. Both reject
+the same geometry, a rank-deficient weighted cross matrix.
 """
 
 from __future__ import annotations
@@ -79,12 +84,12 @@ def trial_bound(n: int, gamma: float, t_min: int, p: float) -> float:
 
 
 def _fit_rotation_scale(xr: FloatArray, yr: FloatArray, w: FloatArray):
-    """Weighted rotation and scale between relative coordinate sets.
+    """Weighted rotation and scale between relative coordinate sets, by SVD.
 
-    Scales each relative pair by its weight, takes R = U V^T from the SVD of
-    the weighted cross matrix (with the last column of V negated when the
-    determinant comes out negative), and mu as the ratio of the stacked
-    weighted norms.
+    The 3D fit. Scales each relative pair by its weight, takes R = U V^T
+    from the SVD of the weighted cross matrix (with the last column of V
+    negated when the determinant comes out negative), and mu as the ratio
+    of the stacked weighted norms.
     """
     Xw = xr * w[:, None]
     Yw = yr * w[:, None]
@@ -105,35 +110,103 @@ def _fit_rotation_scale(xr: FloatArray, yr: FloatArray, w: FloatArray):
     return R, ny / nx
 
 
+def _relative_complex(pts: FloatArray, o: int) -> np.ndarray:
+    """2D points relative to point o, as complex numbers p_0 + i p_1."""
+    z = pts.view(np.complex128)[:, 0]
+    return z - z[o]
+
+
+def _planar_products(zx: np.ndarray, zy: np.ndarray) -> FloatArray:
+    """Per-match terms of the 2D fit, one row each: Re and Im of conj(zx) zy,
+    Re and Im of zx zy, |zx|^2 and |zy|^2. A fit under weights w needs only
+    their weighted sums, the product of this matrix with w^2."""
+    rot = zx.conj() * zy
+    ref = zx * zy
+    return np.stack(
+        [
+            rot.real,
+            rot.imag,
+            ref.real,
+            ref.imag,
+            zx.real * zx.real + zx.imag * zx.imag,
+            zy.real * zy.real + zy.imag * zy.imag,
+        ]
+    )
+
+
+def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
+    """Closed-form weighted rotation and scale in 2D (Umeyama, TPAMI 1991).
+
+    P comes from _planar_products and w2 holds the squared weights. With
+    alpha = sum w^2 conj(zx) zy and beta = sum w^2 zx zy, the weighted 2x2
+    cross matrix splits into a rotation part of size |alpha| and a
+    reflection part of size |beta|, so its singular values are
+    (|alpha| + |beta|) / 2 and ||alpha| - |beta|| / 2 and the best proper
+    rotation is alpha / |alpha|. Returns that rotation as a unit complex
+    number u and mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2). The degeneracy
+    rules are those of the SVD fit, plus one: a cross matrix with no
+    rotation part at all (alpha = 0) prefers no rotation and is degenerate.
+    """
+    s = P @ w2
+    if not np.isfinite(s).all():
+        raise DegenerateGeometryError("non-finite weighted cross matrix")
+    ar, ai, br, bi, sxx, syy = s.tolist()
+    rot = math.hypot(ar, ai)
+    ref = math.hypot(br, bi)
+    s_max = rot + ref
+    if s_max <= 0.0 or abs(rot - ref) <= RANK_TOL * s_max:
+        raise DegenerateGeometryError("weighted points are collinear through the control")
+    if rot == 0.0:
+        raise DegenerateGeometryError("weighted points fit a reflection, not a rotation")
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateGeometryError("weighted points collapse onto the control")
+    return complex(ar / rot, ai / rot), math.sqrt(syy / sxx)
+
+
+def _rotation_matrix(u: complex) -> FloatArray:
+    return np.array([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
     """Fit (R, mu) of y - y_o = mu R (x - x_o) under per-match weights.
 
     Returns the rotation matrix and scale. Weights must be non-negative
     with a positive sum. Raises DegenerateGeometryError when the weighted
-    geometry cannot pin down a rotation.
+    geometry cannot pin down a rotation. 2D fits are closed form, 3D fits
+    use the SVD; both apply the same rank rule.
     """
     if m.n < 2:
         raise ValueError("need at least two matches")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (m.n,) or (w < 0.0).any() or not (w > 0.0).any():
         raise ValueError("weights must be non-negative with a positive sum")
+    if m.dim == 2:
+        P = _planar_products(_relative_complex(m.x, o), _relative_complex(m.y, o))
+        u, mu = _fit_planar(P, w * w)
+        return _rotation_matrix(u), mu
     return _fit_rotation_scale(m.x - m.x[o], m.y - m.y[o], w)
 
 
-def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None):
-    """Alternate rigid fits and residual re-weighting around control o.
+def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
+    zx_all = _relative_complex(m.x, o)
+    zy_all = _relative_complex(m.y, o)
+    if rows is None:
+        zx, zy = zx_all, zy_all
+    else:
+        zx, zy = zx_all[rows], zy_all[rows]
+    P = _planar_products(zx, zy)
+    w = np.ones(zx.shape[0])
+    for _ in range(cfg.n_reweight_iters):
+        u, mu = _fit_planar(P, w * w)
+        k = mu * u
+        d = np.abs(zy - k * zx)
+        # bit-identical to min(H / d, 1), and 1 at d = 0
+        w = cfg.H / np.maximum(d, cfg.H)
+    d_all = d if rows is None else np.abs(zy_all - k * zx_all)
+    return _rotation_matrix(u), mu, d_all, w
 
-    Starts from uniform weights; after each fit the weights become
-    w_i = min(H / d_i, 1) with d_i the residual of match i (weight 1 at zero
-    residual), so matches the current fit explains keep full influence and
-    distant ones fade as 1 / d. When rows is given, fitting and re-weighting
-    only see that subset while the returned residuals still cover every
-    match.
 
-    Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
-    with t recovered as y_o / mu - R x_o, residuals d over all matches
-    under the final fit, and the final subset weights.
-    """
+def _reweight_svd(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
     xr_all = m.x - m.x[o]
     yr_all = m.y - m.y[o]
     if rows is None:
@@ -144,15 +217,34 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None)
     for _ in range(cfg.n_reweight_iters):
         R, mu = _fit_rotation_scale(xr, yr, w)
         d = np.linalg.norm(yr - mu * (xr @ R.T), axis=1)
-        with np.errstate(divide="ignore"):
-            w = np.where(d > 0.0, np.minimum(cfg.H / d, 1.0), 1.0)
-    t = m.y[o] / mu - R @ m.x[o]
-    rt = RigidTransform(R=R, t=t, mu=mu)
+        w = cfg.H / np.maximum(d, cfg.H)
     if rows is None:
         d_all = d
     else:
         d_all = np.linalg.norm(yr_all - mu * (xr_all @ R.T), axis=1)
-    return rt, d_all, w
+    return R, mu, d_all, w
+
+
+def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None):
+    """Alternate rigid fits and residual re-weighting around control o.
+
+    Starts from uniform weights; after each fit the weights become
+    w_i = min(H / d_i, 1) with d_i the residual of match i (weight 1 at zero
+    residual), so matches the current fit explains keep full influence and
+    distant ones fade as 1 / d. When rows is given, fitting and re-weighting
+    only see that subset while the returned residuals still cover every
+    match. 2D runs on complex numbers: the per-match products are built
+    once, each round is one weighted sum plus the closed-form fit, and the
+    residuals are |zy - mu u zx| over relative coordinates. 3D fits by SVD.
+
+    Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
+    with t recovered as y_o / mu - R x_o, residuals d over all matches
+    under the final fit, and the final subset weights.
+    """
+    reweight = _reweight_planar if m.dim == 2 else _reweight_svd
+    R, mu, d_all, w = reweight(m, o, cfg, rows)
+    t = m.y[o] / mu - R @ m.x[o]
+    return RigidTransform(R=R, t=t, mu=mu), d_all, w
 
 
 def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:

@@ -206,3 +206,32 @@ def test_bench_emits_table(tmp_path, capsys):
     assert table_path.read_text().strip() == out.strip()
     header_fields = lines[0].split(",")
     assert len(lines[1].split(",")) == len(header_fields)
+
+
+@pytest.mark.parametrize("command", ["filter", "field"])
+@pytest.mark.parametrize("shift", [1.0, 500.0])
+def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
+    # sources on one line pin no rotation, so RANSAC finds no motion; EM
+    # then refines from the identity motion, which explains y = x + 1 but
+    # not a 500-unit scatter
+    n = 200
+    x = np.stack([np.linspace(0.0, 400.0, n), np.full(n, 100.0)], axis=1)
+    ang = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=n)
+    y = x + shift * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    scene = tmp_path / "line.csv"
+    labels_csv = tmp_path / "labels.csv"
+    save_matches(scene, MatchSet.from_points(x, y))
+    argv = [command, "--input", str(scene), "--seed", "0"]
+    if command == "filter":
+        argv += ["--output", str(labels_csv)]
+    else:
+        argv += ["--output", str(tmp_path / "field.csv"), "--labels-output", str(labels_csv)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    n_in = int(load_labels(labels_csv).inlier.sum())
+    assert "no rigid motion found" in err
+    if n_in == 0:
+        assert ("labeling everything outlier" if command == "filter" else "field has no support") in err
+    else:
+        assert f"{n_in} of {n} matches are inliers" in err
+    assert (n_in == n) if shift == 1.0 else (n_in == 0)

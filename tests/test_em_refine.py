@@ -13,7 +13,7 @@ from matchfield.em_refine import (
     m_step,
     run_em,
 )
-from matchfield.io_eval import SynthSpec, synth_generate
+from matchfield.io_eval import SynthSpec, compute_metrics, synth_generate
 from matchfield.ransac import RansacOutcome, TransformHypothesis, ransac_run
 
 
@@ -253,3 +253,25 @@ def test_sparse_pipeline_close_to_dense():
     sparse, _, _ = filter_and_refine(m, Config(seed=7), sparse=True)
     disagree = np.mean(dense.inlier != sparse.inlier)
     assert disagree <= 0.01
+
+
+def test_run_em_survives_underflowing_blend_weights():
+    # a 3D acceptance-style scene where some rows' blend weights sum to
+    # about 1e-224: unnormalized, the blended quaternion's norm underflows
+    # and the residuals came out NaN
+    spec = SynthSpec(
+        n=693,
+        dim=3,
+        outlier_ratio=0.84,
+        n_anchors=3,
+        max_rotation=0.05,
+        max_scale_jitter=0.02,
+        noise_sigma=0.05,
+        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+        seed=65,
+    )
+    m, gt = synth_generate(spec)
+    labels, state, _ = filter_and_refine(m, Config.for_matches(m, seed=65))
+    assert np.isfinite(labels.residual).all()
+    assert np.isfinite(state.qs).all()
+    assert compute_metrics(labels, gt).fscore >= 0.93

@@ -67,6 +67,29 @@ def test_far_query_is_invalid_and_unmoved():
     assert np.allclose(s.displaced, far[0])
 
 
+def test_3d_query_with_tiny_support_stays_finite():
+    # supports of 1e-197..1e-293 are positive, so the blend runs; with raw
+    # weights the 3D blended quaternion's squared norm underflowed to 0
+    spec = SynthSpec(
+        n=300,
+        dim=3,
+        outlier_ratio=0.3,
+        n_anchors=3,
+        max_rotation=0.05,
+        max_scale_jitter=0.02,
+        noise_sigma=0.05,
+        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+        seed=1,
+    )
+    m, gt = synth_generate(spec)
+    cfg = Config.for_matches(m, seed=1)
+    labels, state, _ = filter_and_refine(m, cfg)
+    pts = np.array([[100.0 + d, 50.0, 50.0] for d in (450.0, 500.0, 550.0)])
+    samples = query_field(state, labels, m, pts, cfg)
+    assert all(0.0 < s.support < 1e-190 for s in samples)
+    assert all(np.isfinite(s.displaced).all() and not s.valid for s in samples)
+
+
 def test_valid_tracks_support_threshold():
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     rng = make_rng(9)

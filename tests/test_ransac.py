@@ -6,6 +6,7 @@ import pytest
 from matchfield.core import Config, DegenerateGeometryError, MatchSet, make_rng
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
+    RANK_TOL,
     RansacOutcome,
     labels_from_outcome,
     ransac_run,
@@ -14,6 +15,103 @@ from matchfield.ransac import (
     trial_bound,
     weighted_rigid_fit,
 )
+
+
+def svd_reference_fit(xr, yr, w):
+    """The SVD fit of the weighted cross matrix, the reference for the 2D
+    closed form: R = U V^T with the last column of U negated when the
+    determinant is negative, mu the ratio of the weighted norms."""
+    Xw = xr * w[:, None]
+    Yw = yr * w[:, None]
+    M = Yw.T @ Xw
+    if not np.isfinite(M).all():
+        raise DegenerateGeometryError("non-finite")
+    U, S, Vt = np.linalg.svd(M)
+    if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
+        raise DegenerateGeometryError("rank")
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+        U = U.copy()
+        U[:, -1] = -U[:, -1]
+    nx = float(np.linalg.norm(Xw))
+    ny = float(np.linalg.norm(Yw))
+    if nx == 0.0 or ny == 0.0:
+        raise DegenerateGeometryError("collapsed")
+    return U @ Vt, ny / nx
+
+
+def svd_reference_reweight(m, o, cfg):
+    """reweight_fit's loop on the SVD reference fit; returns (R, mu, d, w)."""
+    xr = m.x - m.x[o]
+    yr = m.y - m.y[o]
+    w = np.ones(m.n)
+    for _ in range(cfg.n_reweight_iters):
+        R, mu = svd_reference_fit(xr, yr, w)
+        d = np.linalg.norm(yr - mu * (xr @ R.T), axis=1)
+        with np.errstate(divide="ignore"):
+            w = np.where(d > 0.0, np.minimum(cfg.H / d, 1.0), 1.0)
+    return R, mu, d, w
+
+
+def random_weighted_planar_set(rng, n):
+    """Anisotropic noisy 2D similarity, reflected in y half of the time,
+    with weights spread log-uniformly over 1e-6..1."""
+    x = rng.normal(size=(n, 2)) * rng.uniform(0.1, 100.0, size=2) + rng.uniform(-500.0, 500.0, size=2)
+    ang = rng.uniform(-np.pi, np.pi)
+    R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    y = rng.uniform(0.2, 5.0) * x @ R.T + rng.normal(scale=rng.uniform(0.0, 30.0), size=(n, 2))
+    if rng.uniform() < 0.5:
+        y[:, 1] = -y[:, 1]
+    w = 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+    return MatchSet.from_points(x, y), w
+
+
+def test_closed_form_matches_svd_reference():
+    rng = make_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(2, 60))
+        m, w = random_weighted_planar_set(rng, n)
+        o = int(rng.integers(n))
+        try:
+            R_ref, mu_ref = svd_reference_fit(m.x - m.x[o], m.y - m.y[o], w)
+        except DegenerateGeometryError:
+            with pytest.raises(DegenerateGeometryError):
+                weighted_rigid_fit(m, o, w)
+            continue
+        R_fit, mu_fit = weighted_rigid_fit(m, o, w)
+        assert np.abs(R_fit - R_ref).max() < 1e-9
+        assert abs(mu_fit - mu_ref) <= 1e-9 * mu_ref
+
+
+def test_closed_form_and_svd_reference_agree_on_degenerate_input():
+    line = np.stack([np.arange(6.0), 2.0 * np.arange(6.0) + 3.0], axis=1)
+    ang = 0.3
+    R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    rng = make_rng(32)
+    cases = {
+        "collinear": (line, 1.5 * line @ R.T + 4.0),
+        "collapsed": (np.ones((6, 2)), np.ones((6, 2))),
+        "non-finite": (1e200 * rng.normal(size=(6, 2)), 1e200 * rng.normal(size=(6, 2))),
+    }
+    for x, y in cases.values():
+        m = MatchSet.from_points(x, y)
+        w = rng.uniform(0.5, 1.0, size=m.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateGeometryError):
+                svd_reference_fit(m.x - m.x[0], m.y - m.y[0], w)
+            with pytest.raises(DegenerateGeometryError):
+                weighted_rigid_fit(m, 0, w)
+
+
+def test_reweight_fit_matches_svd_reference():
+    m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=33))
+    cfg = Config()
+    for o in range(0, 1000, 50):
+        R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg)
+        rt, d, w = reweight_fit(m, o, cfg)
+        assert np.abs(rt.R - R_ref).max() < 1e-9
+        assert abs(rt.mu - mu_ref) <= 1e-9 * mu_ref
+        assert np.abs(d - d_ref).max() < 1e-8
+        assert np.abs(w - w_ref).max() < 1e-9
 
 
 def similarity_scene(rng, n, dim, mu=1.3):
