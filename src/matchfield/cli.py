@@ -145,6 +145,9 @@ def _parse_bounds(text: str, dim: int):
 
 def cmd_field(args) -> int:
     m = _load_input(args)
+    if args.svg is not None and m.dim != 2:
+        print("error: --svg requires 2D input", file=sys.stderr)
+        return 2
     cfg = _build_config(args, m)
     outcome, labels, state, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
     _warn_if_no_motion(outcome, labels, field=True)
@@ -157,9 +160,6 @@ def cmd_field(args) -> int:
     if args.labels_output is not None:
         save_labels(args.labels_output, labels)
     if args.svg is not None:
-        if m.dim != 2:
-            print("error: --svg requires 2D input", file=sys.stderr)
-            return 2
         render_scene_svg(m, labels, grid, args.svg)
     n_valid = sum(1 for s in grid.samples if s.valid)
     print(

@@ -101,6 +101,18 @@ def _embed3(pts: FloatArray) -> FloatArray:
     return np.concatenate([pts, np.zeros(pts.shape[:-1] + (1,))], axis=-1)
 
 
+def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
+    """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
+    coordinate at a time in the order a sum over the last axis takes, so no
+    (n, k, dim) temporary is built and the result is bit-identical."""
+    cols = np.ascontiguousarray(pts.T)
+    d2 = np.square(cols[0][idx] - cols[0][:, None])
+    for col in cols[1:]:
+        diff = col[idx] - col[:, None]
+        d2 += np.square(diff, out=diff)
+    return d2
+
+
 def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
     """k-nearest neighbors by source-side distance, self in column 0.
 
@@ -126,8 +138,8 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
             if hits.size:
                 row[hits[0]] = row[0]
             row[0] = i
-    dx2 = np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1)
-    dy2 = np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1)
+    dx2 = _neighbor_sq_dists(m.x, idx)
+    dy2 = _neighbor_sq_dists(m.y, idx)
     w_dist = np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
     return NeighborGraph(idx=idx, w_dist=w_dist)
 

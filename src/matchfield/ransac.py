@@ -11,8 +11,11 @@ multi-hypothesis cover of a non-rigid scene.
 
 2D fits are closed form: with points as complex numbers the weighted
 similarity reduces to a few weighted sums of per-match products, built once
-per control. 3D fits take the SVD of the weighted cross matrix. Both reject
-the same geometry, a rank-deficient weighted cross matrix.
+per control. 3D fits keep coordinates coordinate-major, as (3, n) arrays of
+positions relative to the control with their squared norms built once per
+control; each round is one weighted (3, n) @ (n, 3) product, the SVD of the
+resulting 3x3 cross matrix and one residual pass. Both reject the same
+geometry, a rank-deficient weighted cross matrix.
 """
 
 from __future__ import annotations
@@ -83,31 +86,48 @@ def trial_bound(n: int, gamma: float, t_min: int, p: float) -> float:
     return math.log(1.0 - p) / math.log(1.0 - t_min / remaining)
 
 
-def _fit_rotation_scale(xr: FloatArray, yr: FloatArray, w: FloatArray):
-    """Weighted rotation and scale between relative coordinate sets, by SVD.
+def _relative_columns(pts: FloatArray, o: int) -> FloatArray:
+    """Points relative to point o, coordinate-major: a C-contiguous (dim, n)
+    array, so every per-round pass runs over long contiguous rows."""
+    return np.subtract(pts.T, pts[o][:, None], order="C")
 
-    The 3D fit. Scales each relative pair by its weight, takes R = U V^T
-    from the SVD of the weighted cross matrix (with the last column of V
-    negated when the determinant comes out negative), and mu as the ratio
-    of the stacked weighted norms.
+
+def _column_sq_norms(cols: FloatArray) -> FloatArray:
+    return np.einsum("ij,ij->j", cols, cols)
+
+
+def _det3(a: FloatArray) -> float:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    return (
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
+    )
+
+
+def _fit_spatial(xr: FloatArray, yr: FloatArray, x2: FloatArray, y2: FloatArray, w2: FloatArray):
+    """Weighted 3D rotation and scale by SVD of the weighted cross matrix.
+
+    xr and yr are (3, n) relative coordinates, x2 and y2 their per-match
+    squared norms and w2 the squared weights. R = U V^T from the SVD of
+    M = sum w^2 yr xr^T, with the last column of U negated when U and V^T
+    have determinants of opposite sign (both are orthogonal, so each
+    determinant is +-1 and a scalar cofactor expansion decides it);
+    mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2), the ratio of the weighted norms.
     """
-    Xw = xr * w[:, None]
-    Yw = yr * w[:, None]
-    M = Yw.T @ Xw
-    if not np.isfinite(M).all():
+    M = (yr * w2) @ xr.T
+    sxx = float(x2 @ w2)
+    syy = float(y2 @ w2)
+    if not (np.isfinite(M).all() and math.isfinite(sxx) and math.isfinite(syy)):
         raise DegenerateGeometryError("non-finite weighted cross matrix")
     U, S, Vt = np.linalg.svd(M)
     if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("weighted points are collinear through the control")
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
-        U = U.copy()
+    if _det3(U) * _det3(Vt) < 0.0:
         U[:, -1] = -U[:, -1]
-    R = U @ Vt
-    nx = float(np.linalg.norm(Xw))
-    ny = float(np.linalg.norm(Yw))
-    if nx == 0.0 or ny == 0.0:
+    if sxx == 0.0 or syy == 0.0:
         raise DegenerateGeometryError("weighted points collapse onto the control")
-    return R, ny / nx
+    return U @ Vt, math.sqrt(syy / sxx)
 
 
 def _relative_complex(pts: FloatArray, o: int) -> np.ndarray:
@@ -184,7 +204,9 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
         P = _planar_products(_relative_complex(m.x, o), _relative_complex(m.y, o))
         u, mu = _fit_planar(P, w * w)
         return _rotation_matrix(u), mu
-    return _fit_rotation_scale(m.x - m.x[o], m.y - m.y[o], w)
+    xr = _relative_columns(m.x, o)
+    yr = _relative_columns(m.y, o)
+    return _fit_spatial(xr, yr, _column_sq_norms(xr), _column_sq_norms(yr), w * w)
 
 
 def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
@@ -206,22 +228,25 @@ def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
     return _rotation_matrix(u), mu, d_all, w
 
 
-def _reweight_svd(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
-    xr_all = m.x - m.x[o]
-    yr_all = m.y - m.y[o]
+def _spatial_residuals(xr: FloatArray, yr: FloatArray, R: FloatArray, mu: float) -> FloatArray:
+    return np.sqrt(_column_sq_norms(yr - mu * (R @ xr)))
+
+
+def _reweight_spatial(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
+    xr_all = _relative_columns(m.x, o)
+    yr_all = _relative_columns(m.y, o)
     if rows is None:
         xr, yr = xr_all, yr_all
     else:
-        xr, yr = xr_all[rows], yr_all[rows]
-    w = np.ones(xr.shape[0])
+        xr, yr = xr_all[:, rows], yr_all[:, rows]
+    x2 = _column_sq_norms(xr)
+    y2 = _column_sq_norms(yr)
+    w = np.ones(xr.shape[1])
     for _ in range(cfg.n_reweight_iters):
-        R, mu = _fit_rotation_scale(xr, yr, w)
-        d = np.linalg.norm(yr - mu * (xr @ R.T), axis=1)
+        R, mu = _fit_spatial(xr, yr, x2, y2, w * w)
+        d = _spatial_residuals(xr, yr, R, mu)
         w = cfg.H / np.maximum(d, cfg.H)
-    if rows is None:
-        d_all = d
-    else:
-        d_all = np.linalg.norm(yr_all - mu * (xr_all @ R.T), axis=1)
+    d_all = d if rows is None else _spatial_residuals(xr_all, yr_all, R, mu)
     return R, mu, d_all, w
 
 
@@ -235,13 +260,15 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None)
     only see that subset while the returned residuals still cover every
     match. 2D runs on complex numbers: the per-match products are built
     once, each round is one weighted sum plus the closed-form fit, and the
-    residuals are |zy - mu u zx| over relative coordinates. 3D fits by SVD.
+    residuals are |zy - mu u zx| over relative coordinates. 3D runs on
+    (3, n) relative coordinates: each round is the weighted cross matrix,
+    its SVD and the residuals |yr - mu R xr|.
 
     Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
     with t recovered as y_o / mu - R x_o, residuals d over all matches
     under the final fit, and the final subset weights.
     """
-    reweight = _reweight_planar if m.dim == 2 else _reweight_svd
+    reweight = _reweight_planar if m.dim == 2 else _reweight_spatial
     R, mu, d_all, w = reweight(m, o, cfg, rows)
     t = m.y[o] / mu - R @ m.x[o]
     return RigidTransform(R=R, t=t, mu=mu), d_all, w

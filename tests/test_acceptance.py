@@ -227,3 +227,47 @@ def test_byte_identical_outputs(tmp_path):
         outputs.append((labels.read_bytes(), field.read_bytes()))
     assert outputs[0] == outputs[1], "repeat run changed output bytes"
     assert outputs[0] == outputs[2], "thread count changed output bytes"
+
+
+def test_byte_identical_outputs_3d(tmp_path):
+    # the 3D fits reduce over all n matches in one (3, n) @ (n, 3) product,
+    # so the BLAS thread count must not reorder those sums either
+    scene = tmp_path / "scene3.csv"
+    spec = SynthSpec(
+        n=1784,
+        dim=3,
+        outlier_ratio=0.61,
+        n_anchors=3,
+        max_rotation=0.05,
+        max_scale_jitter=0.02,
+        noise_sigma=0.05,
+        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+        seed=4,
+    )
+    m, gt = synth_generate(spec)
+    save_matches(scene, m, gt=gt, units="units")
+    outputs = []
+    for tag, threads in (("a", "1"), ("b", "4")):
+        labels = tmp_path / f"labels_{tag}.csv"
+        field = tmp_path / f"field_{tag}.csv"
+        env = dict(os.environ)
+        env["OMP_NUM_THREADS"] = threads
+        env["OPENBLAS_NUM_THREADS"] = threads
+        env["MKL_NUM_THREADS"] = threads
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "matchfield", "field",
+                "--input", str(scene),
+                "--output", str(field),
+                "--labels-output", str(labels),
+                "--bounds", "0,0,0,100,100,100",
+                "--grid-step", "20",
+                "--seed", "4",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((labels.read_bytes(), field.read_bytes()))
+    assert outputs[0] == outputs[1], "thread count changed output bytes"

@@ -143,6 +143,23 @@ def test_svg_flag_rejects_3d_input(tmp_path, capsys):
     assert rc == 2
 
 
+def test_svg_flag_rejects_3d_input_before_writing(tmp_path, capsys):
+    scene = tmp_path / "scene3.csv"
+    run_ok(
+        ["synth", "--output", str(scene), "--n", "200", "--dim", "3",
+         "--outlier-ratio", "0.1", "--seed", "4"],
+        capsys,
+    )
+    field, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    rc = main(
+        ["field", "--input", str(scene), "--output", str(field),
+         "--labels-output", str(labels), "--svg", str(tmp_path / "s.svg")]
+    )
+    assert rc == 2
+    assert "--svg requires 2D input" in capsys.readouterr().err
+    assert not field.exists() and not labels.exists()
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     run_ok(

@@ -73,6 +73,32 @@ def test_neighbor_weight_uses_closer_side():
     assert np.isclose(g.w_dist[0, 1], 1.0)
 
 
+def reference_neighbor_weights(m, idx, cfg):
+    """The distance weights from the whole (n, k, dim) difference array."""
+    dx2 = np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1)
+    dy2 = np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1)
+    return np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
+
+
+def test_neighbor_weights_bit_identical_to_full_difference_array():
+    spec_3d = dict(
+        dim=3, n_anchors=3, max_rotation=0.05, max_scale_jitter=0.02, noise_sigma=0.05,
+        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+    )
+    scenes = [
+        synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=41))[0],
+        synth_generate(SynthSpec(n=693, outlier_ratio=0.84, seed=42, **spec_3d))[0],
+        synth_generate(SynthSpec(n=12, outlier_ratio=0.5, seed=43))[0],
+        synth_generate(SynthSpec(n=40, outlier_ratio=0.5, seed=44, **spec_3d))[0],
+        MatchSet.from_points([[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]),
+    ]
+    for m in scenes:
+        cfg = Config.for_matches(m) if m.n > 1 else Config()
+        g = build_neighbors(m, cfg)
+        assert g.idx.shape[1] == min(cfg.N_neighbor + 1, m.n)
+        assert np.array_equal(g.w_dist, reference_neighbor_weights(m, g.idx, cfg))
+
+
 def test_init_adopts_largest_support_and_seeds_sigma():
     x = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [300.0, 300.0]])
     m = MatchSet.from_points(x, x)

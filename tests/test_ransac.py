@@ -19,8 +19,9 @@ from matchfield.ransac import (
 
 def svd_reference_fit(xr, yr, w):
     """The SVD fit of the weighted cross matrix, the reference for the 2D
-    closed form: R = U V^T with the last column of U negated when the
-    determinant is negative, mu the ratio of the weighted norms."""
+    closed form and the coordinate-major 3D fit: R = U V^T with the last
+    column of U negated when the determinant is negative, mu the ratio of
+    the weighted norms."""
     Xw = xr * w[:, None]
     Yw = yr * w[:, None]
     M = Yw.T @ Xw
@@ -39,17 +40,20 @@ def svd_reference_fit(xr, yr, w):
     return U @ Vt, ny / nx
 
 
-def svd_reference_reweight(m, o, cfg):
-    """reweight_fit's loop on the SVD reference fit; returns (R, mu, d, w)."""
-    xr = m.x - m.x[o]
-    yr = m.y - m.y[o]
-    w = np.ones(m.n)
+def svd_reference_reweight(m, o, cfg, rows=None):
+    """reweight_fit's loop on the SVD reference fit; returns (R, mu, d, w).
+    With rows, fits only see that subset and d still covers every match."""
+    xr_all = m.x - m.x[o]
+    yr_all = m.y - m.y[o]
+    xr, yr = (xr_all, yr_all) if rows is None else (xr_all[rows], yr_all[rows])
+    w = np.ones(xr.shape[0])
     for _ in range(cfg.n_reweight_iters):
         R, mu = svd_reference_fit(xr, yr, w)
         d = np.linalg.norm(yr - mu * (xr @ R.T), axis=1)
         with np.errstate(divide="ignore"):
             w = np.where(d > 0.0, np.minimum(cfg.H / d, 1.0), 1.0)
-    return R, mu, d, w
+    d_all = np.linalg.norm(yr_all - mu * (xr_all @ R.T), axis=1)
+    return R, mu, d_all, w
 
 
 def random_weighted_planar_set(rng, n):
@@ -65,21 +69,45 @@ def random_weighted_planar_set(rng, n):
     return MatchSet.from_points(x, y), w
 
 
+def random_rotation_3d(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def random_weighted_spatial_set(rng, n):
+    """Anisotropic noisy 3D similarity, reflected in y[:, 2] half of the
+    time, with weights spread log-uniformly over 1e-6..1."""
+    x = rng.normal(size=(n, 3)) * rng.uniform(0.1, 100.0, size=3) + rng.uniform(-500.0, 500.0, size=3)
+    R = random_rotation_3d(rng)
+    y = rng.uniform(0.2, 5.0) * x @ R.T + rng.normal(scale=rng.uniform(0.0, 30.0), size=(n, 3))
+    if rng.uniform() < 0.5:
+        y[:, 2] = -y[:, 2]
+    w = 10.0 ** rng.uniform(-6.0, 0.0, size=n)
+    return MatchSet.from_points(x, y), w
+
+
 def test_closed_form_matches_svd_reference():
     rng = make_rng(31)
-    for _ in range(300):
-        n = int(rng.integers(2, 60))
-        m, w = random_weighted_planar_set(rng, n)
-        o = int(rng.integers(n))
-        try:
-            R_ref, mu_ref = svd_reference_fit(m.x - m.x[o], m.y - m.y[o], w)
-        except DegenerateGeometryError:
-            with pytest.raises(DegenerateGeometryError):
-                weighted_rigid_fit(m, o, w)
-            continue
-        R_fit, mu_fit = weighted_rigid_fit(m, o, w)
-        assert np.abs(R_fit - R_ref).max() < 1e-9
-        assert abs(mu_fit - mu_ref) <= 1e-9 * mu_ref
+    for make_set in (random_weighted_planar_set, random_weighted_spatial_set):
+        fitted = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 60))
+            m, w = make_set(rng, n)
+            o = int(rng.integers(n))
+            try:
+                R_ref, mu_ref = svd_reference_fit(m.x - m.x[o], m.y - m.y[o], w)
+            except DegenerateGeometryError:
+                with pytest.raises(DegenerateGeometryError):
+                    weighted_rigid_fit(m, o, w)
+                continue
+            R_fit, mu_fit = weighted_rigid_fit(m, o, w)
+            assert np.abs(R_fit - R_ref).max() < 1e-9
+            assert abs(mu_fit - mu_ref) <= 1e-9 * mu_ref
+            fitted += 1
+        assert fitted > 250
 
 
 def test_closed_form_and_svd_reference_agree_on_degenerate_input():
@@ -87,10 +115,15 @@ def test_closed_form_and_svd_reference_agree_on_degenerate_input():
     ang = 0.3
     R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
     rng = make_rng(32)
+    line3 = np.arange(6.0)[:, None] * np.array([[1.0, 2.0, -0.5]]) + np.array([[3.0, -1.0, 7.0]])
+    R3 = random_rotation_3d(make_rng(35))
     cases = {
         "collinear": (line, 1.5 * line @ R.T + 4.0),
         "collapsed": (np.ones((6, 2)), np.ones((6, 2))),
         "non-finite": (1e200 * rng.normal(size=(6, 2)), 1e200 * rng.normal(size=(6, 2))),
+        "collinear 3d": (line3, 1.5 * line3 @ R3.T + 4.0),
+        "collapsed 3d": (np.ones((6, 3)), np.ones((6, 3))),
+        "non-finite 3d": (1e200 * rng.normal(size=(6, 3)), 1e200 * rng.normal(size=(6, 3))),
     }
     for x, y in cases.values():
         m = MatchSet.from_points(x, y)
@@ -102,16 +135,55 @@ def test_closed_form_and_svd_reference_agree_on_degenerate_input():
                 weighted_rigid_fit(m, 0, w)
 
 
+def surface_scene_3d(n, outlier_ratio, seed):
+    """The 3D acceptance-scene construction: a smooth low-noise surface."""
+    spec = SynthSpec(
+        n=n,
+        dim=3,
+        outlier_ratio=outlier_ratio,
+        n_anchors=3,
+        max_rotation=0.05,
+        max_scale_jitter=0.02,
+        noise_sigma=0.05,
+        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+        seed=seed,
+    )
+    return synth_generate(spec)
+
+
 def test_reweight_fit_matches_svd_reference():
-    m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=33))
-    cfg = Config()
-    for o in range(0, 1000, 50):
-        R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg)
-        rt, d, w = reweight_fit(m, o, cfg)
-        assert np.abs(rt.R - R_ref).max() < 1e-9
-        assert abs(rt.mu - mu_ref) <= 1e-9 * mu_ref
+    scenes = (
+        synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=33))[0],
+        surface_scene_3d(1784, 0.61, seed=37)[0],
+    )
+    for m in scenes:
+        cfg = Config.for_matches(m)
+        for o in range(0, m.n, 50):
+            R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg)
+            rt, d, w = reweight_fit(m, o, cfg)
+            assert np.abs(rt.R - R_ref).max() < 1e-9
+            assert abs(rt.mu - mu_ref) <= 1e-9 * mu_ref
+            assert np.abs(d - d_ref).max() < 1e-8
+            assert np.abs(w - w_ref).max() < 1e-9
+
+
+def test_sparse_3d_fits_subset_and_scores_every_match():
+    m, gt = surface_scene_3d(629, 0.24, seed=38)
+    cfg = Config.for_matches(m, seed=38, N_sparse=150)
+    rows = np.sort(make_rng(38).choice(m.n, size=150, replace=False)).astype(np.int64)
+    for o in (0, 101, 402):
+        R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg, rows=rows)
+        rt, d, w = reweight_fit(m, o, cfg, rows=rows)
+        assert d.shape == (m.n,) and w.shape == (150,)
         assert np.abs(d - d_ref).max() < 1e-8
         assert np.abs(w - w_ref).max() < 1e-9
+    out = ransac_run_sparse(m, cfg)
+    assert out.hypotheses
+    # each hypothesis takes its inliers from residuals over all n matches
+    for h in out.hypotheses[:5]:
+        _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg, rows=rows)
+        assert np.array_equal(h.inliers, np.nonzero(d_ref < cfg.H)[0])
+    assert np.setdiff1d(out.inlier_union, rows).size > out.inlier_union.size // 2
 
 
 def similarity_scene(rng, n, dim, mu=1.3):
