@@ -206,9 +206,18 @@ def dq8_blend(weights: FloatArray, dqs: FloatArray) -> FloatArray:
     """
     ref_idx = np.argmax(weights, axis=-1)
     ref = np.take_along_axis(dqs[..., 0:4], ref_idx[..., None, None], axis=-2)
-    dots = np.sum(dqs[..., 0:4] * ref, axis=-1)
+    dots = (
+        dqs[..., 0] * ref[..., 0]
+        + dqs[..., 1] * ref[..., 1]
+        + dqs[..., 2] * ref[..., 2]
+        + dqs[..., 3] * ref[..., 3]
+    )
     signed = np.where(dots < 0.0, -weights, weights)
-    total = np.sum(signed[..., None] * dqs, axis=-2)
+    # einsum adds the k products in index order, bit for bit as summing the
+    # broadcast product over axis -2 does for C-ordered, gathered and
+    # zero-stride inputs (the tests check each), without the (..., k, 8)
+    # temporary
+    total = np.einsum("...k,...kc->...c", signed, dqs)
     return dq8_normalize(total)
 
 
@@ -267,9 +276,9 @@ def dq4_blend(weights: FloatArray, cs: FloatArray) -> FloatArray:
     """Planar counterpart of dq8_blend for compact dqs (..., k, 4)."""
     ref_idx = np.argmax(weights, axis=-1)
     ref = np.take_along_axis(cs[..., 0:2], ref_idx[..., None, None], axis=-2)
-    dots = np.sum(cs[..., 0:2] * ref, axis=-1)
+    dots = cs[..., 0] * ref[..., 0] + cs[..., 1] * ref[..., 1]
     signed = np.where(dots < 0.0, -weights, weights)
-    total = np.sum(signed[..., None] * cs, axis=-2)
+    total = np.einsum("...k,...kc->...c", signed, cs)
     return dq4_normalize(total)
 
 

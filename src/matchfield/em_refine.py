@@ -237,11 +237,12 @@ def m_step(
     mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
 
     # inactive rows produce 0/0 inside the blend; they are overwritten with
-    # the previous motion right after, so silence the transient warnings
+    # the previous motion right after, so silence the transient warnings.
+    # np.take gathers the neighbor motions faster than fancy indexing does
     with np.errstate(invalid="ignore", divide="ignore"):
         if use_planar:
             q4 = state.qs[:, PLANAR_COLS]
-            qbar4 = dq4_blend(wt, q4[idx])
+            qbar4 = dq4_blend(wt, np.take(q4, idx, axis=0))
             qbar4 = np.where(active[:, None], qbar4, q4)
             f = dq4_apply(qbar4, mubar, m.x)
             delta = (m.y - f) / mubar[:, None]
@@ -249,7 +250,7 @@ def m_step(
             q_new = dq4_to8(np.where(active[:, None], q_new4, q4))
         else:
             x3 = _embed3(m.x)
-            qbar = dq8_blend(wt, state.qs[idx])
+            qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
             qbar = np.where(active[:, None], qbar, state.qs)
             f = dq8_apply(qbar, mubar, x3)[:, : state.dim]
             delta = np.zeros((m.n, 3))

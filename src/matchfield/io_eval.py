@@ -43,8 +43,23 @@ class TruncatedFileError(MatchFileError):
     """The file ends before the declared number of rows (or has extras)."""
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def float_column(values) -> list[str]:
+    """repr of each value as a Python float: the shortest text that reads
+    back to the same float64, with -0.0, nan and inf spelled as Python does."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def flag_column(values) -> list[str]:
+    """"1" for each true value, "0" for each false one."""
+    return np.where(np.asarray(values, dtype=bool), "1", "0").tolist()
+
+
+def write_csv_columns(path, header: str, columns: list[list[str]]) -> None:
+    """Write a header line, then one comma-joined row per position of the
+    equally long, already formatted columns; every line ends in a newline."""
+    lines = [header]
+    lines += map(",".join, zip(*columns))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "units") -> None:
@@ -53,13 +68,10 @@ def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "u
         gt = np.asarray(gt, dtype=bool)
         if gt.shape != (m.n,):
             raise ValueError("gt must be one flag per match")
-    lines = [f"{m.dim},{m.n},{units}"]
-    for i in range(m.n):
-        vals = [_fmt(v) for v in m.x[i]] + [_fmt(v) for v in m.y[i]]
-        if gt is not None:
-            vals.append("1" if gt[i] else "0")
-        lines.append(",".join(vals))
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [float_column(c) for c in (*m.x.T, *m.y.T)]
+    if gt is not None:
+        columns.append(flag_column(gt))
+    write_csv_columns(path, f"{m.dim},{m.n},{units}", columns)
 
 
 def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
@@ -119,13 +131,13 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
 
 
 def save_labels(path, labels: LabelResult) -> None:
-    lines = ["index,inlier,posterior,residual"]
-    for i in range(labels.n):
-        lines.append(
-            f"{i},{1 if labels.inlier[i] else 0},{_fmt(labels.posterior[i])},"
-            f"{_fmt(labels.residual[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    columns = [
+        list(map(str, range(labels.n))),
+        flag_column(labels.inlier),
+        float_column(labels.posterior),
+        float_column(labels.residual),
+    ]
+    write_csv_columns(path, "index,inlier,posterior,residual", columns)
 
 
 def load_labels(path) -> LabelResult:

@@ -160,6 +160,20 @@ def test_svg_flag_rejects_3d_input_before_writing(tmp_path, capsys):
     assert not field.exists() and not labels.exists()
 
 
+@pytest.mark.parametrize("bounds", ["nan,0,10,10", "0,0,inf,10"])
+def test_field_rejects_non_finite_bounds(tmp_path, capsys, bounds):
+    scene = tmp_path / "scene.csv"
+    run_ok(["synth", "--output", str(scene), "--n", "150", "--seed", "3"], capsys)
+    field, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    rc = main(
+        ["field", "--input", str(scene), "--output", str(field),
+         "--labels-output", str(labels), "--bounds", bounds, "--seed", "3"]
+    )
+    assert rc == 2
+    assert "bounds must be finite" in capsys.readouterr().err
+    assert not field.exists() and not labels.exists()
+
+
 def test_flag_overrides_config_file(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     run_ok(

@@ -271,3 +271,56 @@ def test_dq_to_transform_planar_slice():
     assert np.allclose(t2, [2.0, 5.0], atol=1e-12)
     with pytest.raises(ValueError):
         dq_to_transform(dq, dim=4)
+
+
+def reference_dq8_blend(weights, dqs):
+    # the broadcast-multiply-then-sum form the einsum kernel replaced
+    ref_idx = np.argmax(weights, axis=-1)
+    ref = np.take_along_axis(dqs[..., 0:4], ref_idx[..., None, None], axis=-2)
+    dots = np.sum(dqs[..., 0:4] * ref, axis=-1)
+    signed = np.where(dots < 0.0, -weights, weights)
+    return dq8_normalize(np.sum(signed[..., None] * dqs, axis=-2))
+
+
+def reference_dq4_blend(weights, cs):
+    ref_idx = np.argmax(weights, axis=-1)
+    ref = np.take_along_axis(cs[..., 0:2], ref_idx[..., None, None], axis=-2)
+    dots = np.sum(cs[..., 0:2] * ref, axis=-1)
+    signed = np.where(dots < 0.0, -weights, weights)
+    total = np.sum(signed[..., None] * cs, axis=-2)
+    return total / np.hypot(total[..., 0], total[..., 1])[..., None]
+
+
+@pytest.mark.parametrize("k", [1, 16, 50])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 5), (400,)])
+def test_blend_kernels_bit_identical_to_broadcast_sum(k, lead):
+    rng = make_rng(100 + k + len(lead))
+    # weights over ten orders of magnitude, motions of both hemispheres
+    w = rng.uniform(0.0, 1.0, size=lead + (k,)) * 10.0 ** rng.uniform(-5.0, 5.0, size=lead + (k,))
+    dqs = rng.normal(size=lead + (k, 8)) * np.array([1.0] * 4 + [50.0] * 4)
+    assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
+    cs = np.ascontiguousarray(dqs[..., PLANAR_COLS])
+    assert np.array_equal(dq4_blend(w, cs), reference_dq4_blend(w, cs))
+    # unit motions as the EM and field stages pass them
+    unit = dq8_normalize(dqs)
+    assert np.array_equal(dq8_blend(w, unit), reference_dq8_blend(w, unit))
+
+
+@pytest.mark.parametrize("k", [1, 3, 16, 50])
+def test_blend_of_shared_and_gathered_motions_bit_identical(k):
+    rng = make_rng(200 + k)
+    motions = np.stack(
+        [dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3) * 40.0) for _ in range(k)]
+    )
+    w = np.exp(-rng.uniform(0.0, 3.0, size=(300, k)))
+    # synth_generate blends one shared set of anchor motions for every
+    # match through a zero-stride np.broadcast_to view
+    dqs = np.broadcast_to(motions, (300, k, 8))
+    assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
+    # m_step and query_field gather rows of the column-major planar
+    # selection qs[:, PLANAR_COLS] with np.take
+    idx = rng.integers(0, k, size=(300, k))
+    cs = np.take(motions[:, PLANAR_COLS], idx, axis=0)
+    assert np.array_equal(dq4_blend(w, cs), reference_dq4_blend(w, cs))
+    gathered = np.take(motions, idx, axis=0)
+    assert np.array_equal(dq8_blend(w, gathered), reference_dq8_blend(w, gathered))

@@ -1,9 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
 from matchfield.em_refine import filter_and_refine, run_em
-from matchfield.field import grid_axes, grid_field, query_field, render_scene_svg, write_field_csv
+from matchfield.field import (
+    FieldGrid,
+    FieldSample,
+    grid_axes,
+    grid_field,
+    query_field,
+    render_scene_svg,
+    write_field_csv,
+)
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import RansacOutcome
 
@@ -58,6 +68,32 @@ def test_grid_axes_rejects_bad_bounds():
         grid_axes((np.zeros(3), np.ones(3)), 1.0, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_axes_rejects_non_finite_bounds_and_steps(bad):
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        grid_axes((np.array([bad, 0.0]), np.array([10.0, 10.0])), 1.0, 2)
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        grid_axes((np.zeros(2), np.array([10.0, bad])), 1.0, 2)
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        grid_axes((np.zeros(2), np.array([10.0, 10.0])), bad, 2)
+
+
+def zero_inlier_field():
+    rng = make_rng(10)
+    x = rng.uniform(0.0, 100.0, size=(25, 2))
+    m = MatchSet.from_points(x, x + 500.0)
+    empty = RansacOutcome(
+        hypotheses=(),
+        inlier_union=np.array([], dtype=np.int64),
+        gamma=0.0,
+        trials=0,
+        gamma_history=(),
+    )
+    cfg = Config()
+    labels, state = run_em(m, empty, cfg)
+    return m, cfg, labels, state
+
+
 def test_far_query_is_invalid_and_unmoved():
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     far = np.array([[1e6, 1e6]])
@@ -101,18 +137,8 @@ def test_valid_tracks_support_threshold():
 
 
 def test_no_inliers_means_no_field():
-    rng = make_rng(10)
-    x = rng.uniform(0.0, 100.0, size=(25, 2))
-    m = MatchSet.from_points(x, x + 500.0)
-    empty = RansacOutcome(
-        hypotheses=(),
-        inlier_union=np.array([], dtype=np.int64),
-        gamma=0.0,
-        trials=0,
-        gamma_history=(),
-    )
-    cfg = Config()
-    labels, state = run_em(m, empty, cfg)
+    m, cfg, labels, state = zero_inlier_field()
+    x = m.x
     samples = query_field(state, labels, m, x[:5], cfg)
     assert all(not s.valid for s in samples)
     assert np.allclose(np.stack([s.displaced for s in samples]), x[:5])
@@ -136,6 +162,91 @@ def test_query_rejects_wrong_width():
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     with pytest.raises(ValueError):
         query_field(state, labels, m, np.zeros((3, 3)), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_query_rejects_non_finite_points_with_and_without_inliers(bad):
+    pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [bad, 40.0], [50.0, bad]])
+    for m, cfg, labels, state in (rigid_pipeline()[:4], zero_inlier_field()):
+        with pytest.raises(ValueError, match="query point 3 is not finite"):
+            query_field(state, labels, m, pts, cfg)
+        assert len(query_field(state, labels, m, pts[:3], cfg)) == 3
+
+
+def test_samples_are_named_tuples_over_one_copied_array():
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    pts = np.array([[10.0, 20.0], [30.0, 40.0], [1e6, 1e6]])
+    samples = query_field(state, labels, m, pts, cfg)
+    assert all(isinstance(s, FieldSample) for s in samples)
+    query, displaced, support, valid = samples[0]
+    assert type(support) is float and type(valid) is bool
+    assert samples[0].valid and not samples[2].valid
+    # the caller's array is copied, so changing it later leaves samples alone
+    pts[0, 0] = -1.0
+    assert samples[0].query[0] == 10.0
+    assert np.array_equal(np.stack([s.query for s in samples]), [[10.0, 20.0], [30.0, 40.0], [1e6, 1e6]])
+    with pytest.raises(AttributeError):
+        samples[0].valid = False
+
+
+def reference_write_field_csv(grid, path, dim):
+    # the per-sample writer the column-wise write_field_csv replaced
+    q_cols = ["qx", "qy", "qz"][:dim]
+    d_cols = ["dx", "dy", "dz"][:dim]
+    lines = [",".join(q_cols + d_cols + ["support", "valid"])]
+    for s in grid.samples:
+        vals = [repr(float(v)) for v in s.query] + [repr(float(v)) for v in s.displaced]
+        vals.append(repr(float(s.support)))
+        vals.append("1" if s.valid else "0")
+        lines.append(",".join(vals))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def assert_field_csv_bytes_match_reference(grid, dim, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_field_csv(grid, got, dim)
+    reference_write_field_csv(grid, want, dim)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_field_csv_bytes_match_per_sample_writer_2d(tmp_path):
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    grid = grid_field(state, labels, m, (np.array([-30.0, 0.0]), np.array([700.0, 520.0])), 7.5, cfg)
+    # the lattice reaches past the inliers, so invalid samples are in it
+    assert any(s.valid for s in grid.samples) and not all(s.valid for s in grid.samples)
+    assert_field_csv_bytes_match_reference(grid, 2, tmp_path)
+
+
+def test_field_csv_bytes_match_per_sample_writer_3d(tmp_path):
+    rng = make_rng(21)
+    x = rng.uniform(0.0, 100.0, size=(150, 3))
+    y = x @ np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]).T + 3.0
+    m = MatchSet.from_points(x, y)
+    cfg = Config.for_matches(m, seed=21)
+    labels, state, _ = filter_and_refine(m, cfg)
+    grid = grid_field(state, labels, m, (np.full(3, -20.0), np.full(3, 120.0)), 10.0, cfg)
+    assert grid.shape == (15, 15, 15)
+    assert any(s.valid for s in grid.samples) and not all(s.valid for s in grid.samples)
+    assert_field_csv_bytes_match_reference(grid, 3, tmp_path)
+
+
+def test_field_csv_bytes_match_per_sample_writer_edge_cases(tmp_path):
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    # negative zeros in valid rows, and in invalid rows whose displaced
+    # position is the query itself
+    pts = np.array([[-0.0, 5.0], [120.0, -0.0], [-0.0, -0.0], [-0.0, 1e6], [1e6, -0.0]])
+    samples = query_field(state, labels, m, pts, cfg)
+    assert [s.valid for s in samples] == [True, True, True, False, False]
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(5,), samples=tuple(samples)), 2, tmp_path)
+    assert "-0.0" in (tmp_path / "got.csv").read_text()
+    # zero inliers: every sample invalid with support 0.0
+    m0, cfg0, labels0, state0 = zero_inlier_field()
+    samples0 = query_field(state0, labels0, m0, np.vstack([m0.x, pts]), cfg0)
+    assert not any(s.valid for s in samples0)
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(len(samples0),), samples=tuple(samples0)), 2, tmp_path)
+    # no samples: the header line alone
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(0,), samples=()), 2, tmp_path)
+    assert (tmp_path / "got.csv").read_text() == "qx,qy,dx,dy,support,valid\n"
 
 
 def test_field_csv_round_trip(tmp_path):

@@ -210,3 +210,60 @@ def test_synth_spec_validation():
         SynthSpec(bounds=((0.0, 0.0), (0.0, 600.0)))
     with pytest.raises(ValueError):
         SynthSpec(dim=3, bounds=((0.0, 0.0), (800.0, 600.0)))
+
+
+def reference_save_matches(path, m, gt=None, units="units"):
+    # the per-row writer the column-wise save_matches replaced
+    lines = [f"{m.dim},{m.n},{units}"]
+    for i in range(m.n):
+        vals = [repr(float(v)) for v in m.x[i]] + [repr(float(v)) for v in m.y[i]]
+        if gt is not None:
+            vals.append("1" if gt[i] else "0")
+        lines.append(",".join(vals))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_save_labels(path, labels):
+    lines = ["index,inlier,posterior,residual"]
+    for i in range(labels.n):
+        lines.append(
+            f"{i},{1 if labels.inlier[i] else 0},{repr(float(labels.posterior[i]))},"
+            f"{repr(float(labels.residual[i]))}"
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def awkward_floats(rng, shape):
+    # ordinary values plus negative zeros, integers, and huge and tiny
+    # magnitudes, all of which repr spells differently
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = v.reshape(-1)
+    flat[::7] = -0.0
+    flat[1::7] = np.round(flat[1::7] * 1e-290)
+    flat[2::7] = 5e-324
+    return v
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_match_file_bytes_match_per_row_writer(tmp_path, dim):
+    rng = make_rng(60 + dim)
+    m = MatchSet.from_points(awkward_floats(rng, (57, dim)), awkward_floats(rng, (57, dim)))
+    gt = rng.uniform(size=57) < 0.5
+    for flags in (gt, None):
+        save_matches(tmp_path / "got.csv", m, gt=flags, units="pixels")
+        reference_save_matches(tmp_path / "want.csv", m, gt=flags, units="pixels")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert "-0.0" in (tmp_path / "got.csv").read_text()
+
+
+def test_label_file_bytes_match_per_row_writer(tmp_path):
+    rng = make_rng(62)
+    n = 1234
+    labels = LabelResult(
+        inlier=rng.uniform(size=n) < 0.4,
+        posterior=np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(size=n)),
+        residual=np.abs(awkward_floats(rng, (n,))),
+    )
+    save_labels(tmp_path / "got.csv", labels)
+    reference_save_labels(tmp_path / "want.csv", labels)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
