@@ -20,7 +20,6 @@ import argparse
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,12 @@ from .core import (
     DegenerateScaleError,
     MatchSet,
     config_overrides_from_file,
-    scale_estimate,
 )
-from .em_refine import run_em
-from .field import FieldGrid, grid_field, render_scene_svg, write_field_csv
+from .em_refine import filter_and_refine
+from .field import grid_axes, grid_field, render_scene_svg, write_field_csv
 from .io_eval import (
     DimensionMismatchError,
     MatchFileError,
-    Metrics,
     SynthSpec,
     compute_metrics,
     load_labels,
@@ -48,7 +45,7 @@ from .io_eval import (
     save_matches,
     synth_generate,
 )
-from .ransac import labels_from_outcome, ransac_run, ransac_run_sparse
+from .ransac import labels_from_outcome
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -68,12 +65,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args, m: MatchSet) -> Config:
     """Defaults, scale-adapted for 3D, then file overrides, then flags."""
-    cfg = Config()
-    if m.dim == 3:
-        cfg = cfg.adapted_for_scale(scale_estimate(m))
-    if args.config is not None:
-        cfg = replace(cfg, **config_overrides_from_file(args.config))
-    flag_map = {
+    overrides = {} if args.config is None else config_overrides_from_file(args.config)
+    flags = {
         "H": args.H,
         "r": args.r,
         "a": args.a,
@@ -84,10 +77,8 @@ def _build_config(args, m: MatchSet) -> Config:
         "seed": args.seed,
         "N_sparse": args.n_sparse,
     }
-    overrides = {k: v for k, v in flag_map.items() if v is not None}
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    overrides.update((k, v) for k, v in flags.items() if v is not None)
+    return Config.for_matches(m, **overrides)
 
 
 def _load_input(args) -> MatchSet:
@@ -99,12 +90,11 @@ def _load_input(args) -> MatchSet:
     return m
 
 
-def _run_pipeline(m: MatchSet, cfg: Config, sparse: bool):
+def _run_pipeline(m: MatchSet, cfg: Config, sparse: bool = False):
+    """filter_and_refine with its wall time in ms."""
     t0 = time.perf_counter()
-    outcome = ransac_run_sparse(m, cfg) if sparse else ransac_run(m, cfg)
-    labels, state = run_em(m, outcome, cfg)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return outcome, labels, state, elapsed_ms
+    labels, state, outcome = filter_and_refine(m, cfg, sparse)
+    return labels, state, outcome, (time.perf_counter() - t0) * 1000.0
 
 
 def _warn_if_no_motion(outcome, labels, field: bool) -> None:
@@ -126,7 +116,7 @@ def _warn_if_no_motion(outcome, labels, field: bool) -> None:
 def cmd_filter(args) -> int:
     m = _load_input(args)
     cfg = _build_config(args, m)
-    outcome, labels, state, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
+    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
     _warn_if_no_motion(outcome, labels, field=False)
     save_labels(args.output, labels)
     print(
@@ -148,13 +138,15 @@ def cmd_field(args) -> int:
     if args.svg is not None and m.dim != 2:
         print("error: --svg requires 2D input", file=sys.stderr)
         return 2
-    cfg = _build_config(args, m)
-    outcome, labels, state, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
-    _warn_if_no_motion(outcome, labels, field=True)
     if args.bounds is not None:
         bounds = _parse_bounds(args.bounds, m.dim)
     else:
         bounds = (m.x.min(axis=0), m.x.max(axis=0))
+    # reject a bad lattice before the pipeline spends its time
+    grid_axes(bounds, args.grid_step, m.dim)
+    cfg = _build_config(args, m)
+    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
+    _warn_if_no_motion(outcome, labels, field=True)
     grid = grid_field(state, labels, m, bounds, args.grid_step, cfg)
     write_field_csv(grid, args.output, m.dim)
     if args.labels_output is not None:
@@ -211,12 +203,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bench_once(spec: SynthSpec, cfg: Config, grid_step: float):
+def _bench_once(spec: SynthSpec, grid_step: float):
     m, gt = synth_generate(spec)
-    t0 = time.perf_counter()
-    outcome = ransac_run(m, cfg)
-    labels, state = run_em(m, outcome, cfg)
-    filter_ms = (time.perf_counter() - t0) * 1000.0
+    cfg = Config.for_matches(m, seed=spec.seed)
+    labels, state, outcome, filter_ms = _run_pipeline(m, cfg)
     ransac_metrics = compute_metrics(labels_from_outcome(m, outcome, cfg), gt)
     em_metrics = compute_metrics(labels, gt)
     bounds = (np.asarray(spec.bounds[0]), np.asarray(spec.bounds[1]))
@@ -242,8 +232,7 @@ def cmd_bench(args) -> int:
                 spec = SynthSpec(
                     n=size, outlier_ratio=ratio / 100.0, seed=base_seed + rep, dim=2
                 )
-                cfg = Config(seed=base_seed + rep)
-                rm, em, f_ms, g_ms = _bench_once(spec, cfg, args.grid_step)
+                rm, em, f_ms, g_ms = _bench_once(spec, args.grid_step)
                 r_err.append(rm.n_errors)
                 e_err.append(em.n_errors)
                 r_f.append(rm.fscore)

@@ -223,17 +223,17 @@ class Config:
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
-        """Default config for a match set, scale-adapted when the input is 3D."""
+        """Config of a run on m: defaults, scale-adapted when m is 3D, then overrides.
+
+        The CLI passes its config-file values updated with its flags as the
+        overrides, so this is the one place a run's config is assembled.
+        """
         cfg = cls()
         if m.dim == 3:
             cfg = cfg.adapted_for_scale(scale_estimate(m))
         if overrides:
             cfg = replace(cfg, **overrides)
         return cfg
-
-    @classmethod
-    def from_file(cls, path) -> "Config":
-        return replace(cls(), **config_overrides_from_file(path))
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(Config)}
@@ -243,7 +243,8 @@ def config_overrides_from_file(path) -> dict:
     """Parse a key=value config file into a dict of Config field overrides.
 
     Blank lines and lines starting with # are skipped. Keys must be Config
-    field names. N_sparse accepts the literal "none".
+    field names. N_sparse accepts the literal "none". Each value is range
+    checked here, so a flag that overrides a bad file value cannot hide it.
     """
     text = Path(path).read_text()
     out: dict = {}
@@ -267,6 +268,10 @@ def config_overrides_from_file(path) -> dict:
                 out[key] = float(val)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from e
+    try:
+        Config(**out)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
     return out
 
 

@@ -31,12 +31,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FloatArray
+from .core import FloatArray, RigidTransform
 
 UNIT_TOL = 1e-9
 
 # columns of the planar compact layout inside the 8-wide layout
 PLANAR_COLS = (0, 3, 5, 6)
+
+
+def embed3(pts) -> FloatArray:
+    """Points (..., 2) lifted into the z = 0 plane; (..., 3) returned as is."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.shape[-1] == 3:
+        return pts
+    if pts.shape[-1] != 2:
+        raise ValueError(f"points must be 2- or 3-dimensional, got {pts.shape}")
+    return np.concatenate([pts, np.zeros(pts.shape[:-1] + (1,))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +170,12 @@ def dq8_apply(dq: FloatArray, mu, pts: FloatArray) -> FloatArray:
 def dq8_from_rt(R, t) -> FloatArray:
     """Build the 8-vector of a rigid motion. 2D input is embedded in z = 0."""
     R = np.asarray(R, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
     if R.shape == (2, 2):
         R3 = np.eye(3)
         R3[:2, :2] = R
-        t3 = np.array([t[0], t[1], 0.0])
     else:
-        R3, t3 = R, t
+        R3 = R
+    t3 = embed3(t)
     real = quat_from_matrix(R3)
     tq = np.array([0.0, t3[0], t3[1], t3[2]])
     dual = 0.5 * quat_mul(tq, real)
@@ -301,9 +310,6 @@ class Quaternion:
         a = np.asarray(a, dtype=np.float64)
         return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
 
 @dataclass(frozen=True)
 class UnitDualQuaternion:
@@ -361,25 +367,19 @@ def dq_from_transform(R, t) -> UnitDualQuaternion:
     """Encode a rigid motion (R, t), 2D or 3D, as a unit dual quaternion.
 
     Scale stays outside; pair the result with mu in a ScaledDq for the full
-    mapping mu * (R x + t). Rejects non-rotation matrices.
+    mapping mu * (R x + t). Rejects what RigidTransform rejects: a matrix
+    that is not a proper rotation, or a t that does not fit R.
     """
-    R = np.asarray(R, dtype=np.float64)
-    d = R.shape[0]
-    if R.shape not in ((2, 2), (3, 3)):
-        raise ValueError(f"R must be 2x2 or 3x3, got {R.shape}")
-    if np.abs(R.T @ R - np.eye(d)).max() > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
-        raise ValueError("R is not a proper rotation")
-    return UnitDualQuaternion.from_array(dq8_from_rt(R, t))
+    rt = RigidTransform(R, t, 1.0)
+    return UnitDualQuaternion.from_array(dq8_from_rt(rt.R, rt.t))
 
 
 def trans2dq(t) -> UnitDualQuaternion:
     """Unit dual quaternion of a pure translation (2D or 3D vector)."""
     t = np.asarray(t, dtype=np.float64)
-    if t.shape == (2,):
-        t = np.array([t[0], t[1], 0.0])
-    if t.shape != (3,):
+    if t.shape not in ((2,), (3,)):
         raise ValueError(f"t must be a 2- or 3-vector, got {t.shape}")
-    return UnitDualQuaternion.from_array(dq8_translation(t))
+    return UnitDualQuaternion.from_array(dq8_translation(embed3(t)))
 
 
 def dq_apply(dq: UnitDualQuaternion, mu: float, x) -> FloatArray:
@@ -388,15 +388,7 @@ def dq_apply(dq: UnitDualQuaternion, mu: float, x) -> FloatArray:
     Accepts (..., 2) or (..., 3) points and returns the same shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    dim = x.shape[-1]
-    if dim == 2:
-        pts = np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1)
-    elif dim == 3:
-        pts = x
-    else:
-        raise ValueError(f"points must be 2- or 3-dimensional, got {x.shape}")
-    out = dq8_apply(dq.as_array(), float(mu), pts)
-    return out[..., :dim]
+    return dq8_apply(dq.as_array(), float(mu), embed3(x))[..., : x.shape[-1]]
 
 
 def dq_multiply(a: UnitDualQuaternion, b: UnitDualQuaternion) -> UnitDualQuaternion:
@@ -411,13 +403,10 @@ def dq_multiply(a: UnitDualQuaternion, b: UnitDualQuaternion) -> UnitDualQuatern
 def dq_normalize(dq) -> UnitDualQuaternion:
     """Normalize any dual quaternion with a nonzero real part to a unit one.
 
-    Accepts a UnitDualQuaternion, a (real, dual) pair of Quaternions, or
-    an 8-element array.
+    Accepts a UnitDualQuaternion or an 8-element array.
     """
     if isinstance(dq, UnitDualQuaternion):
         a = dq.as_array()
-    elif isinstance(dq, tuple) and len(dq) == 2:
-        a = np.concatenate([dq[0].as_array(), dq[1].as_array()])
     else:
         a = np.asarray(dq, dtype=np.float64)
         if a.shape != (8,):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import ransac
 from .core import (
     BoolArray,
     Config,
@@ -42,6 +43,7 @@ from .dualquat import (
     dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
+    embed3,
 )
 from .ransac import RansacOutcome
 
@@ -93,12 +95,6 @@ class EmState:
 
     def scaled_dq(self, i: int) -> ScaledDq:
         return ScaledDq(UnitDualQuaternion.from_array(self.qs[i]), float(self.mus[i]))
-
-
-def _embed3(pts: FloatArray) -> FloatArray:
-    if pts.shape[-1] == 3:
-        return pts
-    return np.concatenate([pts, np.zeros(pts.shape[:-1] + (1,))], axis=-1)
 
 
 def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
@@ -176,7 +172,7 @@ def init_from_hypotheses(
         p[take] = float(h.support)
         best[take] = h.support
     covered = best > 0
-    field_at_x = dq8_apply(qs, mus, _embed3(m.x))[:, : m.dim]
+    field_at_x = dq8_apply(qs, mus, embed3(m.x))[:, : m.dim]
     resid = np.linalg.norm(m.y - field_at_x, axis=1)
     floor = SIGMA_INIT_FLOOR_FACTOR * cfg.H
     if covered.any():
@@ -197,13 +193,7 @@ def init_from_hypotheses(
     )
 
 
-def m_step(
-    state: EmState,
-    m: MatchSet,
-    cfg: Config,
-    use_planar: bool | None = None,
-    update_sigma: bool = True,
-) -> FloatArray:
+def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) -> FloatArray:
     """Re-estimate the field, the noise level, and the per-match motions.
 
     For every match the neighbor motions are blended with weights
@@ -219,11 +209,10 @@ def m_step(
     posteriors, and the seed-residual sigma must survive until the first
     posterior pass has scored the matches.
 
+    Planar runs blend the compact 4-column motions, 3D runs the full 8.
     Matches whose neighbor weights vanish entirely keep their previous
     motion and are flagged isolated. Returns the new field values.
     """
-    if use_planar is None:
-        use_planar = state.dim == 2
     idx = state.graph.idx
     wt = state.graph.w_dist * state.p[idx]
     wsum = wt.sum(axis=1)
@@ -240,7 +229,7 @@ def m_step(
     # the previous motion right after, so silence the transient warnings.
     # np.take gathers the neighbor motions faster than fancy indexing does
     with np.errstate(invalid="ignore", divide="ignore"):
-        if use_planar:
+        if state.dim == 2:
             q4 = state.qs[:, PLANAR_COLS]
             qbar4 = dq4_blend(wt, np.take(q4, idx, axis=0))
             qbar4 = np.where(active[:, None], qbar4, q4)
@@ -249,12 +238,10 @@ def m_step(
             q_new4 = dq4_translate_after(qbar4, delta)
             q_new = dq4_to8(np.where(active[:, None], q_new4, q4))
         else:
-            x3 = _embed3(m.x)
             qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
             qbar = np.where(active[:, None], qbar, state.qs)
-            f = dq8_apply(qbar, mubar, x3)[:, : state.dim]
-            delta = np.zeros((m.n, 3))
-            delta[:, : state.dim] = (m.y - f) / mubar[:, None]
+            f = dq8_apply(qbar, mubar, m.x)
+            delta = (m.y - f) / mubar[:, None]
             q_new = dq8_translate_after(qbar, delta)
             q_new = np.where(active[:, None], q_new, state.qs)
 
@@ -330,9 +317,13 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
 def filter_and_refine(
     m: MatchSet, cfg: Config, sparse: bool = False
 ) -> tuple[LabelResult, EmState, RansacOutcome]:
-    """Convenience pipeline: RANSAC cover, then EM refinement."""
-    from .ransac import ransac_run, ransac_run_sparse
+    """The pipeline: RANSAC cover (sparse or dense), then EM refinement.
 
-    outcome = ransac_run_sparse(m, cfg) if sparse else ransac_run(m, cfg)
+    Both stages are looked up as module attributes at call time, so a
+    wrapper installed on ransac.ransac_run or em_refine.run_em sees every
+    run.
+    """
+    run = ransac.ransac_run_sparse if sparse else ransac.ransac_run
+    outcome = run(m, cfg)
     labels, state = run_em(m, outcome, cfg)
     return labels, state, outcome

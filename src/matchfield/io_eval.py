@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import BoolArray, LabelResult, MatchFieldError, MatchSet, make_rng
-from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
+from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, embed3, quat_to_matrix
 
 
 class MatchFileError(MatchFieldError):
@@ -309,8 +309,7 @@ def synth_generate(spec: SynthSpec) -> tuple[MatchSet, BoolArray]:
         w = np.exp(-d2 / (2.0 * radius * radius))
         qbar = dq8_blend(w, np.broadcast_to(dqs, (inl.size, spec.n_anchors, 8)))
         mubar = (w * mus).sum(axis=1) / w.sum(axis=1)
-        x3 = x[inl] if spec.dim == 3 else np.concatenate([x[inl], np.zeros((inl.size, 1))], axis=1)
-        y[inl] = dq8_apply(qbar, mubar, x3)[:, : spec.dim]
+        y[inl] = dq8_apply(qbar, mubar, embed3(x[inl]))[:, : spec.dim]
         if spec.noise_sigma > 0.0:
             y[inl] += rng.normal(0.0, spec.noise_sigma, size=(inl.size, spec.dim))
     if out.size:

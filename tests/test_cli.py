@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from matchfield import em_refine, ransac
 from matchfield.cli import main
-from matchfield.core import MatchSet
-from matchfield.io_eval import load_labels, load_matches, save_matches
+from matchfield.core import Config, MatchSet, config_overrides_from_file, scale_estimate
+from matchfield.em_refine import filter_and_refine
+from matchfield.io_eval import load_labels, load_matches, save_labels, save_matches
 
 
 def run_ok(argv, capsys):
@@ -266,3 +268,103 @@ def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
     else:
         assert f"{n_in} of {n} matches are inliers" in err
     assert (n_in == n) if shift == 1.0 else (n_in == 0)
+
+
+def _synth(path, capsys, dim=2, n=300, seed=9):
+    argv = ["synth", "--output", str(path), "--n", str(n), "--dim", str(dim),
+            "--outlier-ratio", "0.4", "--seed", str(seed)]
+    if dim == 3:
+        argv += ["--noise-sigma", "0.05", "--max-rotation", "0.05", "--scale-jitter", "0.02"]
+    run_ok(argv, capsys)
+    return path
+
+
+def _count_stage_calls(monkeypatch) -> dict:
+    """Wrap the RANSAC and EM module attributes; record the config of each call."""
+    calls = {"ransac": [], "em": []}
+    ransac_run, run_em = ransac.ransac_run, em_refine.run_em
+
+    def counted_ransac(m, cfg):
+        calls["ransac"].append(cfg)
+        return ransac_run(m, cfg)
+
+    def counted_em(m, outcome, cfg):
+        calls["em"].append(cfg)
+        return run_em(m, outcome, cfg)
+
+    monkeypatch.setattr(ransac, "ransac_run", counted_ransac)
+    monkeypatch.setattr(em_refine, "run_em", counted_em)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"]],
+    ids=["nan-bounds", "bounds-count", "zero-step"],
+)
+def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeypatch, lattice):
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    calls = _count_stage_calls(monkeypatch)
+    field, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    rc = main(["field", "--input", str(scene), "--output", str(field),
+               "--labels-output", str(labels)] + lattice)
+    assert rc == 2
+    assert "error" in capsys.readouterr().err
+    assert not calls["ransac"] and not calls["em"]
+    assert not field.exists() and not labels.exists()
+
+
+@pytest.mark.parametrize("entry", ["filter", "field", "library"])
+def test_each_run_passes_both_stage_attributes_once(tmp_path, capsys, monkeypatch, entry):
+    # the traced benchmark run wraps ransac.ransac_run and em_refine.run_em;
+    # every way into the pipeline must go through those module attributes
+    scene = _synth(tmp_path / "scene.csv", capsys, n=200)
+    calls = _count_stage_calls(monkeypatch)
+    if entry == "library":
+        m, _ = load_matches(scene)
+        filter_and_refine(m, Config.for_matches(m))
+    else:
+        run_ok([entry, "--input", str(scene), "--output", str(tmp_path / "out.csv")], capsys)
+    assert len(calls["ransac"]) == 1 and len(calls["em"]) == 1
+    assert calls["ransac"][0] is calls["em"][0]
+
+
+@pytest.mark.parametrize("dim,cfg_text,H", [(2, "H = 12\nN_neighbor = 24\nseed = 4\n", 15.0),
+                                            (3, "r = 9\nseed = 4\n", 3.0)],
+                         ids=["2d", "3d"])
+def test_cli_labels_equal_library_run(tmp_path, capsys, dim, cfg_text, H):
+    scene = _synth(tmp_path / "scene.csv", capsys, dim=dim)
+    cfgfile = tmp_path / "f.cfg"
+    cfgfile.write_text(cfg_text)
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    run_ok(["filter", "--input", str(scene), "--output", str(cli_out),
+            "--config", str(cfgfile), "--H", repr(H)], capsys)
+    m, _ = load_matches(scene)
+    cfg = Config.for_matches(m, **{**config_overrides_from_file(cfgfile), "H": H})
+    labels, _, _ = filter_and_refine(m, cfg)
+    save_labels(lib_out, labels)
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
+def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypatch):
+    # precedence: defaults, 3D adaptation, config file, flags; a flag for H
+    # leaves the adapted r alone
+    scene = _synth(tmp_path / "scene3.csv", capsys, dim=3)
+    cfgfile = tmp_path / "f.cfg"
+    cfgfile.write_text("seed = 4\nN_neighbor = 30\n")
+    calls = _count_stage_calls(monkeypatch)
+    run_ok(["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
+            "--config", str(cfgfile), "--H", "2.5"], capsys)
+    cfg = calls["ransac"][0]
+    s = scale_estimate(load_matches(scene)[0])
+    assert cfg.H == 2.5
+    assert np.isclose(cfg.r, 0.3 * s) and np.isclose(cfg.a, 20.0 / s)
+    assert cfg.N_neighbor == 30 and cfg.seed == 4
+    # a bad file value exits 2 even when a flag overrides it
+    cfgfile.write_text("r = -1\n")
+    for flags in ([], ["--r", "5"]):
+        rc = main(["filter", "--input", str(scene), "--output", str(tmp_path / "bad.csv"),
+                   "--config", str(cfgfile)] + flags)
+        assert rc == 2
+        assert "r must be positive" in capsys.readouterr().err
+    assert len(calls["ransac"]) == 1 and not (tmp_path / "bad.csv").exists()

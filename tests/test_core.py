@@ -157,7 +157,8 @@ def test_config_file_parsing(tmp_path):
     p.write_text("# comment\n\nH = 30\nT_min=7\nN_sparse = none\nseed=3\n")
     out = config_overrides_from_file(p)
     assert out == {"H": 30.0, "T_min": 7, "N_sparse": None, "seed": 3}
-    cfg = Config.from_file(p)
+    m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
+    cfg = Config.for_matches(m, **out)
     assert cfg.H == 30.0 and cfg.T_min == 7 and cfg.seed == 3
 
 
