@@ -19,16 +19,10 @@ from .core import (
     scale_estimate,
 )
 from .dualquat import (
-    Quaternion,
-    ScaledDq,
-    UnitDualQuaternion,
     dq_apply,
     dq_blend,
     dq_from_transform,
     dq_multiply,
-    dq_normalize,
-    dq_to_transform,
-    trans2dq,
 )
 from .em_refine import (
     EmState,
@@ -91,22 +85,17 @@ __all__ = [
     "Metrics",
     "NeighborGraph",
     "NonNumericRowError",
-    "Quaternion",
     "RansacOutcome",
     "RigidTransform",
-    "ScaledDq",
     "SynthSpec",
     "TransformHypothesis",
     "TruncatedFileError",
-    "UnitDualQuaternion",
     "build_neighbors",
     "compute_metrics",
     "dq_apply",
     "dq_blend",
     "dq_from_transform",
     "dq_multiply",
-    "dq_normalize",
-    "dq_to_transform",
     "e_step",
     "filter_and_refine",
     "grid_field",
@@ -125,7 +114,6 @@ __all__ = [
     "save_matches",
     "scale_estimate",
     "synth_generate",
-    "trans2dq",
     "trial_bound",
     "weighted_rigid_fit",
     "write_field_csv",

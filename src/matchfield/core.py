@@ -214,12 +214,17 @@ class Config:
         """Rescale the pixel-tuned thresholds to a cloud of spatial scale s.
 
         Used for 3D inputs where there is no pixel grid: H becomes 0.1 s,
-        r becomes 0.3 s, the outlier density a becomes 20 / s, and the
+        r becomes 0.3 s, the outlier density a becomes 20 / s^2, and the
         neighborhood grows to 50. Applied once, at config build time.
+
+        a goes as 1 / s^2 because the E-step weighs the Gaussian likelihood
+        against the uniform term 2 pi sigma^2 a (1 - gamma) / gamma, and
+        sigma grows with s: only then does a change of units leave every
+        posterior, and so every label, unchanged.
         """
         if not (math.isfinite(s) and s > 0.0):
             raise ConfigError(f"scale must be positive, got {s}")
-        return replace(self, H=0.1 * s, r=0.3 * s, a=20.0 / s, N_neighbor=50)
+        return replace(self, H=0.1 * s, r=0.3 * s, a=20.0 / (s * s), N_neighbor=50)
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":

@@ -6,15 +6,13 @@ into eight numbers that can be blended linearly and renormalized. Scale is
 kept outside as a separate positive factor, so a scaled rigid motion is the
 pair (dq, mu) acting as p -> mu * (R p + t).
 
-Two representations coexist:
-
-* generic arrays of shape (..., 8), column layout
-  [rw, rx, ry, rz, dw, dx, dy, dz], valid for any rigid motion in 3D, with
-  2D motions embedded in the z = 0 plane;
-* a planar fast path of shape (..., 4), columns [rw, rz, dx, dy], exploiting
-  that a rigid motion of the plane leaves the other four components exactly
-  zero. Both paths must agree to near machine precision on planar input;
-  the test suite checks that.
+Every motion is a plain float array of shape (..., 8), column layout
+[rw, rx, ry, rz, dw, dx, dy, dz], and the dq8_* kernels work on any number
+of leading axes. 2D motions live in the z = 0 plane: their columns 1, 2, 4
+and 7 are exactly zero and stay zero through products, blends and
+translations, so 2D and 3D share one layout and one set of kernels. The
+dq_* functions are checked single-motion entry points onto the same
+kernels.
 
 Conventions used throughout:
 
@@ -27,16 +25,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FloatArray, RigidTransform
 
 UNIT_TOL = 1e-9
-
-# columns of the planar compact layout inside the 8-wide layout
-PLANAR_COLS = (0, 3, 5, 6)
 
 
 def embed3(pts) -> FloatArray:
@@ -240,188 +234,64 @@ def dq8_to_rt(dq: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 # ---------------------------------------------------------------------------
-# planar fast path: columns [rw, rz, dx, dy]
+# checked operations on single (8,) dual quaternions
 
 
-def dq4_from8(dq: FloatArray) -> FloatArray:
-    return dq[..., PLANAR_COLS]
+def _unit_dq(dq) -> FloatArray:
+    """A caller's dual quaternion as an (8,) array, held to the unit invariants.
 
-def dq4_to8(c: FloatArray) -> FloatArray:
-    out = np.zeros(c.shape[:-1] + (8,))
-    out[..., PLANAR_COLS] = c
-    return out
-
-
-def dq4_normalize(c: FloatArray) -> FloatArray:
-    # a planar dq satisfies <real, dual> = 0 identically, so the dual-number
-    # norm reduces to the real norm
-    n = np.hypot(c[..., 0], c[..., 1])[..., None]
-    return c / n
-
-
-def dq4_apply(c: FloatArray, mu, pts: FloatArray) -> FloatArray:
-    """Planar counterpart of dq8_apply for points (..., 2)."""
-    w, z, dx, dy = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-    cos_t = w * w - z * z
-    sin_t = 2.0 * w * z
-    tx = 2.0 * (dx * w - dy * z)
-    ty = 2.0 * (dx * z + dy * w)
-    px, py = pts[..., 0], pts[..., 1]
-    mu = np.asarray(mu, dtype=np.float64)
-    out = np.stack([cos_t * px - sin_t * py + tx, sin_t * px + cos_t * py + ty], axis=-1)
-    return mu[..., None] * out
-
-
-def dq4_translate_after(c: FloatArray, t: FloatArray) -> FloatArray:
-    w, z = c[..., 0], c[..., 1]
-    tx, ty = t[..., 0], t[..., 1]
-    out = c.copy()
-    out[..., 2] += 0.5 * (tx * w + ty * z)
-    out[..., 3] += 0.5 * (ty * w - tx * z)
-    return out
-
-
-def dq4_blend(weights: FloatArray, cs: FloatArray) -> FloatArray:
-    """Planar counterpart of dq8_blend for compact dqs (..., k, 4)."""
-    ref_idx = np.argmax(weights, axis=-1)
-    ref = np.take_along_axis(cs[..., 0:2], ref_idx[..., None, None], axis=-2)
-    dots = cs[..., 0] * ref[..., 0] + cs[..., 1] * ref[..., 1]
-    signed = np.where(dots < 0.0, -weights, weights)
-    total = np.einsum("...k,...kc->...c", signed, cs)
-    return dq4_normalize(total)
-
-
-# ---------------------------------------------------------------------------
-# public value types and scalar operations
-
-
-@dataclass(frozen=True)
-class Quaternion:
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> FloatArray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-
-@dataclass(frozen=True)
-class UnitDualQuaternion:
-    """A unit dual quaternion: |real| = 1 and <real, dual> = 0 within 1e-9.
-
-    Planar motions use only (real.w, real.z, dual.x, dual.y); the other four
-    components are identically zero for them.
+    Rejects any other shape, |real| off 1 by more than UNIT_TOL, and real
+    and dual parts further than UNIT_TOL from orthogonal.
     """
-
-    real: Quaternion
-    dual: Quaternion
-
-    def __post_init__(self) -> None:
-        r = self.real.as_array()
-        d = self.dual.as_array()
-        if abs(np.linalg.norm(r) - 1.0) > UNIT_TOL:
-            raise ValueError("real part must be a unit quaternion")
-        if abs(float(np.dot(r, d))) > UNIT_TOL:
-            raise ValueError("real and dual parts must be orthogonal")
-
-    def as_array(self) -> FloatArray:
-        return np.concatenate([self.real.as_array(), self.dual.as_array()])
-
-    @classmethod
-    def from_array(cls, a) -> "UnitDualQuaternion":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(Quaternion.from_array(a[0:4]), Quaternion.from_array(a[4:8]))
-
-    @classmethod
-    def identity(cls) -> "UnitDualQuaternion":
-        return cls(Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(0.0, 0.0, 0.0, 0.0))
-
-    def is_planar(self, tol: float = 1e-12) -> bool:
-        a = self.as_array()
-        off = [i for i in range(8) if i not in PLANAR_COLS]
-        return bool(np.abs(a[off]).max() <= tol)
+    a = np.asarray(dq, dtype=np.float64)
+    if a.shape != (8,):
+        raise ValueError(f"expected 8 components, got shape {a.shape}")
+    if abs(np.linalg.norm(a[0:4]) - 1.0) > UNIT_TOL:
+        raise ValueError("real part must be a unit quaternion")
+    if abs(float(np.dot(a[0:4], a[4:8]))) > UNIT_TOL:
+        raise ValueError("real and dual parts must be orthogonal")
+    return a
 
 
-@dataclass(frozen=True)
-class ScaledDq:
-    """A unit dual quaternion with a separate positive isotropic scale."""
+def dq_from_transform(R, t) -> FloatArray:
+    """Encode a rigid motion (R, t), 2D or 3D, as a unit dual quaternion (8,).
 
-    dq: UnitDualQuaternion
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
-
-    def apply(self, x) -> FloatArray:
-        return dq_apply(self.dq, self.mu, x)
-
-
-def dq_from_transform(R, t) -> UnitDualQuaternion:
-    """Encode a rigid motion (R, t), 2D or 3D, as a unit dual quaternion.
-
-    Scale stays outside; pair the result with mu in a ScaledDq for the full
-    mapping mu * (R x + t). Rejects what RigidTransform rejects: a matrix
-    that is not a proper rotation, or a t that does not fit R.
+    Scale stays outside; pass it to dq_apply for the full mapping
+    mu * (R x + t). Rejects what RigidTransform rejects: a matrix that is
+    not a proper rotation, or a t that does not fit R.
     """
     rt = RigidTransform(R, t, 1.0)
-    return UnitDualQuaternion.from_array(dq8_from_rt(rt.R, rt.t))
+    return dq8_from_rt(rt.R, rt.t)
 
 
-def trans2dq(t) -> UnitDualQuaternion:
-    """Unit dual quaternion of a pure translation (2D or 3D vector)."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.shape not in ((2,), (3,)):
-        raise ValueError(f"t must be a 2- or 3-vector, got {t.shape}")
-    return UnitDualQuaternion.from_array(dq8_translation(embed3(t)))
-
-
-def dq_apply(dq: UnitDualQuaternion, mu: float, x) -> FloatArray:
+def dq_apply(dq, mu: float, x) -> FloatArray:
     """Apply the scaled motion (dq, mu) to one point or an array of points.
 
-    Accepts (..., 2) or (..., 3) points and returns the same shape.
+    Accepts (..., 2) or (..., 3) points and returns the same shape; mu must
+    be finite and positive.
     """
+    mu = float(mu)
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and positive, got {mu}")
     x = np.asarray(x, dtype=np.float64)
-    return dq8_apply(dq.as_array(), float(mu), embed3(x))[..., : x.shape[-1]]
+    return dq8_apply(_unit_dq(dq), mu, embed3(x))[..., : x.shape[-1]]
 
 
-def dq_multiply(a: UnitDualQuaternion, b: UnitDualQuaternion) -> UnitDualQuaternion:
+def dq_multiply(a, b) -> FloatArray:
     """Compose motions: the result applies b first, then a.
 
     The product is renormalized, so the output satisfies the unit
     invariants even after long chains.
     """
-    return UnitDualQuaternion.from_array(dq8_normalize(dq8_mul(a.as_array(), b.as_array())))
+    return dq8_normalize(dq8_mul(_unit_dq(a), _unit_dq(b)))
 
 
-def dq_normalize(dq) -> UnitDualQuaternion:
-    """Normalize any dual quaternion with a nonzero real part to a unit one.
-
-    Accepts a UnitDualQuaternion or an 8-element array.
-    """
-    if isinstance(dq, UnitDualQuaternion):
-        a = dq.as_array()
-    else:
-        a = np.asarray(dq, dtype=np.float64)
-        if a.shape != (8,):
-            raise ValueError(f"expected 8 components, got shape {a.shape}")
-    if np.linalg.norm(a[0:4]) == 0.0:
-        raise ValueError("cannot normalize a dual quaternion with zero real part")
-    return UnitDualQuaternion.from_array(dq8_normalize(a))
-
-
-def dq_blend(pairs) -> UnitDualQuaternion:
+def dq_blend(pairs) -> FloatArray:
     """Blend weighted unit dual quaternions: normalized sign-consistent sum.
 
-    pairs is an iterable of (weight, UnitDualQuaternion) with non-negative
-    weights, at least one positive. Invariant under rescaling all weights
-    and under replacing any input by its antipode.
+    pairs is an iterable of (weight, dq) with non-negative weights, at
+    least one positive. Invariant under rescaling all weights and under
+    replacing any input by its antipode.
     """
     pairs = list(pairs)
     if not pairs:
@@ -431,20 +301,4 @@ def dq_blend(pairs) -> UnitDualQuaternion:
         raise ValueError("weights must be non-negative")
     if not (w > 0.0).any():
         raise ValueError("at least one weight must be positive")
-    dqs = np.stack([p[1].as_array() for p in pairs])
-    return UnitDualQuaternion.from_array(dq8_blend(w, dqs))
-
-
-def dq_to_transform(dq: UnitDualQuaternion, dim: int = 3) -> tuple[FloatArray, FloatArray]:
-    """Recover (R, t) from a unit dual quaternion.
-
-    dim selects the output size; dim=2 expects a planar motion and returns
-    the 2x2 block and 2-vector. Note the double cover: dq and its antipode
-    map to the same transform.
-    """
-    R3, t3 = dq8_to_rt(dq.as_array())
-    if dim == 3:
-        return R3, t3
-    if dim == 2:
-        return np.ascontiguousarray(R3[:2, :2]), t3[:2]
-    raise ValueError(f"dim must be 2 or 3, got {dim}")
+    return dq8_blend(w, np.stack([_unit_dq(p[1]) for p in pairs]))

@@ -10,13 +10,14 @@ Outliers lose influence through their posterior, so the field they would
 drag along snaps to the consensus of their surroundings instead.
 
 State is kept in flat arrays: qs holds one unit dual quaternion per match
-as a row of 8 (planar runs only touch 4 of the columns and use the compact
-kernels), mus and p are per-match scale and posterior.
+as a row of 8 (2D runs lift their points into the z = 0 plane, so their
+motions stay planar), mus and p are per-match scale and posterior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -31,18 +32,12 @@ from .core import (
     MatchSet,
 )
 from .dualquat import (
-    PLANAR_COLS,
-    ScaledDq,
-    UnitDualQuaternion,
-    dq4_apply,
-    dq4_blend,
-    dq4_to8,
-    dq4_translate_after,
     dq8_apply,
     dq8_blend,
     dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
+    dq_apply,
     embed3,
 )
 from .ransac import RansacOutcome
@@ -70,6 +65,16 @@ class NeighborGraph:
     w_dist: FloatArray
 
 
+class ScaledMotion(NamedTuple):
+    """One match's scaled motion x -> mu (R x + t): a unit dq row and its scale."""
+
+    dq: FloatArray
+    mu: float
+
+    def apply(self, x) -> FloatArray:
+        return dq_apply(self.dq, self.mu, x)
+
+
 @dataclass
 class EmState:
     """Mutable EM iteration state.
@@ -93,8 +98,8 @@ class EmState:
     n_iters: int = 0
     delta_history: list = field(default_factory=list)
 
-    def scaled_dq(self, i: int) -> ScaledDq:
-        return ScaledDq(UnitDualQuaternion.from_array(self.qs[i]), float(self.mus[i]))
+    def scaled_dq(self, i: int) -> ScaledMotion:
+        return ScaledMotion(self.qs[i].copy(), float(self.mus[i]))
 
 
 def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
@@ -209,9 +214,10 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     posteriors, and the seed-residual sigma must survive until the first
     posterior pass has scored the matches.
 
-    Planar runs blend the compact 4-column motions, 3D runs the full 8.
-    Matches whose neighbor weights vanish entirely keep their previous
-    motion and are flagged isolated. Returns the new field values.
+    2D points and corrections are lifted into the z = 0 plane for the
+    8-wide kernels and the field is sliced back to 2D. Matches whose
+    neighbor weights vanish entirely keep their previous motion and are
+    flagged isolated. Returns the new field values.
     """
     idx = state.graph.idx
     wt = state.graph.w_dist * state.p[idx]
@@ -229,21 +235,12 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     # the previous motion right after, so silence the transient warnings.
     # np.take gathers the neighbor motions faster than fancy indexing does
     with np.errstate(invalid="ignore", divide="ignore"):
-        if state.dim == 2:
-            q4 = state.qs[:, PLANAR_COLS]
-            qbar4 = dq4_blend(wt, np.take(q4, idx, axis=0))
-            qbar4 = np.where(active[:, None], qbar4, q4)
-            f = dq4_apply(qbar4, mubar, m.x)
-            delta = (m.y - f) / mubar[:, None]
-            q_new4 = dq4_translate_after(qbar4, delta)
-            q_new = dq4_to8(np.where(active[:, None], q_new4, q4))
-        else:
-            qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
-            qbar = np.where(active[:, None], qbar, state.qs)
-            f = dq8_apply(qbar, mubar, m.x)
-            delta = (m.y - f) / mubar[:, None]
-            q_new = dq8_translate_after(qbar, delta)
-            q_new = np.where(active[:, None], q_new, state.qs)
+        qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
+        qbar = np.where(active[:, None], qbar, state.qs)
+        f = dq8_apply(qbar, mubar, embed3(m.x))[:, : m.dim]
+        delta = (m.y - f) / mubar[:, None]
+        q_new = dq8_translate_after(qbar, embed3(delta))
+        q_new = np.where(active[:, None], q_new, state.qs)
 
     resid2 = np.sum((m.y - f) ** 2, axis=1)
     floor = SIGMA_FLOOR_FACTOR * cfg.H

@@ -21,12 +21,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Config, FloatArray, LabelResult, MatchSet
-from .dualquat import PLANAR_COLS, dq4_apply, dq4_blend, dq8_apply, dq8_blend
+from .dualquat import dq8_apply, dq8_blend, embed3
 from .em_refine import EmState
 from .io_eval import flag_column, float_column, write_csv_columns
 
 # a sample is valid when the blend weights sum to at least this much
 SUPPORT_MIN = 0.01
+# query points are blended this many rows at a time, so the gathered
+# (rows, N_neighbor, 8) neighbor motions stay a few MB however many points
+# are asked for; every step is row-wise, so the result does not depend on it
+QUERY_BLOCK = 4096
 
 
 class FieldSample(NamedTuple):
@@ -78,29 +82,27 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
         return pts.copy(), np.zeros(n_pts), np.zeros(n_pts, dtype=bool)
     k = min(cfg.N_neighbor, inl.size)
     tree = cKDTree(m.x[inl])
-    dist, jdx = tree.query(pts, k=k)
-    if k == 1:
-        dist = np.asarray(dist)[:, None]
-        jdx = np.asarray(jdx)[:, None]
-    w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * labels.posterior[inl][jdx]
-    support = w.sum(axis=1)
-    ok = support > 0.0
-    # blend normalized weights, as m_step does, so tiny supports cannot
-    # underflow the blended quaternion's norm
-    w = w / np.where(ok, support, 1.0)[:, None]
-    # np.take gathers whole motion rows several times faster than fancy
-    # indexing does
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mubar = np.where(ok, (w * state.mus[inl][jdx]).sum(axis=1), 1.0)
-        if state.dim == 2:
-            qbar = dq4_blend(w, np.take(state.qs[inl][:, PLANAR_COLS], jdx, axis=0))
-            disp = dq4_apply(qbar, mubar, pts)
-        else:
-            qbar = dq8_blend(w, np.take(state.qs[inl], jdx, axis=0))
-            disp = dq8_apply(qbar, mubar, pts)
-    disp = np.where(ok[:, None], disp, pts)
-    valid = support >= SUPPORT_MIN
-    return disp, support, valid
+    qs, mus, post = state.qs[inl], state.mus[inl], labels.posterior[inl]
+    disp = np.empty_like(pts)
+    support = np.empty(n_pts)
+    for lo in range(0, n_pts, QUERY_BLOCK):
+        rows = slice(lo, lo + QUERY_BLOCK)
+        # a list of k keeps the neighbor axis when k is 1
+        dist, jdx = tree.query(pts[rows], k=[k] if k == 1 else k)
+        w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * post[jdx]
+        support[rows] = w.sum(axis=1)
+        ok = support[rows] > 0.0
+        # blend normalized weights, as m_step does, so tiny supports cannot
+        # underflow the blended quaternion's norm
+        w = w / np.where(ok, support[rows], 1.0)[:, None]
+        # np.take gathers whole motion rows several times faster than fancy
+        # indexing does
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mubar = np.where(ok, (w * mus[jdx]).sum(axis=1), 1.0)
+            qbar = dq8_blend(w, np.take(qs, jdx, axis=0))
+            moved = dq8_apply(qbar, mubar, embed3(pts[rows]))[:, : m.dim]
+        disp[rows] = np.where(ok[:, None], moved, pts[rows])
+    return disp, support, support >= SUPPORT_MIN
 
 
 def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:

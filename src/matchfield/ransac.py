@@ -36,8 +36,9 @@ from .core import (
     make_rng,
 )
 
-# relative singular value below which the weighted cross matrix is treated
-# as rank deficient (points collinear through the control, or collapsed)
+# relative singular value below which a 3D weighted cross matrix is treated
+# as rank deficient (points collinear through the control, or collapsed),
+# and relative size below which a 2D cross matrix has no rotation part
 RANK_TOL = 1e-9
 
 # safety cap on trials regardless of the confidence bound
@@ -163,9 +164,12 @@ def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
     reflection part of size |beta|, so its singular values are
     (|alpha| + |beta|) / 2 and ||alpha| - |beta|| / 2 and the best proper
     rotation is alpha / |alpha|. Returns that rotation as a unit complex
-    number u and mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2). The degeneracy
-    rules are those of the SVD fit, plus one: a cross matrix with no
-    rotation part at all (alpha = 0) prefers no rotation and is degenerate.
+    number u and mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2). Unlike in 3D, a
+    rank-one cross matrix is no degeneracy: one non-zero relative vector
+    already fixes a plane rotation, so points collinear through the control
+    fit. Only a cross matrix without a rotation part (|alpha| at most
+    RANK_TOL of |alpha| + |beta|), which prefers no rotation, or points
+    collapsed onto the control are degenerate.
     """
     s = P @ w2
     if not np.isfinite(s).all():
@@ -173,11 +177,8 @@ def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
     ar, ai, br, bi, sxx, syy = s.tolist()
     rot = math.hypot(ar, ai)
     ref = math.hypot(br, bi)
-    s_max = rot + ref
-    if s_max <= 0.0 or abs(rot - ref) <= RANK_TOL * s_max:
-        raise DegenerateGeometryError("weighted points are collinear through the control")
-    if rot == 0.0:
-        raise DegenerateGeometryError("weighted points fit a reflection, not a rotation")
+    if rot <= RANK_TOL * (rot + ref):
+        raise DegenerateGeometryError("weighted points fit no rotation")
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateGeometryError("weighted points collapse onto the control")
     return complex(ar / rot, ai / rot), math.sqrt(syy / sxx)
@@ -193,7 +194,7 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
     Returns the rotation matrix and scale. Weights must be non-negative
     with a positive sum. Raises DegenerateGeometryError when the weighted
     geometry cannot pin down a rotation. 2D fits are closed form, 3D fits
-    use the SVD; both apply the same rank rule.
+    use the SVD with its rank rule.
     """
     if m.n < 2:
         raise ValueError("need at least two matches")

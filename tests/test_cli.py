@@ -36,6 +36,19 @@ def test_synth_filter_eval_round_trip(tmp_path, capsys):
     assert fscore > 0.9
 
 
+@pytest.mark.parametrize("seed", [9, 1, 2])
+def test_default_3d_synth_scene_keeps_its_inliers(tmp_path, capsys, seed):
+    # synth's default 3D noise once drove every posterior below p_min, so
+    # filter labelled all 600 matches outliers
+    scene = tmp_path / "scene3.csv"
+    labels = tmp_path / "labels3.csv"
+    run_ok(["synth", "--output", str(scene), "--dim", "3", "--n", "600",
+            "--outlier-ratio", "0.4", "--seed", str(seed)], capsys)
+    run_ok(["filter", "--input", str(scene), "--output", str(labels)], capsys)
+    out = run_ok(["eval", "--input", str(labels), "--truth", str(scene)], capsys)
+    assert float(re.search(r"fscore=([0-9.]+)", out).group(1)) >= 0.9
+
+
 def test_field_command_writes_grid_and_svg(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     field_csv = tmp_path / "field.csv"
@@ -244,11 +257,11 @@ def test_bench_emits_table(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["filter", "field"])
 @pytest.mark.parametrize("shift", [1.0, 500.0])
 def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
-    # sources on one line pin no rotation, so RANSAC finds no motion; EM
-    # then refines from the identity motion, which explains y = x + 1 but
-    # not a 500-unit scatter
+    # sources collapsed onto one point pin no rotation, so RANSAC finds no
+    # motion; EM then refines from the identity motion, which explains
+    # y = x + 1 but not a 500-unit scatter
     n = 200
-    x = np.stack([np.linspace(0.0, 400.0, n), np.full(n, 100.0)], axis=1)
+    x = np.tile([200.0, 100.0], (n, 1))
     ang = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=n)
     y = x + shift * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     scene = tmp_path / "line.csv"
@@ -358,7 +371,7 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
     cfg = calls["ransac"][0]
     s = scale_estimate(load_matches(scene)[0])
     assert cfg.H == 2.5
-    assert np.isclose(cfg.r, 0.3 * s) and np.isclose(cfg.a, 20.0 / s)
+    assert np.isclose(cfg.r, 0.3 * s) and np.isclose(cfg.a, 20.0 / s**2)
     assert cfg.N_neighbor == 30 and cfg.seed == 4
     # a bad file value exits 2 even when a flag overrides it
     cfgfile.write_text("r = -1\n")

@@ -131,7 +131,7 @@ def test_config_scale_adaptation():
     cfg = Config().adapted_for_scale(50.0)
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
-    assert np.isclose(cfg.a, 0.4)
+    assert np.isclose(cfg.a, 0.008)
     assert cfg.N_neighbor == 50
     with pytest.raises(ConfigError):
         Config().adapted_for_scale(0.0)
@@ -147,7 +147,7 @@ def test_config_for_matches_adapts_only_3d():
     cfg3 = Config.for_matches(m3, seed=7)
     s = scale_estimate(m3)
     assert np.isclose(cfg3.H, 0.1 * s)
-    assert np.isclose(cfg3.a, 20.0 / s)
+    assert np.isclose(cfg3.a, 20.0 / s**2)
     assert cfg3.N_neighbor == 50
     assert cfg3.seed == 7
 

@@ -4,14 +4,6 @@ from scipy.spatial.transform import Rotation
 
 from matchfield.core import make_rng
 from matchfield.dualquat import (
-    PLANAR_COLS,
-    Quaternion,
-    ScaledDq,
-    UnitDualQuaternion,
-    dq4_apply,
-    dq4_blend,
-    dq4_from8,
-    dq4_to8,
     dq8_apply,
     dq8_blend,
     dq8_from_rt,
@@ -25,14 +17,15 @@ from matchfield.dualquat import (
     dq_blend,
     dq_from_transform,
     dq_multiply,
-    dq_normalize,
-    dq_to_transform,
+    embed3,
     quat_from_matrix,
     quat_mul,
     quat_rotate,
     quat_to_matrix,
-    trans2dq,
 )
+
+# columns of the 8-wide layout that a planar (z = 0) motion leaves zero
+OFF_PLANE_COLS = [1, 2, 4, 7]
 
 
 def random_rotation_obj(rng):
@@ -113,15 +106,13 @@ def test_dq8_identity_and_translation():
     assert dq8_identity(4).shape == (4, 8)
     dq = dq8_translation(np.array([2.0, 4.0, 6.0]))
     assert np.allclose(dq[4:8], [0.0, 1.0, 2.0, 3.0])
-
-
-def test_trans2dq_hand_value():
-    # frozen: dual = t_quat / 2 times the identity real part -> (0, 1, 2, 0)
-    dq = trans2dq([2.0, 4.0])
-    assert np.allclose(dq.real.as_array(), [1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(dq.dual.as_array(), [0.0, 1.0, 2.0, 0.0])
+    # frozen: a 2D translation lifted into z = 0 has dual = t_quat / 2 times
+    # the identity real part -> (0, 1, 2, 0)
+    dq = dq8_translation(embed3([2.0, 4.0]))
+    assert np.allclose(dq[0:4], [1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(dq[4:8], [0.0, 1.0, 2.0, 0.0])
     with pytest.raises(ValueError):
-        trans2dq([1.0, 2.0, 3.0, 4.0])
+        embed3([1.0, 2.0, 3.0, 4.0])
 
 
 def test_dq_multiply_applies_right_operand_first():
@@ -131,7 +122,7 @@ def test_dq_multiply_applies_right_operand_first():
         Rb, tb = random_rotation(rng, 3), rng.normal(size=3)
         a = dq_from_transform(Ra, ta)
         b = dq_from_transform(Rb, tb)
-        Rc, tc = dq_to_transform(dq_multiply(a, b))
+        Rc, tc = dq8_to_rt(dq_multiply(a, b))
         # b first, then a: x -> Ra (Rb x + tb) + ta
         assert np.allclose(Rc, Ra @ Rb, atol=1e-9)
         assert np.allclose(tc, Ra @ tb + ta, atol=1e-9)
@@ -159,19 +150,26 @@ def test_dq_normalize_restores_invariants():
     for _ in range(10):
         a = dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3))
         noisy = a * 1.7 + np.concatenate([np.zeros(4), 1e-3 * rng.normal(size=4)])
-        fixed = dq_normalize(noisy)
-        assert unit_residual(fixed.as_array()) < 1e-9
-    with pytest.raises(ValueError):
-        dq_normalize(np.zeros(8))
+        fixed = dq8_normalize(noisy)
+        assert unit_residual(fixed) < 1e-9
 
 
 def test_unit_dual_quaternion_validation():
-    with pytest.raises(ValueError):
-        UnitDualQuaternion(Quaternion(2.0, 0, 0, 0), Quaternion(0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        UnitDualQuaternion(Quaternion(1.0, 0, 0, 0), Quaternion(1.0, 0, 0, 0))
-    ident = UnitDualQuaternion.identity()
-    assert ident.is_planar()
+    # every checked entry point rejects a dq off the unit invariants or of
+    # the wrong shape
+    not_unit = np.array([2.0, 0, 0, 0, 0, 0, 0, 0])
+    not_orthogonal = np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0])
+    ident = dq8_identity()
+    for bad in (not_unit, not_orthogonal, np.ones(4)):
+        with pytest.raises(ValueError):
+            dq_apply(bad, 1.0, np.zeros(3))
+        with pytest.raises(ValueError):
+            dq_multiply(ident, bad)
+        with pytest.raises(ValueError):
+            dq_multiply(bad, ident)
+        with pytest.raises(ValueError):
+            dq_blend([(1.0, ident), (1.0, bad)])
+    assert not dq8_identity()[OFF_PLANE_COLS].any()
 
 
 def test_dq_from_transform_rejects_non_rotation():
@@ -186,36 +184,29 @@ def test_dq_apply_scalar_layer():
     dq = dq_from_transform(R, np.array([1.0, 0.0]))
     out = dq_apply(dq, 2.0, np.array([1.0, 0.0]))
     assert np.allclose(out, [2.0, 2.0], atol=1e-12)
-    sdq = ScaledDq(dq, 2.0)
-    assert np.allclose(sdq.apply([1.0, 0.0]), [2.0, 2.0])
-    with pytest.raises(ValueError):
-        ScaledDq(dq, -1.0)
+    assert np.allclose(dq_apply(dq, 2.0, [[1.0, 0.0], [0.0, 0.0]]), [[2.0, 2.0], [2.0, 0.0]])
+    for mu in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            dq_apply(dq, mu, [1.0, 0.0])
     with pytest.raises(ValueError):
         dq_apply(dq, 1.0, np.zeros(5))
 
 
-def test_planar_round_trip_and_apply():
-    rng = make_rng(12)
-    for _ in range(20):
-        dq = dq8_from_rt(random_rotation(rng, 2), rng.normal(size=2))
-        c = dq4_from8(dq)
-        assert np.allclose(dq4_to8(c), dq, atol=1e-15)
-        pts2 = rng.normal(size=(6, 2))
-        pts3 = np.concatenate([pts2, np.zeros((6, 1))], axis=1)
-        mu = rng.uniform(0.5, 2.0)
-        assert np.allclose(dq4_apply(c, mu, pts2), dq8_apply(dq, mu, pts3)[:, :2], atol=1e-12)
-
-
-def test_planar_blend_matches_full_blend():
+def test_planar_motions_stay_planar_through_kernels():
+    # 2D runs use the 8-wide kernels on motions in the z = 0 plane; every
+    # kernel must leave the off-plane columns exactly zero
     rng = make_rng(13)
     for _ in range(10):
         dqs = np.stack(
             [dq8_from_rt(random_rotation(rng, 2), rng.normal(size=2)) for _ in range(5)]
         )
+        assert not dqs[:, OFF_PLANE_COLS].any()
         w = rng.uniform(0.1, 1.0, size=5)
-        full = dq8_blend(w, dqs)
-        compact = dq4_blend(w, dqs[:, PLANAR_COLS])
-        assert np.allclose(dq4_to8(compact), full, atol=1e-12)
+        moved = dq8_translate_after(dqs, embed3(rng.normal(size=(5, 2))))
+        for dq in (dq8_blend(w, dqs), dq8_normalize(dq8_mul(dqs[0], dqs[1])), moved):
+            assert not dq[..., OFF_PLANE_COLS].any()
+        pts = embed3(rng.normal(size=(5, 2)))
+        assert not dq8_apply(dqs, w, pts)[:, 2].any()
 
 
 def test_blend_of_perpendicular_rotations_bisects():
@@ -229,7 +220,8 @@ def test_blend_of_perpendicular_rotations_bisects():
     a = dq_from_transform(np.eye(2), np.zeros(2))
     b = dq_from_transform(R90, center - R90 @ center)
     blended = dq_blend([(1.0, a), (1.0, b)])
-    Rc, tc = dq_to_transform(blended, dim=2)
+    Rc, tc = dq8_to_rt(blended)
+    Rc, tc = Rc[:2, :2], tc[:2]
     assert np.allclose(Rc, R45, atol=1e-12)
     assert np.allclose(tc, center - R45 @ center, atol=1e-12)
 
@@ -240,7 +232,7 @@ def test_blend_ignores_antipodes_and_weight_scale():
         qs = [dq_from_transform(random_rotation(rng, 3), rng.normal(size=3)) for _ in range(4)]
         w = list(rng.uniform(0.1, 1.0, size=4))
         base = dq_blend(zip(w, qs))
-        flipped = [UnitDualQuaternion.from_array(-qs[1].as_array())] + qs[:1] + qs[2:]
+        flipped = [-qs[1]] + qs[:1] + qs[2:]
         wf = [w[1], w[0]] + w[2:]
         other = dq_blend(zip(wf, flipped))
         scaled = dq_blend(zip([5.0 * v for v in w], qs))
@@ -253,7 +245,7 @@ def test_blend_unit_invariants_and_errors():
     rng = make_rng(15)
     qs = [dq_from_transform(random_rotation(rng, 3), rng.normal(size=3)) for _ in range(6)]
     out = dq_blend([(w, q) for w, q in zip(rng.uniform(0.0, 1.0, size=6), qs)])
-    assert unit_residual(out.as_array()) < 1e-9
+    assert unit_residual(out) < 1e-9
     with pytest.raises(ValueError):
         dq_blend([])
     with pytest.raises(ValueError):
@@ -263,14 +255,15 @@ def test_blend_unit_invariants_and_errors():
 
 
 def test_dq_to_transform_planar_slice():
+    # a 2D motion comes back as the 2x2 block of a rotation about z and a
+    # translation with zero z
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
     dq = dq_from_transform(R, np.array([2.0, 5.0]))
-    R2, t2 = dq_to_transform(dq, dim=2)
-    assert R2.shape == (2, 2) and t2.shape == (2,)
-    assert np.allclose(R2, R, atol=1e-12)
-    assert np.allclose(t2, [2.0, 5.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        dq_to_transform(dq, dim=4)
+    R3, t3 = dq8_to_rt(dq)
+    assert np.allclose(R3[:2, :2], R, atol=1e-12)
+    assert np.allclose(R3[2], [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(R3[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
+    assert np.allclose(t3, [2.0, 5.0, 0.0], atol=1e-12)
 
 
 def reference_dq8_blend(weights, dqs):
@@ -282,15 +275,6 @@ def reference_dq8_blend(weights, dqs):
     return dq8_normalize(np.sum(signed[..., None] * dqs, axis=-2))
 
 
-def reference_dq4_blend(weights, cs):
-    ref_idx = np.argmax(weights, axis=-1)
-    ref = np.take_along_axis(cs[..., 0:2], ref_idx[..., None, None], axis=-2)
-    dots = np.sum(cs[..., 0:2] * ref, axis=-1)
-    signed = np.where(dots < 0.0, -weights, weights)
-    total = np.sum(signed[..., None] * cs, axis=-2)
-    return total / np.hypot(total[..., 0], total[..., 1])[..., None]
-
-
 @pytest.mark.parametrize("k", [1, 16, 50])
 @pytest.mark.parametrize("lead", [(), (7,), (3, 5), (400,)])
 def test_blend_kernels_bit_identical_to_broadcast_sum(k, lead):
@@ -299,8 +283,6 @@ def test_blend_kernels_bit_identical_to_broadcast_sum(k, lead):
     w = rng.uniform(0.0, 1.0, size=lead + (k,)) * 10.0 ** rng.uniform(-5.0, 5.0, size=lead + (k,))
     dqs = rng.normal(size=lead + (k, 8)) * np.array([1.0] * 4 + [50.0] * 4)
     assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
-    cs = np.ascontiguousarray(dqs[..., PLANAR_COLS])
-    assert np.array_equal(dq4_blend(w, cs), reference_dq4_blend(w, cs))
     # unit motions as the EM and field stages pass them
     unit = dq8_normalize(dqs)
     assert np.array_equal(dq8_blend(w, unit), reference_dq8_blend(w, unit))
@@ -317,10 +299,7 @@ def test_blend_of_shared_and_gathered_motions_bit_identical(k):
     # match through a zero-stride np.broadcast_to view
     dqs = np.broadcast_to(motions, (300, k, 8))
     assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
-    # m_step and query_field gather rows of the column-major planar
-    # selection qs[:, PLANAR_COLS] with np.take
+    # m_step and query_field gather motion rows with np.take
     idx = rng.integers(0, k, size=(300, k))
-    cs = np.take(motions[:, PLANAR_COLS], idx, axis=0)
-    assert np.array_equal(dq4_blend(w, cs), reference_dq4_blend(w, cs))
     gathered = np.take(motions, idx, axis=0)
     assert np.array_equal(dq8_blend(w, gathered), reference_dq8_blend(w, gathered))

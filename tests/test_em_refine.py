@@ -246,6 +246,16 @@ def test_run_em_pure_noise_labels_almost_nothing():
     assert labels.inlier.mean() <= 0.05
 
 
+def test_2d_motions_stay_planar_through_em():
+    # 2D runs lift their points into z = 0 for the 8-wide kernels; the
+    # off-plane columns of every motion must stay exactly zero
+    m, _ = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=4))
+    cfg = Config(seed=4)
+    _, state = run_em(m, ransac_run(m, cfg), cfg)
+    assert state.n_iters > 1
+    assert not state.qs[:, [1, 2, 4, 7]].any()
+
+
 def test_run_em_empty_outcome_all_outlier():
     rng = make_rng(45)
     x = rng.uniform(0.0, 100.0, size=(30, 2))

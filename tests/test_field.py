@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matchfield import field
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
 from matchfield.em_refine import filter_and_refine, run_em
 from matchfield.field import (
+    QUERY_BLOCK,
     FieldGrid,
     FieldSample,
     grid_axes,
@@ -156,6 +158,26 @@ def test_field_is_continuous():
         if sp.valid and sq.valid:
             gap = np.linalg.norm(sp.displaced - sq.displaced)
             assert gap <= 10.0 * np.linalg.norm(p - q) + 1e-9
+
+
+def test_blocked_query_equals_per_block_and_single_block_queries(monkeypatch):
+    # query_field blends QUERY_BLOCK rows at a time; every step is row-wise,
+    # so neither the block boundaries nor the block size show in the output
+    m, _ = synth_generate(SynthSpec(n=600, outlier_ratio=0.3, seed=5))
+    cfg = Config(seed=5)
+    labels, state, _ = filter_and_refine(m, cfg)
+    pts = make_rng(6).uniform(-100.0, 900.0, size=(QUERY_BLOCK + 1500, 2))
+
+    def as_bytes(samples):
+        return b"".join(np.array(col).tobytes() for col in zip(*samples))
+
+    whole = query_field(state, labels, m, pts, cfg)
+    parts = [query_field(state, labels, m, pts[lo:lo + QUERY_BLOCK], cfg)
+             for lo in range(0, len(pts), QUERY_BLOCK)]
+    assert as_bytes(whole) == as_bytes([s for part in parts for s in part])
+    assert any(s.valid for s in whole) and not all(s.valid for s in whole)
+    monkeypatch.setattr(field, "QUERY_BLOCK", len(pts))
+    assert as_bytes(query_field(state, labels, m, pts, cfg)) == as_bytes(whole)
 
 
 def test_query_rejects_wrong_width():

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from matchfield.core import Config, MatchSet
+from matchfield.core import Config, MatchSet, make_rng
 from matchfield.em_refine import run_em
-from matchfield.io_eval import SynthSpec, synth_generate
+from matchfield.io_eval import SynthSpec, compute_metrics, synth_generate
 from matchfield.ransac import ransac_run
 
 
@@ -19,8 +19,8 @@ def run_pipeline(m, cfg):
 
 
 def scene_2d():
-    m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.70, seed=8))
-    return m, Config(seed=8)
+    m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.70, seed=8))
+    return m, gt, Config(seed=8)
 
 
 def scene_3d():
@@ -35,8 +35,8 @@ def scene_3d():
         bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
         seed=8,
     )
-    m, _ = synth_generate(spec)
-    return m, Config.for_matches(m, seed=8)
+    m, gt = synth_generate(spec)
+    return m, gt, Config.for_matches(m, seed=8)
 
 
 @pytest.mark.parametrize("make_scene", [scene_2d, scene_3d], ids=["2d", "3d"])
@@ -44,7 +44,7 @@ def test_rescale_with_rescaled_thresholds_is_bit_identical(make_scene):
     # a similarity rescale by s with H s, r s and a / s^2 (a is a density
     # per unit area) leaves every decision unchanged; powers of two keep
     # the scaled coordinates exact
-    m, cfg = make_scene()
+    m, _, cfg = make_scene()
     base_out, base = run_pipeline(m, cfg)
     assert base.inlier.any()
     for s in (4.0, 0.25):
@@ -54,3 +54,30 @@ def test_rescale_with_rescaled_thresholds_is_bit_identical(make_scene):
         assert out.trials == base_out.trials
         assert np.array_equal(labels.inlier, base.inlier)
         assert np.array_equal(labels.posterior, base.posterior)
+
+
+def test_3d_rescale_with_plain_config_keeps_labels():
+    # Config.for_matches adapts H, r and a = 20 / s^2 to the cloud scale, so
+    # a change of units alone leaves every label unchanged; powers of two
+    # keep the posteriors bit-identical, other factors round in the last bits
+    m, _, cfg = scene_3d()
+    _, base = run_pipeline(m, cfg)
+    assert base.inlier.any()
+    for s, tol in ((4.0, 0.0), (0.25, 0.0), (10.0, 1e-12), (0.1, 1e-12)):
+        ms = MatchSet.from_points(m.x * s, m.y * s)
+        _, labels = run_pipeline(ms, Config.for_matches(ms, seed=8))
+        assert np.array_equal(labels.inlier, base.inlier)
+        assert np.abs(labels.posterior - base.posterior).max() <= tol
+
+
+@pytest.mark.parametrize("make_scene", [scene_2d, scene_3d], ids=["2d", "3d"])
+def test_permuting_the_matches_keeps_the_fscore(make_scene):
+    # match order only changes which controls RANSAC draws first
+    m, gt, cfg = make_scene()
+    _, base = run_pipeline(m, cfg)
+    f_base = compute_metrics(base, gt).fscore
+    rng = make_rng(0)
+    for _ in range(3):
+        perm = rng.permutation(m.n)
+        _, labels = run_pipeline(MatchSet.from_points(m.x[perm], m.y[perm]), cfg)
+        assert abs(compute_metrics(labels, gt[perm]).fscore - f_base) <= 0.01

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matchfield.core import Config, DegenerateGeometryError, MatchSet, make_rng
+from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     RANK_TOL,
@@ -21,16 +22,24 @@ def svd_reference_fit(xr, yr, w):
     """The SVD fit of the weighted cross matrix, the reference for the 2D
     closed form and the coordinate-major 3D fit: R = U V^T with the last
     column of U negated when the determinant is negative, mu the ratio of
-    the weighted norms."""
+    the weighted norms. 3D rejects a rank-deficient cross matrix. A 2D
+    cross matrix of rank one still has a unique best rotation; 2D rejects
+    only a cross matrix without a rotation part, whose size is
+    (S[0] + S[1]) / 2 without and (S[0] - S[1]) / 2 with the flip."""
     Xw = xr * w[:, None]
     Yw = yr * w[:, None]
     M = Yw.T @ Xw
     if not np.isfinite(M).all():
         raise DegenerateGeometryError("non-finite")
     U, S, Vt = np.linalg.svd(M)
-    if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
+    flip = np.linalg.det(U) * np.linalg.det(Vt) < 0.0
+    if S[0] <= 0.0:
+        raise DegenerateGeometryError("zero")
+    if len(S) == 2 and S[0] + (-S[1] if flip else S[1]) <= 2.0 * RANK_TOL * S[0]:
+        raise DegenerateGeometryError("no rotation part")
+    if len(S) == 3 and S[-1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("rank")
-    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+    if flip:
         U = U.copy()
         U[:, -1] = -U[:, -1]
     nx = float(np.linalg.norm(Xw))
@@ -117,17 +126,26 @@ def test_closed_form_and_svd_reference_agree_on_degenerate_input():
     rng = make_rng(32)
     line3 = np.arange(6.0)[:, None] * np.array([[1.0, 2.0, -0.5]]) + np.array([[3.0, -1.0, 7.0]])
     R3 = random_rotation_3d(make_rng(35))
+    # a 2D line through the control fixes the rotation: both fits recover it
+    m = MatchSet.from_points(line, 1.5 * line @ R.T + 4.0)
+    w = rng.uniform(0.5, 1.0, size=m.n)
+    for R_fit, mu_fit in (svd_reference_fit(m.x - m.x[0], m.y - m.y[0], w),
+                          weighted_rigid_fit(m, 0, w)):
+        assert np.abs(R_fit - R).max() < 1e-12
+        assert abs(mu_fit - 1.5) < 1e-12
     cases = {
-        "collinear": (line, 1.5 * line @ R.T + 4.0),
+        "no rotation part": (np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]])),
         "collapsed": (np.ones((6, 2)), np.ones((6, 2))),
         "non-finite": (1e200 * rng.normal(size=(6, 2)), 1e200 * rng.normal(size=(6, 2))),
         "collinear 3d": (line3, 1.5 * line3 @ R3.T + 4.0),
         "collapsed 3d": (np.ones((6, 3)), np.ones((6, 3))),
         "non-finite 3d": (1e200 * rng.normal(size=(6, 3)), 1e200 * rng.normal(size=(6, 3))),
     }
-    for x, y in cases.values():
+    for name, (x, y) in cases.items():
         m = MatchSet.from_points(x, y)
-        w = rng.uniform(0.5, 1.0, size=m.n)
+        # equal weights keep the mirrored pair's rotation parts cancelling
+        w = np.ones(m.n) if name == "no rotation part" else rng.uniform(0.5, 1.0, size=m.n)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateGeometryError):
                 svd_reference_fit(m.x - m.x[0], m.y - m.y[0], w)
@@ -233,15 +251,40 @@ def test_weighted_fit_input_validation():
 
 
 def test_weighted_fit_degenerate_geometry():
-    # collinear points through the control pin no 2D rotation
+    # collinear points through the control still pin a 2D rotation
     x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    m = MatchSet.from_points(x, x)
+    R_fit, mu_fit = weighted_rigid_fit(MatchSet.from_points(x, x), 0, np.ones(4))
+    assert np.array_equal(R_fit, np.eye(2)) and mu_fit == 1.0
+    R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    R_fit, mu_fit = weighted_rigid_fit(MatchSet.from_points(x, 2.0 * x @ R90.T), 0, np.ones(4))
+    assert np.allclose(R_fit, R90, atol=1e-15) and mu_fit == 2.0
+    # a 2D cross matrix without a rotation part: the mirror image of a
+    # right angle correlates equally with every rotation
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    y = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(DegenerateGeometryError):
-        weighted_rigid_fit(m, 0, np.ones(4))
+        weighted_rigid_fit(MatchSet.from_points(x, y), 0, np.ones(3))
+    # collinear points through the control pin no 3D rotation
+    x3 = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    with pytest.raises(DegenerateGeometryError):
+        weighted_rigid_fit(MatchSet.from_points(x3, x3), 0, np.ones(4))
     # all matches collapsed onto the control
     z = np.zeros((4, 2))
     with pytest.raises(DegenerateGeometryError):
         weighted_rigid_fit(MatchSet.from_points(z, z), 0, np.ones(4))
+
+
+def test_collinear_2d_scene_is_one_hypothesis():
+    # 200 matches on one line under an exact rotation and translation: the
+    # first control's fit explains them all
+    s = np.arange(200.0) * 3.0
+    x = np.stack([100.0 + 0.8 * s, 50.0 + 0.6 * s], axis=1)
+    R = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    m = MatchSet.from_points(x, x @ R.T + np.array([40.0, -25.0]))
+    labels, _, outcome = filter_and_refine(m, Config(seed=0))
+    assert outcome.trials == 1 and len(outcome.hypotheses) == 1
+    assert labels.inlier.all()
+    assert labels.residual.max() < 1e-9
 
 
 def test_reweight_fit_exact_scene():
