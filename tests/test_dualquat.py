@@ -106,6 +106,9 @@ def test_dq8_identity_and_translation():
     assert dq8_identity(4).shape == (4, 8)
     dq = dq8_translation(np.array([2.0, 4.0, 6.0]))
     assert np.allclose(dq[4:8], [0.0, 1.0, 2.0, 3.0])
+
+
+def test_trans2dq_hand_value():
     # frozen: a 2D translation lifted into z = 0 has dual = t_quat / 2 times
     # the identity real part -> (0, 1, 2, 0)
     dq = dq8_translation(embed3([2.0, 4.0]))
