@@ -61,7 +61,6 @@ from .ransac import (
     TransformHypothesis,
     labels_from_outcome,
     ransac_run,
-    ransac_run_sparse,
     reweight_fit,
     trial_bound,
     weighted_rigid_fit,
@@ -106,7 +105,6 @@ __all__ = [
     "m_step",
     "query_field",
     "ransac_run",
-    "ransac_run_sparse",
     "render_scene_svg",
     "reweight_fit",
     "run_em",

@@ -59,8 +59,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--t-min", type=int, default=None, help="minimum hypothesis support")
     g.add_argument("--n-neighbor", type=int, default=None, help="neighbors for blending")
     g.add_argument("--seed", type=int, default=None, help="random seed")
-    g.add_argument("--sparse", action="store_true", help="fit on a sparse sample of matches")
-    g.add_argument("--n-sparse", type=int, default=None, help="sparse sample size")
 
 
 def _build_config(args, m: MatchSet) -> Config:
@@ -75,7 +73,6 @@ def _build_config(args, m: MatchSet) -> Config:
         "T_min": args.t_min,
         "N_neighbor": args.n_neighbor,
         "seed": args.seed,
-        "N_sparse": args.n_sparse,
     }
     overrides.update((k, v) for k, v in flags.items() if v is not None)
     return Config.for_matches(m, **overrides)
@@ -90,10 +87,10 @@ def _load_input(args) -> MatchSet:
     return m
 
 
-def _run_pipeline(m: MatchSet, cfg: Config, sparse: bool = False):
+def _run_pipeline(m: MatchSet, cfg: Config):
     """filter_and_refine with its wall time in ms."""
     t0 = time.perf_counter()
-    labels, state, outcome = filter_and_refine(m, cfg, sparse)
+    labels, state, outcome = filter_and_refine(m, cfg)
     return labels, state, outcome, (time.perf_counter() - t0) * 1000.0
 
 
@@ -116,7 +113,7 @@ def _warn_if_no_motion(outcome, labels, field: bool) -> None:
 def cmd_filter(args) -> int:
     m = _load_input(args)
     cfg = _build_config(args, m)
-    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
+    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
     _warn_if_no_motion(outcome, labels, field=False)
     save_labels(args.output, labels)
     print(
@@ -145,7 +142,7 @@ def cmd_field(args) -> int:
     # reject a bad lattice before the pipeline spends its time
     grid_axes(bounds, args.grid_step, m.dim)
     cfg = _build_config(args, m)
-    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg, args.sparse)
+    labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
     _warn_if_no_motion(outcome, labels, field=True)
     grid = grid_field(state, labels, m, bounds, args.grid_step, cfg)
     write_field_csv(grid, args.output, m.dim)

@@ -40,7 +40,7 @@ def make_rng(seed: int) -> np.random.Generator:
     """All randomness flows from generators built here, one per entry point.
 
     Identical seeds therefore replay identical control-point choices,
-    sparse subsets, and synthetic scenes.
+    fit subsets, and synthetic scenes.
     """
     return np.random.default_rng(seed)
 
@@ -172,7 +172,6 @@ class Config:
     p_min            posterior threshold for the final inlier label
     theta            EM termination threshold on mean posterior change
     N_neighbor       neighbors used for blending and field queries
-    N_sparse         sample count for the sparse RANSAC variant (None: min(n, 200))
     max_em_iters     EM iteration cap
     seed             seed for every random draw in a run
     """
@@ -186,7 +185,6 @@ class Config:
     p_min: float = 0.5
     theta: float = 0.005
     N_neighbor: int = 16
-    N_sparse: int | None = None
     max_em_iters: int = 50
     seed: int = 0
 
@@ -205,8 +203,6 @@ class Config:
             raise ConfigError("n_reweight_iters must be >= 1")
         if self.N_neighbor < 1:
             raise ConfigError("N_neighbor must be >= 1")
-        if self.N_sparse is not None and self.N_sparse < 1:
-            raise ConfigError("N_sparse must be >= 1 or None")
         if self.max_em_iters < 1:
             raise ConfigError("max_em_iters must be >= 1")
 
@@ -248,8 +244,8 @@ def config_overrides_from_file(path) -> dict:
     """Parse a key=value config file into a dict of Config field overrides.
 
     Blank lines and lines starting with # are skipped. Keys must be Config
-    field names. N_sparse accepts the literal "none". Each value is range
-    checked here, so a flag that overrides a bad file value cannot hide it.
+    field names. Each value is range checked here, so a flag that overrides
+    a bad file value cannot hide it.
     """
     text = Path(path).read_text()
     out: dict = {}
@@ -267,8 +263,6 @@ def config_overrides_from_file(path) -> dict:
         try:
             if key in ("T_min", "n_reweight_iters", "N_neighbor", "max_em_iters", "seed"):
                 out[key] = int(val)
-            elif key == "N_sparse":
-                out[key] = None if val.lower() == "none" else int(val)
             else:
                 out[key] = float(val)
         except ValueError as e:

@@ -88,32 +88,39 @@ def quat_to_matrix(q) -> FloatArray:
 
 
 def quat_from_matrix(R) -> FloatArray:
-    """Unit quaternion of a single 3x3 rotation matrix.
+    """Unit quaternions of 3x3 rotation matrices (..., 3, 3), as (..., 4).
 
-    Branches on the largest diagonal term for numerical stability; the sign
-    is fixed so the returned scalar part is non-negative.
+    Branches on the largest diagonal term for numerical stability, one
+    masked pass per case; the sign is fixed so the returned scalar part is
+    non-negative. Each case keeps the operation order of converting one
+    matrix at a time, and the norm is sqrt(vecdot(q, q)), the dot product
+    np.linalg.norm takes, so a stack gives each matrix's own quaternion
+    bit for bit.
     """
     R = np.asarray(R, dtype=np.float64)
-    m00, m01, m02 = R[0]
-    m10, m11, m12 = R[1]
-    m20, m21, m22 = R[2]
+    m00, m01, m02 = R[..., 0, 0], R[..., 0, 1], R[..., 0, 2]
+    m10, m11, m12 = R[..., 1, 0], R[..., 1, 1], R[..., 1, 2]
+    m20, m21, m22 = R[..., 2, 0], R[..., 2, 1], R[..., 2, 2]
     tr = m00 + m11 + m22
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
-    elif m00 >= m11 and m00 >= m22:
-        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
-        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
-    elif m11 >= m22:
-        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
-        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
-    else:
-        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
-        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    cw = tr > 0.0
+    cx = ~cw & (m00 >= m11) & (m00 >= m22)
+    cy = ~cw & ~cx & (m11 >= m22)
+    cz = ~(cw | cx | cy)
+    q = np.empty(R.shape[:-2] + (4,))
+    s = np.sqrt(tr[cw] + 1.0) * 2.0
+    q[cw] = np.stack([0.25 * s, (m21[cw] - m12[cw]) / s, (m02[cw] - m20[cw]) / s,
+                      (m10[cw] - m01[cw]) / s], axis=-1)
+    s = np.sqrt(1.0 + m00[cx] - m11[cx] - m22[cx]) * 2.0
+    q[cx] = np.stack([(m21[cx] - m12[cx]) / s, 0.25 * s, (m01[cx] + m10[cx]) / s,
+                      (m02[cx] + m20[cx]) / s], axis=-1)
+    s = np.sqrt(1.0 + m11[cy] - m00[cy] - m22[cy]) * 2.0
+    q[cy] = np.stack([(m02[cy] - m20[cy]) / s, (m01[cy] + m10[cy]) / s, 0.25 * s,
+                      (m12[cy] + m21[cy]) / s], axis=-1)
+    s = np.sqrt(1.0 + m22[cz] - m00[cz] - m11[cz]) * 2.0
+    q[cz] = np.stack([(m10[cz] - m01[cz]) / s, (m02[cz] + m20[cz]) / s,
+                      (m12[cz] + m21[cz]) / s, 0.25 * s], axis=-1)
+    q /= np.sqrt(np.vecdot(q, q))[..., None]
+    return np.where(q[..., 0:1] < 0.0, -q, q)
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +169,24 @@ def dq8_apply(dq: FloatArray, mu, pts: FloatArray) -> FloatArray:
 
 
 def dq8_from_rt(R, t) -> FloatArray:
-    """Build the 8-vector of a rigid motion. 2D input is embedded in z = 0."""
+    """Build the 8-vectors of rigid motions, R (..., d, d) and t (..., d).
+
+    2D input is embedded in z = 0. Works over leading axes; a stack gives
+    each motion's own 8-vector bit for bit.
+    """
     R = np.asarray(R, dtype=np.float64)
-    if R.shape == (2, 2):
-        R3 = np.eye(3)
-        R3[:2, :2] = R
+    if R.shape[-2:] == (2, 2):
+        R3 = np.zeros(R.shape[:-2] + (3, 3))
+        R3[..., :2, :2] = R
+        R3[..., 2, 2] = 1.0
     else:
         R3 = R
     t3 = embed3(t)
     real = quat_from_matrix(R3)
-    tq = np.array([0.0, t3[0], t3[1], t3[2]])
+    tq = np.zeros(t3.shape[:-1] + (4,))
+    tq[..., 1:4] = t3
     dual = 0.5 * quat_mul(tq, real)
-    return np.concatenate([real, dual])
+    return np.concatenate([real, dual], axis=-1)
 
 
 def dq8_translation(t: FloatArray) -> FloatArray:

@@ -151,7 +151,9 @@ def init_from_hypotheses(
     """Seed per-match motions from the RANSAC cover.
 
     Each covered match adopts the motion of its largest-support covering
-    hypothesis and that support count as its (unnormalized) starting weight.
+    hypothesis, the earliest one among equal supports, and that support
+    count as its (unnormalized) starting weight. All hypotheses are
+    converted to dual quaternions in one batched pass.
     Uncovered matches start at the identity with scale 1 and weight 0, so
     they pull no blend until the first E-step scores them. sigma starts at
     the RMS seeding residual of covered matches, floored at H / 10; the
@@ -167,16 +169,24 @@ def init_from_hypotheses(
     qs = dq8_identity(n)
     mus = np.ones(n)
     p = np.zeros(n)
-    best = np.zeros(n, dtype=np.int64)
-    for h in outcome.hypotheses:
-        take = h.inliers[h.support > best[h.inliers]]
-        if take.size == 0:
-            continue
-        qs[take] = dq8_from_rt(h.transform.R, h.transform.t)
-        mus[take] = h.transform.mu
-        p[take] = float(h.support)
-        best[take] = h.support
-    covered = best > 0
+    covered = np.zeros(n, dtype=bool)
+    hyps = [h for h in outcome.hypotheses if h.support > 0]
+    if hyps:
+        dqs = dq8_from_rt(
+            np.stack([h.transform.R for h in hyps]), np.stack([h.transform.t for h in hyps])
+        )
+        support = np.array([h.support for h in hyps], dtype=np.int64)
+        # hypotheses by falling support, earlier first among ties; the first
+        # time a match appears in that order names its winning hypothesis
+        order = np.argsort(-support, kind="stable")
+        rows = np.concatenate([hyps[j].inliers for j in order])
+        owner = np.repeat(order, [hyps[j].inliers.size for j in order])
+        rows, first = np.unique(rows, return_index=True)
+        win = owner[first]
+        qs[rows] = dqs[win]
+        mus[rows] = np.array([h.transform.mu for h in hyps])[win]
+        p[rows] = support[win]
+        covered[rows] = True
     field_at_x = dq8_apply(qs, mus, embed3(m.x))[:, : m.dim]
     resid = np.linalg.norm(m.y - field_at_x, axis=1)
     floor = SIGMA_INIT_FLOOR_FACTOR * cfg.H
@@ -311,16 +321,13 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
     return labels, state
 
 
-def filter_and_refine(
-    m: MatchSet, cfg: Config, sparse: bool = False
-) -> tuple[LabelResult, EmState, RansacOutcome]:
-    """The pipeline: RANSAC cover (sparse or dense), then EM refinement.
+def filter_and_refine(m: MatchSet, cfg: Config) -> tuple[LabelResult, EmState, RansacOutcome]:
+    """The pipeline: RANSAC cover, then EM refinement.
 
     Both stages are looked up as module attributes at call time, so a
     wrapper installed on ransac.ransac_run or em_refine.run_em sees every
     run.
     """
-    run = ransac.ransac_run_sparse if sparse else ransac.ransac_run
-    outcome = run(m, cfg)
+    outcome = ransac.ransac_run(m, cfg)
     labels, state = run_em(m, outcome, cfg)
     return labels, state, outcome

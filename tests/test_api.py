@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import matchfield
-from matchfield import dualquat
+from matchfield import dualquat, ransac
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +31,10 @@ def test_dual_quaternion_functions_return_plain_arrays():
     assert type(dq) is np.ndarray and dq.shape == (8,)
     assert matchfield.dq_multiply(dq, dq).shape == (8,)
     assert matchfield.dq_blend([(1.0, dq)]).shape == (8,)
+
+
+def test_sparse_ransac_entry_point_is_gone():
+    # every run fits on at most ransac.FIT_ROWS matches through ransac_run
+    assert not hasattr(ransac, "ransac_run_sparse")
+    assert not hasattr(matchfield, "ransac_run_sparse")
+    assert "ransac_run_sparse" not in matchfield.__all__

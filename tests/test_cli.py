@@ -224,18 +224,21 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_sparse_flag_smoke(tmp_path, capsys):
+def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
+    # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone
     scene = tmp_path / "scene.csv"
-    run_ok(
-        ["synth", "--output", str(scene), "--n", "500", "--outlier-ratio", "0.4", "--seed", "5"],
-        capsys,
-    )
-    out = run_ok(
-        ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
-         "--sparse", "--n-sparse", "100", "--seed", "5"],
-        capsys,
-    )
-    assert re.search(r"inliers=\d+", out)
+    run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
+    argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
+    for flags in (["--sparse"], ["--n-sparse", "100"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("N_sparse = 100\n")
+    capsys.readouterr()
+    assert main(argv + ["--config", str(cfgfile)]) == 2
+    assert "unknown config key 'N_sparse'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_bench_emits_table(tmp_path, capsys):

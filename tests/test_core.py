@@ -104,8 +104,9 @@ def test_config_defaults():
     assert cfg.p_min == 0.5
     assert cfg.theta == 0.005
     assert cfg.N_neighbor == 16
-    assert cfg.N_sparse is None
     assert cfg.max_em_iters == 50
+    # one RANSAC path: no sample-size knob left
+    assert not hasattr(cfg, "N_sparse")
 
 
 def test_config_rejects_out_of_range():
@@ -121,8 +122,6 @@ def test_config_rejects_out_of_range():
         Config(T_min=0)
     with pytest.raises(ConfigError):
         Config(N_neighbor=0)
-    with pytest.raises(ConfigError):
-        Config(N_sparse=0)
     with pytest.raises(ConfigError):
         Config(max_em_iters=0)
 
@@ -154,9 +153,9 @@ def test_config_for_matches_adapts_only_3d():
 
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "params.cfg"
-    p.write_text("# comment\n\nH = 30\nT_min=7\nN_sparse = none\nseed=3\n")
+    p.write_text("# comment\n\nH = 30\nT_min=7\nseed=3\n")
     out = config_overrides_from_file(p)
-    assert out == {"H": 30.0, "T_min": 7, "N_sparse": None, "seed": 3}
+    assert out == {"H": 30.0, "T_min": 7, "seed": 3}
     m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
     cfg = Config.for_matches(m, **out)
     assert cfg.H == 30.0 and cfg.T_min == 7 and cfg.seed == 3
@@ -169,6 +168,9 @@ def test_config_file_errors(tmp_path):
         config_overrides_from_file(p)
     p.write_text("unknown_key=1\n")
     with pytest.raises(ConfigError):
+        config_overrides_from_file(p)
+    p.write_text("N_sparse = none\n")
+    with pytest.raises(ConfigError, match="unknown config key 'N_sparse'"):
         config_overrides_from_file(p)
     p.write_text("T_min=abc\n")
     with pytest.raises(ConfigError):

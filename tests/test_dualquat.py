@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -306,3 +308,76 @@ def test_blend_of_shared_and_gathered_motions_bit_identical(k):
     idx = rng.integers(0, k, size=(300, k))
     gathered = np.take(motions, idx, axis=0)
     assert np.array_equal(dq8_blend(w, gathered), reference_dq8_blend(w, gathered))
+
+
+def reference_quat_from_matrix(R):
+    # the single-matrix form the masked, batched kernel replaced
+    m00, m01, m02 = R[0]
+    m10, m11, m12 = R[1]
+    m20, m21, m22 = R[2]
+    tr = m00 + m11 + m22
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = np.array([0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s])
+    elif m00 >= m11 and m00 >= m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = np.array([(m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s])
+    elif m11 >= m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = np.array([(m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s])
+    else:
+        s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+        q = np.array([(m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s])
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q = -q
+    return q
+
+
+def reference_dq8_from_rt(R, t):
+    R3 = np.eye(3)
+    R3[: R.shape[0], : R.shape[0]] = R
+    t3 = np.zeros(3)
+    t3[: t.shape[0]] = t
+    real = reference_quat_from_matrix(R3)
+    dual = 0.5 * quat_mul(np.array([0.0, t3[0], t3[1], t3[2]]), real)
+    return np.concatenate([real, dual])
+
+
+def rotations_of_every_branch(rng, k):
+    """3D rotations whose quaternion takes each branch of quat_from_matrix:
+    small angles (positive trace), and half turns about axes near x, y
+    and z (largest diagonal term m00, m11, m22)."""
+    out = [Rotation.from_rotvec(rng.normal(size=(k, 3)) * 0.3).as_matrix()]
+    for axis in np.eye(3):
+        v = axis + 0.1 * rng.normal(size=(k, 3))
+        v *= (np.pi - rng.uniform(0.0, 0.2, size=(k, 1))) / np.linalg.norm(v, axis=1)[:, None]
+        out.append(Rotation.from_rotvec(v).as_matrix())
+    out.append(Rotation.random(k, random_state=int(rng.integers(1 << 30))).as_matrix())
+    return np.concatenate(out)
+
+
+def test_batched_dq8_from_rt_bit_identical_to_single_reference():
+    rng = make_rng(300)
+    R3 = rotations_of_every_branch(rng, 200)
+    diag = np.diagonal(R3, axis1=1, axis2=2)
+    tr = diag.sum(axis=1)
+    branch = np.where(tr > 0.0, 0, 1 + np.argmax(diag, axis=1))
+    assert np.bincount(branch, minlength=4).min() >= 100
+    # plane rotations take the positive-trace branch, or past 2 pi / 3 the m22 one
+    ang = np.concatenate([rng.uniform(-np.pi, np.pi, 500), np.pi - rng.uniform(0.0, 1e-3, 20)])
+    c, s = np.cos(ang), np.sin(ang)
+    R2 = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    for R in (R3, R2):
+        d = R.shape[-1]
+        t = rng.normal(size=(R.shape[0], d)) * 10.0 ** rng.uniform(-3.0, 6.0, size=(R.shape[0], 1))
+        ref = np.stack([reference_dq8_from_rt(Ri, ti) for Ri, ti in zip(R, t)])
+        assert np.array_equal(dq8_from_rt(R, t), ref)
+        if d == 3:
+            assert np.array_equal(quat_from_matrix(R), ref[:, :4])
+        # any leading shape, and one matrix at a time as dq_from_transform calls it
+        lead = dq8_from_rt(R.reshape(2, -1, d, d), t.reshape(2, -1, d))
+        assert np.array_equal(lead.reshape(-1, 8), ref)
+        for i in range(0, R.shape[0], 37):
+            assert np.array_equal(dq8_from_rt(R[i], t[i]), ref[i])
+            assert np.array_equal(dq_from_transform(R[i], t[i]), ref[i])

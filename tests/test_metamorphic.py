@@ -81,3 +81,35 @@ def test_permuting_the_matches_keeps_the_fscore(make_scene):
         perm = rng.permutation(m.n)
         _, labels = run_pipeline(MatchSet.from_points(m.x[perm], m.y[perm]), cfg)
         assert abs(compute_metrics(labels, gt[perm]).fscore - f_base) <= 0.01
+
+
+def scene_2d_half_outliers(seed):
+    m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=seed))
+    return m, gt, Config(seed=seed)
+
+
+SWAP_SCENES = [
+    pytest.param(lambda seed=seed: scene_2d_half_outliers(seed), id=f"2d-seed{seed}")
+    for seed in range(3)
+] + [pytest.param(scene_3d, id="3d")]
+
+
+@pytest.mark.parametrize("make_scene", SWAP_SCENES)
+def test_permuting_the_coordinate_axes_keeps_the_fscore(make_scene):
+    # the same axis permutation of both clouds (a reflection in 2D) is a
+    # change of frame; the scale estimate and so the config do not move
+    m, gt, cfg = make_scene()
+    _, base = run_pipeline(m, cfg)
+    perm = [1, 0] if m.dim == 2 else [2, 0, 1]
+    _, labels = run_pipeline(MatchSet.from_points(m.x[:, perm], m.y[:, perm]), cfg)
+    assert abs(compute_metrics(labels, gt).fscore - compute_metrics(base, gt).fscore) <= 0.01
+
+
+@pytest.mark.parametrize("make_scene", SWAP_SCENES)
+def test_swapping_source_and_target_keeps_the_fscore(make_scene):
+    # the inverse of a locally rigid field is locally rigid, so matching y
+    # to x finds the same inliers; the scale estimate is symmetric in x, y
+    m, gt, cfg = make_scene()
+    _, base = run_pipeline(m, cfg)
+    _, labels = run_pipeline(MatchSet.from_points(m.y, m.x), cfg)
+    assert abs(compute_metrics(labels, gt).fscore - compute_metrics(base, gt).fscore) <= 0.01

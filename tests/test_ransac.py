@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from matchfield import ransac
 from matchfield.core import Config, DegenerateGeometryError, MatchSet, make_rng
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
+    FIT_ROWS,
     RANK_TOL,
     RansacOutcome,
     labels_from_outcome,
     ransac_run,
-    ransac_run_sparse,
     reweight_fit,
     trial_bound,
     weighted_rigid_fit,
@@ -185,9 +186,12 @@ def test_reweight_fit_matches_svd_reference():
             assert np.abs(w - w_ref).max() < 1e-9
 
 
-def test_sparse_3d_fits_subset_and_scores_every_match():
+def test_sparse_3d_fits_subset_and_scores_every_match(monkeypatch):
+    # above FIT_ROWS matches every trial fits on one seeded subset; shrink
+    # FIT_ROWS so a 629-match 3D scene takes that path
+    monkeypatch.setattr(ransac, "FIT_ROWS", 150)
     m, gt = surface_scene_3d(629, 0.24, seed=38)
-    cfg = Config.for_matches(m, seed=38, N_sparse=150)
+    cfg = Config.for_matches(m, seed=38)
     rows = np.sort(make_rng(38).choice(m.n, size=150, replace=False)).astype(np.int64)
     for o in (0, 101, 402):
         R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg, rows=rows)
@@ -195,9 +199,22 @@ def test_sparse_3d_fits_subset_and_scores_every_match():
         assert d.shape == (m.n,) and w.shape == (150,)
         assert np.abs(d - d_ref).max() < 1e-8
         assert np.abs(w - w_ref).max() < 1e-9
-    out = ransac_run_sparse(m, cfg)
+    out = ransac_run(m, cfg)
     assert out.hypotheses
     # each hypothesis takes its inliers from residuals over all n matches
+    for h in out.hypotheses[:5]:
+        _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg, rows=rows)
+        assert np.array_equal(h.inliers, np.nonzero(d_ref < cfg.H)[0])
+    assert np.setdiff1d(out.inlier_union, rows).size > out.inlier_union.size // 2
+
+
+def test_fit_subset_hypotheses_score_every_match():
+    # n = 3000 > FIT_ROWS: trials fit on the seeded subset, and each
+    # hypothesis takes its inliers from residuals over all n
+    m, gt = synth_generate(SynthSpec(n=3000, outlier_ratio=0.5, seed=7))
+    cfg = Config(seed=7)
+    rows = np.sort(make_rng(7).choice(m.n, size=FIT_ROWS, replace=False)).astype(np.int64)
+    out = ransac_run(m, cfg)
     for h in out.hypotheses[:5]:
         _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg, rows=rows)
         assert np.array_equal(h.inliers, np.nonzero(d_ref < cfg.H)[0])
@@ -332,6 +349,9 @@ def test_trial_bound_hand_value():
     assert math.ceil(b) == 29
     # tightens as gamma grows
     assert trial_bound(100, 0.6, 5, 0.95) < b
+    # exactly T_min matches left: one trial decides, so the bound is 0
+    assert trial_bound(5, 0.0, 5, 0.95) == 0.0
+    assert trial_bound(50, 0.9, 5, 0.95) == 0.0
 
 
 def test_ransac_covers_rigid_scene():
@@ -402,22 +422,47 @@ def test_ransac_rejects_tiny_input():
         ransac_run(m, Config())
 
 
-def test_sparse_with_large_budget_is_dense():
-    m, gt = synth_generate(SynthSpec(n=150, outlier_ratio=0.4, seed=4))
-    dense = ransac_run(m, Config(seed=4))
-    sparse = ransac_run_sparse(m, Config(seed=4, N_sparse=150))
-    assert dense.trials == sparse.trials
-    assert np.array_equal(dense.inlier_union, sparse.inlier_union)
-    assert [h.control for h in dense.hypotheses] == [h.control for h in sparse.hypotheses]
+def test_run_within_fit_rows_is_the_all_rows_run():
+    # at n <= FIT_ROWS the fit subset is every match: same draws, same fits
+    m, gt = synth_generate(SynthSpec(n=FIT_ROWS, outlier_ratio=0.7, seed=4))
+    cfg = Config(seed=4)
+    out = ransac_run(m, cfg)
+    ref = ransac._run(m, cfg, rows=None)
+    assert out.trials == ref.trials
+    assert out.gamma_history == ref.gamma_history
+    assert np.array_equal(out.inlier_union, ref.inlier_union)
+    assert [h.control for h in out.hypotheses] == [h.control for h in ref.hypotheses]
+    for h, g in zip(out.hypotheses, ref.hypotheses):
+        assert np.array_equal(h.transform.R, g.transform.R) and h.transform.mu == g.transform.mu
 
 
-def test_sparse_matches_dense_on_rigid_scene():
+def test_sparse_matches_dense_on_rigid_scene(monkeypatch):
+    monkeypatch.setattr(ransac, "FIT_ROWS", 50)
     rng = make_rng(29)
     m, R, t, mu = similarity_scene(rng, 400, 2)
-    dense = ransac_run(m, Config(seed=6))
-    sparse = ransac_run_sparse(m, Config(seed=6, N_sparse=50))
-    assert np.array_equal(dense.inlier_union, sparse.inlier_union)
-    assert sparse.gamma == 1.0
+    dense = ransac._run(m, Config(seed=6), rows=None)
+    subset = ransac_run(m, Config(seed=6))
+    assert np.array_equal(dense.inlier_union, subset.inlier_union)
+    assert subset.gamma == 1.0
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_t_min_and_t_min_plus_one_exact_matches_get_one_trial(n):
+    # exact matches under one rotation and scale: the single trial explains
+    # all of them, also at n = T_min, where the stopping rule must still
+    # allow the first draw
+    rng = make_rng(50)
+    x = rng.uniform(0.0, 100.0, size=(n, 2))
+    c, s = math.cos(0.5), math.sin(0.5)
+    y = 1.1 * x @ np.array([[c, -s], [s, c]]).T + np.array([3.0, -2.0])
+    m = MatchSet.from_points(x, y)
+    cfg = Config(seed=0)
+    assert cfg.T_min == 5
+    out = ransac_run(m, cfg)
+    assert out.trials == 1 and len(out.hypotheses) == 1
+    assert np.array_equal(out.inlier_union, np.arange(n))
+    labels, _, _ = filter_and_refine(m, cfg)
+    assert labels.inlier.all()
 
 
 def test_labels_from_outcome_rigid_scene():
