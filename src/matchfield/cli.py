@@ -94,27 +94,36 @@ def _run_pipeline(m: MatchSet, cfg: Config):
     return labels, state, outcome, (time.perf_counter() - t0) * 1000.0
 
 
-def _warn_if_no_motion(outcome, labels, field: bool) -> None:
-    """Warn when RANSAC found no motion, worded from the labels EM produced.
+def _warn_if_no_inliers(outcome, labels, field: bool) -> None:
+    """Warn when RANSAC found no motion or the labels hold no inlier,
+    worded from the hypothesis and label counts.
 
-    EM then starts from the identity motion everywhere, so matches with
-    y close to x can still come out as inliers.
+    Without a motion EM starts from the identity motion everywhere, so
+    matches with y close to x can still come out as inliers. With motions
+    EM can still reject every match, for instance when random hypotheses
+    of a mostly-outlier scene agree on no field.
     """
-    if outcome.hypotheses:
-        return
     n_in = int(labels.inlier.sum())
-    if n_in == 0:
-        what = "field has no support" if field else "labeling everything outlier"
+    n_hyp = len(outcome.hypotheses)
+    if n_hyp and n_in:
+        return
+    nothing = "field has no support" if field else "labeling everything outlier"
+    if n_hyp == 0:
+        head = "no rigid motion found"
+        what = (f"refined from the identity motion, {n_in} of {labels.n} matches are inliers"
+                if n_in else nothing)
     else:
-        what = f"refined from the identity motion, {n_in} of {labels.n} matches are inliers"
-    print(f"warning: no rigid motion found, {what}", file=sys.stderr)
+        head = (f"{n_hyp} rigid motions cover {outcome.inlier_union.size} of {labels.n} "
+                f"matches, but refinement keeps 0 inliers")
+        what = nothing
+    print(f"warning: {head}, {what}", file=sys.stderr)
 
 
 def cmd_filter(args) -> int:
     m = _load_input(args)
     cfg = _build_config(args, m)
     labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
-    _warn_if_no_motion(outcome, labels, field=False)
+    _warn_if_no_inliers(outcome, labels, field=False)
     save_labels(args.output, labels)
     print(
         f"n={m.n} gamma={outcome.gamma:.4f} inliers={int(labels.inlier.sum())} "
@@ -143,7 +152,7 @@ def cmd_field(args) -> int:
     grid_axes(bounds, args.grid_step, m.dim)
     cfg = _build_config(args, m)
     labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
-    _warn_if_no_motion(outcome, labels, field=True)
+    _warn_if_no_inliers(outcome, labels, field=True)
     grid = grid_field(state, labels, m, bounds, args.grid_step, cfg)
     write_field_csv(grid, args.output, m.dim)
     if args.labels_output is not None:

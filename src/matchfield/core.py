@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,24 @@ class MatchSet:
 ORTHONORMAL_TOL = 1e-9
 
 
+def small_det(a: FloatArray) -> float:
+    """Determinant of a 2x2 or 3x3 matrix by cofactor expansion.
+
+    A few products of Python floats, where np.linalg.det pays for a LAPACK
+    LU factorization; used by the transform check and the 3D fits.
+    """
+    rows = a.tolist()
+    if len(rows) == 2:
+        (a00, a01), (a10, a11) = rows
+        return a00 * a11 - a01 * a10
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    return (
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
+    )
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """A rotation R, translation t, and isotropic scale mu, mapping x to mu*(R x + t)."""
@@ -108,11 +127,15 @@ class RigidTransform:
             raise ValueError(f"R must be 2x2 or 3x3, got {R.shape}")
         if t.shape != (d,):
             raise ValueError(f"t must be ({d},), got {t.shape}")
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        if not all(map(math.isfinite, chain(R.ravel().tolist(), t.tolist()))):
             raise ValueError("transform entries must be finite")
-        if np.abs(R.T @ R - np.eye(d)).max() > ORTHONORMAL_TOL:
+        # largest entry of |R^T R - I|, the identity taken off the diagonal
+        gram = (R.T @ R).tolist()
+        for i in range(d):
+            gram[i][i] -= 1.0
+        if max(map(abs, chain.from_iterable(gram))) > ORTHONORMAL_TOL:
             raise ValueError("R is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > ORTHONORMAL_TOL:
+        if abs(small_det(R) - 1.0) > ORTHONORMAL_TOL:
             raise ValueError("R must be a proper rotation (det +1)")
         mu = float(self.mu)
         if not (math.isfinite(mu) and mu > 0.0):

@@ -34,6 +34,7 @@ from .core import (
     MatchSet,
     RigidTransform,
     make_rng,
+    small_det,
 )
 
 # relative singular value below which a 3D weighted cross matrix is treated
@@ -96,23 +97,17 @@ def trial_bound(n: int, gamma: float, t_min: int, p: float) -> float:
     return math.log(1.0 - p) / math.log(1.0 - t_min / remaining)
 
 
-def _relative_columns(pts: FloatArray, o: int) -> FloatArray:
-    """Points relative to point o, coordinate-major: a C-contiguous (dim, n)
-    array, so every per-round pass runs over long contiguous rows."""
-    return np.subtract(pts.T, pts[o][:, None], order="C")
+def _relative_columns(pts: FloatArray, o: int, rows: IntArray | None = None) -> FloatArray:
+    """Points (all, or those in rows) relative to point o, coordinate-major:
+    a C-contiguous (dim, k) array, so every per-round pass runs over long
+    contiguous rows. Gathering before subtracting leaves the other matches
+    alone and gives the same bits as subtracting first."""
+    sub = pts if rows is None else np.take(pts, rows, axis=0)
+    return np.subtract(sub.T, pts[o][:, None], order="C")
 
 
 def _column_sq_norms(cols: FloatArray) -> FloatArray:
     return np.einsum("ij,ij->j", cols, cols)
-
-
-def _det3(a: FloatArray) -> float:
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
-    return (
-        a00 * (a11 * a22 - a12 * a21)
-        - a01 * (a10 * a22 - a12 * a20)
-        + a02 * (a10 * a21 - a11 * a20)
-    )
 
 
 def _fit_spatial(xr: FloatArray, yr: FloatArray, x2: FloatArray, y2: FloatArray, w2: FloatArray):
@@ -133,35 +128,37 @@ def _fit_spatial(xr: FloatArray, yr: FloatArray, x2: FloatArray, y2: FloatArray,
     U, S, Vt = np.linalg.svd(M)
     if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("weighted points are collinear through the control")
-    if _det3(U) * _det3(Vt) < 0.0:
+    if small_det(U) * small_det(Vt) < 0.0:
         U[:, -1] = -U[:, -1]
     if sxx == 0.0 or syy == 0.0:
         raise DegenerateGeometryError("weighted points collapse onto the control")
     return U @ Vt, math.sqrt(syy / sxx)
 
 
-def _relative_complex(pts: FloatArray, o: int) -> np.ndarray:
-    """2D points relative to point o, as complex numbers p_0 + i p_1."""
-    z = pts.view(np.complex128)[:, 0]
-    return z - z[o]
+def _complex(pts: FloatArray) -> np.ndarray:
+    """2D points p as complex numbers p_0 + i p_1, a view without a copy."""
+    return pts.view(np.complex128)[:, 0]
 
 
 def _planar_products(zx: np.ndarray, zy: np.ndarray) -> FloatArray:
     """Per-match terms of the 2D fit, one row each: Re and Im of conj(zx) zy,
     Re and Im of zx zy, |zx|^2 and |zy|^2. A fit under weights w needs only
-    their weighted sums, the product of this matrix with w^2."""
-    rot = zx.conj() * zy
-    ref = zx * zy
-    return np.stack(
-        [
-            rot.real,
-            rot.imag,
-            ref.real,
-            ref.imag,
-            zx.real * zx.real + zx.imag * zx.imag,
-            zy.real * zy.real + zy.imag * zy.imag,
-        ]
-    )
+    their weighted sums, the product of this matrix with w^2. The rows are
+    filled in place through one complex buffer, each by the elementwise
+    operations its formula names (one complex product, or two squares and
+    a sum), so no row depends on how the matrix is assembled."""
+    P = np.empty((6, zx.shape[0]))
+    prod = np.conjugate(zx) * zy
+    P[0] = prod.real
+    P[1] = prod.imag
+    np.multiply(zx, zy, out=prod)
+    P[2] = prod.real
+    P[3] = prod.imag
+    for row, z in ((4, zx), (5, zy)):
+        np.multiply(z.real, z.real, out=P[row])
+        np.multiply(z.imag, z.imag, out=prod.real)
+        P[row] += prod.real
+    return P
 
 
 def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
@@ -180,10 +177,10 @@ def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
     RANK_TOL of |alpha| + |beta|), which prefers no rotation, or points
     collapsed onto the control are degenerate.
     """
-    s = P @ w2
-    if not np.isfinite(s).all():
+    s = (P @ w2).tolist()
+    if not all(map(math.isfinite, s)):
         raise DegenerateGeometryError("non-finite weighted cross matrix")
-    ar, ai, br, bi, sxx, syy = s.tolist()
+    ar, ai, br, bi, sxx, syy = s
     rot = math.hypot(ar, ai)
     ref = math.hypot(br, bi)
     if rot <= RANK_TOL * (rot + ref):
@@ -211,7 +208,8 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
     if w.shape != (m.n,) or (w < 0.0).any() or not (w > 0.0).any():
         raise ValueError("weights must be non-negative with a positive sum")
     if m.dim == 2:
-        P = _planar_products(_relative_complex(m.x, o), _relative_complex(m.y, o))
+        zx, zy = _complex(m.x), _complex(m.y)
+        P = _planar_products(zx - zx[o], zy - zy[o])
         u, mu = _fit_planar(P, w * w)
         return _rotation_matrix(u), mu
     xr = _relative_columns(m.x, o)
@@ -220,12 +218,13 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
 
 
 def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
-    zx_all = _relative_complex(m.x, o)
-    zy_all = _relative_complex(m.y, o)
+    zx_all, zy_all = _complex(m.x), _complex(m.y)
+    zx_o, zy_o = zx_all[o], zy_all[o]
     if rows is None:
-        zx, zy = zx_all, zy_all
+        zx, zy = zx_all - zx_o, zy_all - zy_o
     else:
-        zx, zy = zx_all[rows], zy_all[rows]
+        # gathered first, so only the fit rows are made relative
+        zx, zy = np.take(zx_all, rows) - zx_o, np.take(zy_all, rows) - zy_o
     P = _planar_products(zx, zy)
     w = np.ones(zx.shape[0])
     for _ in range(cfg.n_reweight_iters):
@@ -234,7 +233,7 @@ def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
         d = np.abs(zy - k * zx)
         # bit-identical to min(H / d, 1), and 1 at d = 0
         w = cfg.H / np.maximum(d, cfg.H)
-    d_all = d if rows is None else np.abs(zy_all - k * zx_all)
+    d_all = d if rows is None else np.abs((zy_all - zy_o) - k * (zx_all - zx_o))
     return _rotation_matrix(u), mu, d_all, w
 
 
@@ -243,13 +242,8 @@ def _spatial_residuals(xr: FloatArray, yr: FloatArray, R: FloatArray, mu: float)
 
 
 def _reweight_spatial(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
-    xr_all = _relative_columns(m.x, o)
-    yr_all = _relative_columns(m.y, o)
-    if rows is None:
-        xr, yr = xr_all, yr_all
-    else:
-        # np.take gathers columns several times faster than fancy indexing
-        xr, yr = np.take(xr_all, rows, axis=1), np.take(yr_all, rows, axis=1)
+    xr = _relative_columns(m.x, o, rows)
+    yr = _relative_columns(m.y, o, rows)
     x2 = _column_sq_norms(xr)
     y2 = _column_sq_norms(yr)
     w = np.ones(xr.shape[1])
@@ -257,8 +251,9 @@ def _reweight_spatial(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
         R, mu = _fit_spatial(xr, yr, x2, y2, w * w)
         d = _spatial_residuals(xr, yr, R, mu)
         w = cfg.H / np.maximum(d, cfg.H)
-    d_all = d if rows is None else _spatial_residuals(xr_all, yr_all, R, mu)
-    return R, mu, d_all, w
+    if rows is not None:
+        d = _spatial_residuals(_relative_columns(m.x, o), _relative_columns(m.y, o), R, mu)
+    return R, mu, d, w
 
 
 def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None):
@@ -293,39 +288,53 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
         )
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)
-    tried = np.zeros(n, dtype=bool)
+    # open: neither reserved by a hypothesis nor tried as a control;
+    # candidates lists the open matches in ascending order
+    open_mask = np.ones(n, dtype=bool)
+    candidates = np.arange(n)
+    n_in = 0
     hyps: list[TransformHypothesis] = []
     gamma_history: list[float] = []
     k = 0
     max_trials = MAX_TRIALS_FACTOR * n
     while k < max_trials:
-        n_in = int(inlier_mask.sum())
         gamma = n_in / n
         # all three stopping rules use the current gamma
         if n - n_in < cfg.T_min:
             break
-        candidates = np.nonzero(~inlier_mask & ~tried)[0]
         if candidates.size == 0:
             break
         if k > trial_bound(n, gamma, cfg.T_min, cfg.ransac_p):
             break
-        o = int(rng.choice(candidates))
-        tried[o] = True
+        # the same draw as rng.choice(candidates), without its overhead
+        j = int(rng.integers(candidates.size))
+        o = int(candidates[j])
+        open_mask[o] = False
         k += 1
+        reserved = 0
         try:
             rt, d, _ = reweight_fit(m, o, cfg, rows=rows)
         except DegenerateGeometryError:
-            gamma_history.append(gamma)
-            continue
-        inl = np.nonzero(d < cfg.H)[0]
-        if inl.size >= cfg.T_min:
-            hyps.append(
-                TransformHypothesis(
-                    control=o, transform=rt, inliers=inl.astype(np.int64), support=int(inl.size)
+            pass
+        else:
+            inl = np.nonzero(d < cfg.H)[0]
+            if inl.size >= cfg.T_min:
+                hyps.append(
+                    TransformHypothesis(
+                        control=o, transform=rt, inliers=inl.astype(np.int64), support=int(inl.size)
+                    )
                 )
-            )
-            inlier_mask[inl] = True
-        gamma_history.append(float(inlier_mask.sum()) / n)
+                new = inl[~inlier_mask[inl]]
+                inlier_mask[new] = True
+                open_mask[new] = False
+                reserved = new.size
+        if reserved:
+            n_in += reserved
+            candidates = np.nonzero(open_mask)[0]
+        else:
+            # only the drawn control closes
+            candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
+        gamma_history.append(n_in / n)
     union = np.nonzero(inlier_mask)[0].astype(np.int64)
     return RansacOutcome(
         hypotheses=tuple(hyps),

@@ -7,7 +7,14 @@ from matchfield import em_refine, ransac
 from matchfield.cli import main
 from matchfield.core import Config, MatchSet, config_overrides_from_file, scale_estimate
 from matchfield.em_refine import filter_and_refine
-from matchfield.io_eval import load_labels, load_matches, save_labels, save_matches
+from matchfield.io_eval import (
+    SynthSpec,
+    load_labels,
+    load_matches,
+    save_labels,
+    save_matches,
+    synth_generate,
+)
 
 
 def run_ok(argv, capsys):
@@ -284,6 +291,32 @@ def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
     else:
         assert f"{n_in} of {n} matches are inliers" in err
     assert (n_in == n) if shift == 1.0 else (n_in == 0)
+
+
+@pytest.mark.parametrize("seed, warns", [(0, True), (1, False)])
+def test_zero_inlier_run_warns_although_ransac_kept_motions(tmp_path, capsys, seed, warns):
+    # at 95% outliers RANSAC keeps about 100 random hypotheses on seed 0,
+    # yet EM labels no match an inlier; seed 1 keeps 71 inliers
+    m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.95, seed=seed))
+    scene = tmp_path / "scene.csv"
+    labels_csv = tmp_path / "labels.csv"
+    save_matches(scene, m)
+    assert main(["filter", "--input", str(scene), "--output", str(labels_csv),
+                 "--seed", str(seed)]) == 0
+    captured = capsys.readouterr()
+    n_in = int(load_labels(labels_csv).inlier.sum())
+    assert f"inliers={n_in} " in captured.out
+    _, _, outcome = filter_and_refine(m, Config(seed=seed))
+    assert outcome.hypotheses
+    if warns:
+        assert n_in == 0
+        assert captured.err == (
+            f"warning: {len(outcome.hypotheses)} rigid motions cover "
+            f"{outcome.inlier_union.size} of 1000 matches, but refinement keeps 0 inliers, "
+            "labeling everything outlier\n"
+        )
+    else:
+        assert n_in > 0 and captured.err == ""
 
 
 def _synth(path, capsys, dim=2, n=300, seed=9):

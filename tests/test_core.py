@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matchfield.core import (
+    ORTHONORMAL_TOL,
     Config,
     ConfigError,
     DegenerateScaleError,
@@ -11,6 +12,7 @@ from matchfield.core import (
     config_overrides_from_file,
     make_rng,
     scale_estimate,
+    small_det,
 )
 
 
@@ -64,6 +66,86 @@ def test_rigid_transform_rejects_bad_matrices():
         RigidTransform(R=np.eye(2), t=np.zeros(2), mu=0.0)
     with pytest.raises(ValueError):
         RigidTransform(R=np.eye(2), t=np.zeros(2), mu=-2.0)
+
+
+def random_rotation(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def reference_transform_check(R, t) -> bool:
+    """The transform checks as first written, on numpy reductions and
+    np.linalg.det: True when R and t would be accepted."""
+    d = R.shape[0]
+    return bool(
+        np.isfinite(R).all()
+        and np.isfinite(t).all()
+        and np.abs(R.T @ R - np.eye(d)).max() <= ORTHONORMAL_TOL
+        and abs(np.linalg.det(R) - 1.0) <= ORTHONORMAL_TOL
+    )
+
+
+def accepts(R, t) -> bool:
+    try:
+        RigidTransform(R=R, t=t, mu=1.0)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rigid_transform_rejects_reflections_off_rotations_and_non_finite(d):
+    rng = make_rng(70 + d)
+    t = np.zeros(d)
+    for _ in range(20):
+        Q = random_rotation(rng, d)
+        assert accepts(Q, t)
+        mirror = Q.copy()
+        mirror[:, 0] = -mirror[:, 0]
+        assert not accepts(mirror, t)
+        # a shear I + e (E_01 + E_10) leaves det - 1 at -e^2 and puts an
+        # error of 2 e into R^T R - I
+        for scale, ok in ((1.0, False), (0.25, True)):
+            S = np.eye(d)
+            S[0, 1] = S[1, 0] = scale * ORTHONORMAL_TOL
+            assert accepts(Q @ S, t) is ok
+        for bad in (np.nan, np.inf, -np.inf):
+            R = Q.copy()
+            R[d - 1, 0] = bad
+            assert not accepts(R, t)
+            tb = t.copy()
+            tb[0] = bad
+            assert not accepts(Q, tb)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rigid_transform_accepts_what_the_numpy_check_accepts(d):
+    # rotations perturbed by errors spread over 0.1 to 10 times the
+    # tolerance: the closed-form check decides each like the numpy one
+    rng = make_rng(80 + d)
+    decided = []
+    for _ in range(2000):
+        R = random_rotation(rng, d) + ORTHONORMAL_TOL * 10.0 ** rng.uniform(-1.0, 1.0) * rng.normal(size=(d, d))
+        if rng.uniform() < 0.2:
+            R[:, 0] = -R[:, 0]
+        want = reference_transform_check(R, np.zeros(d))
+        assert accepts(R, np.zeros(d)) is want
+        decided.append(want)
+    assert 0.2 < np.mean(decided) < 0.8
+
+
+def test_small_det_agrees_with_linalg_det():
+    rng = make_rng(90)
+    for d in (2, 3):
+        for _ in range(10000):
+            R = random_rotation(rng, d)
+            assert abs(small_det(R) - np.linalg.det(R)) <= 1e-12
+        for _ in range(100):
+            A = rng.normal(size=(d, d))
+            assert abs(small_det(A) - np.linalg.det(A)) <= 1e-12 * max(1.0, abs(np.linalg.det(A)))
 
 
 def test_label_result_validation():

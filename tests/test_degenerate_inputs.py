@@ -5,8 +5,9 @@ limit. Each case pins the behaviour measured on the current pipeline."""
 import numpy as np
 import pytest
 
+from matchfield import ransac
 from matchfield.cli import main
-from matchfield.core import Config, MatchSet, make_rng
+from matchfield.core import Config, DegenerateGeometryError, MatchSet, make_rng
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, compute_metrics, load_labels, save_matches, synth_generate
 
@@ -70,6 +71,44 @@ def test_identical_sources_find_no_motion_and_warn_consistently(tmp_path, capsys
         assert f"{n_in} of {n} matches are inliers" in err
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys, monkeypatch, dim):
+    # every y on one point: each trial's targets collapse onto the control,
+    # so every trial is degenerate and RANSAC keeps no hypothesis
+    rng = make_rng(70 + dim)
+    n = 300
+    x = rng.uniform(0.0, 200.0 if dim == 2 else 100.0, size=(n, dim))
+    y = np.tile(x[0] + 5.0, (n, 1))
+    m = MatchSet.from_points(x, y)
+    degenerate = []
+    fit = ransac.reweight_fit
+
+    def counted_fit(*args, **kwargs):
+        try:
+            return fit(*args, **kwargs)
+        except DegenerateGeometryError:
+            degenerate.append(args[1])
+            raise
+
+    monkeypatch.setattr(ransac, "reweight_fit", counted_fit)
+    labels, _, outcome = filter_and_refine(m, Config.for_matches(m, seed=0))
+    assert outcome.hypotheses == ()
+    assert outcome.trials == len(degenerate) == 179
+    assert_label_invariants(labels, n)
+    scene = tmp_path / "collapsed-targets.csv"
+    labels_csv = tmp_path / "labels.csv"
+    save_matches(scene, m)
+    assert main(["filter", "--input", str(scene), "--output", str(labels_csv), "--seed", "0"]) == 0
+    err = capsys.readouterr().err
+    n_in = int(load_labels(labels_csv).inlier.sum())
+    assert n_in == int(labels.inlier.sum())
+    if n_in == 0:
+        assert err == "warning: no rigid motion found, labeling everything outlier\n"
+    else:
+        assert err == (f"warning: no rigid motion found, refined from the identity motion, "
+                       f"{n_in} of {n} matches are inliers\n")
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_ninety_percent_outliers_keep_most_inliers(seed):
     # past the paper's 85% limit the filter degrades but still works:
@@ -83,7 +122,8 @@ def test_ninety_percent_outliers_keep_most_inliers(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_ninety_five_percent_outliers_give_valid_labels(seed):
     # only the label invariants hold here: seeds 0 and 2 end with 0 inliers
-    # although RANSAC keeps about 100 hypotheses
+    # although RANSAC keeps about 100 hypotheses (filter then warns, see
+    # test_cli.py::test_zero_inlier_run_warns_although_ransac_kept_motions)
     m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.95, seed=seed))
     _, labels, outcome = fscore(m, gt, Config(seed=seed))
     assert_label_invariants(labels, m.n)

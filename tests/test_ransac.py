@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from matchfield import ransac
-from matchfield.core import Config, DegenerateGeometryError, MatchSet, make_rng
+from matchfield.core import Config, DegenerateGeometryError, MatchSet, RigidTransform, make_rng
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     FIT_ROWS,
+    MAX_TRIALS_FACTOR,
     RANK_TOL,
     RansacOutcome,
+    TransformHypothesis,
     labels_from_outcome,
     ransac_run,
     reweight_fit,
@@ -446,16 +448,20 @@ def test_sparse_matches_dense_on_rigid_scene(monkeypatch):
     assert subset.gamma == 1.0
 
 
+def exact_similarity(n, seed=50):
+    """n exact matches under one rotation, scale and translation."""
+    rng = make_rng(seed)
+    x = rng.uniform(0.0, 100.0, size=(n, 2))
+    c, s = math.cos(0.5), math.sin(0.5)
+    return MatchSet.from_points(x, 1.1 * x @ np.array([[c, -s], [s, c]]).T + np.array([3.0, -2.0]))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_t_min_and_t_min_plus_one_exact_matches_get_one_trial(n):
     # exact matches under one rotation and scale: the single trial explains
     # all of them, also at n = T_min, where the stopping rule must still
     # allow the first draw
-    rng = make_rng(50)
-    x = rng.uniform(0.0, 100.0, size=(n, 2))
-    c, s = math.cos(0.5), math.sin(0.5)
-    y = 1.1 * x @ np.array([[c, -s], [s, c]]).T + np.array([3.0, -2.0])
-    m = MatchSet.from_points(x, y)
+    m = exact_similarity(n)
     cfg = Config(seed=0)
     assert cfg.T_min == 5
     out = ransac_run(m, cfg)
@@ -488,3 +494,183 @@ def test_labels_from_empty_outcome():
     labels = labels_from_outcome(m, empty, Config())
     assert not labels.inlier.any()
     assert np.isinf(labels.residual).all()
+
+
+# The trial loop and one-point fits as first written, kept as the reference
+# for the lean loop: all-n relative coordinates before the subset gather,
+# the 2D products stacked from temporaries, the masks summed and searched
+# every trial and controls drawn with rng.choice.
+
+
+def reference_planar_products(zx, zy):
+    rot = zx.conj() * zy
+    ref = zx * zy
+    return np.stack([rot.real, rot.imag, ref.real, ref.imag,
+                     zx.real * zx.real + zx.imag * zx.imag,
+                     zy.real * zy.real + zy.imag * zy.imag])
+
+
+def reference_fit_planar(P, w2):
+    s = P @ w2
+    if not np.isfinite(s).all():
+        raise DegenerateGeometryError("non-finite weighted cross matrix")
+    ar, ai, br, bi, sxx, syy = s.tolist()
+    rot = math.hypot(ar, ai)
+    ref = math.hypot(br, bi)
+    if rot <= RANK_TOL * (rot + ref):
+        raise DegenerateGeometryError("weighted points fit no rotation")
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateGeometryError("weighted points collapse onto the control")
+    return complex(ar / rot, ai / rot), math.sqrt(syy / sxx)
+
+
+def reference_reweight_planar(m, o, cfg, rows):
+    zx_all = m.x.view(np.complex128)[:, 0]
+    zy_all = m.y.view(np.complex128)[:, 0]
+    zx_all = zx_all - zx_all[o]
+    zy_all = zy_all - zy_all[o]
+    zx, zy = (zx_all, zy_all) if rows is None else (zx_all[rows], zy_all[rows])
+    P = reference_planar_products(zx, zy)
+    w = np.ones(zx.shape[0])
+    for _ in range(cfg.n_reweight_iters):
+        u, mu = reference_fit_planar(P, w * w)
+        k = mu * u
+        d = np.abs(zy - k * zx)
+        w = cfg.H / np.maximum(d, cfg.H)
+    d_all = d if rows is None else np.abs(zy_all - k * zx_all)
+    return np.array([[u.real, -u.imag], [u.imag, u.real]]), mu, d_all, w
+
+
+def reference_fit_spatial(xr, yr, x2, y2, w2):
+    M = (yr * w2) @ xr.T
+    sxx = float(x2 @ w2)
+    syy = float(y2 @ w2)
+    if not (np.isfinite(M).all() and math.isfinite(sxx) and math.isfinite(syy)):
+        raise DegenerateGeometryError("non-finite weighted cross matrix")
+    U, S, Vt = np.linalg.svd(M)
+    if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
+        raise DegenerateGeometryError("weighted points are collinear through the control")
+    # both are orthogonal, so each determinant is +-1 and only its sign counts
+    if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
+        U[:, -1] = -U[:, -1]
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateGeometryError("weighted points collapse onto the control")
+    return U @ Vt, math.sqrt(syy / sxx)
+
+
+def reference_reweight_spatial(m, o, cfg, rows):
+    xr_all = np.subtract(m.x.T, m.x[o][:, None], order="C")
+    yr_all = np.subtract(m.y.T, m.y[o][:, None], order="C")
+    if rows is None:
+        xr, yr = xr_all, yr_all
+    else:
+        xr, yr = np.take(xr_all, rows, axis=1), np.take(yr_all, rows, axis=1)
+    sq = lambda c: np.einsum("ij,ij->j", c, c)
+    x2, y2 = sq(xr), sq(yr)
+    w = np.ones(xr.shape[1])
+    for _ in range(cfg.n_reweight_iters):
+        R, mu = reference_fit_spatial(xr, yr, x2, y2, w * w)
+        d = np.sqrt(sq(yr - mu * (R @ xr)))
+        w = cfg.H / np.maximum(d, cfg.H)
+    d_all = d if rows is None else np.sqrt(sq(yr_all - mu * (R @ xr_all)))
+    return R, mu, d_all, w
+
+
+def reference_run(m, cfg, rows):
+    n = m.n
+    rng = make_rng(cfg.seed)
+    reweight = reference_reweight_planar if m.dim == 2 else reference_reweight_spatial
+    inlier_mask = np.zeros(n, dtype=bool)
+    tried = np.zeros(n, dtype=bool)
+    hyps, gamma_history = [], []
+    k = 0
+    while k < MAX_TRIALS_FACTOR * n:
+        n_in = int(inlier_mask.sum())
+        gamma = n_in / n
+        if n - n_in < cfg.T_min:
+            break
+        candidates = np.nonzero(~inlier_mask & ~tried)[0]
+        if candidates.size == 0:
+            break
+        if k > trial_bound(n, gamma, cfg.T_min, cfg.ransac_p):
+            break
+        o = int(rng.choice(candidates))
+        tried[o] = True
+        k += 1
+        try:
+            R, mu, d, _ = reweight(m, o, cfg, rows)
+        except DegenerateGeometryError:
+            gamma_history.append(gamma)
+            continue
+        rt = RigidTransform(R=R, t=m.y[o] / mu - R @ m.x[o], mu=mu)
+        inl = np.nonzero(d < cfg.H)[0]
+        if inl.size >= cfg.T_min:
+            hyps.append(TransformHypothesis(control=o, transform=rt, inliers=inl.astype(np.int64),
+                                            support=int(inl.size)))
+            inlier_mask[inl] = True
+        gamma_history.append(float(inlier_mask.sum()) / n)
+    union = np.nonzero(inlier_mask)[0].astype(np.int64)
+    return RansacOutcome(hypotheses=tuple(hyps), inlier_union=union, gamma=union.size / n,
+                         trials=k, gamma_history=tuple(gamma_history))
+
+
+def collapsed_targets(dim, n=300, seed=0):
+    """Sources spread over a box, every target on the first target."""
+    rng = make_rng(seed)
+    x = rng.uniform(0.0, 200.0 if dim == 2 else 100.0, size=(n, dim))
+    y = np.tile(rng.uniform(50.0, 150.0 if dim == 2 else 50.0, size=dim), (n, 1))
+    return MatchSet.from_points(x, y)
+
+
+REFERENCE_SCENES = {
+    **{f"2d-1000/{r}": (lambda r=r: synth_generate(SynthSpec(n=1000, outlier_ratio=r, seed=41))[0])
+       for r in (0.3, 0.5, 0.7, 0.85)},
+    "2d-3000/0.5": lambda: synth_generate(SynthSpec(n=3000, outlier_ratio=0.5, seed=42))[0],
+    "3d-629/0.76": lambda: surface_scene_3d(629, 0.24, seed=43)[0],
+    "3d-1784/0.39": lambda: surface_scene_3d(1784, 0.61, seed=44)[0],
+    "2d-collapsed-targets": lambda: collapsed_targets(2),
+    "3d-collapsed-targets": lambda: collapsed_targets(3),
+    "2d-t-min": lambda: exact_similarity(Config().T_min),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
+def test_lean_loop_reproduces_the_reference_run(name):
+    m = REFERENCE_SCENES[name]()
+    cfg = Config.for_matches(m, seed=7)
+    rows = None
+    if m.n > FIT_ROWS:
+        rows = np.sort(make_rng(cfg.seed).choice(m.n, size=FIT_ROWS, replace=False)).astype(np.int64)
+    ref = reference_run(m, cfg, rows)
+    out = ransac_run(m, cfg)
+    assert out.trials == ref.trials
+    assert out.gamma_history == ref.gamma_history
+    assert out.gamma == ref.gamma
+    assert out.inlier_union.tobytes() == ref.inlier_union.tobytes()
+    assert len(out.hypotheses) == len(ref.hypotheses)
+    for h, g in zip(out.hypotheses, ref.hypotheses):
+        assert h.control == g.control and h.support == g.support
+        assert h.transform.R.tobytes() == g.transform.R.tobytes()
+        assert h.transform.t.tobytes() == g.transform.t.tobytes()
+        assert h.transform.mu == g.transform.mu
+        assert h.inliers.dtype == g.inliers.dtype and h.inliers.tobytes() == g.inliers.tobytes()
+    if name.endswith("collapsed-targets"):
+        assert out.hypotheses == () and out.trials > 0
+    else:
+        assert out.hypotheses
+
+
+def test_integers_draw_is_the_choice_draw():
+    # candidates[rng.integers(size)] takes the element rng.choice(candidates)
+    # takes and leaves the generator in the same state, on arrays that
+    # shrink the way the candidate list does
+    for seed in range(5):
+        a, b = make_rng(seed), make_rng(seed)
+        shrink = make_rng(100 + seed)
+        candidates = np.arange(1000)
+        while candidates.size:
+            j = int(a.integers(candidates.size))
+            assert int(candidates[j]) == int(b.choice(candidates))
+            drop = shrink.integers(candidates.size, size=int(shrink.integers(1, 4)))
+            candidates = np.delete(candidates, drop)
+        assert a.random() == b.random()
