@@ -48,32 +48,30 @@ from .io_eval import (
 from .ransac import labels_from_outcome
 
 
+# (flag, Config field, type, help) of every parameter flag of filter and field
+_CONFIG_FLAGS = (
+    ("--H", "H", float, "inlier residual threshold"),
+    ("--r", "r", float, "neighborhood radius"),
+    ("--a", "a", float, "uniform outlier density"),
+    ("--p-min", "p_min", float, "posterior threshold for inliers"),
+    ("--theta", "theta", float, "EM termination threshold"),
+    ("--t-min", "T_min", int, "minimum hypothesis support"),
+    ("--n-neighbor", "N_neighbor", int, "neighbors for blending"),
+    ("--seed", "seed", int, "random seed"),
+)
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("algorithm parameters")
     g.add_argument("--config", type=Path, default=None, help="key=value parameter file")
-    g.add_argument("--H", type=float, default=None, help="inlier residual threshold")
-    g.add_argument("--r", type=float, default=None, help="neighborhood radius")
-    g.add_argument("--a", type=float, default=None, help="uniform outlier density")
-    g.add_argument("--p-min", type=float, default=None, help="posterior threshold for inliers")
-    g.add_argument("--theta", type=float, default=None, help="EM termination threshold")
-    g.add_argument("--t-min", type=int, default=None, help="minimum hypothesis support")
-    g.add_argument("--n-neighbor", type=int, default=None, help="neighbors for blending")
-    g.add_argument("--seed", type=int, default=None, help="random seed")
+    for flag, name, kind, text in _CONFIG_FLAGS:
+        g.add_argument(flag, dest=name, type=kind, default=None, help=text)
 
 
 def _build_config(args, m: MatchSet) -> Config:
     """Defaults, scale-adapted for 3D, then file overrides, then flags."""
     overrides = {} if args.config is None else config_overrides_from_file(args.config)
-    flags = {
-        "H": args.H,
-        "r": args.r,
-        "a": args.a,
-        "p_min": args.p_min,
-        "theta": args.theta,
-        "T_min": args.t_min,
-        "N_neighbor": args.n_neighbor,
-        "seed": args.seed,
-    }
+    flags = {name: getattr(args, name) for _, name, _, _ in _CONFIG_FLAGS}
     overrides.update((k, v) for k, v in flags.items() if v is not None)
     return Config.for_matches(m, **overrides)
 
@@ -172,10 +170,11 @@ def cmd_synth(args) -> int:
     dim = args.dim or 2
     if args.bounds is not None:
         mins, maxs = _parse_bounds(args.bounds, dim)
+        bounds = (tuple(mins), tuple(maxs))
     elif dim == 2:
-        mins, maxs = np.zeros(2), np.array([800.0, 600.0])
+        bounds = SynthSpec.bounds
     else:
-        mins, maxs = np.zeros(3), np.full(3, 100.0)
+        bounds = ((0.0,) * 3, (100.0,) * 3)
     spec = SynthSpec(
         n=args.n,
         dim=dim,
@@ -184,7 +183,7 @@ def cmd_synth(args) -> int:
         max_rotation=args.max_rotation,
         max_scale_jitter=args.scale_jitter,
         noise_sigma=args.noise_sigma,
-        bounds=(tuple(mins), tuple(maxs)),
+        bounds=bounds,
         seed=args.seed if args.seed is not None else 0,
     )
     m, gt = synth_generate(spec)

@@ -9,9 +9,10 @@ mutation fails loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -260,7 +261,8 @@ class Config:
         return cfg
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(Config)}
+# Config field name -> its annotated type, int or float
+_CONFIG_TYPES = get_type_hints(Config)
 
 
 def config_overrides_from_file(path) -> dict:
@@ -284,10 +286,7 @@ def config_overrides_from_file(path) -> dict:
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in ("T_min", "n_reweight_iters", "N_neighbor", "max_em_iters", "seed"):
-                out[key] = int(val)
-            else:
-                out[key] = float(val)
+            out[key] = _CONFIG_TYPES[key](val)
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from e
     try:

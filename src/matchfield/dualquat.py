@@ -10,9 +10,11 @@ Every motion is a plain float array of shape (..., 8), column layout
 [rw, rx, ry, rz, dw, dx, dy, dz], and the dq8_* kernels work on any number
 of leading axes. 2D motions live in the z = 0 plane: their columns 1, 2, 4
 and 7 are exactly zero and stay zero through products, blends and
-translations, so 2D and 3D share one layout and one set of kernels. The
-dq_* functions are checked single-motion entry points onto the same
-kernels.
+translations, so 2D and 3D share one layout and one set of kernels.
+dq8_apply and dq8_translate_after take (..., 2) or (..., 3) points and
+vectors, lift 2D ones into that plane themselves and return the width they
+were given. The dq_* functions are checked single-motion entry points onto
+the same kernels.
 
 Conventions used throughout:
 
@@ -158,14 +160,18 @@ def dq8_normalize(dq: FloatArray) -> FloatArray:
     return np.concatenate([rn, dn], axis=-1)
 
 
-def dq8_apply(dq: FloatArray, mu, pts: FloatArray) -> FloatArray:
-    """Apply scaled motions: mu * (R p + t) for unit dqs (..., 8), points (..., 3)."""
+def dq8_apply(dq: FloatArray, mu, pts) -> FloatArray:
+    """Apply scaled motions: mu * (R p + t) for unit dqs (..., 8).
+
+    Points are (..., 2) or (..., 3) and the result has their width.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
     r = dq[..., 0:4]
     d = dq[..., 4:8]
-    rotated = quat_rotate(r, pts)
+    rotated = quat_rotate(r, embed3(pts))
     t = 2.0 * quat_mul(d, quat_conj(r))[..., 1:4]
     mu = np.asarray(mu, dtype=np.float64)
-    return mu[..., None] * (rotated + t)
+    return (mu[..., None] * (rotated + t))[..., : pts.shape[-1]]
 
 
 def dq8_from_rt(R, t) -> FloatArray:
@@ -198,14 +204,15 @@ def dq8_translation(t: FloatArray) -> FloatArray:
     return out
 
 
-def dq8_translate_after(dq: FloatArray, t: FloatArray) -> FloatArray:
-    """Compose a translation applied after the motion of dq.
+def dq8_translate_after(dq: FloatArray, t) -> FloatArray:
+    """Compose a translation t, (..., 2) or (..., 3), applied after the
+    motion of dq.
 
     Equals dq8_mul(dq8_translation(t), dq) but cheaper: the real part is
     unchanged and the dual part gains 0.5 * t_quat * real.
     """
     tq = np.zeros(dq.shape[:-1] + (4,))
-    tq[..., 1:4] = t
+    tq[..., 1:4] = embed3(t)
     out = dq.copy()
     out[..., 4:8] += 0.5 * quat_mul(tq, dq[..., 0:4])
     return out
@@ -286,8 +293,7 @@ def dq_apply(dq, mu: float, x) -> FloatArray:
     mu = float(mu)
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"mu must be finite and positive, got {mu}")
-    x = np.asarray(x, dtype=np.float64)
-    return dq8_apply(_unit_dq(dq), mu, embed3(x))[..., : x.shape[-1]]
+    return dq8_apply(_unit_dq(dq), mu, x)
 
 
 def dq_multiply(a, b) -> FloatArray:

@@ -10,8 +10,9 @@ Outliers lose influence through their posterior, so the field they would
 drag along snaps to the consensus of their surroundings instead.
 
 State is kept in flat arrays: qs holds one unit dual quaternion per match
-as a row of 8 (2D runs lift their points into the z = 0 plane, so their
-motions stay planar), mus and p are per-match scale and posterior.
+as a row of 8, mus and p are per-match scale and posterior. blend_neighbors
+is the one blending step of the field; the M-step and the dense field
+queries in field.py both call it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .dualquat import (
     dq8_identity,
     dq8_translate_after,
     dq_apply,
-    embed3,
 )
 from .ransac import RansacOutcome
 
@@ -85,7 +85,6 @@ class EmState:
     in [0, 1] after the first e_step. field_at_x caches f(x_i).
     """
 
-    dim: int
     qs: FloatArray
     mus: FloatArray
     p: FloatArray
@@ -187,7 +186,7 @@ def init_from_hypotheses(
         mus[rows] = np.array([h.transform.mu for h in hyps])[win]
         p[rows] = support[win]
         covered[rows] = True
-    field_at_x = dq8_apply(qs, mus, embed3(m.x))[:, : m.dim]
+    field_at_x = dq8_apply(qs, mus, m.x)
     resid = np.linalg.norm(m.y - field_at_x, axis=1)
     floor = SIGMA_INIT_FLOOR_FACTOR * cfg.H
     if covered.any():
@@ -196,7 +195,6 @@ def init_from_hypotheses(
         sigma = floor
     gamma = float(np.clip(outcome.gamma, GAMMA_MIN, GAMMA_MAX))
     return EmState(
-        dim=m.dim,
         qs=qs,
         mus=mus,
         p=p,
@@ -206,6 +204,27 @@ def init_from_hypotheses(
         field_at_x=field_at_x,
         isolated=~covered & (p <= 0.0),
     )
+
+
+def blend_neighbors(w: FloatArray, qs: FloatArray, mus: FloatArray, idx: IntArray):
+    """Blend each row's neighbor motions (qs[idx], mus[idx]) under weights w.
+
+    w is (rows, k) and non-negative. Each row is divided by its sum before
+    blending: a row of tiny but positive weights (sums near 1e-224 occur)
+    would otherwise give a blended quaternion whose squared norm underflows
+    to 0 and normalizes to inf/NaN. Returns (qbar, mubar, wsum) with the raw
+    row sums; rows whose weights sum to 0 come back as NaN motions of scale
+    0, for the caller to replace.
+    """
+    # np.take gathers the neighbor motions faster than fancy indexing does;
+    # dq8_blend is looked up in this module, so a wrapper on
+    # em_refine.dq8_blend sees every blend of EM and of field queries
+    with np.errstate(invalid="ignore", divide="ignore"):
+        wsum = w.sum(axis=1)
+        w = w / np.where(wsum > 0.0, wsum, 1.0)[:, None]
+        mubar = (w * np.take(mus, idx)).sum(axis=1)
+        qbar = dq8_blend(w, np.take(qs, idx, axis=0))
+    return qbar, mubar, wsum
 
 
 def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) -> FloatArray:
@@ -224,48 +243,27 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     posteriors, and the seed-residual sigma must survive until the first
     posterior pass has scored the matches.
 
-    2D points and corrections are lifted into the z = 0 plane for the
-    8-wide kernels and the field is sliced back to 2D. Matches whose
-    neighbor weights vanish entirely keep their previous motion and are
-    flagged isolated. Returns the new field values.
+    Matches whose neighbor weights vanish entirely keep their previous
+    motion and are flagged isolated. Returns the new field values.
     """
     idx = state.graph.idx
-    wt = state.graph.w_dist * state.p[idx]
-    wsum = wt.sum(axis=1)
+    qbar, mubar, wsum = blend_neighbors(state.graph.w_dist * state.p[idx], state.qs, state.mus, idx)
     active = wsum > 0.0
-    wsum_safe = np.where(active, wsum, 1.0)
-    # blend with weights that sum to 1: a row of tiny but positive weights
-    # (sums near 1e-224 occur) would otherwise give a blended quaternion
-    # whose squared norm underflows to 0 and normalizes to inf/NaN
-    wt = wt / wsum_safe[:, None]
+    qbar = np.where(active[:, None], qbar, state.qs)
+    mubar = np.where(active, mubar, state.mus)
+    f = dq8_apply(qbar, mubar, m.x)
+    delta = (m.y - f) / mubar[:, None]
+    q_new = np.where(active[:, None], dq8_translate_after(qbar, delta), state.qs)
 
-    mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
-
-    # inactive rows produce 0/0 inside the blend; they are overwritten with
-    # the previous motion right after, so silence the transient warnings.
-    # np.take gathers the neighbor motions faster than fancy indexing does
-    with np.errstate(invalid="ignore", divide="ignore"):
-        qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
-        qbar = np.where(active[:, None], qbar, state.qs)
-        f = dq8_apply(qbar, mubar, embed3(m.x))[:, : m.dim]
-        delta = (m.y - f) / mubar[:, None]
-        q_new = dq8_translate_after(qbar, embed3(delta))
-        q_new = np.where(active[:, None], q_new, state.qs)
-
-    resid2 = np.sum((m.y - f) ** 2, axis=1)
-    floor = SIGMA_FLOOR_FACTOR * cfg.H
-    if update_sigma:
-        psum = float(state.p.sum())
-        if psum > 0.0:
-            sigma = max(float(np.sqrt(np.dot(state.p, resid2) / psum)), floor)
-        else:
-            sigma = max(state.sigma, floor)
-    else:
-        sigma = max(state.sigma, floor)
+    sigma = state.sigma
+    psum = float(state.p.sum())
+    if update_sigma and psum > 0.0:
+        resid2 = np.sum((m.y - f) ** 2, axis=1)
+        sigma = float(np.sqrt(np.dot(state.p, resid2) / psum))
 
     state.qs = q_new
-    state.mus = np.where(active, mubar, state.mus)
-    state.sigma = sigma
+    state.mus = mubar
+    state.sigma = max(sigma, SIGMA_FLOOR_FACTOR * cfg.H)
     state.field_at_x = f
     state.isolated = ~active
     return f

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import Config, FloatArray, LabelResult, MatchSet
-from .dualquat import dq8_apply, dq8_blend, embed3
-from .em_refine import EmState
+from .dualquat import dq8_apply
+from .em_refine import EmState, blend_neighbors
 from .io_eval import flag_column, float_column, write_csv_columns
 
 # a sample is valid when the blend weights sum to at least this much
@@ -90,18 +90,10 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
         # a list of k keeps the neighbor axis when k is 1
         dist, jdx = tree.query(pts[rows], k=[k] if k == 1 else k)
         w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * post[jdx]
-        support[rows] = w.sum(axis=1)
-        ok = support[rows] > 0.0
-        # blend normalized weights, as m_step does, so tiny supports cannot
-        # underflow the blended quaternion's norm
-        w = w / np.where(ok, support[rows], 1.0)[:, None]
-        # np.take gathers whole motion rows several times faster than fancy
-        # indexing does
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mubar = np.where(ok, (w * mus[jdx]).sum(axis=1), 1.0)
-            qbar = dq8_blend(w, np.take(qs, jdx, axis=0))
-            moved = dq8_apply(qbar, mubar, embed3(pts[rows]))[:, : m.dim]
-        disp[rows] = np.where(ok[:, None], moved, pts[rows])
+        qbar, mubar, support[rows] = blend_neighbors(w, qs, mus, jdx)
+        # rows without support blended to NaN; they keep the query point
+        moved = dq8_apply(qbar, mubar, pts[rows])
+        disp[rows] = np.where((support[rows] > 0.0)[:, None], moved, pts[rows])
     return disp, support, support >= SUPPORT_MIN
 
 

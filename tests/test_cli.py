@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from matchfield import em_refine, ransac
+from matchfield import cli, em_refine, ransac
 from matchfield.cli import main
 from matchfield.core import Config, MatchSet, config_overrides_from_file, scale_estimate
 from matchfield.em_refine import filter_and_refine
@@ -41,6 +41,16 @@ def test_synth_filter_eval_round_trip(tmp_path, capsys):
     out = run_ok(["eval", "--input", str(labels), "--truth", str(scene)], capsys)
     fscore = float(re.search(r"fscore=([0-9.]+)", out).group(1))
     assert fscore > 0.9
+
+
+def test_synth_defaults_are_the_synth_spec_defaults(tmp_path, capsys):
+    # without --bounds, 2D synth writes the library's default scene
+    lib = tmp_path / "lib.csv"
+    save_matches(lib, *synth_generate(SynthSpec(seed=3)), units="pixels")
+    for bounds in ([], ["--bounds", "0,0,800,600"]):
+        cmd = tmp_path / "cmd.csv"
+        run_ok(["synth", "--output", str(cmd), "--seed", "3"] + bounds, capsys)
+        assert cmd.read_bytes() == lib.read_bytes()
 
 
 @pytest.mark.parametrize("seed", [9, 1, 2])
@@ -217,6 +227,30 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     )
     n_big = int(re.search(r"inliers=(\d+)", out_big).group(1))
     assert n_big > n_small
+
+
+def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
+    # the flags are one table; each must reach its Config field with its type
+    seen = {}
+
+    def fake_pipeline(m, cfg):
+        seen["cfg"] = cfg
+        raise ValueError("stop")
+
+    monkeypatch.setattr(cli, "_run_pipeline", fake_pipeline)
+    scene = tmp_path / "scene.csv"
+    save_matches(scene, *synth_generate(SynthSpec(n=50, seed=0)))
+    want = {"H": 12.5, "r": 40.0, "a": 2e-5, "p_min": 0.6, "theta": 0.01, "T_min": 6,
+            "N_neighbor": 9, "seed": 4}
+    flags = ["--H", "12.5", "--r", "40", "--a", "2e-5", "--p-min", "0.6", "--theta", "0.01",
+             "--t-min", "6", "--n-neighbor", "9", "--seed", "4"]
+    for cmd in ("filter", "field"):
+        assert main([cmd, "--input", str(scene), "--output", str(tmp_path / "o.csv")]
+                    + flags) == 2
+        got = {k: getattr(seen["cfg"], k) for k in want}
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert len(cli._CONFIG_FLAGS) == len(want)
 
 
 def test_bad_config_file_returns_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,21 @@ def test_config_file_parsing(tmp_path):
     m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
     cfg = Config.for_matches(m, **out)
     assert cfg.H == 30.0 and cfg.T_min == 7 and cfg.seed == 3
+
+
+def test_config_file_values_take_their_field_type(tmp_path):
+    # every key parses to the type its Config field is annotated with
+    p = tmp_path / "params.cfg"
+    default = Config()
+    for f in fields(Config):
+        p.write_text(f"{f.name}={getattr(default, f.name)}\n")
+        out = config_overrides_from_file(p)
+        assert out == {f.name: getattr(default, f.name)}
+        assert type(out[f.name]).__name__ == f.type
+        if f.type == "int":
+            p.write_text(f"{f.name}=2.5\n")
+            with pytest.raises(ConfigError, match=f"bad value for {f.name}"):
+                config_overrides_from_file(p)
 
 
 def test_config_file_errors(tmp_path):

@@ -197,6 +197,38 @@ def test_dq_apply_scalar_layer():
         dq_apply(dq, 1.0, np.zeros(5))
 
 
+@pytest.mark.parametrize("lead", [(), (7,), (4, 5)])
+def test_2d_points_equal_the_lifted_3d_result_bit_for_bit(lead):
+    # dq8_apply and dq8_translate_after lift 2D input into z = 0 themselves;
+    # the result must be the one of 3D input lifted by hand, sliced to 2D
+    rng = make_rng(16)
+    k = int(np.prod(lead, dtype=np.int64))
+    # planar and general motions alternate
+    dqs = np.stack([dq8_from_rt(random_rotation(rng, d), rng.normal(size=d) * 50.0)
+                    for d in ([2, 3] * k)[:k]]).reshape(lead + (8,))
+    mu = rng.uniform(0.5, 2.0, size=lead)
+    pts = rng.normal(size=lead + (2,)) * 100.0
+    lifted = np.concatenate([pts, np.zeros(lead + (1,))], axis=-1)
+    out = dq8_apply(dqs, mu, pts)
+    assert out.shape == lead + (2,)
+    assert out.tobytes() == dq8_apply(dqs, mu, lifted)[..., :2].tobytes()
+    moved = dq8_translate_after(dqs, pts)
+    assert moved.tobytes() == dq8_translate_after(dqs, lifted).tobytes()
+    if not lead:
+        one = dq_apply(dqs, float(mu), pts)
+        assert one.tobytes() == dq8_apply(dqs, mu, lifted)[:2].tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_apply_rejects_points_neither_2_nor_3_wide(width):
+    dq = dq8_identity()
+    for pts in (np.zeros(width), np.zeros((5, width))):
+        with pytest.raises(ValueError):
+            dq8_apply(dq, 1.0, pts)
+        with pytest.raises(ValueError):
+            dq_apply(dq, 1.0, pts)
+
+
 def test_planar_motions_stay_planar_through_kernels():
     # 2D runs use the 8-wide kernels on motions in the z = 0 plane; every
     # kernel must leave the off-plane columns exactly zero

@@ -1,9 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from matchfield import ransac
+from matchfield import em_refine, ransac
 from matchfield.core import Config, MatchSet, RigidTransform, make_rng
-from matchfield.dualquat import dq8_from_rt, dq8_identity
+from matchfield.dualquat import (
+    dq8_apply,
+    dq8_blend,
+    dq8_from_rt,
+    dq8_identity,
+    dq8_translate_after,
+    embed3,
+)
 from matchfield.em_refine import (
     EmState,
     NeighborGraph,
@@ -32,7 +41,6 @@ def self_only_state(m, p, sigma=5.0, gamma=0.5):
     n = m.n
     graph = NeighborGraph(idx=np.arange(n, dtype=np.int64)[:, None], w_dist=np.ones((n, 1)))
     return EmState(
-        dim=m.dim,
         qs=dq8_identity(n),
         mus=np.ones(n),
         p=np.asarray(p, dtype=np.float64),
@@ -371,3 +379,98 @@ def test_run_em_survives_underflowing_blend_weights():
     assert np.isfinite(labels.residual).all()
     assert np.isfinite(state.qs).all()
     assert compute_metrics(labels, gt).fscore >= 0.93
+
+
+def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
+    """The M-step as written before blend_neighbors: its own weight
+    normalization, 2D points lifted into z = 0 by hand and sliced back, and
+    the three-branch sigma update. row_sums, if given, collects each call's
+    smallest positive weight sum."""
+    idx = state.graph.idx
+    wt = state.graph.w_dist * state.p[idx]
+    wsum = wt.sum(axis=1)
+    active = wsum > 0.0
+    if row_sums is not None and active.any():
+        row_sums.append(float(wsum[active].min()))
+    wsum_safe = np.where(active, wsum, 1.0)
+    wt = wt / wsum_safe[:, None]
+    mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
+        qbar = np.where(active[:, None], qbar, state.qs)
+        f = dq8_apply(qbar, mubar, embed3(m.x))[:, : m.dim]
+        delta = (m.y - f) / mubar[:, None]
+        q_new = dq8_translate_after(qbar, embed3(delta))
+        q_new = np.where(active[:, None], q_new, state.qs)
+    resid2 = np.sum((m.y - f) ** 2, axis=1)
+    floor = em_refine.SIGMA_FLOOR_FACTOR * cfg.H
+    if update_sigma:
+        psum = float(state.p.sum())
+        if psum > 0.0:
+            sigma = max(float(np.sqrt(np.dot(state.p, resid2) / psum)), floor)
+        else:
+            sigma = max(state.sigma, floor)
+    else:
+        sigma = max(state.sigma, floor)
+    state.qs = q_new
+    state.mus = np.where(active, mubar, state.mus)
+    state.sigma = sigma
+    state.field_at_x = f
+    state.isolated = ~active
+    return f
+
+
+def em_bytes(labels, state):
+    arrays = (labels.inlier, labels.posterior, labels.residual, state.qs, state.mus, state.p,
+              state.field_at_x, state.isolated, np.array([state.sigma]))
+    return [np.ascontiguousarray(a).tobytes() for a in arrays] + [state.n_iters]
+
+
+ACCEPTANCE_3D = dict(dim=3, n_anchors=3, max_rotation=0.05, max_scale_jitter=0.02,
+                     noise_sigma=0.05, bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)))
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n=800, outlier_ratio=0.7, seed=11),
+    SynthSpec(n=629, outlier_ratio=0.24, seed=12, **ACCEPTANCE_3D),
+    # rows whose blend weights sum to about 1e-224
+    SynthSpec(n=693, outlier_ratio=0.84, seed=65, **ACCEPTANCE_3D),
+], ids=["2d", "3d", "3d-underflow"])
+def test_run_em_byte_equal_to_the_inline_blend(spec, monkeypatch):
+    m, _ = synth_generate(spec)
+    cfg = Config.for_matches(m, seed=spec.seed)
+    outcome = ransac_run(m, cfg)
+    want = em_bytes(*run_em(m, outcome, cfg))
+    sums = []
+    monkeypatch.setattr(em_refine, "m_step",
+                        lambda *a, **k: reference_m_step(*a, **k, row_sums=sums))
+    assert em_bytes(*run_em(m, outcome, cfg)) == want
+    if spec.seed == 65:
+        assert min(sums) < 1e-200
+
+
+def test_m_step_zero_weight_rows_byte_equal_to_the_inline_blend():
+    # all-zero weight rows keep their motion and scale; the other rows blend
+    m, _ = synth_generate(SynthSpec(n=300, outlier_ratio=0.5, seed=9))
+    cfg = Config(seed=9)
+    state = init_from_hypotheses(m, ransac_run(m, cfg), cfg)
+    idx = state.graph.idx
+    # three rows with disjoint neighborhoods: two see only zero posteriors,
+    # the third sees weights whose sum is near 1e-224
+    rows = [0]
+    for i in range(m.n):
+        if len(rows) < 3 and not np.isin(idx[i], idx[rows]).any():
+            rows.append(i)
+    state.p[idx[rows[:2]]] = 0.0
+    state.p[idx[rows[2]]] = 1e-224
+    state.mus[rows] = [0.9, 1.1, 1.05]
+    ref = replace(state)
+    f = m_step(state, m, cfg)
+    reference_m_step(ref, m, cfg)
+    assert state.isolated[rows].tolist() == [True, True, False]
+    assert 0.0 < (ref.graph.w_dist * ref.p[idx])[rows[2]].sum() < 1e-200
+    for a, b in [(f, ref.field_at_x), (state.qs, ref.qs), (state.mus, ref.mus),
+                 (state.isolated, ref.isolated)]:
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    assert state.sigma == ref.sigma
+    assert np.isfinite(state.qs).all()

@@ -2,9 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from matchfield import field
+from matchfield import em_refine, field
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
+from matchfield.dualquat import dq8_apply, dq8_blend, embed3
 from matchfield.em_refine import filter_and_refine, run_em
 from matchfield.field import (
     QUERY_BLOCK,
@@ -302,3 +304,66 @@ def test_svg_rendering(tmp_path):
     )
     with pytest.raises(ValueError):
         render_scene_svg(m3, labels3, None, tmp_path / "bad.svg")
+
+
+def reference_field_eval(state, labels, m, pts, cfg):
+    """query_field's blend as written before blend_neighbors: its own weight
+    normalization, 2D points lifted into z = 0 by hand and sliced back, all
+    rows in one block."""
+    inl = np.nonzero(labels.inlier)[0]
+    k = min(cfg.N_neighbor, inl.size)
+    qs, mus, post = state.qs[inl], state.mus[inl], labels.posterior[inl]
+    dist, jdx = cKDTree(m.x[inl]).query(pts, k=[k] if k == 1 else k)
+    w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * post[jdx]
+    support = w.sum(axis=1)
+    ok = support > 0.0
+    w = w / np.where(ok, support, 1.0)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mubar = np.where(ok, (w * mus[jdx]).sum(axis=1), 1.0)
+        qbar = dq8_blend(w, np.take(qs, jdx, axis=0))
+        moved = dq8_apply(qbar, mubar, embed3(pts))[:, : m.dim]
+    return np.where(ok[:, None], moved, pts), support, support >= field.SUPPORT_MIN
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_query_byte_equal_to_the_inline_blend(dim, monkeypatch):
+    # ordinary, zero-support and tiny-support (1e-197..1e-293) rows, over
+    # several query blocks
+    if dim == 2:
+        m, _ = synth_generate(SynthSpec(n=600, outlier_ratio=0.5, seed=21))
+        far = [[1e5, 1e5], [-4e3, 0.0]]
+        pts = make_rng(22).uniform(-100.0, 900.0, size=(300, 2))
+    else:
+        m, _ = synth_generate(SynthSpec(n=300, dim=3, outlier_ratio=0.3, n_anchors=3,
+                                        max_rotation=0.05, max_scale_jitter=0.02,
+                                        noise_sigma=0.05, seed=1,
+                                        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))))
+        far = [[100.0 + d, 50.0, 50.0] for d in (450.0, 500.0, 550.0, 5e3)]
+        pts = make_rng(23).uniform(-20.0, 120.0, size=(300, 3))
+    cfg = Config.for_matches(m, seed=1)
+    labels, state, _ = filter_and_refine(m, cfg)
+    pts = np.vstack([far, pts, far])
+    monkeypatch.setattr(field, "QUERY_BLOCK", 64)
+    samples = query_field(state, labels, m, pts, cfg)
+    disp, support, valid = reference_field_eval(state, labels, m, pts, cfg)
+    assert np.array(support).min() == 0.0
+    if dim == 3:
+        assert 0.0 < min(s.support for s in samples[:3]) < 1e-190
+    assert np.array([s.displaced for s in samples]).tobytes() == disp.tobytes()
+    assert np.array([s.support for s in samples]).tobytes() == support.tobytes()
+    assert [s.valid for s in samples] == valid.tolist()
+
+
+def test_field_queries_blend_through_the_em_refine_kernel(monkeypatch):
+    # query_field blends with the helper EM uses, which looks dq8_blend up
+    # in em_refine, so one wrapper there sees the blends of both
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    calls = []
+
+    def counting(w, dqs):
+        calls.append(w.shape)
+        return dq8_blend(w, dqs)
+
+    monkeypatch.setattr(em_refine, "dq8_blend", counting)
+    query_field(state, labels, m, m.x[:5], cfg)
+    assert calls == [(5, cfg.N_neighbor)]
