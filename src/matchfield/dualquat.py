@@ -8,7 +8,7 @@ pair (dq, mu) acting as p -> mu * (R p + t).
 
 Every motion is a plain float array of shape (..., 8), column layout
 [rw, rx, ry, rz, dw, dx, dy, dz], and the dq8_* kernels work on any number
-of leading axes. 2D motions live in the z = 0 plane: their columns 1, 2, 4
+of leading axes; dq8_blend reads its motions from an (m, 8) table by index. 2D motions live in the z = 0 plane: their columns 1, 2, 4
 and 7 are exactly zero and stay zero through products, blends and
 translations, so 2D and 3D share one layout and one set of kernels.
 dq8_apply and dq8_translate_after take (..., 2) or (..., 3) points and
@@ -29,8 +29,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_array
 
-from .core import FloatArray, RigidTransform
+from .core import FloatArray, IntArray, RigidTransform
 
 UNIT_TOL = 1e-9
 
@@ -218,8 +219,12 @@ def dq8_translate_after(dq: FloatArray, t) -> FloatArray:
     return out
 
 
-def dq8_blend(weights: FloatArray, dqs: FloatArray) -> FloatArray:
-    """Weighted linear blend of dqs (..., k, 8) with weights (..., k).
+def dq8_blend(weights: FloatArray, dqs: FloatArray, idx: IntArray | None = None) -> FloatArray:
+    """Weighted linear blends of motions drawn from a table.
+
+    dqs is an (m, 8) table of motions; idx (..., k) names the k table rows
+    each blend takes and weights (..., k) weighs them. Without idx every
+    blend takes the whole table in order (k = m). Returns (..., 8).
 
     Each contribution is flipped into the hemisphere of the heaviest-weight
     entry before summation (q and -q encode the same motion, so naive sums
@@ -227,21 +232,28 @@ def dq8_blend(weights: FloatArray, dqs: FloatArray) -> FloatArray:
     zero are the caller's problem; this function assumes at least one
     positive weight per row.
     """
-    ref_idx = np.argmax(weights, axis=-1)
-    ref = np.take_along_axis(dqs[..., 0:4], ref_idx[..., None, None], axis=-2)
-    dots = (
-        dqs[..., 0] * ref[..., 0]
-        + dqs[..., 1] * ref[..., 1]
-        + dqs[..., 2] * ref[..., 2]
-        + dqs[..., 3] * ref[..., 3]
-    )
-    signed = np.where(dots < 0.0, -weights, weights)
-    # einsum adds the k products in index order, bit for bit as summing the
-    # broadcast product over axis -2 does for C-ordered, gathered and
-    # zero-stride inputs (the tests check each), without the (..., k, 8)
-    # temporary
-    total = np.einsum("...k,...kc->...c", signed, dqs)
-    return dq8_normalize(total)
+    if idx is None:
+        idx = np.broadcast_to(np.arange(dqs.shape[0]), weights.shape)
+    lead, k = idx.shape[:-1], idx.shape[-1]
+    idx = idx.reshape(-1, k)
+    weights = weights.reshape(-1, k)
+    rows = idx.shape[0]
+    # the real parts component-major, so each component of the k neighbours
+    # of every row is gathered as one contiguous (rows, k) plane rather than
+    # read with a stride of 8 from a gathered (rows, k, 8) block
+    real = np.ascontiguousarray(dqs[:, 0:4].T)
+    heaviest = np.take_along_axis(idx, np.argmax(weights, axis=1)[:, None], axis=1)
+    head = np.take(real, heaviest, axis=1)
+    dots = np.take(real[0], idx) * head[0]
+    for c in range(1, 4):
+        term = np.take(real[c], idx)
+        dots += np.multiply(term, head[c], out=term)
+    signed = np.negative(weights, out=weights.copy(), where=dots < 0.0)
+    # one CSR product adds each row's k weighted table rows in index order
+    # onto 0.0, without gathering a (rows, k, 8) block
+    mix = csr_array((signed.ravel(), idx.ravel(), np.arange(0, rows * k + 1, k)),
+                    shape=(rows, dqs.shape[0]))
+    return dq8_normalize(mix @ dqs).reshape(lead + (8,))
 
 
 def dq8_to_rt(dq: FloatArray) -> tuple[FloatArray, FloatArray]:

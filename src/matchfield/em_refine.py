@@ -175,13 +175,17 @@ def init_from_hypotheses(
             np.stack([h.transform.R for h in hyps]), np.stack([h.transform.t for h in hyps])
         )
         support = np.array([h.support for h in hyps], dtype=np.int64)
-        # hypotheses by falling support, earlier first among ties; the first
-        # time a match appears in that order names its winning hypothesis
+        # hypotheses ranked by falling support, earlier first among ties;
+        # each match's best (lowest) rank names its winning hypothesis
         order = np.argsort(-support, kind="stable")
-        rows = np.concatenate([hyps[j].inliers for j in order])
-        owner = np.repeat(order, [hyps[j].inliers.size for j in order])
-        rows, first = np.unique(rows, return_index=True)
-        win = owner[first]
+        best = np.full(n, len(hyps))
+        np.minimum.at(
+            best,
+            np.concatenate([hyps[j].inliers for j in order]),
+            np.repeat(np.arange(len(hyps)), [hyps[j].inliers.size for j in order]),
+        )
+        rows = np.nonzero(best < len(hyps))[0]
+        win = order[best[rows]]
         qs[rows] = dqs[win]
         mus[rows] = np.array([h.transform.mu for h in hyps])[win]
         p[rows] = support[win]
@@ -216,14 +220,13 @@ def blend_neighbors(w: FloatArray, qs: FloatArray, mus: FloatArray, idx: IntArra
     row sums; rows whose weights sum to 0 come back as NaN motions of scale
     0, for the caller to replace.
     """
-    # np.take gathers the neighbor motions faster than fancy indexing does;
     # dq8_blend is looked up in this module, so a wrapper on
     # em_refine.dq8_blend sees every blend of EM and of field queries
     with np.errstate(invalid="ignore", divide="ignore"):
         wsum = w.sum(axis=1)
         w = w / np.where(wsum > 0.0, wsum, 1.0)[:, None]
         mubar = (w * np.take(mus, idx)).sum(axis=1)
-        qbar = dq8_blend(w, np.take(qs, idx, axis=0))
+        qbar = dq8_blend(w, qs, idx=idx)
     return qbar, mubar, wsum
 
 

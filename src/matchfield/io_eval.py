@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -74,15 +76,32 @@ def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "u
     write_csv_columns(path, f"{m.dim},{m.n},{units}", columns)
 
 
+def _data_lines(path) -> list[str]:
+    """The file's non-blank lines, with any line ending (LF, CRLF, CR) removed."""
+    return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+
+
+def _widths_agree(body: list[str], cols: int) -> bool:
+    """True when every row of body has exactly cols comma-separated fields."""
+    return list(map(str.count, body, repeat(","))).count(cols - 1) == len(body)
+
+
+def _fields(body: list[str]) -> list[str]:
+    """Every field of body in row-major order."""
+    return ",".join(body).split(",") if body else []
+
+
 def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
     """Read a match file back into a MatchSet and its optional labels.
 
     Raises DimensionMismatchError for a bad declared dimension or wrong row
     widths, NonNumericRowError for unparseable fields, TruncatedFileError
-    when the row count disagrees with the header.
+    when the row count disagrees with the header. The first data row decides
+    whether the ground-truth column is present. The body is checked and
+    converted in bulk; only a file that fails a check is walked row by row,
+    to name its first bad row.
     """
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _data_lines(path)
     if not lines:
         raise TruncatedFileError(f"{path}: empty file")
     head = lines[0].split(",")
@@ -95,14 +114,35 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
         raise NonNumericRowError(f"{path}: non-numeric header counts {lines[0]!r}") from e
     if dim not in (2, 3):
         raise DimensionMismatchError(f"{path}: dim must be 2 or 3, got {dim}")
-    if len(lines) - 1 != n:
-        raise TruncatedFileError(f"{path}: header declares {n} rows, found {len(lines) - 1}")
+    body = lines[1:]
+    if len(body) != n:
+        raise TruncatedFileError(f"{path}: header declares {n} rows, found {len(body)}")
+    width = 2 * dim
+    cols = body[0].count(",") + 1 if body else width
+    if cols not in (width, width + 1) or not _widths_agree(body, cols):
+        _raise_first_bad_match_row(path, body, dim)
+    has_gt = cols == width + 1
+    fields = _fields(body)
+    flags = None
+    if has_gt:
+        flags = np.array(list(map(str.strip, fields[width::cols])))
+        del fields[width::cols]
+    try:
+        xy = np.array(list(map(float, fields))).reshape(n, width)
+    except ValueError:
+        _raise_first_bad_match_row(path, body, dim)
+    if not np.isfinite(xy).all() or (has_gt and not np.isin(flags, ("0", "1")).all()):
+        _raise_first_bad_match_row(path, body, dim)
+    gt = flags == "1" if has_gt else None
+    return MatchSet(dim=dim, x=xy[:, :dim], y=xy[:, dim:]), gt
+
+
+def _raise_first_bad_match_row(path, body: list[str], dim: int) -> NoReturn:
+    """Raise the error of the first row of a match file body that fails a
+    check, checking each row's width, numbers, finiteness and flag in turn."""
     width = 2 * dim
     has_gt: bool | None = None
-    x = np.empty((n, dim))
-    y = np.empty((n, dim))
-    gt = np.empty(n, dtype=bool)
-    for i, line in enumerate(lines[1:]):
+    for i, line in enumerate(body):
         parts = line.split(",")
         if has_gt is None:
             if len(parts) == width + 1:
@@ -120,14 +160,9 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
             raise NonNumericRowError(f"{path}: row {i + 1}: {e}") from e
         if not all(math.isfinite(v) for v in vals):
             raise NonNumericRowError(f"{path}: row {i + 1}: non-finite coordinate")
-        x[i] = vals[:dim]
-        y[i] = vals[dim:]
-        if has_gt:
-            flag = parts[width].strip()
-            if flag not in ("0", "1"):
-                raise NonNumericRowError(f"{path}: row {i + 1}: gt flag must be 0 or 1")
-            gt[i] = flag == "1"
-    return MatchSet(dim=dim, x=x, y=y), (gt if has_gt else None)
+        if has_gt and parts[width].strip() not in ("0", "1"):
+            raise NonNumericRowError(f"{path}: row {i + 1}: gt flag must be 0 or 1")
+    raise AssertionError("bulk check failed but every row passes")
 
 
 def save_labels(path, labels: LabelResult) -> None:
@@ -141,28 +176,49 @@ def save_labels(path, labels: LabelResult) -> None:
 
 
 def load_labels(path) -> LabelResult:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read a label file written by save_labels.
+
+    Raises MatchFileError for a missing header or indices that do not count
+    up from 0, DimensionMismatchError for rows that are not 4 fields wide,
+    NonNumericRowError for unparseable fields. Checked and converted in bulk
+    like load_matches; only a file that fails a check is walked row by row.
+    """
+    lines = _data_lines(path)
     if not lines or lines[0] != "index,inlier,posterior,residual":
         raise MatchFileError(f"{path}: missing label header")
-    n = len(lines) - 1
-    inlier = np.zeros(n, dtype=bool)
-    post = np.zeros(n)
-    resid = np.zeros(n)
-    for row, line in enumerate(lines[1:]):
+    body = lines[1:]
+    if not _widths_agree(body, 4):
+        _raise_first_bad_label_row(path, body)
+    fields = _fields(body)
+    flags = fields[1::4]
+    try:
+        ok = list(map(int, fields[0::4])) == list(range(len(body)))
+        post = np.array(list(map(float, fields[2::4])))
+        resid = np.array(list(map(float, fields[3::4])))
+    except ValueError:
+        ok = False
+    if not ok or not set(flags) <= {"0", "1"}:
+        _raise_first_bad_label_row(path, body)
+    return LabelResult(inlier=np.array(flags, dtype=str) == "1", posterior=post, residual=resid)
+
+
+def _raise_first_bad_label_row(path, body: list[str]) -> NoReturn:
+    """Raise the error of the first row of a label file body that fails a
+    check: its width, then each field in turn, then its index."""
+    for row, line in enumerate(body):
         parts = line.split(",")
         if len(parts) != 4:
             raise DimensionMismatchError(f"{path}: row {row + 1} has {len(parts)} fields")
         try:
             i = int(parts[0])
-            inlier[row] = {"0": False, "1": True}[parts[1]]
-            post[row] = float(parts[2])
-            resid[row] = float(parts[3])
+            {"0": False, "1": True}[parts[1]]
+            float(parts[2])
+            float(parts[3])
         except (ValueError, KeyError) as e:
             raise NonNumericRowError(f"{path}: row {row + 1}: {e}") from e
         if i != row:
             raise MatchFileError(f"{path}: rows out of order at {row + 1}")
-    return LabelResult(inlier=inlier, posterior=post, residual=resid)
+    raise AssertionError("bulk check failed but every row passes")
 
 
 @dataclass(frozen=True)
@@ -307,7 +363,7 @@ def synth_generate(spec: SynthSpec) -> tuple[MatchSet, BoolArray]:
         radius = 0.5 * float(extent.max())
         d2 = np.sum((x[inl, None, :] - centers[None, :, :]) ** 2, axis=-1)
         w = np.exp(-d2 / (2.0 * radius * radius))
-        qbar = dq8_blend(w, np.broadcast_to(dqs, (inl.size, spec.n_anchors, 8)))
+        qbar = dq8_blend(w, dqs)
         mubar = (w * mus).sum(axis=1) / w.sum(axis=1)
         y[inl] = dq8_apply(qbar, mubar, x[inl])
         if spec.noise_sigma > 0.0:

@@ -14,8 +14,11 @@ similarity reduces to a few weighted sums of per-match products, built once
 per control. 3D fits keep coordinates coordinate-major, as (3, n) arrays of
 positions relative to the control with their squared norms built once per
 control; each round is one weighted (3, n) @ (n, 3) product, the SVD of the
-resulting 3x3 cross matrix and one residual pass. Both reject the same
-geometry, a rank-deficient weighted cross matrix.
+resulting 3x3 cross matrix and one residual pass. The two reject different
+geometry. 3D rejects a rank-deficient weighted cross matrix, such as points
+collinear through the control. In 2D one relative vector already fixes a
+plane rotation, so collinear points fit; only a cross matrix without a
+rotation part, or points collapsed onto the control, are degenerate.
 """
 
 from __future__ import annotations
@@ -233,8 +236,13 @@ def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
         d = np.abs(zy - k * zx)
         # bit-identical to min(H / d, 1), and 1 at d = 0
         w = cfg.H / np.maximum(d, cfg.H)
-    d_all = d if rows is None else np.abs((zy_all - zy_o) - k * (zx_all - zx_o))
-    return _rotation_matrix(u), mu, d_all, w
+    if rows is not None:
+        # |(zy - zy_o) - k (zx - zx_o)| over all n in two buffers; k * zx
+        # keeps the operand order of the rounds above (zx * k changes bits)
+        zx = np.subtract(zx_all, zx_o)
+        zy = np.subtract(zy_all, zy_o)
+        d = np.abs(np.subtract(zy, np.multiply(k, zx, out=zx), out=zy))
+    return _rotation_matrix(u), mu, d, w
 
 
 def _spatial_residuals(xr: FloatArray, yr: FloatArray, R: FloatArray, mu: float) -> FloatArray:

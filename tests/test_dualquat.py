@@ -303,13 +303,43 @@ def test_dq_to_transform_planar_slice():
     assert np.allclose(t3, [2.0, 5.0, 0.0], atol=1e-12)
 
 
+def reference_dq8_normalize(dq):
+    # the kernel's arithmetic written out: each four-term dot product added
+    # left to right, as np.sum over a length-4 last axis does
+    r0, r1, r2, r3, d0, d1, d2, d3 = np.moveaxis(dq, -1, 0)
+    n2 = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+    n = np.sqrt(n2)
+    s = (r0 * d0 + r1 * d1 + r2 * d2 + r3 * d3) / n2
+    rn = [r0 / n, r1 / n, r2 / n, r3 / n]
+    dn = [d / n - rc * s for d, rc in zip((d0, d1, d2, d3), rn)]
+    return np.stack(rn + dn, axis=-1)
+
+
+def reference_hemisphere_signs(weights, dqs):
+    # weight j of a blend keeps its sign when the real part of motion j has
+    # a non-negative dot product, its four products added left to right,
+    # with the real part of the blend's first heaviest motion
+    q = dqs[..., 0:4]
+    head = np.take_along_axis(q, np.argmax(weights, axis=-1)[..., None, None], axis=-2)
+    dots = (q[..., 0] * head[..., 0] + q[..., 1] * head[..., 1]
+            + q[..., 2] * head[..., 2] + q[..., 3] * head[..., 3])
+    return np.where(dots < 0.0, -weights, weights)
+
+
 def reference_dq8_blend(weights, dqs):
-    # the broadcast-multiply-then-sum form the einsum kernel replaced
-    ref_idx = np.argmax(weights, axis=-1)
-    ref = np.take_along_axis(dqs[..., 0:4], ref_idx[..., None, None], axis=-2)
-    dots = np.sum(dqs[..., 0:4] * ref, axis=-1)
-    signed = np.where(dots < 0.0, -weights, weights)
-    return dq8_normalize(np.sum(signed[..., None] * dqs, axis=-2))
+    # the plain broadcast-multiply-then-sum form over a gathered
+    # (..., k, 8) block, with signs and normalization written out
+    signed = reference_hemisphere_signs(weights, dqs)
+    return reference_dq8_normalize(np.sum(signed[..., None] * dqs, axis=-2))
+
+
+def unit_motions_3d(rng, m):
+    """m unit 3D motions with no zero column, half of them in the negative
+    hemisphere, and far from planar."""
+    q = rng.normal(size=(m, 4))
+    R = Rotation.from_quat(q / np.linalg.norm(q, axis=1, keepdims=True)).as_matrix()
+    dqs = dq8_from_rt(R, rng.normal(size=(m, 3)) * 40.0)
+    return dqs * rng.choice([-1.0, 1.0], size=(m, 1))
 
 
 @pytest.mark.parametrize("k", [1, 16, 50])
@@ -319,10 +349,13 @@ def test_blend_kernels_bit_identical_to_broadcast_sum(k, lead):
     # weights over ten orders of magnitude, motions of both hemispheres
     w = rng.uniform(0.0, 1.0, size=lead + (k,)) * 10.0 ** rng.uniform(-5.0, 5.0, size=lead + (k,))
     dqs = rng.normal(size=lead + (k, 8)) * np.array([1.0] * 4 + [50.0] * 4)
-    assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
-    # unit motions as the EM and field stages pass them
-    unit = dq8_normalize(dqs)
-    assert np.array_equal(dq8_blend(w, unit), reference_dq8_blend(w, unit))
+    # every blend its own k table rows, and k rows drawn with repeats
+    table = dqs.reshape(-1, 8)
+    own = np.arange(table.shape[0]).reshape(lead + (k,))
+    drawn = rng.integers(0, table.shape[0], size=lead + (k,))
+    for t in (table, dq8_normalize(table)):
+        for idx in (own, drawn):
+            assert np.array_equal(dq8_blend(w, t, idx), reference_dq8_blend(w, t[idx]))
 
 
 @pytest.mark.parametrize("k", [1, 3, 16, 50])
@@ -332,14 +365,51 @@ def test_blend_of_shared_and_gathered_motions_bit_identical(k):
         [dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3) * 40.0) for _ in range(k)]
     )
     w = np.exp(-rng.uniform(0.0, 3.0, size=(300, k)))
-    # synth_generate blends one shared set of anchor motions for every
-    # match through a zero-stride np.broadcast_to view
-    dqs = np.broadcast_to(motions, (300, k, 8))
-    assert np.array_equal(dq8_blend(w, dqs), reference_dq8_blend(w, dqs))
-    # m_step and query_field gather motion rows with np.take
+    # synth_generate blends one shared table of anchor motions for every
+    # match: no index, every row takes the whole table
+    shared = np.broadcast_to(motions, (300, k, 8))
+    assert np.array_equal(dq8_blend(w, motions), reference_dq8_blend(w, shared))
+    # m_step and query_field name each row's neighbour motions by index
     idx = rng.integers(0, k, size=(300, k))
     gathered = np.take(motions, idx, axis=0)
-    assert np.array_equal(dq8_blend(w, gathered), reference_dq8_blend(w, gathered))
+    assert np.array_equal(dq8_blend(w, motions, idx), reference_dq8_blend(w, gathered))
+
+
+def test_normalize_bit_identical_to_the_written_out_order():
+    # non-planar 3D motions, scaled and perturbed off the unit invariants,
+    # so every product of every sum counts
+    rng = make_rng(300)
+    dqs = unit_motions_3d(rng, 2000)
+    noisy = dqs * rng.uniform(0.5, 2.0, size=(2000, 1)) + 1e-3 * rng.normal(size=(2000, 8))
+    for dq in (noisy, dqs, noisy.reshape(40, 50, 8), noisy[0]):
+        assert not (dq == 0.0).any()
+        assert np.array_equal(dq8_normalize(dq), reference_dq8_normalize(dq))
+
+
+def test_hemisphere_sign_follows_the_written_out_order():
+    # motions whose real parts are orthogonal to the heaviest one up to
+    # rounding: their dot products are a few ulps either side of zero, so
+    # the sign each gets depends on the order its four products are added
+    rng = make_rng(301)
+    rows = 3000
+    head = unit_motions_3d(rng, rows)
+    other = unit_motions_3d(rng, rows)
+    h = head[:, 0:4]
+    r = other[:, 0:4]
+    r = r - h * np.sum(r * h, axis=1, keepdims=True)
+    other[:, 0:4] = r / np.linalg.norm(r, axis=1, keepdims=True)
+    table = np.concatenate([head, other])
+    idx = np.stack([np.arange(rows), np.arange(rows, 2 * rows)], axis=1)
+    w = np.tile([1.0, 0.5], (rows, 1))
+    gathered = table[idx]
+    signs = np.sign(reference_hemisphere_signs(w, gathered)[:, 1])
+    # the test discriminates: both signs occur, and adding the products in
+    # another order decides some rows differently
+    hr, rr = h, other[:, 0:4]
+    paired = (rr[:, 0] * hr[:, 0] + rr[:, 1] * hr[:, 1]) + (rr[:, 2] * hr[:, 2] + rr[:, 3] * hr[:, 3])
+    assert (signs > 0).any() and (signs < 0).any()
+    assert ((paired < 0.0) != (signs < 0)).any()
+    assert np.array_equal(dq8_blend(w, table, idx), reference_dq8_blend(w, gathered))
 
 
 def reference_quat_from_matrix(R):

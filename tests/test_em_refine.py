@@ -396,7 +396,7 @@ def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
     wt = wt / wsum_safe[:, None]
     mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
     with np.errstate(invalid="ignore", divide="ignore"):
-        qbar = dq8_blend(wt, np.take(state.qs, idx, axis=0))
+        qbar = dq8_blend(wt, state.qs, idx)
         qbar = np.where(active[:, None], qbar, state.qs)
         f = dq8_apply(qbar, mubar, embed3(m.x))[:, : m.dim]
         delta = (m.y - f) / mubar[:, None]

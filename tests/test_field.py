@@ -320,7 +320,7 @@ def reference_field_eval(state, labels, m, pts, cfg):
     w = w / np.where(ok, support, 1.0)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         mubar = np.where(ok, (w * mus[jdx]).sum(axis=1), 1.0)
-        qbar = dq8_blend(w, np.take(qs, jdx, axis=0))
+        qbar = dq8_blend(w, qs, jdx)
         moved = dq8_apply(qbar, mubar, embed3(pts))[:, : m.dim]
     return np.where(ok[:, None], moved, pts), support, support >= field.SUPPORT_MIN
 
@@ -360,9 +360,9 @@ def test_field_queries_blend_through_the_em_refine_kernel(monkeypatch):
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     calls = []
 
-    def counting(w, dqs):
+    def counting(w, dqs, idx=None):
         calls.append(w.shape)
-        return dq8_blend(w, dqs)
+        return dq8_blend(w, dqs, idx)
 
     monkeypatch.setattr(em_refine, "dq8_blend", counting)
     query_field(state, labels, m, m.x[:5], cfg)

@@ -267,3 +267,137 @@ def test_label_file_bytes_match_per_row_writer(tmp_path):
     save_labels(tmp_path / "got.csv", labels)
     reference_save_labels(tmp_path / "want.csv", labels)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def reference_load_matches(path):
+    # the per-row parser the bulk load_matches replaced, for valid files
+    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    dim, n = (int(v) for v in lines[0].split(",")[:2])
+    has_gt = len(lines[1].split(",")) == 2 * dim + 1
+    x, y, gt = np.empty((n, dim)), np.empty((n, dim)), np.empty(n, dtype=bool)
+    for i, line in enumerate(lines[1:]):
+        parts = line.split(",")
+        vals = [float(v) for v in parts[: 2 * dim]]
+        x[i], y[i] = vals[:dim], vals[dim:]
+        if has_gt:
+            gt[i] = parts[2 * dim].strip() == "1"
+    return x, y, (gt if has_gt else None)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bulk_parse_equals_the_per_row_parser(tmp_path, dim):
+    rng = make_rng(70 + dim)
+    m = MatchSet.from_points(awkward_floats(rng, (83, dim)), awkward_floats(rng, (83, dim)))
+    gt = rng.uniform(size=83) < 0.5
+    p = tmp_path / "m.csv"
+    for flags in (gt, None):
+        save_matches(p, m, gt=flags)
+        # spellings float() accepts besides repr: padding, signs, exponents,
+        # digit separators, and flags with spaces around them
+        lines = p.read_text().splitlines()
+        lines[1] = ",".join(f" {v} " for v in lines[1].split(","))
+        lines[2] = ",".join(["+1e3", "1_000.5", "-0", "  7"] + lines[2].split(",")[4:])
+        p.write_text("\n".join(lines) + "\n")
+        got, got_gt = load_matches(p)
+        x, y, want_gt = reference_load_matches(p)
+        assert got.x.tobytes() == x.tobytes() and got.y.tobytes() == y.tobytes()
+        if flags is None:
+            assert got_gt is None and want_gt is None
+        else:
+            assert np.array_equal(got_gt, want_gt) and np.array_equal(got_gt, flags)
+
+
+def test_line_endings_and_blank_lines_read_identically(tmp_path):
+    rng = make_rng(74)
+    m = MatchSet.from_points(rng.normal(size=(40, 2)), rng.normal(size=(40, 2)))
+    labels = LabelResult(
+        inlier=rng.uniform(size=40) < 0.5,
+        posterior=rng.uniform(size=40),
+        residual=rng.uniform(size=40),
+    )
+    for save, load, unpack in (
+        (lambda p: save_matches(p, m, gt=labels.inlier), load_matches,
+         lambda r: (r[0].x, r[0].y, r[1])),
+        (lambda p: save_labels(p, labels), load_labels,
+         lambda r: (r.inlier, r.posterior, r.residual)),
+    ):
+        plain = tmp_path / "plain.csv"
+        save(plain)
+        text = plain.read_text()
+        lines = text.splitlines()
+        variants = {
+            "crlf": text.replace("\n", "\r\n"),
+            "blank": "\n" + "\n\n".join(lines[:5]) + "\n   \n\t\n" + "\n".join(lines[5:]) + "\n\n\n",
+            "crlf-blank": "\r\n".join(lines[:3] + [""] + lines[3:]) + "\r\n\r\n",
+            "no-final-newline": text.rstrip("\n"),
+        }
+        want = unpack(load(plain))
+        for name, body in variants.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(body.encode())
+            got = unpack(load(path))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
+
+
+MATCH_ROWS = ["0,0,1,1,1", "2,2,3,3,0"]
+
+
+@pytest.mark.parametrize(
+    "bad_rows, error, message",
+    [
+        # a row of the wrong width after rows that set the gt column
+        (["6,6,7,7", "8,8,9,9,1"], DimensionMismatchError,
+         "row 3 has 4 fields, expected 5 for dim=2"),
+        (["6,6,7,7,1,1", "8,8,9,9,1"], DimensionMismatchError,
+         "row 3 has 6 fields, expected 5 for dim=2"),
+        (["6,oops,7,7,1", "8,8,9,9,1"], NonNumericRowError,
+         "row 3: could not convert string to float: 'oops'"),
+        (["6,inf,7,7,1", "8,8,9,9,1"], NonNumericRowError, "row 3: non-finite coordinate"),
+        (["6,6,7,7,2", "8,8,9,9,1"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
+        # the first bad row names the error, whatever the later rows hold
+        (["6,nan,7,7,1", "8,oops,9,9,1"], NonNumericRowError, "row 3: non-finite coordinate"),
+        (["6,6,7,7,1.0", "8,8"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
+        (["6,6,7,7,x", "8,8,9,-inf,1"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
+        (["6,6,7,oops,1", "8,8,9,9,7"], NonNumericRowError,
+         "row 3: could not convert string to float: 'oops'"),
+    ],
+)
+def test_match_file_errors_name_the_first_bad_row(tmp_path, bad_rows, error, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(["2,4,units", *MATCH_ROWS, *bad_rows]) + "\n")
+    with pytest.raises(error) as info:
+        load_matches(p)
+    assert str(info.value) == f"{p}: {message}"
+
+
+def test_match_file_width_errors_without_gt_column(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_text("2,3,units\n0,0,1\n2,2,3,3\n4,4,5,5\n")
+    with pytest.raises(DimensionMismatchError) as info:
+        load_matches(p)
+    assert str(info.value) == f"{p}: row 1 has 3 fields, expected 4 for dim=2"
+    p.write_text("3,3,units\n0,0,0,1,1,1\n2,2,2,3,3,3\n4,4,4,5,5\n")
+    with pytest.raises(DimensionMismatchError) as info:
+        load_matches(p)
+    assert str(info.value) == f"{p}: row 3 has 5 fields, expected 6 for dim=3"
+
+
+@pytest.mark.parametrize(
+    "bad_row, error, message",
+    [
+        ("2,1,0.5,0.0,9", DimensionMismatchError, "row 3 has 5 fields"),
+        ("2,1,half,0.0", NonNumericRowError, "row 3: could not convert string to float: 'half'"),
+        ("2,2,0.5,0.0", NonNumericRowError, "row 3: '2'"),
+        ("two,1,0.5,0.0", NonNumericRowError,
+         "row 3: invalid literal for int() with base 10: 'two'"),
+        ("3,1,0.5,0.0", MatchFileError, "rows out of order at 3"),
+    ],
+)
+def test_label_file_errors_name_the_first_bad_row(tmp_path, bad_row, error, message):
+    p = tmp_path / "bad.csv"
+    rows = ["index,inlier,posterior,residual", "0,1,0.9,1.5", "1,0,0.1,80.0", bad_row, "3,x,y"]
+    p.write_text("\n".join(rows) + "\n")
+    with pytest.raises(error) as info:
+        load_labels(p)
+    assert type(info.value) is error
+    assert str(info.value) == f"{p}: {message}"
