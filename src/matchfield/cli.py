@@ -55,7 +55,7 @@ _CONFIG_FLAGS = (
     ("--a", "a", float, "uniform outlier density"),
     ("--p-min", "p_min", float, "posterior threshold for inliers"),
     ("--theta", "theta", float, "EM termination threshold"),
-    ("--t-min", "T_min", int, "minimum hypothesis support"),
+    ("--t-min", "T_min", int, "floor on the support a RANSAC motion needs"),
     ("--n-neighbor", "N_neighbor", int, "neighbors for blending"),
     ("--seed", "seed", int, "random seed"),
 )
@@ -98,8 +98,8 @@ def _warn_if_no_inliers(outcome, labels, field: bool) -> None:
 
     Without a motion EM starts from the identity motion everywhere, so
     matches with y close to x can still come out as inliers. With motions
-    EM can still reject every match, for instance when random hypotheses
-    of a mostly-outlier scene agree on no field.
+    EM can still reject every match, for instance on a scene with 97%
+    outliers, where the few true motions do not hold the field.
     """
     n_in = int(labels.inlier.sum())
     n_hyp = len(outcome.hypotheses)

@@ -188,7 +188,7 @@ class Config:
     """Algorithm parameters. Defaults are the tuned 2D pixel-scale values.
 
     H                inlier residual threshold
-    T_min            minimum support for a RANSAC hypothesis
+    T_min            floor on the support a RANSAC hypothesis needs
     ransac_p         target confidence of the RANSAC stopping rule
     n_reweight_iters fit/re-weight alternations per trial
     r                neighborhood radius of the distance weights

@@ -247,7 +247,10 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     posterior pass has scored the matches.
 
     Matches whose neighbor weights vanish entirely keep their previous
-    motion and are flagged isolated. Returns the new field values.
+    motion and their previous field value, and are flagged isolated: after
+    an earlier correction that motion maps x_i exactly onto y_i, so the
+    field there would claim a zero residual for a match nothing supports.
+    Returns the new field values.
     """
     idx = state.graph.idx
     qbar, mubar, wsum = blend_neighbors(state.graph.w_dist * state.p[idx], state.qs, state.mus, idx)
@@ -257,6 +260,7 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     f = dq8_apply(qbar, mubar, m.x)
     delta = (m.y - f) / mubar[:, None]
     q_new = np.where(active[:, None], dq8_translate_after(qbar, delta), state.qs)
+    f = np.where(active[:, None], f, state.field_at_x)
 
     sigma = state.sigma
     psum = float(state.p.sum())

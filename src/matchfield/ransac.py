@@ -9,6 +9,17 @@ consistent matches take the fit over. Each accepted hypothesis reserves its
 inliers so later trials hunt for other locally rigid motions, which yields a
 multi-hypothesis cover of a non-rigid scene.
 
+A motion is kept only when chance cannot explain its support (the a
+contrario rule of Moisan & Stival, IJCV 2004). A wrong match lands within H
+of a random motion's prediction with probability p_c, the volume of an
+H-ball over that of y's bounding box padded by H on every side, so a random
+motion catches Binomial(n, p_c) matches. The run's acceptance threshold
+t_acc is the smallest support with P[Binomial(n, p_c) >= t_acc] <= ALPHA,
+and never below T_min; it replaces T_min in the acceptance test, in the
+stop on too few unreserved matches and in the trial bound. Without it a
+large scene keeps nearly every trial: at n = 10k in an 800x600 frame a
+random motion catches about 23 wrong matches within H = 20, and t_acc is 41.
+
 2D fits are closed form: with points as complex numbers the weighted
 similarity reduces to a few weighted sums of per-match products, built once
 per control. 3D fits keep coordinates coordinate-major, as (3, n) arrays of
@@ -44,6 +55,10 @@ from .core import (
 # as rank deficient (points collinear through the control, or collapsed),
 # and relative size below which a 2D cross matrix has no rotation part
 RANK_TOL = 1e-9
+
+# chance level of the acceptance test: a motion is kept only when a random
+# motion reaches its support with probability at most ALPHA
+ALPHA = 1e-3
 
 # safety cap on trials regardless of the confidence bound
 MAX_TRIALS_FACTOR = 10
@@ -84,20 +99,48 @@ class RansacOutcome:
     gamma_history: tuple[float, ...]
 
 
-def trial_bound(n: int, gamma: float, t_min: int, p: float) -> float:
+def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
+    """Smallest support that chance explains with probability at most ALPHA.
+
+    A wrong match falls within H of a random motion's prediction with
+    probability p_c = (pi H^2 in 2D, 4/3 pi H^3 in 3D) / volume of y's
+    bounding box padded by H on every side. The padding keeps p_c below
+    pi / 4 even when every target sits on one point. The chance support of
+    a motion is then Binomial(n, p_c); its upper tail is found by walking
+    the CDF up from 0 in log space. Returns t_acc = max(T_min, t) for the
+    smallest t with P[Binomial(n, p_c) >= t] <= ALPHA. Depends only on the
+    extent of y, so it is unchanged by a shift, and by a similarity rescale
+    that rescales H with it.
+    """
+    n, H = m.n, cfg.H
+    extent = np.ptp(m.y, axis=0) + 2.0 * H
+    ball = math.pi * H * H if m.dim == 2 else 4.0 / 3.0 * math.pi * H**3
+    p_c = ball / float(np.prod(extent))
+    log_c, log_p, log_q = math.lgamma(n + 1), math.log(p_c), math.log1p(-p_c)
+    cdf, t = 0.0, 0
+    # P[X >= t] = 1 - P[X < t]; P[X >= n + 1] = 0 ends the walk at the latest
+    while t <= n and 1.0 - cdf > ALPHA:
+        log_pmf = log_c - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+        cdf += math.exp(log_pmf + t * log_p + (n - t) * log_q)
+        t += 1
+    return max(cfg.T_min, t)
+
+
+def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
     """Trial count needed for confidence p that no findable motion remains.
 
-    A remaining motion must have at least T_min of the n (1 - gamma)
-    unreserved matches, so a uniformly drawn control hits one with
-    probability at least T_min / (n - gamma n) per trial; the bound is
-    log(1 - p) / log(1 - T_min / (n - gamma n)). With exactly T_min
+    t_acc is the run's acceptance threshold, T_min or more. A remaining
+    motion must have at least t_acc of the n (1 - gamma) unreserved
+    matches, so a uniformly drawn control hits one with probability at
+    least t_acc / (n - gamma n) per trial; the bound is
+    log(1 - p) / log(1 - t_acc / (n - gamma n)). With exactly t_acc
     matches left every one of them is needed, one trial decides, and the
-    bound is 0. Caller must ensure n (1 - gamma) >= t_min.
+    bound is 0. Caller must ensure n (1 - gamma) >= t_acc.
     """
     remaining = n * (1.0 - gamma)
-    if remaining <= t_min:
+    if remaining <= t_acc:
         return 0.0
-    return math.log(1.0 - p) / math.log(1.0 - t_min / remaining)
+    return math.log(1.0 - p) / math.log(1.0 - t_acc / remaining)
 
 
 def _relative_columns(pts: FloatArray, o: int, rows: IntArray | None = None) -> FloatArray:
@@ -294,6 +337,7 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
         raise DegenerateGeometryError(
             f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
         )
+    t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)
     # open: neither reserved by a hypothesis nor tried as a control;
@@ -308,11 +352,11 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
     while k < max_trials:
         gamma = n_in / n
         # all three stopping rules use the current gamma
-        if n - n_in < cfg.T_min:
+        if n - n_in < t_acc:
             break
         if candidates.size == 0:
             break
-        if k > trial_bound(n, gamma, cfg.T_min, cfg.ransac_p):
+        if k > trial_bound(n, gamma, t_acc, cfg.ransac_p):
             break
         # the same draw as rng.choice(candidates), without its overhead
         j = int(rng.integers(candidates.size))
@@ -326,7 +370,7 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
             pass
         else:
             inl = np.nonzero(d < cfg.H)[0]
-            if inl.size >= cfg.T_min:
+            if inl.size >= t_acc:
                 hyps.append(
                     TransformHypothesis(
                         control=o, transform=rt, inliers=inl.astype(np.int64), support=int(inl.size)
@@ -359,9 +403,11 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     Controls are drawn uniformly from matches that no accepted hypothesis
     covers yet, and each control is tried at most once (a trial is
     deterministic in the control, so retrying one is pointless). A trial's
-    motion is kept when at least T_min matches fall within H of it. The run
-    stops when fewer than T_min matches remain unreserved, when no untried
-    control is left, or when the trial count exceeds the confidence bound,
+    motion is kept when at least t_acc = acceptance_threshold(m, cfg)
+    matches fall within H of it: T_min, or more when a random motion would
+    catch T_min wrong matches too often. The run stops when fewer than
+    t_acc matches remain unreserved, when no untried control is left, or
+    when the trial count exceeds the confidence bound for t_acc,
     re-evaluated with the current gamma before every trial.
 
     With more than FIT_ROWS matches every trial fits on one sorted subset

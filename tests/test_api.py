@@ -1,6 +1,11 @@
 """The package's public names: everything exported resolves, and the
 dual-quaternion toolbox is the array kernels plus four checked functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,3 +43,15 @@ def test_sparse_ransac_entry_point_is_gone():
     assert not hasattr(ransac, "ransac_run_sparse")
     assert not hasattr(matchfield, "ransac_run_sparse")
     assert "ransac_run_sparse" not in matchfield.__all__
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about 0.6 s to a fresh import; the package uses only
+    # scipy.spatial and takes its binomial tail from math.lgamma
+    src = str(Path(matchfield.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = ("import sys, matchfield, matchfield.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -74,7 +74,10 @@ def test_identical_sources_find_no_motion_and_warn_consistently(tmp_path, capsys
 @pytest.mark.parametrize("dim", [2, 3])
 def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys, monkeypatch, dim):
     # every y on one point: each trial's targets collapse onto the control,
-    # so every trial is degenerate and RANSAC keeps no hypothesis
+    # so every trial is degenerate and RANSAC keeps no hypothesis; a
+    # collapsed target box lets chance explain almost any support, so the
+    # acceptance threshold (258 in 2D, 185 in 3D) ends the run after a few
+    # trials
     rng = make_rng(70 + dim)
     n = 300
     x = rng.uniform(0.0, 200.0 if dim == 2 else 100.0, size=(n, dim))
@@ -93,7 +96,7 @@ def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys
     monkeypatch.setattr(ransac, "reweight_fit", counted_fit)
     labels, _, outcome = filter_and_refine(m, Config.for_matches(m, seed=0))
     assert outcome.hypotheses == ()
-    assert outcome.trials == len(degenerate) == 179
+    assert outcome.trials == len(degenerate) == {2: 2, 3: 4}[dim]
     assert_label_invariants(labels, n)
     scene = tmp_path / "collapsed-targets.csv"
     labels_csv = tmp_path / "labels.csv"
@@ -112,7 +115,8 @@ def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys
 @pytest.mark.parametrize("seed", range(3))
 def test_ninety_percent_outliers_keep_most_inliers(seed):
     # past the paper's 85% limit the filter degrades but still works:
-    # F measured 0.83, 0.90 and 0.91 on these scenes
+    # F measured 0.92, 0.91 and 0.92 on these scenes; seed 2 lost every
+    # inlier when an isolated EM row could vouch for itself
     m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.9, seed=seed))
     f, labels, _ = fscore(m, gt, Config(seed=seed))
     assert_label_invariants(labels, m.n)
@@ -121,10 +125,11 @@ def test_ninety_percent_outliers_keep_most_inliers(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_ninety_five_percent_outliers_give_valid_labels(seed):
-    # only the label invariants hold here: seeds 0 and 2 end with 0 inliers
-    # although RANSAC keeps about 100 hypotheses (filter then warns, see
-    # test_cli.py::test_zero_inlier_run_warns_although_ransac_kept_motions)
+    # far past the paper's limit: F measured 0.73, 0.73 and 0.70, from 8 or
+    # 9 hypotheses that beat chance; a run that keeps hypotheses but no
+    # inlier warns (test_cli.py::test_zero_inlier_run_warns_although_ransac_kept_motions)
     m, gt = synth_generate(SynthSpec(n=1000, outlier_ratio=0.95, seed=seed))
     _, labels, outcome = fscore(m, gt, Config(seed=seed))
     assert_label_invariants(labels, m.n)
     assert outcome.hypotheses
+    assert labels.inlier.any()

@@ -384,8 +384,9 @@ def test_run_em_survives_underflowing_blend_weights():
 def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
     """The M-step as written before blend_neighbors: its own weight
     normalization, 2D points lifted into z = 0 by hand and sliced back, and
-    the three-branch sigma update. row_sums, if given, collects each call's
-    smallest positive weight sum."""
+    the three-branch sigma update. Rows without weight keep their last field
+    value. row_sums, if given, collects each call's smallest positive weight
+    sum."""
     idx = state.graph.idx
     wt = state.graph.w_dist * state.p[idx]
     wsum = wt.sum(axis=1)
@@ -402,6 +403,7 @@ def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
         delta = (m.y - f) / mubar[:, None]
         q_new = dq8_translate_after(qbar, embed3(delta))
         q_new = np.where(active[:, None], q_new, state.qs)
+    f = np.where(active[:, None], f, state.field_at_x)
     resid2 = np.sum((m.y - f) ** 2, axis=1)
     floor = em_refine.SIGMA_FLOOR_FACTOR * cfg.H
     if update_sigma:
@@ -450,7 +452,8 @@ def test_run_em_byte_equal_to_the_inline_blend(spec, monkeypatch):
 
 
 def test_m_step_zero_weight_rows_byte_equal_to_the_inline_blend():
-    # all-zero weight rows keep their motion and scale; the other rows blend
+    # all-zero weight rows keep their motion, scale and field value; the
+    # other rows blend
     m, _ = synth_generate(SynthSpec(n=300, outlier_ratio=0.5, seed=9))
     cfg = Config(seed=9)
     state = init_from_hypotheses(m, ransac_run(m, cfg), cfg)
@@ -474,3 +477,45 @@ def test_m_step_zero_weight_rows_byte_equal_to_the_inline_blend():
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     assert state.sigma == ref.sigma
     assert np.isfinite(state.qs).all()
+
+
+def test_isolated_match_does_not_vouch_for_itself():
+    # a stray match whose neighbourhood loses all weight after the first
+    # M-step keeps the field value blended there; its own corrected motion
+    # maps it onto its target exactly and would score it an inlier
+    rng = make_rng(46)
+    x = rng.uniform(0.0, 100.0, size=(40, 2))
+    y = x + 2.0
+    y[0] += 50.0
+    m = MatchSet.from_points(x, y)
+    cfg = Config()
+    hyp = TransformHypothesis(
+        control=1,
+        transform=RigidTransform(R=np.eye(2), t=np.array([2.0, 2.0]), mu=1.0),
+        inliers=np.arange(40, dtype=np.int64),
+        support=40,
+    )
+    outcome = RansacOutcome(hypotheses=(hyp,), inlier_union=hyp.inliers, gamma=1.0, trials=1,
+                            gamma_history=(1.0,))
+    state = init_from_hypotheses(m, outcome, cfg)
+    state.p[:] = 1.0
+    state.p[0] = 1e-3
+    m_step(state, m, cfg, update_sigma=False)
+    blended = state.field_at_x[0].copy()
+    assert np.abs(blended - (x[0] + 2.0)).max() < 0.1
+    # the correction made the stored motion exact at the stray match
+    assert np.abs(state.scaled_dq(0).apply(x[0]) - y[0]).max() < 1e-9
+    qs0 = state.qs[0].copy()
+    state.p[state.graph.idx[0]] = 0.0
+    m_step(state, m, cfg, update_sigma=False)
+    assert state.isolated[0]
+    assert np.array_equal(state.qs[0], qs0)
+    assert state.field_at_x[0].tobytes() == blended.tobytes()
+    state.sigma = 5.0
+    c = 2.0 * np.pi * 25.0 * cfg.a * (1.0 - state.gamma) / state.gamma
+    # a zero residual would have scored it 1 / (1 + c)
+    assert 1.0 / (1.0 + c) > 0.9
+    G = np.exp(-np.sum((y[0] - blended) ** 2) / 50.0)
+    p = e_step(state, m, cfg)
+    assert np.isclose(p[0], G / (G + c), rtol=1e-12, atol=0.0)
+    assert p[0] < 1e-9

@@ -1,4 +1,7 @@
 import math
+import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +11,13 @@ from matchfield.core import Config, DegenerateGeometryError, MatchSet, RigidTran
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
+    ALPHA,
     FIT_ROWS,
     MAX_TRIALS_FACTOR,
     RANK_TOL,
     RansacOutcome,
     TransformHypothesis,
+    acceptance_threshold,
     labels_from_outcome,
     ransac_run,
     reweight_fit,
@@ -356,6 +361,105 @@ def test_trial_bound_hand_value():
     assert trial_bound(50, 0.9, 5, 0.95) == 0.0
 
 
+def exact_acceptance_threshold(n, p_c, t_min):
+    """max(t_min, t) for the smallest t with P[Binomial(n, p_c) >= t] <= ALPHA,
+    in exact integer arithmetic on the float p_c = a / b: the terms
+    C(n, k) a^k (b - a)^(n - k) are b^n times the binomial probabilities."""
+    a, b = Fraction(p_c).as_integer_ratio()
+    alpha = Fraction(ALPHA)
+    total = b**n
+    term = (b - a) ** n
+    lower, t = 0, 0
+    while t <= n and (total - lower) * alpha.denominator > alpha.numerator * total:
+        lower += term
+        if t < n:
+            term = term * (n - t) * a // ((t + 1) * (b - a))
+        t += 1
+    return max(t_min, t)
+
+
+def box_targets(n, extent, seed=0):
+    """n sources and targets spread over [0, extent], the targets' bounding
+    box exactly that: its corners are two of the targets."""
+    rng = make_rng(seed)
+    extent = np.asarray(extent, dtype=np.float64)
+    x = rng.uniform(0.0, 100.0, size=(n, extent.size))
+    y = rng.uniform(0.0, 1.0, size=(n, extent.size)) * extent
+    y[0], y[1] = 0.0, extent
+    return MatchSet.from_points(x, y)
+
+
+@pytest.mark.parametrize("n, extent, H", [
+    (5, (100.0, 100.0), 20.0),
+    (50, (100.0, 100.0), 20.0),
+    (1000, (800.0, 600.0), 20.0),
+    (10000, (800.0, 600.0), 20.0),
+    (300, (0.0, 0.0), 20.0),
+    (700, (100.0, 100.0, 100.0), 2.0),
+    (2000, (100.0, 100.0, 100.0), 10.0),
+    (300, (0.0, 0.0, 0.0), 2.0),
+], ids=["2d-5", "2d-50", "2d-1000", "2d-10000", "2d-300-collapsed", "3d-700", "3d-2000",
+        "3d-300-collapsed"])
+def test_acceptance_threshold_is_the_exact_binomial_tail(n, extent, H):
+    m = box_targets(n, extent)
+    cfg = Config(H=H)
+    ball = math.pi * H * H if m.dim == 2 else 4.0 / 3.0 * math.pi * H**3
+    p_c = ball / math.prod(e + 2.0 * H for e in extent)
+    assert acceptance_threshold(m, cfg) == exact_acceptance_threshold(n, p_c, cfg.T_min)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_acceptance_threshold_of_collapsed_targets_is_finite(dim):
+    # every target on one point: the padded box keeps p_c at pi / 4 (2D)
+    # or pi / 6 (3D), so the threshold is a support chance rarely reaches
+    m = collapsed_targets(dim)
+    cfg = Config.for_matches(m, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = acceptance_threshold(m, cfg)
+    assert isinstance(t, int)
+    assert cfg.T_min < t <= m.n
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_acceptance_threshold_is_shift_and_scale_invariant(dim):
+    if dim == 2:
+        m = synth_generate(SynthSpec(n=1000, outlier_ratio=0.85, seed=5))[0]
+        cfg = Config(seed=5)
+    else:
+        m = box_targets(2000, (100.0, 100.0, 100.0), seed=5)
+        cfg = Config(H=10.0, seed=5)
+    t = acceptance_threshold(m, cfg)
+    assert t > cfg.T_min
+    shifted = MatchSet.from_points(m.x + 1e6, m.y + 1e6)
+    assert acceptance_threshold(shifted, cfg) == t
+    for s in (0.37, 250.0):
+        scaled = MatchSet.from_points(m.x * s, m.y * s)
+        assert acceptance_threshold(scaled, replace(cfg, H=cfg.H * s)) == t
+
+
+@pytest.mark.parametrize("n, outlier_ratio", [(629, 0.24), (1784, 0.61), (693, 0.84)])
+def test_acceptance_threshold_is_t_min_on_3d_acceptance_scenes(n, outlier_ratio):
+    # small H against a 100-unit cube: chance explains no T_min support, so
+    # the 3D runs are the runs without the rule
+    for seed in range(5):
+        m, _ = surface_scene_3d(n, outlier_ratio, seed)
+        cfg = Config.for_matches(m, seed=seed)
+        assert acceptance_threshold(m, cfg) == cfg.T_min
+
+
+def test_kept_hypotheses_beat_chance():
+    # at n = 1000 and 85% outliers the threshold is above T_min, and every
+    # kept motion reaches it
+    m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.85, seed=0))
+    cfg = Config(seed=0)
+    t_acc = acceptance_threshold(m, cfg)
+    assert t_acc > cfg.T_min
+    out = ransac_run(m, cfg)
+    assert out.hypotheses
+    assert min(h.support for h in out.hypotheses) >= t_acc
+
+
 def test_ransac_covers_rigid_scene():
     rng = make_rng(26)
     m, R, t, mu = similarity_scene(rng, 100, 2)
@@ -499,7 +603,8 @@ def test_labels_from_empty_outcome():
 # The trial loop and one-point fits as first written, kept as the reference
 # for the lean loop: all-n relative coordinates before the subset gather,
 # the 2D products stacked from temporaries, the masks summed and searched
-# every trial and controls drawn with rng.choice.
+# every trial and controls drawn with rng.choice. It takes the run's
+# acceptance threshold from acceptance_threshold, tested on its own below.
 
 
 def reference_planar_products(zx, zy):
@@ -578,6 +683,7 @@ def reference_reweight_spatial(m, o, cfg, rows):
 
 def reference_run(m, cfg, rows):
     n = m.n
+    t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     reweight = reference_reweight_planar if m.dim == 2 else reference_reweight_spatial
     inlier_mask = np.zeros(n, dtype=bool)
@@ -587,12 +693,12 @@ def reference_run(m, cfg, rows):
     while k < MAX_TRIALS_FACTOR * n:
         n_in = int(inlier_mask.sum())
         gamma = n_in / n
-        if n - n_in < cfg.T_min:
+        if n - n_in < t_acc:
             break
         candidates = np.nonzero(~inlier_mask & ~tried)[0]
         if candidates.size == 0:
             break
-        if k > trial_bound(n, gamma, cfg.T_min, cfg.ransac_p):
+        if k > trial_bound(n, gamma, t_acc, cfg.ransac_p):
             break
         o = int(rng.choice(candidates))
         tried[o] = True
@@ -604,7 +710,7 @@ def reference_run(m, cfg, rows):
             continue
         rt = RigidTransform(R=R, t=m.y[o] / mu - R @ m.x[o], mu=mu)
         inl = np.nonzero(d < cfg.H)[0]
-        if inl.size >= cfg.T_min:
+        if inl.size >= t_acc:
             hyps.append(TransformHypothesis(control=o, transform=rt, inliers=inl.astype(np.int64),
                                             support=int(inl.size)))
             inlier_mask[inl] = True
