@@ -18,7 +18,6 @@ queries in field.py both call it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -38,7 +37,6 @@ from .dualquat import (
     dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
-    dq_apply,
 )
 from .ransac import RansacOutcome
 
@@ -65,16 +63,6 @@ class NeighborGraph:
     w_dist: FloatArray
 
 
-class ScaledMotion(NamedTuple):
-    """One match's scaled motion x -> mu (R x + t): a unit dq row and its scale."""
-
-    dq: FloatArray
-    mu: float
-
-    def apply(self, x) -> FloatArray:
-        return dq_apply(self.dq, self.mu, x)
-
-
 @dataclass
 class EmState:
     """Mutable EM iteration state.
@@ -96,9 +84,6 @@ class EmState:
     converged: bool = False
     n_iters: int = 0
     delta_history: list = field(default_factory=list)
-
-    def scaled_dq(self, i: int) -> ScaledMotion:
-        return ScaledMotion(self.qs[i].copy(), float(self.mus[i]))
 
 
 def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:

@@ -65,7 +65,7 @@ def query_field(
     Rejects non-finite query points with a ValueError naming the first.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    if pts.shape[1] != m.dim:
+    if pts.ndim != 2 or pts.shape[1] != m.dim:
         raise ValueError(f"query points must be (k, {m.dim}), got {pts.shape}")
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():

@@ -304,6 +304,8 @@ class SynthSpec:
         maxs = np.asarray(self.bounds[1], dtype=np.float64)
         if mins.shape != (self.dim,) or maxs.shape != (self.dim,):
             raise ValueError(f"bounds must be two {self.dim}-vectors")
+        if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+            raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")
 

@@ -20,16 +20,21 @@ stop on too few unreserved matches and in the trial bound. Without it a
 large scene keeps nearly every trial: at n = 10k in an 800x600 frame a
 random motion catches about 23 wrong matches within H = 20, and t_acc is 41.
 
-2D fits are closed form: with points as complex numbers the weighted
-similarity reduces to a few weighted sums of per-match products, built once
-per control. 3D fits keep coordinates coordinate-major, as (3, n) arrays of
-positions relative to the control with their squared norms built once per
-control; each round is one weighted (3, n) @ (n, 3) product, the SVD of the
-resulting 3x3 cross matrix and one residual pass. The two reject different
-geometry. 3D rejects a rank-deficient weighted cross matrix, such as points
-collinear through the control. In 2D one relative vector already fixes a
-plane rotation, so collinear points fit; only a cross matrix without a
-rotation part, or points collapsed onto the control, are degenerate.
+The fit/re-weight loop is written once for both dimensions. Each dimension
+supplies four parts: relative positions of the fit rows, per-match fit terms
+built once per control, the weighted fit (rotation, mu) from the squared
+weights, and residuals under a fit. 2D parts are closed form: with points as
+complex numbers the weighted similarity reduces to a few weighted sums of
+per-match products. 3D parts keep coordinates coordinate-major, as (3, n)
+arrays of positions relative to the control with their squared norms; each
+round is one weighted (3, n) @ (n, 3) product, the SVD of the resulting 3x3
+cross matrix and one residual pass. The two reject different geometry. 3D
+rejects a weighted cross matrix of rank one or less, such as points
+collinear through the control; coplanar points give rank two, whose best
+rotation is still unique once the determinant is corrected, so they fit. In
+2D one relative vector already fixes a plane rotation, so collinear points
+fit; only a cross matrix without a rotation part, or points collapsed onto
+the control, are degenerate.
 """
 
 from __future__ import annotations
@@ -51,9 +56,10 @@ from .core import (
     small_det,
 )
 
-# relative singular value below which a 3D weighted cross matrix is treated
-# as rank deficient (points collinear through the control, or collapsed),
-# and relative size below which a 2D cross matrix has no rotation part
+# relative second singular value below which a 3D weighted cross matrix is
+# treated as rank one or less (points collinear through the control, or
+# collapsed), and relative size below which a 2D cross matrix has no
+# rotation part
 RANK_TOL = 1e-9
 
 # chance level of the acceptance test: a motion is kept only when a random
@@ -143,36 +149,32 @@ def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
     return math.log(1.0 - p) / math.log(1.0 - t_acc / remaining)
 
 
-def _relative_columns(pts: FloatArray, o: int, rows: IntArray | None = None) -> FloatArray:
-    """Points (all, or those in rows) relative to point o, coordinate-major:
-    a C-contiguous (dim, k) array, so every per-round pass runs over long
-    contiguous rows. Gathering before subtracting leaves the other matches
-    alone and gives the same bits as subtracting first."""
-    sub = pts if rows is None else np.take(pts, rows, axis=0)
-    return np.subtract(sub.T, pts[o][:, None], order="C")
-
-
 def _column_sq_norms(cols: FloatArray) -> FloatArray:
     return np.einsum("ij,ij->j", cols, cols)
 
 
-def _fit_spatial(xr: FloatArray, yr: FloatArray, x2: FloatArray, y2: FloatArray, w2: FloatArray):
+def _fit_spatial(terms: tuple, w2: FloatArray):
     """Weighted 3D rotation and scale by SVD of the weighted cross matrix.
 
-    xr and yr are (3, n) relative coordinates, x2 and y2 their per-match
-    squared norms and w2 the squared weights. R = U V^T from the SVD of
-    M = sum w^2 yr xr^T, with the last column of U negated when U and V^T
-    have determinants of opposite sign (both are orthogonal, so each
-    determinant is +-1 and a scalar cofactor expansion decides it);
-    mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2), the ratio of the weighted norms.
+    terms = (xr, yr, x2, y2) comes from _spatial_terms: (3, n) relative
+    coordinates and their per-match squared norms; w2 holds the squared
+    weights. The terms arrive as one value, like the 2D fit's P, so the
+    re-weighting loop calls either fit without unpacking arguments.
+    R = U V^T from the SVD of M = sum w^2 yr xr^T, with the last column of
+    U negated when U and V^T have determinants of opposite sign (both are
+    orthogonal, so each determinant is +-1 and a scalar cofactor expansion
+    decides it); mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2), the ratio of the
+    weighted norms. Only M of rank one or less is degenerate: at rank two
+    the sign fix picks the one proper rotation, so coplanar points fit.
     """
+    xr, yr, x2, y2 = terms
     M = (yr * w2) @ xr.T
     sxx = float(x2 @ w2)
     syy = float(y2 @ w2)
     if not (np.isfinite(M).all() and math.isfinite(sxx) and math.isfinite(syy)):
         raise DegenerateGeometryError("non-finite weighted cross matrix")
     U, S, Vt = np.linalg.svd(M)
-    if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
+    if S[0] <= 0.0 or S[1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("weighted points are collinear through the control")
     if small_det(U) * small_det(Vt) < 0.0:
         U[:, -1] = -U[:, -1]
@@ -181,9 +183,33 @@ def _fit_spatial(xr: FloatArray, yr: FloatArray, x2: FloatArray, y2: FloatArray,
     return U @ Vt, math.sqrt(syy / sxx)
 
 
-def _complex(pts: FloatArray) -> np.ndarray:
-    """2D points p as complex numbers p_0 + i p_1, a view without a copy."""
-    return pts.view(np.complex128)[:, 0]
+def _spatial_relative(m: MatchSet, o: int, rows: IntArray | None):
+    """Fit rows (all when rows is None) relative to match o, coordinate-major:
+    C-contiguous (3, k) arrays, so every per-round pass runs over long
+    contiguous rows. Gathering before subtracting leaves the other matches
+    alone and gives the same bits as subtracting first."""
+    x, y = (m.x, m.y) if rows is None else (np.take(m.x, rows, axis=0), np.take(m.y, rows, axis=0))
+    return np.subtract(x.T, m.x[o][:, None], order="C"), np.subtract(y.T, m.y[o][:, None], order="C")
+
+
+def _spatial_terms(xr: FloatArray, yr: FloatArray) -> tuple:
+    return xr, yr, _column_sq_norms(xr), _column_sq_norms(yr)
+
+
+def _spatial_residuals(rel: tuple, R: FloatArray, mu: float) -> FloatArray:
+    """|yr - mu R xr| per match, with rel = (xr, yr) from _spatial_relative."""
+    xr, yr = rel
+    return np.sqrt(_column_sq_norms(yr - mu * (R @ xr)))
+
+
+def _planar_relative(m: MatchSet, o: int, rows: IntArray | None):
+    """Fit rows (all when rows is None) relative to match o, as complex
+    numbers p_0 + i p_1; the complex views of x and y are gathered first, so
+    only the fit rows are made relative."""
+    zx, zy = m.x.view(np.complex128)[:, 0], m.y.view(np.complex128)[:, 0]
+    if rows is None:
+        return zx - zx[o], zy - zy[o]
+    return np.take(zx, rows) - zx[o], np.take(zy, rows) - zy[o]
 
 
 def _planar_products(zx: np.ndarray, zy: np.ndarray) -> FloatArray:
@@ -236,8 +262,27 @@ def _fit_planar(P: FloatArray, w2: FloatArray) -> tuple[complex, float]:
     return complex(ar / rot, ai / rot), math.sqrt(syy / sxx)
 
 
-def _rotation_matrix(u: complex) -> FloatArray:
-    return np.array([[u.real, -u.imag], [u.imag, u.real]])
+def _planar_residuals(rel: tuple, u: complex, mu: float) -> FloatArray:
+    """|zy - (mu u) zx| per match in one buffer, with rel = (zx, zy) from
+    _planar_relative; (mu u) zx is the operand order every fit has used
+    (zx (mu u) changes bits)."""
+    zx, zy = rel
+    t = (mu * u) * zx
+    return np.abs(np.subtract(zy, t, out=t))
+
+
+def _parts(dim: int):
+    """The four parts of a fit in dim dimensions: relative positions of the
+    fit rows, per-match fit terms built once per control, the weighted fit
+    (rotation, mu) from w^2, and residuals under a fit."""
+    if dim == 2:
+        return _planar_relative, _planar_products, _fit_planar, _planar_residuals
+    return _spatial_relative, _spatial_terms, _fit_spatial, _spatial_residuals
+
+
+def _rotation_matrix(dim: int, rot) -> FloatArray:
+    """A fit's rotation as a matrix: 2D fits give a unit complex number."""
+    return rot if dim == 3 else np.array([[rot.real, -rot.imag], [rot.imag, rot.real]])
 
 
 def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
@@ -245,66 +290,18 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
 
     Returns the rotation matrix and scale. Weights must be non-negative
     with a positive sum. Raises DegenerateGeometryError when the weighted
-    geometry cannot pin down a rotation. 2D fits are closed form, 3D fits
-    use the SVD with its rank rule.
+    geometry cannot pin down a rotation. It runs the same parts as one
+    round of reweight_fit: 2D fits are closed form, 3D fits use the SVD
+    with its rank rule.
     """
     if m.n < 2:
         raise ValueError("need at least two matches")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (m.n,) or (w < 0.0).any() or not (w > 0.0).any():
         raise ValueError("weights must be non-negative with a positive sum")
-    if m.dim == 2:
-        zx, zy = _complex(m.x), _complex(m.y)
-        P = _planar_products(zx - zx[o], zy - zy[o])
-        u, mu = _fit_planar(P, w * w)
-        return _rotation_matrix(u), mu
-    xr = _relative_columns(m.x, o)
-    yr = _relative_columns(m.y, o)
-    return _fit_spatial(xr, yr, _column_sq_norms(xr), _column_sq_norms(yr), w * w)
-
-
-def _reweight_planar(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
-    zx_all, zy_all = _complex(m.x), _complex(m.y)
-    zx_o, zy_o = zx_all[o], zy_all[o]
-    if rows is None:
-        zx, zy = zx_all - zx_o, zy_all - zy_o
-    else:
-        # gathered first, so only the fit rows are made relative
-        zx, zy = np.take(zx_all, rows) - zx_o, np.take(zy_all, rows) - zy_o
-    P = _planar_products(zx, zy)
-    w = np.ones(zx.shape[0])
-    for _ in range(cfg.n_reweight_iters):
-        u, mu = _fit_planar(P, w * w)
-        k = mu * u
-        d = np.abs(zy - k * zx)
-        # bit-identical to min(H / d, 1), and 1 at d = 0
-        w = cfg.H / np.maximum(d, cfg.H)
-    if rows is not None:
-        # |(zy - zy_o) - k (zx - zx_o)| over all n in two buffers; k * zx
-        # keeps the operand order of the rounds above (zx * k changes bits)
-        zx = np.subtract(zx_all, zx_o)
-        zy = np.subtract(zy_all, zy_o)
-        d = np.abs(np.subtract(zy, np.multiply(k, zx, out=zx), out=zy))
-    return _rotation_matrix(u), mu, d, w
-
-
-def _spatial_residuals(xr: FloatArray, yr: FloatArray, R: FloatArray, mu: float) -> FloatArray:
-    return np.sqrt(_column_sq_norms(yr - mu * (R @ xr)))
-
-
-def _reweight_spatial(m: MatchSet, o: int, cfg: Config, rows: IntArray | None):
-    xr = _relative_columns(m.x, o, rows)
-    yr = _relative_columns(m.y, o, rows)
-    x2 = _column_sq_norms(xr)
-    y2 = _column_sq_norms(yr)
-    w = np.ones(xr.shape[1])
-    for _ in range(cfg.n_reweight_iters):
-        R, mu = _fit_spatial(xr, yr, x2, y2, w * w)
-        d = _spatial_residuals(xr, yr, R, mu)
-        w = cfg.H / np.maximum(d, cfg.H)
-    if rows is not None:
-        d = _spatial_residuals(_relative_columns(m.x, o), _relative_columns(m.y, o), R, mu)
-    return R, mu, d, w
+    relative, terms, fit, _ = _parts(m.dim)
+    rot, mu = fit(terms(*relative(m, o, None)), w * w)
+    return _rotation_matrix(m.dim, rot), mu
 
 
 def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None):
@@ -315,20 +312,32 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None)
     residual), so matches the current fit explains keep full influence and
     distant ones fade as 1 / d. When rows is given, fitting and re-weighting
     only see that subset while the returned residuals still cover every
-    match. 2D runs on complex numbers: the per-match products are built
-    once, each round is one weighted sum plus the closed-form fit, and the
-    residuals are |zy - mu u zx| over relative coordinates. 3D runs on
-    (3, n) relative coordinates: each round is the weighted cross matrix,
-    its SVD and the residuals |yr - mu R xr|.
+    match. The loop is the same in 2D and 3D; only its four parts differ
+    (see _parts). 2D runs on complex numbers: the per-match products are
+    built once, each round is one weighted sum plus the closed-form fit,
+    and the residuals are |zy - mu u zx| over relative coordinates. 3D runs
+    on (3, n) relative coordinates: each round is the weighted cross
+    matrix, its SVD and the residuals |yr - mu R xr|; only a cross matrix
+    of rank one or less is degenerate, so coplanar sources fit.
 
     Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
     with t recovered as y_o / mu - R x_o, residuals d over all matches
     under the final fit, and the final subset weights.
     """
-    reweight = _reweight_planar if m.dim == 2 else _reweight_spatial
-    R, mu, d_all, w = reweight(m, o, cfg, rows)
+    relative, terms, fit, residuals = _parts(m.dim)
+    rel = relative(m, o, rows)
+    fit_terms = terms(*rel)
+    w = np.ones(rel[0].shape[-1])
+    for _ in range(cfg.n_reweight_iters):
+        rot, mu = fit(fit_terms, w * w)
+        d = residuals(rel, rot, mu)
+        # bit-identical to min(H / d, 1), and 1 at d = 0
+        w = cfg.H / np.maximum(d, cfg.H)
+    if rows is not None:
+        d = residuals(relative(m, o, None), rot, mu)
+    R = _rotation_matrix(m.dim, rot)
     t = m.y[o] / mu - R @ m.x[o]
-    return RigidTransform(R=R, t=t, mu=mu), d_all, w
+    return RigidTransform(R=R, t=t, mu=mu), d, w
 
 
 def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
@@ -340,9 +349,8 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)
-    # open: neither reserved by a hypothesis nor tried as a control;
-    # candidates lists the open matches in ascending order
-    open_mask = np.ones(n, dtype=bool)
+    # the open controls, neither reserved by a hypothesis nor tried yet, in
+    # ascending order
     candidates = np.arange(n)
     n_in = 0
     hyps: list[TransformHypothesis] = []
@@ -361,9 +369,8 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
         # the same draw as rng.choice(candidates), without its overhead
         j = int(rng.integers(candidates.size))
         o = int(candidates[j])
-        open_mask[o] = False
+        candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
         k += 1
-        reserved = 0
         try:
             rt, d, _ = reweight_fit(m, o, cfg, rows=rows)
         except DegenerateGeometryError:
@@ -378,14 +385,8 @@ def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
                 )
                 new = inl[~inlier_mask[inl]]
                 inlier_mask[new] = True
-                open_mask[new] = False
-                reserved = new.size
-        if reserved:
-            n_in += reserved
-            candidates = np.nonzero(open_mask)[0]
-        else:
-            # only the drawn control closes
-            candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
+                n_in += new.size
+                candidates = candidates[~inlier_mask[candidates]]
         gamma_history.append(n_in / n)
     union = np.nonzero(inlier_mask)[0].astype(np.int64)
     return RansacOutcome(

@@ -16,6 +16,7 @@ from matchfield.dualquat import (
     dq8_from_rt,
     dq8_mul,
     dq8_normalize,
+    dq_apply,
 )
 from matchfield.em_refine import e_step, filter_and_refine, init_from_hypotheses, m_step, run_em
 from matchfield.io_eval import SynthSpec, compute_metrics, save_matches, synth_generate
@@ -187,7 +188,7 @@ def test_numerical_invariants():
     for it in range(1, 7):
         m_step(state, m, cfg, update_sigma=it > 1)
         live = np.nonzero(~state.isolated)[0]
-        mapped = np.stack([state.scaled_dq(i).apply(m.x[i]) for i in live])
+        mapped = np.stack([dq_apply(state.qs[i], state.mus[i], m.x[i]) for i in live])
         assert np.abs(mapped - m.y[live]).max() < 1e-6
         e_step(state, m, cfg)
 

@@ -204,6 +204,11 @@ def test_field_rejects_non_finite_bounds(tmp_path, capsys, bounds):
     assert rc == 2
     assert "bounds must be finite" in capsys.readouterr().err
     assert not field.exists() and not labels.exists()
+    # synth rejects the same bounds before it draws a point
+    synth = tmp_path / "s.csv"
+    assert main(["synth", "--output", str(synth), "--n", "50", "--bounds", bounds]) == 2
+    assert "error: bounds must be finite" in capsys.readouterr().err
+    assert not synth.exists()
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

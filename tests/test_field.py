@@ -186,6 +186,8 @@ def test_query_rejects_wrong_width():
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     with pytest.raises(ValueError):
         query_field(state, labels, m, np.zeros((3, 3)), cfg)
+    with pytest.raises(ValueError, match=r"query points must be \(k, 2\), got \(2, 2, 2\)"):
+        query_field(state, labels, m, np.full((2, 2, 2), 100.0), cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -45,7 +45,7 @@ def svd_reference_fit(xr, yr, w):
         raise DegenerateGeometryError("zero")
     if len(S) == 2 and S[0] + (-S[1] if flip else S[1]) <= 2.0 * RANK_TOL * S[0]:
         raise DegenerateGeometryError("no rotation part")
-    if len(S) == 3 and S[-1] <= RANK_TOL * S[0]:
+    if len(S) == 3 and S[1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("rank")
     if flip:
         U = U.copy()
@@ -296,6 +296,26 @@ def test_weighted_fit_degenerate_geometry():
     z = np.zeros((4, 2))
     with pytest.raises(DegenerateGeometryError):
         weighted_rigid_fit(MatchSet.from_points(z, z), 0, np.ones(4))
+
+
+def test_weighted_fit_recovers_rotation_on_coplanar_points():
+    # sources exactly on z = 0 give a rank-2 cross matrix, which still has a
+    # unique best rotation once the determinant is corrected
+    rng = make_rng(26)
+    for _ in range(10):
+        R = random_rotation_3d(rng)
+        x = np.column_stack([rng.uniform(0.0, 100.0, size=(40, 2)), np.zeros(40)])
+        t = rng.uniform(-5.0, 5.0, size=3)
+        m = MatchSet.from_points(x, 1.05 * (x @ R.T + t))
+        w = rng.uniform(0.5, 1.0, size=m.n)
+        o = int(rng.integers(m.n))
+        S = np.linalg.svd((m.y - m.y[o]).T @ (w[:, None] ** 2 * (m.x - m.x[o])), compute_uv=False)
+        assert S[2] <= 1e-12 * S[0]
+        R_fit, mu_fit = weighted_rigid_fit(m, o, w)
+        assert np.abs(R_fit - R).max() < 1e-9
+        assert abs(mu_fit - 1.05) < 1e-9
+        R_ref, mu_ref = svd_reference_fit(m.x - m.x[o], m.y - m.y[o], w)
+        assert np.abs(R_fit - R_ref).max() < 1e-9
 
 
 def test_collinear_2d_scene_is_one_hypothesis():
@@ -653,7 +673,7 @@ def reference_fit_spatial(xr, yr, x2, y2, w2):
     if not (np.isfinite(M).all() and math.isfinite(sxx) and math.isfinite(syy)):
         raise DegenerateGeometryError("non-finite weighted cross matrix")
     U, S, Vt = np.linalg.svd(M)
-    if S[0] <= 0.0 or S[-1] <= RANK_TOL * S[0]:
+    if S[0] <= 0.0 or S[1] <= RANK_TOL * S[0]:
         raise DegenerateGeometryError("weighted points are collinear through the control")
     # both are orthogonal, so each determinant is +-1 and only its sign counts
     if np.linalg.det(U) * np.linalg.det(Vt) < 0.0:
@@ -762,6 +782,39 @@ def test_lean_loop_reproduces_the_reference_run(name):
         assert h.inliers.dtype == g.inliers.dtype and h.inliers.tobytes() == g.inliers.tobytes()
     if name.endswith("collapsed-targets"):
         assert out.hypotheses == () and out.trials > 0
+    else:
+        assert out.hypotheses
+
+
+@pytest.mark.parametrize("scene", ["2d", "2d-fit-rows", "3d", "2d-collapsed-targets"])
+def test_every_trial_calls_reweight_fit_through_the_module(scene, monkeypatch):
+    # traced benchmark runs wrap ransac.reweight_fit to time each trial and
+    # count the degenerate ones: the run must look it up at call time, once
+    # per trial, and let DegenerateGeometryError pass through the wrapper
+    if scene == "3d":
+        m = surface_scene_3d(629, 0.24, seed=43)[0]
+    elif scene == "2d-collapsed-targets":
+        m = collapsed_targets(2)
+    else:
+        m = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=5))[0]
+    if scene == "2d-fit-rows":
+        monkeypatch.setattr(ransac, "FIT_ROWS", 150)
+    calls, degenerate, fit = [], [], ransac.reweight_fit
+
+    def counted_fit(m, o, cfg, rows=None):
+        calls.append(None if rows is None else rows.size)
+        try:
+            return fit(m, o, cfg, rows=rows)
+        except DegenerateGeometryError:
+            degenerate.append(o)
+            raise
+
+    monkeypatch.setattr(ransac, "reweight_fit", counted_fit)
+    out = ransac_run(m, Config.for_matches(m, seed=5))
+    assert out.trials > 0 and len(calls) == out.trials
+    assert set(calls) == {150 if scene == "2d-fit-rows" else None}
+    if scene.endswith("collapsed-targets"):
+        assert out.hypotheses == () and len(degenerate) == out.trials
     else:
         assert out.hypotheses
 
