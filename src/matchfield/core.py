@@ -296,16 +296,35 @@ def config_overrides_from_file(path) -> dict:
     return out
 
 
+def box_corners(bounds, dim: int) -> tuple[FloatArray, FloatArray]:
+    """The (mins, maxs) of a box as float arrays.
+
+    Rejects anything but two dim-vectors, non-finite corners and a box
+    whose extent maxs - mins overflows a float. Says nothing about order.
+    """
+    mins = np.asarray(bounds[0], dtype=np.float64)
+    maxs = np.asarray(bounds[1], dtype=np.float64)
+    if mins.shape != (dim,) or maxs.shape != (dim,):
+        raise ValueError(f"bounds must be two {dim}-vectors")
+    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+        raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
+    with np.errstate(over="ignore"):
+        extent = maxs - mins
+    if not np.isfinite(extent).all():
+        raise ValueError(f"bounds extent must be finite, got {mins.tolist()} to {maxs.tolist()}")
+    return mins, maxs
+
+
 def scale_estimate(m: MatchSet) -> float:
     """Root mean squared distance of both clouds from their centroids.
 
     s = sqrt((sum ||x_i - mean(x)||^2 + sum ||y_i - mean(y)||^2) / (2 n)).
     Translation invariant and homogeneous of degree one under scaling of
-    both clouds. Raises DegenerateScaleError when both clouds collapse to
-    single points.
+    both clouds. Raises DegenerateScaleError for fewer than two matches
+    and when both clouds collapse to single points.
     """
     if m.n < 2:
-        raise ValueError("scale estimate needs at least two matches")
+        raise DegenerateScaleError("scale estimate needs at least two matches")
     xc = m.x - m.x.mean(axis=0)
     yc = m.y - m.y.mean(axis=0)
     s = math.sqrt((np.sum(xc * xc) + np.sum(yc * yc)) / (2.0 * m.n))

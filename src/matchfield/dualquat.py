@@ -8,9 +8,11 @@ pair (dq, mu) acting as p -> mu * (R p + t).
 
 Every motion is a plain float array of shape (..., 8), column layout
 [rw, rx, ry, rz, dw, dx, dy, dz], and the dq8_* kernels work on any number
-of leading axes; dq8_blend reads its motions from an (m, 8) table by index. 2D motions live in the z = 0 plane: their columns 1, 2, 4
-and 7 are exactly zero and stay zero through products, blends and
-translations, so 2D and 3D share one layout and one set of kernels.
+of leading axes; dq8_blend reads its motions from an (m, 8) table by index.
+
+2D motions live in the z = 0 plane: their columns 1, 2, 4 and 7 are
+exactly zero and stay zero through products, blends and translations, so
+2D and 3D share one layout and one set of kernels.
 dq8_apply and dq8_translate_after take (..., 2) or (..., 3) points and
 vectors, lift 2D ones into that plane themselves and return the width they
 were given. The dq_* functions are checked single-motion entry points onto

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Config, FloatArray, LabelResult, MatchSet
+from .core import Config, FloatArray, LabelResult, MatchSet, box_corners
 from .dualquat import dq8_apply
 from .em_refine import EmState, blend_neighbors
 from .io_eval import flag_column, float_column, write_csv_columns
@@ -101,15 +101,10 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     """Per-axis sample positions: lo, lo + step, ... up to and including hi.
 
     bounds is (mins, maxs). A step larger than an extent yields the single
-    sample at that axis minimum. Rejects non-finite or inverted bounds and
-    non-finite or non-positive steps.
+    sample at that axis minimum. Rejects non-finite or inverted bounds, an
+    extent that overflows, and non-finite or non-positive steps.
     """
-    mins = np.asarray(bounds[0], dtype=np.float64)
-    maxs = np.asarray(bounds[1], dtype=np.float64)
-    if mins.shape != (dim,) or maxs.shape != (dim,):
-        raise ValueError(f"bounds must be two {dim}-vectors")
-    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
-        raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
+    mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
         raise ValueError("empty bounds: max < min")
     if not (step > 0.0 and np.isfinite(step)):

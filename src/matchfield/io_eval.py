@@ -25,7 +25,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import BoolArray, LabelResult, MatchFieldError, MatchSet, make_rng
+from .core import BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners, make_rng
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 
 
@@ -275,6 +275,11 @@ class SynthSpec:
     max_rotation radians about its anchor, a scale within
     1 +- max_scale_jitter, and a bounded translation, plus isotropic
     Gaussian noise of noise_sigma. Everything is a pure function of seed.
+
+    bounds left as None becomes the default box of dim: the 800 x 600
+    frame ((0, 0), (800, 600)) in 2D, the 100-unit cube ((0, 0, 0),
+    (100, 100, 100)) in 3D. Bounds must be finite with a positive, finite
+    extent on every axis.
     """
 
     n: int = 1000
@@ -284,12 +289,15 @@ class SynthSpec:
     max_rotation: float = 0.4
     max_scale_jitter: float = 0.1
     noise_sigma: float = 2.0
-    bounds: tuple = ((0.0, 0.0), (800.0, 600.0))
+    bounds: tuple | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        if self.bounds is None:
+            box = ((0.0, 0.0), (800.0, 600.0)) if self.dim == 2 else ((0.0,) * 3, (100.0,) * 3)
+            object.__setattr__(self, "bounds", box)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not (0.0 <= self.outlier_ratio < 1.0):
@@ -300,12 +308,7 @@ class SynthSpec:
             raise ValueError("max_scale_jitter must lie in [0, 1)")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
-        mins = np.asarray(self.bounds[0], dtype=np.float64)
-        maxs = np.asarray(self.bounds[1], dtype=np.float64)
-        if mins.shape != (self.dim,) or maxs.shape != (self.dim,):
-            raise ValueError(f"bounds must be two {self.dim}-vectors")
-        if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
-            raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
+        mins, maxs = box_corners(self.bounds, self.dim)
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")
 

@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,13 +45,17 @@ def test_synth_filter_eval_round_trip(tmp_path, capsys):
 
 
 def test_synth_defaults_are_the_synth_spec_defaults(tmp_path, capsys):
-    # without --bounds, 2D synth writes the library's default scene
-    lib = tmp_path / "lib.csv"
-    save_matches(lib, *synth_generate(SynthSpec(seed=3)), units="pixels")
-    for bounds in ([], ["--bounds", "0,0,800,600"]):
-        cmd = tmp_path / "cmd.csv"
-        run_ok(["synth", "--output", str(cmd), "--seed", "3"] + bounds, capsys)
-        assert cmd.read_bytes() == lib.read_bytes()
+    # without --bounds, synth writes the library's default scene of its
+    # dimension: the 800x600 frame in 2D, the 100-unit cube in 3D
+    for dim_flag, box, seed in (([], "0,0,800,600", 3), (["--dim", "3"], "0,0,0,100,100,100", 5)):
+        spec = SynthSpec(dim=3 if dim_flag else 2, seed=seed)
+        lib = tmp_path / "lib.csv"
+        save_matches(lib, *synth_generate(spec), units="units" if dim_flag else "pixels")
+        for bounds in ([], ["--bounds", box]):
+            cmd = tmp_path / "cmd.csv"
+            run_ok(["synth", "--output", str(cmd), "--seed", str(seed)] + dim_flag + bounds,
+                   capsys)
+            assert cmd.read_bytes() == lib.read_bytes()
 
 
 @pytest.mark.parametrize("seed", [9, 1, 2])
@@ -457,3 +462,54 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
         assert rc == 2
         assert "r must be positive" in capsys.readouterr().err
     assert len(calls["ransac"]) == 1 and not (tmp_path / "bad.csv").exists()
+
+
+def test_overflowing_bounds_exit_2(tmp_path, capsys):
+    # every corner is finite, but the extent max - min overflows a float
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    synth, field = tmp_path / "s.csv", tmp_path / "f.csv"
+    for argv in (["synth", "--output", str(synth), "--n", "50"],
+                 ["field", "--input", str(scene), "--output", str(field)]):
+        assert main(argv + ["--bounds=-1e308,-1e308,1e308,1e308"]) == 2
+        assert capsys.readouterr().err.startswith("error: bounds extent must be finite")
+    assert not synth.exists() and not field.exists()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("command", ["filter", "field"])
+def test_one_match_file_is_degenerate(tmp_path, capsys, command, dim):
+    # too few matches exit 3 in both dimensions
+    scene, out = tmp_path / "one.csv", tmp_path / "out.csv"
+    x = np.arange(dim, dtype=float)[None, :]
+    save_matches(scene, MatchSet.from_points(x, x + 1.0))
+    assert main([command, "--input", str(scene), "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: degenerate input: ")
+    assert not out.exists()
+
+
+def test_filter_and_field_go_through_the_traced_io_names(tmp_path, capsys, monkeypatch):
+    # the traced benchmark run wraps cli.load_matches and cli.save_labels,
+    # so both commands must look them up in cli's module globals
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    calls = {"load_matches": 0, "save_labels": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    run_ok(["filter", "--input", str(scene), "--output", str(tmp_path / "l.csv")], capsys)
+    assert calls == {"load_matches": 1, "save_labels": 1}
+    run_ok(["field", "--input", str(scene), "--output", str(tmp_path / "f.csv"),
+            "--labels-output", str(tmp_path / "fl.csv")], capsys)
+    assert calls == {"load_matches": 2, "save_labels": 2}
+
+
+def test_readme_parameter_table_is_the_flag_table():
+    # the README's parameter table lists the flags of _CONFIG_FLAGS in
+    # order, each with its 2D Config default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Parameters", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[\w-]+)` \| ([^|]+) \|", section, re.M)
+    assert [flag for flag, _ in rows] == [flag for flag, *_ in cli._CONFIG_FLAGS]
+    for (_, default), (_, name, kind, _) in zip(rows, cli._CONFIG_FLAGS):
+        assert kind(default.strip()) == getattr(Config(), name), name

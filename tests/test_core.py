@@ -299,6 +299,9 @@ def test_scale_estimate_degenerate():
     x = np.tile([1.0, 2.0], (5, 1))
     with pytest.raises(DegenerateScaleError):
         scale_estimate(MatchSet.from_points(x, x))
+    # one match has no spread either: degenerate, not a malformed input
+    with pytest.raises(DegenerateScaleError, match="at least two matches"):
+        scale_estimate(MatchSet.from_points([[0.0, 1.0, 2.0]], [[3.0, 4.0, 5.0]]))
 
 
 def test_make_rng_reproducible():

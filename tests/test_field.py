@@ -82,6 +82,12 @@ def test_grid_axes_rejects_non_finite_bounds_and_steps(bad):
         grid_axes((np.zeros(2), np.array([10.0, 10.0])), bad, 2)
 
 
+def test_grid_axes_rejects_an_overflowing_extent():
+    # each corner is finite, but max - min is not; no RuntimeWarning leaks
+    with pytest.raises(ValueError, match="bounds extent must be finite"):
+        grid_axes((np.full(2, -1e308), np.full(2, 1e308)), 1.0, 2)
+
+
 def zero_inlier_field():
     rng = make_rng(10)
     x = rng.uniform(0.0, 100.0, size=(25, 2))

@@ -210,6 +210,15 @@ def test_synth_spec_validation():
         SynthSpec(bounds=((0.0, 0.0), (0.0, 600.0)))
     with pytest.raises(ValueError):
         SynthSpec(dim=3, bounds=((0.0, 0.0), (800.0, 600.0)))
+    # finite corners whose extent overflows a float
+    with pytest.raises(ValueError, match="bounds extent must be finite"):
+        SynthSpec(bounds=((-1e308, -1e308), (1e308, 1e308)))
+
+
+def test_synth_spec_default_box_follows_dim():
+    assert SynthSpec().bounds == ((0.0, 0.0), (800.0, 600.0))
+    assert SynthSpec(dim=3).bounds == ((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
+    assert SynthSpec(dim=3) == SynthSpec(dim=3, bounds=((0.0,) * 3, (100.0,) * 3))
 
 
 def reference_save_matches(path, m, gt=None, units="units"):
