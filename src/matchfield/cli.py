@@ -47,6 +47,9 @@ from .io_eval import (
 from .ransac import labels_from_outcome
 
 
+# default lattice spacing of field and bench
+GRID_STEP = 50.0
+
 # (flag, Config field, type, help) of every parameter flag of filter and field
 _CONFIG_FLAGS = (
     ("--H", "H", float, "inlier residual threshold"),
@@ -267,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.add_argument("--output", type=Path, required=True, help="field CSV to write")
     p_field.add_argument("--labels-output", type=Path, default=None,
                          help="also write the match labels here")
-    p_field.add_argument("--grid-step", type=float, default=50.0, help="lattice spacing")
+    p_field.add_argument("--grid-step", type=float, default=GRID_STEP, help="lattice spacing")
     p_field.add_argument("--bounds", type=str, default=None,
                          help="lattice bounds mins,maxs (e.g. 0,0,800,600); default: data extent")
     p_field.add_argument("--svg", type=Path, default=None, help="render the 2D scene here")
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=str, default=None,
                          help="comma-separated n values overriding --n")
     p_bench.add_argument("--repeats", type=int, default=20)
-    p_bench.add_argument("--grid-step", type=float, default=50.0)
+    p_bench.add_argument("--grid-step", type=float, default=GRID_STEP)
     p_bench.add_argument("--seed", type=int, default=SynthSpec.seed)
     p_bench.add_argument("--output", type=Path, default=None, help="also write the table here")
     p_bench.set_defaults(func=cmd_bench)

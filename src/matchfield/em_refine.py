@@ -134,10 +134,11 @@ def init_from_hypotheses(
 ) -> EmState:
     """Seed per-match motions from the RANSAC cover.
 
-    Each covered match adopts the motion of its largest-support covering
-    hypothesis, the earliest one among equal supports, and that support
-    count as its (unnormalized) starting weight. All hypotheses are
-    converted to dual quaternions in one batched pass.
+    Each covered match adopts the motion of its owner (RansacOutcome.owner:
+    the covering hypothesis with the largest support, the earliest one
+    among equal supports) and that support count as its (unnormalized)
+    starting weight. All hypotheses are converted to dual quaternions in
+    one batched pass.
     Uncovered matches start at the identity with scale 1 and weight 0, so
     they pull no blend until the first E-step scores them. sigma starts at
     the RMS seeding residual of covered matches, floored at H / 10; the
@@ -153,28 +154,16 @@ def init_from_hypotheses(
     qs = dq8_identity(n)
     mus = np.ones(n)
     p = np.zeros(n)
-    covered = np.zeros(n, dtype=bool)
-    hyps = [h for h in outcome.hypotheses if h.support > 0]
+    hyps = outcome.hypotheses
+    covered = outcome.owner >= 0
     if hyps:
+        win = outcome.owner[covered]
         dqs = dq8_from_rt(
             np.stack([h.transform.R for h in hyps]), np.stack([h.transform.t for h in hyps])
         )
-        support = np.array([h.support for h in hyps], dtype=np.int64)
-        # hypotheses ranked by falling support, earlier first among ties;
-        # each match's best (lowest) rank names its winning hypothesis
-        order = np.argsort(-support, kind="stable")
-        best = np.full(n, len(hyps))
-        np.minimum.at(
-            best,
-            np.concatenate([hyps[j].inliers for j in order]),
-            np.repeat(np.arange(len(hyps)), [hyps[j].inliers.size for j in order]),
-        )
-        rows = np.nonzero(best < len(hyps))[0]
-        win = order[best[rows]]
-        qs[rows] = dqs[win]
-        mus[rows] = np.array([h.transform.mu for h in hyps])[win]
-        p[rows] = support[win]
-        covered[rows] = True
+        qs[covered] = dqs[win]
+        mus[covered] = np.array([h.transform.mu for h in hyps])[win]
+        p[covered] = np.array([h.support for h in hyps])[win]
     field_at_x = dq8_apply(qs, mus, m.x)
     resid = np.linalg.norm(m.y - field_at_x, axis=1)
     floor = SIGMA_INIT_FLOOR_FACTOR * cfg.H
@@ -191,7 +180,7 @@ def init_from_hypotheses(
         gamma=gamma,
         graph=graph,
         field_at_x=field_at_x,
-        isolated=~covered & (p <= 0.0),
+        isolated=~covered,
     )
 
 

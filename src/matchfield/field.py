@@ -27,9 +27,10 @@ from .io_eval import flag_column, float_column, write_csv_columns
 
 # a sample is valid when the blend weights sum to at least this much
 SUPPORT_MIN = 0.01
-# query points are blended this many rows at a time, so the gathered
-# (rows, N_neighbor, 8) neighbor motions stay a few MB however many points
-# are asked for; every step is row-wise, so the result does not depend on it
+# query points are blended this many rows at a time, so the (rows, k)
+# planes of neighbor distances, indices, weights and hemisphere dots (k up
+# to N_neighbor) stay a few MB however many points are asked for; every
+# step is row-wise, so the result does not depend on it
 QUERY_BLOCK = 4096
 
 
@@ -102,13 +103,20 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
 
     bounds is (mins, maxs). A step larger than an extent yields the single
     sample at that axis minimum. Rejects non-finite or inverted bounds, an
-    extent that overflows, and non-finite or non-positive steps.
+    extent that overflows, non-finite or non-positive steps, and an axis
+    with more samples than an index can count.
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
         raise ValueError("empty bounds: max < min")
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
+    # the sample count np.arange takes, in the same float arithmetic
+    with np.errstate(over="ignore"):
+        counts = np.ceil((maxs + 0.5 * step - mins) / step)
+    if not (counts <= np.iinfo(np.intp).max).all():
+        raise ValueError(f"lattice of {counts.tolist()} samples per axis at step {step} "
+                         "overflows an index")
     return [np.arange(lo, hi + 0.5 * step, step) for lo, hi in zip(mins, maxs)]
 
 

@@ -279,7 +279,7 @@ class SynthSpec:
     bounds left as None becomes the default box of dim: the 800 x 600
     frame ((0, 0), (800, 600)) in 2D, the 100-unit cube ((0, 0, 0),
     (100, 100, 100)) in 3D. Bounds must be finite with a positive, finite
-    extent on every axis.
+    extent on every axis whose squares sum to a finite float.
     """
 
     n: int = 1000
@@ -311,6 +311,11 @@ class SynthSpec:
         mins, maxs = box_corners(self.bounds, self.dim)
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")
+        # the anchor weights take squared distances across the box
+        with np.errstate(over="ignore"):
+            sq_extent = np.square(maxs - mins).sum()
+        if not np.isfinite(sq_extent):
+            raise ValueError(f"bounds {mins.tolist()} to {maxs.tolist()}: squared extent overflows")
 
 
 def _anchor_rotation(rng: np.random.Generator, dim: int, max_rotation: float):

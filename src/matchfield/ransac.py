@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,9 +67,6 @@ RANK_TOL = 1e-9
 # motion reaches its support with probability at most ALPHA
 ALPHA = 1e-3
 
-# safety cap on trials regardless of the confidence bound
-MAX_TRIALS_FACTOR = 10
-
 # most matches a trial fits on; larger inputs fit every trial on one seeded
 # subset of this size and still score all matches. At the 85% outlier limit
 # the subset must keep about 150 inliers: at n = 1000 and 85% outliers a
@@ -81,28 +79,61 @@ class TransformHypothesis:
     """One locally rigid motion found by a trial.
 
     control is the index of the match the trial grew from, inliers are all
-    matches within H of the motion, support is their count (the T_o score).
+    matches within H of the motion; support, their count, is the T_o score.
     """
 
     control: int
     transform: RigidTransform
     inliers: IntArray
-    support: int
+
+    @property
+    def support(self) -> int:
+        return int(self.inliers.size)
 
 
 @dataclass(frozen=True)
 class RansacOutcome:
-    """All accepted hypotheses plus the union of their inlier sets.
+    """What a run decided: the kept hypotheses in the order they were
+    found, the match count n, the trial count and gamma after each trial.
 
-    gamma is |inlier_union| / n. gamma_history records gamma after each
-    trial; it is non-decreasing because the union only grows.
+    Everything else is derived from these. owner names the motion that
+    owns each match, inlier_union holds the covered matches and gamma is
+    |inlier_union| / n. gamma_history is non-decreasing because the
+    cover only grows.
     """
 
     hypotheses: tuple[TransformHypothesis, ...]
-    inlier_union: IntArray
-    gamma: float
+    n: int
     trials: int
     gamma_history: tuple[float, ...]
+
+    @cached_property
+    def owner(self) -> IntArray:
+        """Read-only (n,) int64: the index of the covering hypothesis with
+        the largest support, the earliest one among equal supports, or -1
+        where no hypothesis covers the match. EM seeds each match from its
+        owner and labels_from_outcome takes the owner's residual."""
+        hyps = self.hypotheses
+        # hypotheses ranked by falling support, earlier first among ties;
+        # each match's best (lowest) rank names its owner, and len(hyps),
+        # past the last rank, maps to -1
+        rank = np.argsort([-h.support for h in hyps], kind="stable")
+        best = np.full(self.n, len(hyps))
+        if hyps:
+            np.minimum.at(best, np.concatenate([hyps[j].inliers for j in rank]),
+                          np.repeat(np.arange(len(hyps)), [hyps[j].support for j in rank]))
+        owner = np.append(rank, -1)[best]
+        # every reader shares the cached array
+        owner.setflags(write=False)
+        return owner
+
+    @property
+    def inlier_union(self) -> IntArray:
+        return np.nonzero(self.owner >= 0)[0].astype(np.int64)
+
+    @property
+    def gamma(self) -> float:
+        return self.inlier_union.size / self.n
 
 
 def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
@@ -340,76 +371,19 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None)
     return RigidTransform(R=R, t=t, mu=mu), d, w
 
 
-def _run(m: MatchSet, cfg: Config, rows: IntArray | None) -> RansacOutcome:
-    n = m.n
-    if n < cfg.T_min:
-        raise DegenerateGeometryError(
-            f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
-        )
-    t_acc = acceptance_threshold(m, cfg)
-    rng = make_rng(cfg.seed)
-    inlier_mask = np.zeros(n, dtype=bool)
-    # the open controls, neither reserved by a hypothesis nor tried yet, in
-    # ascending order
-    candidates = np.arange(n)
-    n_in = 0
-    hyps: list[TransformHypothesis] = []
-    gamma_history: list[float] = []
-    k = 0
-    max_trials = MAX_TRIALS_FACTOR * n
-    while k < max_trials:
-        gamma = n_in / n
-        # all three stopping rules use the current gamma
-        if n - n_in < t_acc:
-            break
-        if candidates.size == 0:
-            break
-        if k > trial_bound(n, gamma, t_acc, cfg.ransac_p):
-            break
-        # the same draw as rng.choice(candidates), without its overhead
-        j = int(rng.integers(candidates.size))
-        o = int(candidates[j])
-        candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
-        k += 1
-        try:
-            rt, d, _ = reweight_fit(m, o, cfg, rows=rows)
-        except DegenerateGeometryError:
-            pass
-        else:
-            inl = np.nonzero(d < cfg.H)[0]
-            if inl.size >= t_acc:
-                hyps.append(
-                    TransformHypothesis(
-                        control=o, transform=rt, inliers=inl.astype(np.int64), support=int(inl.size)
-                    )
-                )
-                new = inl[~inlier_mask[inl]]
-                inlier_mask[new] = True
-                n_in += new.size
-                candidates = candidates[~inlier_mask[candidates]]
-        gamma_history.append(n_in / n)
-    union = np.nonzero(inlier_mask)[0].astype(np.int64)
-    return RansacOutcome(
-        hypotheses=tuple(hyps),
-        inlier_union=union,
-        gamma=union.size / n,
-        trials=k,
-        gamma_history=tuple(gamma_history),
-    )
-
-
 def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     """Extract locally rigid motions until the confidence bound is met.
 
     Controls are drawn uniformly from matches that no accepted hypothesis
     covers yet, and each control is tried at most once (a trial is
-    deterministic in the control, so retrying one is pointless). A trial's
-    motion is kept when at least t_acc = acceptance_threshold(m, cfg)
-    matches fall within H of it: T_min, or more when a random motion would
-    catch T_min wrong matches too often. The run stops when fewer than
-    t_acc matches remain unreserved, when no untried control is left, or
-    when the trial count exceeds the confidence bound for t_acc,
-    re-evaluated with the current gamma before every trial.
+    deterministic in the control, so retrying one is pointless), so a run
+    makes at most n trials. A trial's motion is kept when at least
+    t_acc = acceptance_threshold(m, cfg) matches fall within H of it:
+    T_min, or more when a random motion would catch T_min wrong matches
+    too often. The run stops when fewer than t_acc matches remain
+    unreserved, when no untried control is left, or when the trial count
+    exceeds the confidence bound for t_acc, re-evaluated with the current
+    gamma before every trial.
 
     With more than FIT_ROWS matches every trial fits on one sorted subset
     of FIT_ROWS matches drawn from the seed, while the inlier test d_i < H
@@ -418,38 +392,63 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     With nothing but outliers the outcome is empty: no hypotheses and
     gamma = 0.
     """
+    n = m.n
+    if n < cfg.T_min:
+        raise DegenerateGeometryError(
+            f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
+        )
     rows = None
-    if m.n > FIT_ROWS:
+    if n > FIT_ROWS:
         # the run re-seeds its own generator, so control draws do not
         # depend on this one
-        rows = np.sort(make_rng(cfg.seed).choice(m.n, size=FIT_ROWS, replace=False))
+        rows = np.sort(make_rng(cfg.seed).choice(n, size=FIT_ROWS, replace=False))
         rows = rows.astype(np.int64)
-    return _run(m, cfg, rows=rows)
+    t_acc = acceptance_threshold(m, cfg)
+    rng = make_rng(cfg.seed)
+    inlier_mask = np.zeros(n, dtype=bool)
+    # the open controls, neither reserved by a hypothesis nor tried yet, in
+    # ascending order
+    candidates = np.arange(n)
+    n_in = 0
+    hyps: list[TransformHypothesis] = []
+    # one entry per trial, so its length is the trial count
+    gamma_history: list[float] = []
+    # the three stopping rules, all on the current gamma
+    while (n - n_in >= t_acc and candidates.size
+           and len(gamma_history) <= trial_bound(n, n_in / n, t_acc, cfg.ransac_p)):
+        # the same draw as rng.choice(candidates), without its overhead
+        j = int(rng.integers(candidates.size))
+        o = int(candidates[j])
+        candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
+        try:
+            rt, d, _ = reweight_fit(m, o, cfg, rows=rows)
+        except DegenerateGeometryError:
+            pass
+        else:
+            inl = np.nonzero(d < cfg.H)[0]
+            if inl.size >= t_acc:
+                hyps.append(TransformHypothesis(o, rt, inl.astype(np.int64)))
+                new = inl[~inlier_mask[inl]]
+                inlier_mask[new] = True
+                n_in += new.size
+                candidates = candidates[~inlier_mask[candidates]]
+        gamma_history.append(n_in / n)
+    return RansacOutcome(hypotheses=tuple(hyps), n=n, trials=len(gamma_history),
+                         gamma_history=tuple(gamma_history))
 
 
 def labels_from_outcome(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> LabelResult:
     """Hard labels straight from the RANSAC cover, for baselines and reports.
 
     A match is an inlier iff some hypothesis covers it. Posterior is 1 or 0;
-    residual is the distance to the prediction of the covering hypothesis
-    with the largest support (infinity for uncovered matches with no
-    hypotheses at all).
+    residual is the distance to the prediction of the match's owner (see
+    RansacOutcome.owner), and for an uncovered match its smallest distance
+    to any found motion (infinity with no hypotheses at all).
     """
-    n = m.n
-    inlier = np.zeros(n, dtype=bool)
-    best = np.zeros(n, dtype=np.int64)
-    residual = np.full(n, np.inf)
-    min_d = np.full(n, np.inf)
-    for h in outcome.hypotheses:
-        d = np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
-        min_d = np.minimum(min_d, d)
-        take = np.zeros(n, dtype=bool)
-        take[h.inliers] = True
-        take &= h.support > best
-        residual[take] = d[take]
-        best[take] = h.support
-        inlier[h.inliers] = True
-    # uncovered matches report their best distance to any found motion
-    residual = np.where(inlier, residual, min_d)
-    posterior = inlier.astype(np.float64)
-    return LabelResult(inlier=inlier, posterior=posterior, residual=residual)
+    # one residual row per motion, then an all-inf row: owner -1 picks it,
+    # and without motions it leaves the minimum infinite
+    d = np.array([np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
+                  for h in outcome.hypotheses] + [np.full(m.n, np.inf)])
+    inlier = outcome.owner >= 0
+    residual = np.where(inlier, d[outcome.owner, np.arange(m.n)], d.min(axis=0))
+    return LabelResult(inlier=inlier, posterior=inlier.astype(np.float64), residual=residual)

@@ -1,4 +1,5 @@
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,42 @@ def test_overflowing_bounds_exit_2(tmp_path, capsys):
         assert main(argv + ["--bounds=-1e308,-1e308,1e308,1e308"]) == 2
         assert capsys.readouterr().err.startswith("error: bounds extent must be finite")
     assert not synth.exists() and not field.exists()
+
+
+def test_synth_rejects_a_box_whose_squared_extent_overflows(tmp_path, capsys):
+    # the extent 2e200 fits a float, its square does not: exit 2 naming the
+    # bounds, with no RuntimeWarning from the scene generator
+    synth = tmp_path / "s.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["synth", "--output", str(synth), "--n", "50",
+                   "--bounds=-1e200,-1e200,1e200,1e200"])
+    assert rc == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounds [-1e+200, -1e+200] to [1e+200, 1e+200]")
+    assert "squared extent overflows" in err
+    assert not synth.exists()
+
+
+def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monkeypatch):
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    calls = _count_stage_calls(monkeypatch)
+    field = tmp_path / "f.csv"
+    rc = main(["field", "--input", str(scene), "--output", str(field),
+               "--bounds=1,1,1e200,1e200"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lattice of [2e+198, 2e+198] samples per axis at step 50.0")
+    assert "overflows an index" in err
+    assert not calls["ransac"] and not field.exists()
+
+
+def test_field_and_bench_share_the_grid_step_default():
+    parser = cli.build_parser()
+    field = parser.parse_args(["field", "--input", "m.csv", "--output", "f.csv"])
+    bench = parser.parse_args(["bench"])
+    assert field.grid_step == bench.grid_step == cli.GRID_STEP == 50.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])

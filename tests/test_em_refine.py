@@ -28,14 +28,8 @@ from matchfield.io_eval import SynthSpec, compute_metrics, synth_generate
 from matchfield.ransac import RansacOutcome, TransformHypothesis, ransac_run
 
 
-def empty_outcome():
-    return RansacOutcome(
-        hypotheses=(),
-        inlier_union=np.array([], dtype=np.int64),
-        gamma=0.0,
-        trials=0,
-        gamma_history=(),
-    )
+def empty_outcome(n):
+    return RansacOutcome(hypotheses=(), n=n, trials=0, gamma_history=())
 
 
 def self_only_state(m, p, sigma=5.0, gamma=0.5):
@@ -114,19 +108,9 @@ def test_init_adopts_largest_support_and_seeds_sigma():
     m = MatchSet.from_points(x, x)
     ident = RigidTransform(R=np.eye(2), t=np.zeros(2), mu=1.0)
     shift = RigidTransform(R=np.eye(2), t=np.array([1.0, 0.0]), mu=1.0)
-    h1 = TransformHypothesis(
-        control=0, transform=ident, inliers=np.array([0, 1]), support=2
-    )
-    h2 = TransformHypothesis(
-        control=2, transform=shift, inliers=np.array([1, 2, 3]), support=3
-    )
-    out = RansacOutcome(
-        hypotheses=(h1, h2),
-        inlier_union=np.array([0, 1, 2, 3]),
-        gamma=0.8,
-        trials=2,
-        gamma_history=(0.4, 0.8),
-    )
+    h1 = TransformHypothesis(control=0, transform=ident, inliers=np.array([0, 1]))
+    h2 = TransformHypothesis(control=2, transform=shift, inliers=np.array([1, 2, 3]))
+    out = RansacOutcome(hypotheses=(h1, h2), n=5, trials=2, gamma_history=(0.4, 0.8))
     cfg = Config(H=2.0)
     state = init_from_hypotheses(m, out, cfg)
     assert np.allclose(state.qs[0], dq8_from_rt(np.eye(2), np.zeros(2)))
@@ -168,11 +152,10 @@ def test_batched_seeding_bit_identical_to_loop():
             control=int(rows[0]),
             transform=RigidTransform(R=np.eye(2), t=np.array([float(j), 0.0]), mu=1.0 + j),
             inliers=np.array(rows, dtype=np.int64),
-            support=len(rows),
         )
         for j, rows in enumerate(([0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 1, 2, 3]))
     )
-    ties = RansacOutcome(hyps, np.arange(6), 1.0, 4, (0.5, 0.8, 1.0, 1.0))
+    ties = RansacOutcome(hyps, 6, 4, (0.5, 0.8, 1.0, 1.0))
     m2, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.7, seed=42))
     m3, _ = synth_generate(SynthSpec(
         n=693, dim=3, outlier_ratio=0.2, n_anchors=3, max_rotation=0.05,
@@ -200,19 +183,14 @@ def test_init_empty_outcome_and_gamma_clamp():
     x = rng.uniform(0.0, 100.0, size=(20, 2))
     m = MatchSet.from_points(x, x)
     cfg = Config()
-    state = init_from_hypotheses(m, empty_outcome(), cfg)
+    state = init_from_hypotheses(m, empty_outcome(m.n), cfg)
     assert np.all(state.p == 0.0)
     assert np.isclose(state.sigma, cfg.H / 10.0)
     assert np.isclose(state.gamma, 0.05)
     ident = RigidTransform(R=np.eye(2), t=np.zeros(2), mu=1.0)
     full = RansacOutcome(
-        hypotheses=(
-            TransformHypothesis(
-                control=0, transform=ident, inliers=np.arange(20), support=20
-            ),
-        ),
-        inlier_union=np.arange(20),
-        gamma=1.0,
+        hypotheses=(TransformHypothesis(control=0, transform=ident, inliers=np.arange(20)),),
+        n=20,
         trials=1,
         gamma_history=(1.0,),
     )
@@ -265,7 +243,7 @@ def test_m_step_zero_weights_keep_motions():
     x = rng.uniform(0.0, 100.0, size=(10, 2))
     m = MatchSet.from_points(x, x + 2.0)
     cfg = Config()
-    state = init_from_hypotheses(m, empty_outcome(), cfg)
+    state = init_from_hypotheses(m, empty_outcome(m.n), cfg)
     qs_before = state.qs.copy()
     m_step(state, m, cfg)
     assert state.isolated.all()
@@ -325,7 +303,7 @@ def test_run_em_empty_outcome_all_outlier():
     rng = make_rng(45)
     x = rng.uniform(0.0, 100.0, size=(30, 2))
     m = MatchSet.from_points(x, x[::-1].copy())
-    labels, state = run_em(m, empty_outcome(), Config())
+    labels, state = run_em(m, empty_outcome(m.n), Config())
     assert not labels.inlier.any()
 
 
@@ -348,14 +326,15 @@ def test_pipeline_is_deterministic():
     assert a_state.n_iters == b_state.n_iters
 
 
-def test_sparse_pipeline_close_to_dense():
+def test_sparse_pipeline_close_to_dense(monkeypatch):
     # above FIT_ROWS matches RANSAC fits each trial on a seeded subset; the
     # labels stay within 1% of a run whose trials fit on every match
     m, gt = synth_generate(SynthSpec(n=3000, outlier_ratio=0.5, seed=7))
     assert m.n > ransac.FIT_ROWS
     cfg = Config(seed=7)
     subset, _, _ = filter_and_refine(m, cfg)
-    dense, _ = run_em(m, ransac._run(m, cfg, rows=None), cfg)
+    monkeypatch.setattr(ransac, "FIT_ROWS", m.n)
+    dense, _, _ = filter_and_refine(m, cfg)
     disagree = np.mean(dense.inlier != subset.inlier)
     assert disagree <= 0.01
 
@@ -494,10 +473,8 @@ def test_isolated_match_does_not_vouch_for_itself():
         control=1,
         transform=RigidTransform(R=np.eye(2), t=np.array([2.0, 2.0]), mu=1.0),
         inliers=np.arange(40, dtype=np.int64),
-        support=40,
     )
-    outcome = RansacOutcome(hypotheses=(hyp,), inlier_union=hyp.inliers, gamma=1.0, trials=1,
-                            gamma_history=(1.0,))
+    outcome = RansacOutcome(hypotheses=(hyp,), n=40, trials=1, gamma_history=(1.0,))
     state = init_from_hypotheses(m, outcome, cfg)
     state.p[:] = 1.0
     state.p[0] = 1e-3

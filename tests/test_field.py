@@ -88,17 +88,19 @@ def test_grid_axes_rejects_an_overflowing_extent():
         grid_axes((np.full(2, -1e308), np.full(2, 1e308)), 1.0, 2)
 
 
+def test_grid_axes_rejects_a_lattice_that_overflows_an_index():
+    # np.arange's own error names neither the counts nor the step
+    with pytest.raises(ValueError, match=r"lattice of \[2e\+198, 2e\+198\] samples per axis "
+                                         r"at step 50.0 overflows an index"):
+        grid_axes(((1.0, 1.0), (1e200, 1e200)), 50.0, 2)
+    assert [a.size for a in grid_axes(((0.0, 0.0), (800.0, 600.0)), 50.0, 2)] == [17, 13]
+
+
 def zero_inlier_field():
     rng = make_rng(10)
     x = rng.uniform(0.0, 100.0, size=(25, 2))
     m = MatchSet.from_points(x, x + 500.0)
-    empty = RansacOutcome(
-        hypotheses=(),
-        inlier_union=np.array([], dtype=np.int64),
-        gamma=0.0,
-        trials=0,
-        gamma_history=(),
-    )
+    empty = RansacOutcome(hypotheses=(), n=m.n, trials=0, gamma_history=())
     cfg = Config()
     labels, state = run_em(m, empty, cfg)
     return m, cfg, labels, state

@@ -215,6 +215,17 @@ def test_synth_spec_validation():
         SynthSpec(bounds=((-1e308, -1e308), (1e308, 1e308)))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_synth_rejects_squared_extent_overflow_and_keeps_huge_boxes_finite(dim):
+    # squares of 2e200 overflow a float; a box of extent 1e150 still gives a
+    # finite scene (RuntimeWarnings are errors under the test settings)
+    with pytest.raises(ValueError, match="squared extent overflows"):
+        SynthSpec(dim=dim, bounds=((-1e200,) * dim, (1e200,) * dim))
+    m, gt = synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e150,) * dim)))
+    assert np.isfinite(m.x).all() and np.isfinite(m.y).all()
+    assert gt.sum() == 100 and np.ptp(m.x, axis=0).min() > 1e149
+
+
 def test_synth_spec_default_box_follows_dim():
     assert SynthSpec().bounds == ((0.0, 0.0), (800.0, 600.0))
     assert SynthSpec(dim=3).bounds == ((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))

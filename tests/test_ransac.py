@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +13,6 @@ from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     ALPHA,
     FIT_ROWS,
-    MAX_TRIALS_FACTOR,
     RANK_TOL,
     RansacOutcome,
     TransformHypothesis,
@@ -538,7 +537,7 @@ def test_ransac_pure_noise_terminates():
     y = rng.uniform(0.0, 800.0, size=(200, 2))
     m = MatchSet.from_points(x, y)
     out = ransac_run(m, Config(seed=2))
-    assert out.trials <= 10 * m.n
+    assert out.trials <= m.n
     assert out.gamma < 0.5
 
 
@@ -553,7 +552,7 @@ def test_run_within_fit_rows_is_the_all_rows_run():
     m, gt = synth_generate(SynthSpec(n=FIT_ROWS, outlier_ratio=0.7, seed=4))
     cfg = Config(seed=4)
     out = ransac_run(m, cfg)
-    ref = ransac._run(m, cfg, rows=None)
+    ref, _, _ = reference_run(m, cfg, rows=None)
     assert out.trials == ref.trials
     assert out.gamma_history == ref.gamma_history
     assert np.array_equal(out.inlier_union, ref.inlier_union)
@@ -563,10 +562,10 @@ def test_run_within_fit_rows_is_the_all_rows_run():
 
 
 def test_sparse_matches_dense_on_rigid_scene(monkeypatch):
-    monkeypatch.setattr(ransac, "FIT_ROWS", 50)
     rng = make_rng(29)
     m, R, t, mu = similarity_scene(rng, 400, 2)
-    dense = ransac._run(m, Config(seed=6), rows=None)
+    dense = ransac_run(m, Config(seed=6))
+    monkeypatch.setattr(ransac, "FIT_ROWS", 50)
     subset = ransac_run(m, Config(seed=6))
     assert np.array_equal(dense.inlier_union, subset.inlier_union)
     assert subset.gamma == 1.0
@@ -608,16 +607,93 @@ def test_labels_from_outcome_rigid_scene():
 
 def test_labels_from_empty_outcome():
     m = MatchSet.from_points(np.zeros((4, 2)) + np.arange(4)[:, None], np.ones((4, 2)))
-    empty = RansacOutcome(
-        hypotheses=(),
-        inlier_union=np.array([], dtype=np.int64),
-        gamma=0.0,
-        trials=0,
-        gamma_history=(),
-    )
+    empty = RansacOutcome(hypotheses=(), n=m.n, trials=0, gamma_history=())
     labels = labels_from_outcome(m, empty, Config())
     assert not labels.inlier.any()
     assert np.isinf(labels.residual).all()
+
+
+def reference_labels_from_outcome(m, outcome):
+    """labels_from_outcome as first written, the reference for the one
+    owner rule: a match's residual moves to a later hypothesis only on
+    strictly larger support, and uncovered matches keep their running
+    minimum."""
+    n = m.n
+    inlier = np.zeros(n, dtype=bool)
+    best = np.zeros(n, dtype=np.int64)
+    residual = np.full(n, np.inf)
+    min_d = np.full(n, np.inf)
+    for h in outcome.hypotheses:
+        d = np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
+        min_d = np.minimum(min_d, d)
+        take = np.zeros(n, dtype=bool)
+        take[h.inliers] = True
+        take &= h.support > best
+        residual[take] = d[take]
+        best[take] = h.support
+        inlier[h.inliers] = True
+    residual = np.where(inlier, residual, min_d)
+    return inlier, inlier.astype(np.float64), residual
+
+
+def tied_outcome():
+    """Overlapping hypotheses with tied supports over six matches, two of
+    them (6 and 7) uncovered."""
+    x = np.arange(16.0).reshape(8, 2)
+    m = MatchSet.from_points(x, x + 0.5)
+    hyps = tuple(
+        TransformHypothesis(
+            control=int(rows[0]),
+            transform=RigidTransform(R=np.eye(2), t=np.array([float(j), 0.5]), mu=1.0),
+            inliers=np.array(rows, dtype=np.int64),
+        )
+        for j, rows in enumerate(([0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 1, 2, 3]))
+    )
+    return m, RansacOutcome(hyps, n=8, trials=5, gamma_history=(0.375, 0.625, 0.75, 0.75, 0.75))
+
+
+def test_owner_is_the_largest_earliest_covering_hypothesis():
+    m, out = tied_outcome()
+    # support 4 takes matches 0-3; match 4 ties at support 3 between
+    # hypotheses 1 and 2 and stays with the earlier one
+    assert out.owner.dtype == np.int64 and not out.owner.flags.writeable
+    assert out.owner is out.owner
+    assert out.owner.tolist() == [3, 3, 3, 3, 1, 2, -1, -1]
+    assert out.inlier_union.dtype == np.int64
+    assert out.inlier_union.tolist() == [0, 1, 2, 3, 4, 5]
+    assert out.gamma == 6 / 8
+    assert [h.support for h in out.hypotheses] == [3, 3, 3, 4]
+    empty = RansacOutcome(hypotheses=(), n=3, trials=0, gamma_history=())
+    assert empty.owner.tolist() == [-1, -1, -1]
+    assert empty.inlier_union.size == 0 and empty.gamma == 0.0
+
+
+def test_outcome_stores_only_what_the_run_decided():
+    assert [f.name for f in fields(TransformHypothesis)] == ["control", "transform", "inliers"]
+    assert [f.name for f in fields(RansacOutcome)] == ["hypotheses", "n", "trials", "gamma_history"]
+
+
+@pytest.mark.parametrize("scene", ["ties", "2d", "2d-fit-rows", "3d"])
+def test_labels_from_outcome_equal_the_reference_loop(scene):
+    if scene == "ties":
+        m, out = tied_outcome()
+        cfg = Config()
+    else:
+        if scene == "3d":
+            m = surface_scene_3d(693, 0.84, seed=43)[0]
+        else:
+            n = 1000 if scene == "2d" else 3000
+            m = synth_generate(SynthSpec(n=n, outlier_ratio=0.7, seed=42))[0]
+        assert (m.n > FIT_ROWS) == (scene == "2d-fit-rows")
+        cfg = Config.for_matches(m, seed=42)
+        out = ransac_run(m, cfg)
+        assert len(out.hypotheses) >= 2
+    labels = labels_from_outcome(m, out, cfg)
+    inlier, posterior, residual = reference_labels_from_outcome(m, out)
+    assert labels.inlier.tobytes() == inlier.tobytes()
+    assert labels.posterior.tobytes() == posterior.tobytes()
+    assert labels.residual.tobytes() == residual.tobytes()
+    assert np.isfinite(labels.residual).all()
 
 
 # The trial loop and one-point fits as first written, kept as the reference
@@ -710,7 +786,7 @@ def reference_run(m, cfg, rows):
     tried = np.zeros(n, dtype=bool)
     hyps, gamma_history = [], []
     k = 0
-    while k < MAX_TRIALS_FACTOR * n:
+    while True:
         n_in = int(inlier_mask.sum())
         gamma = n_in / n
         if n - n_in < t_acc:
@@ -731,13 +807,13 @@ def reference_run(m, cfg, rows):
         rt = RigidTransform(R=R, t=m.y[o] / mu - R @ m.x[o], mu=mu)
         inl = np.nonzero(d < cfg.H)[0]
         if inl.size >= t_acc:
-            hyps.append(TransformHypothesis(control=o, transform=rt, inliers=inl.astype(np.int64),
-                                            support=int(inl.size)))
+            hyps.append(TransformHypothesis(control=o, transform=rt, inliers=inl.astype(np.int64)))
             inlier_mask[inl] = True
         gamma_history.append(float(inlier_mask.sum()) / n)
     union = np.nonzero(inlier_mask)[0].astype(np.int64)
-    return RansacOutcome(hypotheses=tuple(hyps), inlier_union=union, gamma=union.size / n,
-                         trials=k, gamma_history=tuple(gamma_history))
+    outcome = RansacOutcome(hypotheses=tuple(hyps), n=n, trials=k,
+                            gamma_history=tuple(gamma_history))
+    return outcome, union, union.size / n
 
 
 def collapsed_targets(dim, n=300, seed=0):
@@ -767,15 +843,16 @@ def test_lean_loop_reproduces_the_reference_run(name):
     rows = None
     if m.n > FIT_ROWS:
         rows = np.sort(make_rng(cfg.seed).choice(m.n, size=FIT_ROWS, replace=False)).astype(np.int64)
-    ref = reference_run(m, cfg, rows)
+    ref, union, gamma = reference_run(m, cfg, rows)
     out = ransac_run(m, cfg)
-    assert out.trials == ref.trials
+    assert out.trials == ref.trials <= m.n
     assert out.gamma_history == ref.gamma_history
-    assert out.gamma == ref.gamma
-    assert out.inlier_union.tobytes() == ref.inlier_union.tobytes()
+    # the derived union and gamma equal the ones the reference kept itself
+    assert out.gamma == ref.gamma == gamma
+    assert out.inlier_union.tobytes() == ref.inlier_union.tobytes() == union.tobytes()
     assert len(out.hypotheses) == len(ref.hypotheses)
     for h, g in zip(out.hypotheses, ref.hypotheses):
-        assert h.control == g.control and h.support == g.support
+        assert h.control == g.control and h.support == g.support == h.inliers.size
         assert h.transform.R.tobytes() == g.transform.R.tobytes()
         assert h.transform.t.tobytes() == g.transform.t.tobytes()
         assert h.transform.mu == g.transform.mu
