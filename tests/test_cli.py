@@ -505,6 +505,20 @@ def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monke
     assert not calls["ransac"] and not field.exists()
 
 
+def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # 100,001 samples per axis are 0.8 MB each, but the 1e15-point 3D
+    # lattice needs petabytes, which numpy refuses without allocating
+    scene = _synth(tmp_path / "scene3.csv", capsys, dim=3, n=150)
+    field, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    rc = main(["field", "--input", str(scene), "--output", str(field),
+               "--labels-output", str(labels), "--bounds=0,0,0,1e5,1e5,1e5", "--grid-step", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: lattice of [100001, 100001, 100001] samples per axis at step 1.0 "
+                   "does not fit in memory\n")
+    assert not field.exists() and not labels.exists()
+
+
 def test_field_and_bench_share_the_grid_step_default():
     parser = cli.build_parser()
     field = parser.parse_args(["field", "--input", "m.csv", "--output", "f.csv"])

@@ -497,3 +497,18 @@ def test_isolated_match_does_not_vouch_for_itself():
     p = e_step(state, m, cfg)
     assert np.isclose(p[0], G / (G + c), rtol=1e-12, atol=0.0)
     assert p[0] < 1e-9
+
+
+@pytest.mark.parametrize("with_hypotheses", [False, True], ids=["empty", "hypotheses"])
+def test_em_readers_reject_an_outcome_of_another_match_count(with_hypotheses):
+    m = synth_generate(SynthSpec(n=20, outlier_ratio=0.0, seed=3))[0]
+    if with_hypotheses:
+        big = synth_generate(SynthSpec(n=25, outlier_ratio=0.0, seed=3))[0]
+        out = ransac_run(big, Config(seed=3))
+        assert out.hypotheses
+    else:
+        out = empty_outcome(25)
+    cfg = Config(seed=3)
+    for read in (lambda: init_from_hypotheses(m, out, cfg), lambda: run_em(m, out, cfg)):
+        with pytest.raises(ValueError, match="outcome of 25 matches used with 20 matches"):
+            read()

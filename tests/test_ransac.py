@@ -910,3 +910,92 @@ def test_integers_draw_is_the_choice_draw():
             drop = shrink.integers(candidates.size, size=int(shrink.integers(1, 4)))
             candidates = np.delete(candidates, drop)
         assert a.random() == b.random()
+
+
+def hand_made_spatial_terms(case):
+    """(xr, yr) coordinate-major relative coordinates that send _fit_spatial
+    down one branch each."""
+    rng = make_rng(60)
+    xr = rng.normal(size=(3, 8)) * [[40.0], [25.0], [10.0]]
+    if case == "reflection":
+        # y mirrors x through the xy-plane: det M < 0, so U's last column flips
+        yr = 1.7 * np.diag([1.0, 1.0, -1.0]) @ xr
+    elif case == "coplanar":
+        xr[2] = 0.0
+        yr = 0.8 * random_rotation_3d(rng) @ xr
+    elif case == "rank-1":
+        # every point on one line through the control
+        xr = np.outer([0.3, -1.2, 0.7], rng.uniform(-50.0, 50.0, size=8))
+        yr = 1.1 * random_rotation_3d(rng) @ xr
+    else:
+        yr = xr.copy()
+        yr[1, 3] = np.nan
+    return ransac._spatial_terms(np.ascontiguousarray(xr), np.ascontiguousarray(yr))
+
+
+@pytest.mark.parametrize("case", ["reflection", "coplanar"])
+def test_lapack_fit_is_the_numpy_svd_fit_on_each_branch(case):
+    terms = hand_made_spatial_terms(case)
+    w2 = make_rng(61).uniform(0.1, 1.0, size=terms[0].shape[1]) ** 2
+    M = (terms[1] * w2) @ terms[0].T
+    U, S, Vt = np.linalg.svd(M)
+    if case == "reflection":
+        assert np.linalg.det(U) * np.linalg.det(Vt) < 0.0
+    else:
+        assert S[2] <= 1e-12 * S[0] and S[1] > RANK_TOL * S[0]
+    R, mu = ransac._fit_spatial(terms, w2)
+    R_ref, mu_ref = reference_fit_spatial(*terms, w2)
+    assert R.tobytes() == R_ref.tobytes() and mu == mu_ref
+    assert np.allclose(R @ R.T, np.eye(3)) and np.isclose(np.linalg.det(R), 1.0)
+
+
+@pytest.mark.parametrize("case,message", [("rank-1", "collinear"), ("non-finite", "non-finite")])
+def test_lapack_fit_rejects_what_the_numpy_svd_fit_rejects(case, message):
+    terms = hand_made_spatial_terms(case)
+    w2 = np.ones(terms[0].shape[1])
+    for fit in (lambda: ransac._fit_spatial(terms, w2), lambda: reference_fit_spatial(*terms, w2)):
+        with pytest.raises(DegenerateGeometryError, match=message):
+            fit()
+
+
+def test_unconverged_svd_raises_linalg_error(monkeypatch):
+    m, w = random_weighted_spatial_set(make_rng(62), 20)
+    dgesdd = ransac.lapack.dgesdd
+    monkeypatch.setattr(ransac.lapack, "dgesdd", lambda a: dgesdd(a)[:3] + (1,))
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        weighted_rigid_fit(m, 0, w)
+
+
+def test_3d_run_needs_no_numpy_svd(monkeypatch):
+    # a 3D run goes to LAPACK directly: with np.linalg.svd unusable it still
+    # returns the outcome of the np.linalg.svd reference, bit for bit
+    m = REFERENCE_SCENES["3d-629/0.76"]()
+    cfg = Config.for_matches(m, seed=7)
+    ref, _, _ = reference_run(m, cfg, None)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    out = ransac_run(m, cfg)
+    assert out.trials == ref.trials and out.gamma_history == ref.gamma_history
+    assert len(out.hypotheses) == len(ref.hypotheses) > 0
+    for h, g in zip(out.hypotheses, ref.hypotheses):
+        assert h.control == g.control and h.inliers.tobytes() == g.inliers.tobytes()
+        assert h.transform.R.tobytes() == g.transform.R.tobytes()
+        assert h.transform.t.tobytes() == g.transform.t.tobytes()
+        assert h.transform.mu == g.transform.mu
+
+
+@pytest.mark.parametrize("with_hypotheses", [False, True], ids=["empty", "hypotheses"])
+def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
+    if with_hypotheses:
+        m, out = tied_outcome()
+        other = MatchSet.from_points(m.x[:5], m.y[:5])
+        counts = "outcome of 8 matches used with 5 matches"
+    else:
+        other = MatchSet.from_points(np.arange(40.0).reshape(20, 2), np.arange(40.0).reshape(20, 2))
+        out = RansacOutcome(hypotheses=(), n=25, trials=0, gamma_history=())
+        counts = "outcome of 25 matches used with 20 matches"
+    with pytest.raises(ValueError, match=counts):
+        labels_from_outcome(other, out, Config())
