@@ -15,7 +15,9 @@ from .core import (
     LabelResult,
     MatchFieldError,
     MatchSet,
+    NeighborGraph,
     RigidTransform,
+    build_neighbors,
     scale_estimate,
 )
 from .dualquat import (
@@ -26,8 +28,6 @@ from .dualquat import (
 )
 from .em_refine import (
     EmState,
-    NeighborGraph,
-    build_neighbors,
     e_step,
     filter_and_refine,
     init_from_hypotheses,

@@ -208,7 +208,8 @@ def cmd_eval(args) -> int:
 
 def _bench_once(spec: SynthSpec, grid_step: float) -> tuple:
     """One repeat's record: RANSAC and EM error counts and F-scores, EM
-    recall and precision, then filter and field times in ms."""
+    recall and precision, RANSAC trials and control pool size, then filter
+    and field times in ms."""
     m, gt = synth_generate(spec)
     cfg = Config.for_matches(m, seed=spec.seed)
     labels, state, outcome, filter_ms = _run_pipeline(m, cfg)
@@ -218,14 +219,14 @@ def _bench_once(spec: SynthSpec, grid_step: float) -> tuple:
     grid_field(state, labels, m, spec.bounds, grid_step, cfg)
     field_ms = (time.perf_counter() - t1) * 1000.0
     return (rm.n_errors, em.n_errors, rm.fscore, em.fscore, em.recall, em.precision,
-            filter_ms, field_ms)
+            outcome.trials, outcome.pool, filter_ms, field_ms)
 
 
 def cmd_bench(args) -> int:
     ratios = [float(v) for v in args.ratios.split(",")]
     sizes = [int(v) for v in args.sizes.split(",")] if args.sizes else [args.n]
     rows = ["ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"
-            "recall,precision,filter_ms_median,field_ms_median"]
+            "recall,precision,trials,pool,filter_ms_median,field_ms_median"]
     for ratio in ratios:
         for size in sizes:
             records = [
@@ -233,9 +234,9 @@ def cmd_bench(args) -> int:
                             args.grid_step)
                 for rep in range(args.repeats)
             ]
-            means = [statistics.mean(r[i] for r in records) for i in range(6)]
-            medians = [statistics.median(r[i] for r in records) for i in (6, 7)]
-            cells = [f"{v:.{dp}f}" for v, dp in zip(means + medians, (2, 2, 4, 4, 4, 4, 2, 2))]
+            means = [statistics.mean(r[i] for r in records) for i in range(8)]
+            medians = [statistics.median(r[i] for r in records) for i in (8, 9)]
+            cells = [f"{v:.{dp}f}" for v, dp in zip(means + medians, (2, 2, 4, 4, 4, 4, 1, 1, 2, 2))]
             rows.append(",".join([f"{ratio:g}", str(size), str(args.repeats)] + cells))
     table = "\n".join(rows)
     print(table)

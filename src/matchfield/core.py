@@ -1,21 +1,24 @@
-"""Shared domain types, configuration, and validation.
+"""Shared domain types, configuration, validation, and the kNN graph.
 
 Everything downstream (the RANSAC stage, the EM refinement, field queries)
 consumes the value types defined here. All of them are immutable after
 construction; the arrays they hold are marked read-only so accidental
-mutation fails loudly.
+mutation fails loudly. The k-nearest-neighbor graph lives here because a
+run builds it once and both stages read it: RANSAC picks its controls from
+it, EM blends over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.spatial import cKDTree
 
 FloatArray = NDArray[np.float64]
 BoolArray = NDArray[np.bool_]
@@ -41,8 +44,8 @@ class DegenerateScaleError(MatchFieldError):
 def make_rng(seed: int) -> np.random.Generator:
     """All randomness flows from generators built here, one per entry point.
 
-    Identical seeds therefore replay identical control-point choices,
-    fit subsets, and synthetic scenes.
+    Identical seeds therefore replay identical control-point choices and
+    synthetic scenes.
     """
     return np.random.default_rng(seed)
 
@@ -259,6 +262,85 @@ class Config:
         if overrides:
             cfg = replace(cfg, **overrides)
         return cfg
+
+
+@dataclass(frozen=True)
+class NeighborGraph:
+    """Immutable k-nearest-neighbor structure over the source points.
+
+    idx is (n, k) with column 0 the match itself; w_dist holds the pairwise
+    distance weights max(exp(-|y_i - y_j|^2 / 2 r^2), exp(-|x_i - x_j|^2 / 2 r^2)),
+    so a pair close on either side of the correspondence couples strongly.
+    stretch holds | |y_j - y_i| - |x_j - x_i| |, how much the correspondence
+    changes each neighbor distance; RANSAC draws its controls from matches
+    whose near neighbors keep their distances. matches, N_neighbor and r
+    record what build_neighbors built the graph from; a graph made by hand
+    has no matches and is never taken for a build.
+    """
+
+    idx: IntArray
+    w_dist: FloatArray
+    stretch: FloatArray | None = None
+    matches: MatchSet | None = field(default=None, repr=False, compare=False)
+    N_neighbor: int = 0
+    r: float = 0.0
+
+    def built_for(self, m: MatchSet, cfg: Config) -> bool:
+        """Whether build_neighbors(m, cfg) would return this graph: built on
+        this very match set (matches are immutable, so identity settles it)
+        with cfg's N_neighbor and r, the only settings the graph reads."""
+        return self.matches is m and self.N_neighbor == cfg.N_neighbor and self.r == cfg.r
+
+
+def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
+    """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
+    coordinate at a time in the order a sum over the last axis takes, so no
+    (n, k, dim) temporary is built and the result is bit-identical."""
+    cols = np.ascontiguousarray(pts.T)
+    d2 = np.square(cols[0][idx] - cols[0][:, None])
+    for col in cols[1:]:
+        diff = col[idx] - col[:, None]
+        d2 += np.square(diff, out=diff)
+    return d2
+
+
+def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
+    """k-nearest neighbors by source-side distance, self in column 0.
+
+    Uses N_neighbor neighbors plus the match itself; with n <= N_neighbor
+    every other match is a neighbor. A run builds the graph once, before
+    RANSAC, and EM reuses it; it never changes.
+    """
+    n = m.n
+    k_other = min(cfg.N_neighbor, n - 1)
+    if n == 1:
+        idx = np.zeros((1, 1), dtype=np.int64)
+    else:
+        tree = cKDTree(m.x)
+        _, idx = tree.query(m.x, k=k_other + 1)
+        idx = idx.astype(np.int64)
+        # the kd-tree breaks distance ties arbitrarily; force self into
+        # column 0 so blending always sees the match's own motion
+        self_col = np.arange(n, dtype=np.int64)
+        wrong = np.nonzero(idx[:, 0] != self_col)[0]
+        for i in wrong:
+            row = idx[i]
+            hits = np.nonzero(row == i)[0]
+            if hits.size:
+                row[hits[0]] = row[0]
+            row[0] = i
+    dx2 = _neighbor_sq_dists(m.x, idx)
+    dy2 = _neighbor_sq_dists(m.y, idx)
+    w_dist = np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
+    # in place: the squares become distances, and dy2's buffer the stretch
+    stretch = np.sqrt(dy2, out=dy2)
+    stretch -= np.sqrt(dx2, out=dx2)
+    np.abs(stretch, out=stretch)
+    # the outcome and every EM state on it share these arrays
+    for a in (idx, w_dist, stretch):
+        a.setflags(write=False)
+    return NeighborGraph(idx=idx, w_dist=w_dist, stretch=stretch, matches=m,
+                         N_neighbor=cfg.N_neighbor, r=cfg.r)
 
 
 # Config field name -> its annotated type, int or float

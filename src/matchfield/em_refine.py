@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import ransac
 from .core import (
@@ -30,6 +29,8 @@ from .core import (
     IntArray,
     LabelResult,
     MatchSet,
+    NeighborGraph,
+    build_neighbors,
 )
 from .dualquat import (
     dq8_apply,
@@ -48,19 +49,6 @@ SIGMA_INIT_FLOOR_FACTOR = 0.1
 # the inlier fraction prior is clamped here and then held fixed
 GAMMA_MIN = 0.05
 GAMMA_MAX = 0.95
-
-
-@dataclass(frozen=True)
-class NeighborGraph:
-    """Immutable k-nearest-neighbor structure over the source points.
-
-    idx is (n, k) with column 0 the match itself; w_dist holds the pairwise
-    distance weights max(exp(-|y_i - y_j|^2 / 2 r^2), exp(-|x_i - x_j|^2 / 2 r^2)),
-    so a pair close on either side of the correspondence couples strongly.
-    """
-
-    idx: IntArray
-    w_dist: FloatArray
 
 
 @dataclass
@@ -86,52 +74,7 @@ class EmState:
     delta_history: list = field(default_factory=list)
 
 
-def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
-    """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
-    coordinate at a time in the order a sum over the last axis takes, so no
-    (n, k, dim) temporary is built and the result is bit-identical."""
-    cols = np.ascontiguousarray(pts.T)
-    d2 = np.square(cols[0][idx] - cols[0][:, None])
-    for col in cols[1:]:
-        diff = col[idx] - col[:, None]
-        d2 += np.square(diff, out=diff)
-    return d2
-
-
-def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
-    """k-nearest neighbors by source-side distance, self in column 0.
-
-    Uses N_neighbor neighbors plus the match itself; with n <= N_neighbor
-    every other match is a neighbor. The graph is built once and never
-    changes during EM.
-    """
-    n = m.n
-    k_other = min(cfg.N_neighbor, n - 1)
-    if n == 1:
-        idx = np.zeros((1, 1), dtype=np.int64)
-    else:
-        tree = cKDTree(m.x)
-        _, idx = tree.query(m.x, k=k_other + 1)
-        idx = idx.astype(np.int64)
-        # the kd-tree breaks distance ties arbitrarily; force self into
-        # column 0 so blending always sees the match's own motion
-        self_col = np.arange(n, dtype=np.int64)
-        wrong = np.nonzero(idx[:, 0] != self_col)[0]
-        for i in wrong:
-            row = idx[i]
-            hits = np.nonzero(row == i)[0]
-            if hits.size:
-                row[hits[0]] = row[0]
-            row[0] = i
-    dx2 = _neighbor_sq_dists(m.x, idx)
-    dy2 = _neighbor_sq_dists(m.y, idx)
-    w_dist = np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
-    return NeighborGraph(idx=idx, w_dist=w_dist)
-
-
-def init_from_hypotheses(
-    m: MatchSet, outcome: RansacOutcome, cfg: Config, graph: NeighborGraph | None = None
-) -> EmState:
+def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> EmState:
     """Seed per-match motions from the RANSAC cover.
 
     Each covered match adopts the motion of its owner (RansacOutcome.owner:
@@ -145,12 +88,17 @@ def init_from_hypotheses(
     inlier prior gamma is the RANSAC cover fraction clamped to
     [0.05, 0.95] and stays fixed for the whole EM run.
 
+    The state takes the outcome's kNN graph when it was built for m,
+    cfg.N_neighbor and cfg.r (NeighborGraph.built_for), and otherwise
+    builds one with build_neighbors, the same function.
+
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
     ValueError.
     """
     owner = outcome.owner_for(m)
-    if graph is None:
+    graph = outcome.graph
+    if graph is None or not graph.built_for(m, cfg):
         graph = build_neighbors(m, cfg)
     n = m.n
     qs = dq8_identity(n)
@@ -280,10 +228,11 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
     Iterations stop when the mean absolute posterior change drops below
     theta, or at max_em_iters with the converged flag left false. A match
     ends up an inlier when its final posterior exceeds p_min and its field
-    residual stays below H.
+    residual stays below H. The kNN graph is the one RANSAC built for the
+    same matches and settings, carried on the outcome, or a fresh build
+    (see init_from_hypotheses).
     """
-    graph = build_neighbors(m, cfg)
-    state = init_from_hypotheses(m, outcome, cfg, graph=graph)
+    state = init_from_hypotheses(m, outcome, cfg)
     p_prev: FloatArray | None = None
     for it in range(1, cfg.max_em_iters + 1):
         m_step(state, m, cfg, update_sigma=it > 1)

@@ -9,6 +9,16 @@ consistent matches take the fit over. Each accepted hypothesis reserves its
 inliers so later trials hunt for other locally rigid motions, which yields a
 multi-hypothesis cover of a non-rigid scene.
 
+Controls are not drawn from all n matches. A run first builds the kNN graph
+over the sources (core.build_neighbors), the one EM blends over, and opens
+only the matches that keep their distances to near neighbors: a wrong match
+rarely agrees with two of its 16 nearest neighbors (control_pool). This is
+the neighborhood-preservation test of LPM (Ma et al., IJCV 2019) used only
+as a prior on which controls are drawn, as in PROSAC (Chum & Matas, CVPR
+2005); every kept motion still scores every match, and EM still decides
+the labels. The graph travels to EM on the outcome, so a run builds it
+once.
+
 A motion is kept only when chance cannot explain its support (the a
 contrario rule of Moisan & Stival, IJCV 2004). A wrong match lands within H
 of a random motion's prediction with probability p_c, the volume of an
@@ -21,7 +31,7 @@ large scene keeps nearly every trial: at n = 10k in an 800x600 frame a
 random motion catches about 23 wrong matches within H = 20, and t_acc is 41.
 
 The fit/re-weight loop is written once for both dimensions. Each dimension
-supplies four parts: relative positions of the fit rows, per-match fit terms
+supplies four parts: positions relative to the control, per-match fit terms
 built once per control, the weighted fit (rotation, mu) from the squared
 weights, and residuals under a fit. 2D parts are closed form: with points as
 complex numbers the weighted similarity reduces to a few weighted sums of
@@ -43,7 +53,7 @@ degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -56,7 +66,9 @@ from .core import (
     IntArray,
     LabelResult,
     MatchSet,
+    NeighborGraph,
     RigidTransform,
+    build_neighbors,
     make_rng,
     small_det,
 )
@@ -71,11 +83,20 @@ RANK_TOL = 1e-9
 # motion reaches its support with probability at most ALPHA
 ALPHA = 1e-3
 
-# most matches a trial fits on; larger inputs fit every trial on one seeded
-# subset of this size and still score all matches. At the 85% outlier limit
-# the subset must keep about 150 inliers: at n = 1000 and 85% outliers a
-# 200-row subset dropped F from 0.959 to 0.914, a 400-row one gave 0.962
-FIT_ROWS = 1000
+# near source neighbors (columns 1..POOL_COLUMNS of the kNN graph) whose
+# distances a control's score reads, in 2D and in 3D. 16 is the whole 2D
+# graph. The 3D graph has 50, but over all 50 a wrong match finds two
+# consistent neighbors by chance far more often: on the 3D benchmark scenes
+# (629/0.76, 1784/0.39, 693/0.16 inliers) the first 16 cut mean trials from
+# 69/459/321 to 12/32/38, all 50 only to 56/276/314
+POOL_COLUMNS = 16
+
+# consistent neighbors a control needs among those columns. With 2, 2D
+# trials at n = 1000 fall from 92/146/215/272 to 12/15/23/28 at
+# 30/50/70/85% outliers, and mean F at 85% moves from 0.9766 to 0.9763. 3
+# cuts trials further but keeps only 50% (2D, 85%) and 59% (3D, 693/0.16)
+# of the true inliers in the pool
+POOL_MIN_SCORE = 2
 
 
 @dataclass(frozen=True)
@@ -98,7 +119,9 @@ class TransformHypothesis:
 @dataclass(frozen=True)
 class RansacOutcome:
     """What a run decided: the kept hypotheses in the order they were
-    found, the match count n, the trial count and gamma after each trial.
+    found, the match count n, the trial count, gamma after each trial, the
+    size of the control pool the trials drew from, and the kNN graph the
+    pool was read from, which EM reuses (None in an outcome made by hand).
 
     Everything else is derived from these. owner names the motion that
     owns each match, inlier_union holds the covered matches and gamma is
@@ -110,6 +133,8 @@ class RansacOutcome:
     n: int
     trials: int
     gamma_history: tuple[float, ...]
+    pool: int = 0
+    graph: NeighborGraph | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def owner(self) -> IntArray:
@@ -174,6 +199,21 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     return max(cfg.T_min, t)
 
 
+def control_pool(graph: NeighborGraph, H: float, t_acc: int) -> IntArray:
+    """The matches a run may draw as controls, ascending.
+
+    A match's score counts its first POOL_COLUMNS source neighbors j
+    (columns 1..POOL_COLUMNS of graph.idx) with | |y_j - y_i| - |x_j - x_i| |
+    < H, read from graph.stretch; the pool holds the matches scoring at
+    least POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept
+    motion's control need not keep more neighbors than the motion has
+    other inliers. A graph with fewer other columns (n <= POOL_COLUMNS,
+    or N_neighbor < POOL_COLUMNS) is read whole.
+    """
+    score = np.count_nonzero(graph.stretch[:, 1 : POOL_COLUMNS + 1] < H, axis=1)
+    return np.nonzero(score >= min(POOL_MIN_SCORE, t_acc - 1))[0]
+
+
 def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
     """Trial count needed for confidence p that no findable motion remains.
 
@@ -184,6 +224,12 @@ def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
     log(1 - p) / log(1 - t_acc / (n - gamma n)). With exactly t_acc
     matches left every one of them is needed, one trial decides, and the
     bound is 0. Caller must ensure n (1 - gamma) >= t_acc.
+
+    ransac_run draws its controls from the control pool, not uniformly:
+    wrong matches rarely enter it, so a draw hits a remaining motion's
+    pooled matches more often than the uniform premise assumes, and the
+    bound is conservative for them. A motion none of whose matches enter
+    the pool is never drawn, however many trials the bound allows.
     """
     remaining = n * (1.0 - gamma)
     if remaining <= t_acc:
@@ -232,13 +278,10 @@ def _fit_spatial(terms: tuple, w2: FloatArray):
     return U @ Vt, math.sqrt(syy / sxx)
 
 
-def _spatial_relative(m: MatchSet, o: int, rows: IntArray | None):
-    """Fit rows (all when rows is None) relative to match o, coordinate-major:
-    C-contiguous (3, k) arrays, so every per-round pass runs over long
-    contiguous rows. Gathering before subtracting leaves the other matches
-    alone and gives the same bits as subtracting first."""
-    x, y = (m.x, m.y) if rows is None else (np.take(m.x, rows, axis=0), np.take(m.y, rows, axis=0))
-    return np.subtract(x.T, m.x[o][:, None], order="C"), np.subtract(y.T, m.y[o][:, None], order="C")
+def _spatial_relative(m: MatchSet, o: int):
+    """Every match relative to match o, coordinate-major: C-contiguous
+    (3, n) arrays, so every per-round pass runs over long contiguous rows."""
+    return np.subtract(m.x.T, m.x[o][:, None], order="C"), np.subtract(m.y.T, m.y[o][:, None], order="C")
 
 
 def _spatial_terms(xr: FloatArray, yr: FloatArray) -> tuple:
@@ -251,14 +294,10 @@ def _spatial_residuals(rel: tuple, R: FloatArray, mu: float) -> FloatArray:
     return np.sqrt(_column_sq_norms(yr - mu * (R @ xr)))
 
 
-def _planar_relative(m: MatchSet, o: int, rows: IntArray | None):
-    """Fit rows (all when rows is None) relative to match o, as complex
-    numbers p_0 + i p_1; the complex views of x and y are gathered first, so
-    only the fit rows are made relative."""
+def _planar_relative(m: MatchSet, o: int):
+    """Every match relative to match o, as complex numbers p_0 + i p_1."""
     zx, zy = m.x.view(np.complex128)[:, 0], m.y.view(np.complex128)[:, 0]
-    if rows is None:
-        return zx - zx[o], zy - zy[o]
-    return np.take(zx, rows) - zx[o], np.take(zy, rows) - zy[o]
+    return zx - zx[o], zy - zy[o]
 
 
 def _planar_products(zx: np.ndarray, zy: np.ndarray) -> FloatArray:
@@ -321,9 +360,9 @@ def _planar_residuals(rel: tuple, u: complex, mu: float) -> FloatArray:
 
 
 def _parts(dim: int):
-    """The four parts of a fit in dim dimensions: relative positions of the
-    fit rows, per-match fit terms built once per control, the weighted fit
-    (rotation, mu) from w^2, and residuals under a fit."""
+    """The four parts of a fit in dim dimensions: positions relative to
+    the control, per-match fit terms built once per control, the weighted
+    fit (rotation, mu) from w^2, and residuals under a fit."""
     if dim == 2:
         return _planar_relative, _planar_products, _fit_planar, _planar_residuals
     return _spatial_relative, _spatial_terms, _fit_spatial, _spatial_residuals
@@ -349,41 +388,37 @@ def weighted_rigid_fit(m: MatchSet, o: int, w: FloatArray):
     if w.shape != (m.n,) or (w < 0.0).any() or not (w > 0.0).any():
         raise ValueError("weights must be non-negative with a positive sum")
     relative, terms, fit, _ = _parts(m.dim)
-    rot, mu = fit(terms(*relative(m, o, None)), w * w)
+    rot, mu = fit(terms(*relative(m, o)), w * w)
     return _rotation_matrix(m.dim, rot), mu
 
 
-def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None):
+def reweight_fit(m: MatchSet, o: int, cfg: Config):
     """Alternate rigid fits and residual re-weighting around control o.
 
     Starts from uniform weights; after each fit the weights become
     w_i = min(H / d_i, 1) with d_i the residual of match i (weight 1 at zero
     residual), so matches the current fit explains keep full influence and
-    distant ones fade as 1 / d. When rows is given, fitting and re-weighting
-    only see that subset while the returned residuals still cover every
-    match. The loop is the same in 2D and 3D; only its four parts differ
-    (see _parts). 2D runs on complex numbers: the per-match products are
-    built once, each round is one weighted sum plus the closed-form fit,
-    and the residuals are |zy - mu u zx| over relative coordinates. 3D runs
-    on (3, n) relative coordinates: each round is the weighted cross
-    matrix, its SVD and the residuals |yr - mu R xr|; only a cross matrix
-    of rank one or less is degenerate, so coplanar sources fit.
+    distant ones fade as 1 / d. The loop is the same in 2D and 3D; only
+    its four parts differ (see _parts). 2D runs on complex numbers: the
+    per-match products are built once, each round is one weighted sum plus
+    the closed-form fit, and the residuals are |zy - mu u zx| over relative
+    coordinates. 3D runs on (3, n) relative coordinates: each round is the
+    weighted cross matrix, its SVD and the residuals |yr - mu R xr|; only a
+    cross matrix of rank one or less is degenerate, so coplanar sources fit.
 
     Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
     with t recovered as y_o / mu - R x_o, residuals d over all matches
-    under the final fit, and the final subset weights.
+    under the final fit, and the final weights.
     """
     relative, terms, fit, residuals = _parts(m.dim)
-    rel = relative(m, o, rows)
+    rel = relative(m, o)
     fit_terms = terms(*rel)
-    w = np.ones(rel[0].shape[-1])
+    w = np.ones(m.n)
     for _ in range(cfg.n_reweight_iters):
         rot, mu = fit(fit_terms, w * w)
         d = residuals(rel, rot, mu)
         # bit-identical to min(H / d, 1), and 1 at d = 0
         w = cfg.H / np.maximum(d, cfg.H)
-    if rows is not None:
-        d = residuals(relative(m, o, None), rot, mu)
     R = _rotation_matrix(m.dim, rot)
     t = m.y[o] / mu - R @ m.x[o]
     return RigidTransform(R=R, t=t, mu=mu), d, w
@@ -392,10 +427,14 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config, rows: IntArray | None = None)
 def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     """Extract locally rigid motions until the confidence bound is met.
 
-    Controls are drawn uniformly from matches that no accepted hypothesis
-    covers yet, and each control is tried at most once (a trial is
-    deterministic in the control, so retrying one is pointless), so a run
-    makes at most n trials. A trial's motion is kept when at least
+    The run first builds the kNN graph (core.build_neighbors) and opens
+    the control pool from it (control_pool): the matches that keep their
+    distances to at least two of their 16 nearest source neighbors.
+    Controls are drawn uniformly from pooled matches that no accepted
+    hypothesis covers yet, and each control is tried at most once (a trial
+    is deterministic in the control, so retrying one is pointless), so a
+    run makes at most pool <= n trials. Each trial fits on all n matches,
+    and its motion is kept when at least
     t_acc = acceptance_threshold(m, cfg) matches fall within H of it:
     T_min, or more when a random motion would catch T_min wrong matches
     too often. The run stops when fewer than t_acc matches remain
@@ -403,30 +442,23 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     exceeds the confidence bound for t_acc, re-evaluated with the current
     gamma before every trial.
 
-    With more than FIT_ROWS matches every trial fits on one sorted subset
-    of FIT_ROWS matches drawn from the seed, while the inlier test d_i < H
-    still covers every match; with at most FIT_ROWS it fits on all of them.
-
-    With nothing but outliers the outcome is empty: no hypotheses and
-    gamma = 0.
+    The outcome records the pool size and carries the graph, which
+    run_em reuses for the same matches and settings. With nothing but
+    outliers the outcome is empty: no hypotheses and gamma = 0.
     """
     n = m.n
     if n < cfg.T_min:
         raise DegenerateGeometryError(
             f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
         )
-    rows = None
-    if n > FIT_ROWS:
-        # the run re-seeds its own generator, so control draws do not
-        # depend on this one
-        rows = np.sort(make_rng(cfg.seed).choice(n, size=FIT_ROWS, replace=False))
-        rows = rows.astype(np.int64)
+    graph = build_neighbors(m, cfg)
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)
-    # the open controls, neither reserved by a hypothesis nor tried yet, in
-    # ascending order
-    candidates = np.arange(n)
+    # the open controls, pooled matches neither reserved by a hypothesis nor
+    # tried yet, in ascending order
+    candidates = control_pool(graph, cfg.H, t_acc)
+    pool = candidates.size
     n_in = 0
     hyps: list[TransformHypothesis] = []
     # one entry per trial, so its length is the trial count
@@ -439,7 +471,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
         o = int(candidates[j])
         candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
         try:
-            rt, d, _ = reweight_fit(m, o, cfg, rows=rows)
+            rt, d, _ = reweight_fit(m, o, cfg)
         except DegenerateGeometryError:
             pass
         else:
@@ -452,7 +484,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
                 candidates = candidates[~inlier_mask[candidates]]
         gamma_history.append(n_in / n)
     return RansacOutcome(hypotheses=tuple(hyps), n=n, trials=len(gamma_history),
-                         gamma_history=tuple(gamma_history))
+                         gamma_history=tuple(gamma_history), pool=pool, graph=graph)
 
 
 def labels_from_outcome(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> LabelResult:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import matchfield
-from matchfield import dualquat, ransac
+from matchfield import core, dualquat, em_refine, ransac
 
 
 def test_every_exported_name_resolves():
@@ -38,8 +38,14 @@ def test_dual_quaternion_functions_return_plain_arrays():
     assert matchfield.dq_blend([(1.0, dq)]).shape == (8,)
 
 
+def test_neighbor_graph_lives_in_core_and_stays_importable_from_em_refine():
+    # RANSAC builds the graph and EM reuses it, so both import it from core
+    assert em_refine.build_neighbors is core.build_neighbors is matchfield.build_neighbors
+    assert em_refine.NeighborGraph is core.NeighborGraph is matchfield.NeighborGraph
+
+
 def test_sparse_ransac_entry_point_is_gone():
-    # every run fits on at most ransac.FIT_ROWS matches through ransac_run
+    # every run goes through ransac_run
     assert not hasattr(ransac, "ransac_run_sparse")
     assert not hasattr(matchfield, "ransac_run_sparse")
     assert "ransac_run_sparse" not in matchfield.__all__

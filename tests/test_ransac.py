@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from matchfield import ransac
-from matchfield.core import Config, DegenerateGeometryError, MatchSet, RigidTransform, make_rng
+from matchfield.core import (
+    Config,
+    DegenerateGeometryError,
+    MatchSet,
+    RigidTransform,
+    build_neighbors,
+    make_rng,
+)
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     ALPHA,
-    FIT_ROWS,
     RANK_TOL,
     RansacOutcome,
     TransformHypothesis,
@@ -56,20 +62,17 @@ def svd_reference_fit(xr, yr, w):
     return U @ Vt, ny / nx
 
 
-def svd_reference_reweight(m, o, cfg, rows=None):
-    """reweight_fit's loop on the SVD reference fit; returns (R, mu, d, w).
-    With rows, fits only see that subset and d still covers every match."""
-    xr_all = m.x - m.x[o]
-    yr_all = m.y - m.y[o]
-    xr, yr = (xr_all, yr_all) if rows is None else (xr_all[rows], yr_all[rows])
+def svd_reference_reweight(m, o, cfg):
+    """reweight_fit's loop on the SVD reference fit; returns (R, mu, d, w)."""
+    xr = m.x - m.x[o]
+    yr = m.y - m.y[o]
     w = np.ones(xr.shape[0])
     for _ in range(cfg.n_reweight_iters):
         R, mu = svd_reference_fit(xr, yr, w)
         d = np.linalg.norm(yr - mu * (xr @ R.T), axis=1)
         with np.errstate(divide="ignore"):
             w = np.where(d > 0.0, np.minimum(cfg.H / d, 1.0), 1.0)
-    d_all = np.linalg.norm(yr_all - mu * (xr_all @ R.T), axis=1)
-    return R, mu, d_all, w
+    return R, mu, d, w
 
 
 def random_weighted_planar_set(rng, n):
@@ -192,39 +195,20 @@ def test_reweight_fit_matches_svd_reference():
             assert np.abs(w - w_ref).max() < 1e-9
 
 
-def test_sparse_3d_fits_subset_and_scores_every_match(monkeypatch):
-    # above FIT_ROWS matches every trial fits on one seeded subset; shrink
-    # FIT_ROWS so a 629-match 3D scene takes that path
-    monkeypatch.setattr(ransac, "FIT_ROWS", 150)
-    m, gt = surface_scene_3d(629, 0.24, seed=38)
-    cfg = Config.for_matches(m, seed=38)
-    rows = np.sort(make_rng(38).choice(m.n, size=150, replace=False)).astype(np.int64)
-    for o in (0, 101, 402):
-        R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg, rows=rows)
-        rt, d, w = reweight_fit(m, o, cfg, rows=rows)
-        assert d.shape == (m.n,) and w.shape == (150,)
-        assert np.abs(d - d_ref).max() < 1e-8
-        assert np.abs(w - w_ref).max() < 1e-9
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hypotheses_score_every_match(dim):
+    # each trial fits on all n matches, and each hypothesis takes its
+    # inliers from the residuals of every match under that fit
+    if dim == 2:
+        m = synth_generate(SynthSpec(n=3000, outlier_ratio=0.5, seed=7))[0]
+    else:
+        m = surface_scene_3d(629, 0.24, seed=38)[0]
+    cfg = Config.for_matches(m, seed=7)
     out = ransac_run(m, cfg)
     assert out.hypotheses
-    # each hypothesis takes its inliers from residuals over all n matches
     for h in out.hypotheses[:5]:
-        _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg, rows=rows)
+        _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg)
         assert np.array_equal(h.inliers, np.nonzero(d_ref < cfg.H)[0])
-    assert np.setdiff1d(out.inlier_union, rows).size > out.inlier_union.size // 2
-
-
-def test_fit_subset_hypotheses_score_every_match():
-    # n = 3000 > FIT_ROWS: trials fit on the seeded subset, and each
-    # hypothesis takes its inliers from residuals over all n
-    m, gt = synth_generate(SynthSpec(n=3000, outlier_ratio=0.5, seed=7))
-    cfg = Config(seed=7)
-    rows = np.sort(make_rng(7).choice(m.n, size=FIT_ROWS, replace=False)).astype(np.int64)
-    out = ransac_run(m, cfg)
-    for h in out.hypotheses[:5]:
-        _, _, d_ref, _ = svd_reference_reweight(m, h.control, cfg, rows=rows)
-        assert np.array_equal(h.inliers, np.nonzero(d_ref < cfg.H)[0])
-    assert np.setdiff1d(out.inlier_union, rows).size > out.inlier_union.size // 2
 
 
 def similarity_scene(rng, n, dim, mu=1.3):
@@ -356,16 +340,6 @@ def test_reweight_fit_weights_match_final_residuals():
     assert w[7] < 0.2 and w[19] < 0.2
     # the strays barely perturb the recovered motion
     assert np.abs(rt.R - R).max() < 1e-3
-
-
-def test_reweight_fit_subset_reports_all_residuals():
-    rng = make_rng(25)
-    m, R, t, mu = similarity_scene(rng, 80, 2)
-    rows = np.arange(0, 40, dtype=np.int64)
-    rt, d, w = reweight_fit(m, 0, Config(), rows=rows)
-    assert d.shape == (80,)
-    assert w.shape == (40,)
-    assert d.max() < 1e-6
 
 
 def test_trial_bound_hand_value():
@@ -547,30 +521,6 @@ def test_ransac_rejects_tiny_input():
         ransac_run(m, Config())
 
 
-def test_run_within_fit_rows_is_the_all_rows_run():
-    # at n <= FIT_ROWS the fit subset is every match: same draws, same fits
-    m, gt = synth_generate(SynthSpec(n=FIT_ROWS, outlier_ratio=0.7, seed=4))
-    cfg = Config(seed=4)
-    out = ransac_run(m, cfg)
-    ref, _, _ = reference_run(m, cfg, rows=None)
-    assert out.trials == ref.trials
-    assert out.gamma_history == ref.gamma_history
-    assert np.array_equal(out.inlier_union, ref.inlier_union)
-    assert [h.control for h in out.hypotheses] == [h.control for h in ref.hypotheses]
-    for h, g in zip(out.hypotheses, ref.hypotheses):
-        assert np.array_equal(h.transform.R, g.transform.R) and h.transform.mu == g.transform.mu
-
-
-def test_sparse_matches_dense_on_rigid_scene(monkeypatch):
-    rng = make_rng(29)
-    m, R, t, mu = similarity_scene(rng, 400, 2)
-    dense = ransac_run(m, Config(seed=6))
-    monkeypatch.setattr(ransac, "FIT_ROWS", 50)
-    subset = ransac_run(m, Config(seed=6))
-    assert np.array_equal(dense.inlier_union, subset.inlier_union)
-    assert subset.gamma == 1.0
-
-
 def exact_similarity(n, seed=50):
     """n exact matches under one rotation, scale and translation."""
     rng = make_rng(seed)
@@ -670,10 +620,13 @@ def test_owner_is_the_largest_earliest_covering_hypothesis():
 
 def test_outcome_stores_only_what_the_run_decided():
     assert [f.name for f in fields(TransformHypothesis)] == ["control", "transform", "inliers"]
-    assert [f.name for f in fields(RansacOutcome)] == ["hypotheses", "n", "trials", "gamma_history"]
+    # pool is the control pool's size and graph the kNN graph the pool was
+    # read from, which EM reuses
+    assert [f.name for f in fields(RansacOutcome)] == [
+        "hypotheses", "n", "trials", "gamma_history", "pool", "graph"]
 
 
-@pytest.mark.parametrize("scene", ["ties", "2d", "2d-fit-rows", "3d"])
+@pytest.mark.parametrize("scene", ["ties", "2d", "2d-3000", "3d"])
 def test_labels_from_outcome_equal_the_reference_loop(scene):
     if scene == "ties":
         m, out = tied_outcome()
@@ -684,7 +637,6 @@ def test_labels_from_outcome_equal_the_reference_loop(scene):
         else:
             n = 1000 if scene == "2d" else 3000
             m = synth_generate(SynthSpec(n=n, outlier_ratio=0.7, seed=42))[0]
-        assert (m.n > FIT_ROWS) == (scene == "2d-fit-rows")
         cfg = Config.for_matches(m, seed=42)
         out = ransac_run(m, cfg)
         assert len(out.hypotheses) >= 2
@@ -697,10 +649,10 @@ def test_labels_from_outcome_equal_the_reference_loop(scene):
 
 
 # The trial loop and one-point fits as first written, kept as the reference
-# for the lean loop: all-n relative coordinates before the subset gather,
-# the 2D products stacked from temporaries, the masks summed and searched
-# every trial and controls drawn with rng.choice. It takes the run's
-# acceptance threshold from acceptance_threshold, tested on its own below.
+# for the lean loop: the 2D products stacked from temporaries, the masks summed and searched
+# every trial and controls drawn with rng.choice. Matches outside the
+# control pool start out marked as tried. It takes the run's acceptance
+# threshold from acceptance_threshold, tested on its own below.
 
 
 def reference_planar_products(zx, zy):
@@ -725,12 +677,11 @@ def reference_fit_planar(P, w2):
     return complex(ar / rot, ai / rot), math.sqrt(syy / sxx)
 
 
-def reference_reweight_planar(m, o, cfg, rows):
-    zx_all = m.x.view(np.complex128)[:, 0]
-    zy_all = m.y.view(np.complex128)[:, 0]
-    zx_all = zx_all - zx_all[o]
-    zy_all = zy_all - zy_all[o]
-    zx, zy = (zx_all, zy_all) if rows is None else (zx_all[rows], zy_all[rows])
+def reference_reweight_planar(m, o, cfg):
+    zx = m.x.view(np.complex128)[:, 0]
+    zy = m.y.view(np.complex128)[:, 0]
+    zx = zx - zx[o]
+    zy = zy - zy[o]
     P = reference_planar_products(zx, zy)
     w = np.ones(zx.shape[0])
     for _ in range(cfg.n_reweight_iters):
@@ -738,8 +689,7 @@ def reference_reweight_planar(m, o, cfg, rows):
         k = mu * u
         d = np.abs(zy - k * zx)
         w = cfg.H / np.maximum(d, cfg.H)
-    d_all = d if rows is None else np.abs(zy_all - k * zx_all)
-    return np.array([[u.real, -u.imag], [u.imag, u.real]]), mu, d_all, w
+    return np.array([[u.real, -u.imag], [u.imag, u.real]]), mu, d, w
 
 
 def reference_fit_spatial(xr, yr, x2, y2, w2):
@@ -759,13 +709,9 @@ def reference_fit_spatial(xr, yr, x2, y2, w2):
     return U @ Vt, math.sqrt(syy / sxx)
 
 
-def reference_reweight_spatial(m, o, cfg, rows):
-    xr_all = np.subtract(m.x.T, m.x[o][:, None], order="C")
-    yr_all = np.subtract(m.y.T, m.y[o][:, None], order="C")
-    if rows is None:
-        xr, yr = xr_all, yr_all
-    else:
-        xr, yr = np.take(xr_all, rows, axis=1), np.take(yr_all, rows, axis=1)
+def reference_reweight_spatial(m, o, cfg):
+    xr = np.subtract(m.x.T, m.x[o][:, None], order="C")
+    yr = np.subtract(m.y.T, m.y[o][:, None], order="C")
     sq = lambda c: np.einsum("ij,ij->j", c, c)
     x2, y2 = sq(xr), sq(yr)
     w = np.ones(xr.shape[1])
@@ -773,17 +719,27 @@ def reference_reweight_spatial(m, o, cfg, rows):
         R, mu = reference_fit_spatial(xr, yr, x2, y2, w * w)
         d = np.sqrt(sq(yr - mu * (R @ xr)))
         w = cfg.H / np.maximum(d, cfg.H)
-    d_all = d if rows is None else np.sqrt(sq(yr_all - mu * (R @ xr_all)))
-    return R, mu, d_all, w
+    return R, mu, d, w
 
 
-def reference_run(m, cfg, rows):
+def reference_pool(m, cfg, t_acc):
+    """Pool membership from the whole (n, k, dim) difference arrays: a match
+    is a control candidate when at least min(2, t_acc - 1) of its first 16
+    source neighbors (the columns after self in build_neighbors' order)
+    change their distance by less than H."""
+    idx = build_neighbors(m, cfg).idx[:, 1:17]
+    dx = np.sqrt(np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1))
+    dy = np.sqrt(np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1))
+    return (np.abs(dy - dx) < cfg.H).sum(axis=1) >= min(2, t_acc - 1)
+
+
+def reference_run(m, cfg):
     n = m.n
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     reweight = reference_reweight_planar if m.dim == 2 else reference_reweight_spatial
     inlier_mask = np.zeros(n, dtype=bool)
-    tried = np.zeros(n, dtype=bool)
+    tried = ~reference_pool(m, cfg, t_acc)
     hyps, gamma_history = [], []
     k = 0
     while True:
@@ -800,7 +756,7 @@ def reference_run(m, cfg, rows):
         tried[o] = True
         k += 1
         try:
-            R, mu, d, _ = reweight(m, o, cfg, rows)
+            R, mu, d, _ = reweight(m, o, cfg)
         except DegenerateGeometryError:
             gamma_history.append(gamma)
             continue
@@ -840,10 +796,7 @@ REFERENCE_SCENES = {
 def test_lean_loop_reproduces_the_reference_run(name):
     m = REFERENCE_SCENES[name]()
     cfg = Config.for_matches(m, seed=7)
-    rows = None
-    if m.n > FIT_ROWS:
-        rows = np.sort(make_rng(cfg.seed).choice(m.n, size=FIT_ROWS, replace=False)).astype(np.int64)
-    ref, union, gamma = reference_run(m, cfg, rows)
+    ref, union, gamma = reference_run(m, cfg)
     out = ransac_run(m, cfg)
     assert out.trials == ref.trials <= m.n
     assert out.gamma_history == ref.gamma_history
@@ -857,13 +810,17 @@ def test_lean_loop_reproduces_the_reference_run(name):
         assert h.transform.t.tobytes() == g.transform.t.tobytes()
         assert h.transform.mu == g.transform.mu
         assert h.inliers.dtype == g.inliers.dtype and h.inliers.tobytes() == g.inliers.tobytes()
+    assert out.pool == np.count_nonzero(reference_pool(m, cfg, acceptance_threshold(m, cfg)))
     if name.endswith("collapsed-targets"):
-        assert out.hypotheses == () and out.trials > 0
+        # every target on one point, so a stretch is the source distance:
+        # some 2D sources keep two neighbors within H and are drawn, each
+        # trial degenerate; no 3D source does, and the run makes no trial
+        assert out.hypotheses == () and (out.trials > 0) == name.startswith("2d")
     else:
         assert out.hypotheses
 
 
-@pytest.mark.parametrize("scene", ["2d", "2d-fit-rows", "3d", "2d-collapsed-targets"])
+@pytest.mark.parametrize("scene", ["2d", "3d", "2d-collapsed-targets"])
 def test_every_trial_calls_reweight_fit_through_the_module(scene, monkeypatch):
     # traced benchmark runs wrap ransac.reweight_fit to time each trial and
     # count the degenerate ones: the run must look it up at call time, once
@@ -874,14 +831,12 @@ def test_every_trial_calls_reweight_fit_through_the_module(scene, monkeypatch):
         m = collapsed_targets(2)
     else:
         m = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=5))[0]
-    if scene == "2d-fit-rows":
-        monkeypatch.setattr(ransac, "FIT_ROWS", 150)
     calls, degenerate, fit = [], [], ransac.reweight_fit
 
-    def counted_fit(m, o, cfg, rows=None):
-        calls.append(None if rows is None else rows.size)
+    def counted_fit(m, o, cfg):
+        calls.append(o)
         try:
-            return fit(m, o, cfg, rows=rows)
+            return fit(m, o, cfg)
         except DegenerateGeometryError:
             degenerate.append(o)
             raise
@@ -889,7 +844,6 @@ def test_every_trial_calls_reweight_fit_through_the_module(scene, monkeypatch):
     monkeypatch.setattr(ransac, "reweight_fit", counted_fit)
     out = ransac_run(m, Config.for_matches(m, seed=5))
     assert out.trials > 0 and len(calls) == out.trials
-    assert set(calls) == {150 if scene == "2d-fit-rows" else None}
     if scene.endswith("collapsed-targets"):
         assert out.hypotheses == () and len(degenerate) == out.trials
     else:
@@ -971,7 +925,7 @@ def test_3d_run_needs_no_numpy_svd(monkeypatch):
     # returns the outcome of the np.linalg.svd reference, bit for bit
     m = REFERENCE_SCENES["3d-629/0.76"]()
     cfg = Config.for_matches(m, seed=7)
-    ref, _, _ = reference_run(m, cfg, None)
+    ref, _, _ = reference_run(m, cfg)
 
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
@@ -999,3 +953,118 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
         counts = "outcome of 25 matches used with 20 matches"
     with pytest.raises(ValueError, match=counts):
         labels_from_outcome(other, out, Config())
+
+
+def pool_of(m, cfg):
+    return ransac.control_pool(build_neighbors(m, cfg), cfg.H, acceptance_threshold(m, cfg))
+
+
+def with_wrong_targets(m, wrong, shift):
+    """m with the targets of the matches in wrong moved by shift."""
+    y = m.y.copy()
+    y[wrong] += shift
+    return MatchSet.from_points(m.x, y)
+
+
+def test_pool_keeps_duplicated_matches_and_drops_a_duplicated_wrong_pair():
+    # every match twice: a twin keeps its distance (0) exactly and counts as
+    # one consistent neighbor; a true match keeps the others' distances too,
+    # a wrong one keeps only its twin's and stays out of the pool
+    m = with_wrong_targets(exact_similarity(40), [3], (300.0, -200.0))
+    m = MatchSet.from_points(np.vstack([m.x, m.x]), np.vstack([m.y, m.y]))
+    cfg = Config(seed=0)
+    true = [i % 40 != 3 for i in range(80)]
+    assert pool_of(m, cfg).tolist() == np.nonzero(true)[0].tolist()
+    labels, _, outcome = filter_and_refine(m, cfg)
+    assert outcome.pool == 78 and outcome.hypotheses
+    assert labels.inlier.tolist() == true
+
+
+def test_pool_just_above_t_min_drops_the_wrong_match():
+    # six matches, one wrong: each true match keeps its distances to the four
+    # other true ones (H = 20 against a stretch of at most 0.1 x 141), the
+    # wrong one keeps none, and the one trial keeps all five true matches
+    m = with_wrong_targets(exact_similarity(6), [2], (250.0, 100.0))
+    cfg = Config(seed=0)
+    assert acceptance_threshold(m, cfg) == cfg.T_min == 5
+    labels, _, outcome = filter_and_refine(m, cfg)
+    assert outcome.pool == 5 and outcome.trials == 1
+    assert [h.inliers.tolist() for h in outcome.hypotheses] == [[0, 1, 3, 4, 5]]
+    assert labels.inlier.tolist() == [True, True, False, True, True, True]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pool_of_a_graph_narrower_than_its_columns(dim):
+    # n = 12 leaves 11 other matches in the graph, fewer than POOL_COLUMNS:
+    # the score reads every one of them
+    m, _, _, _ = similarity_scene(make_rng(27), 12, dim, mu=1.0)
+    m = with_wrong_targets(m, [4, 9], 400.0)
+    cfg = Config.for_matches(m, seed=0)
+    assert build_neighbors(m, cfg).idx.shape == (12, 12)
+    true = np.ones(12, dtype=bool)
+    true[[4, 9]] = False
+    pool = pool_of(m, cfg)
+    assert pool.tolist() == np.nonzero(true)[0].tolist()
+    assert np.array_equal(reference_pool(m, cfg, acceptance_threshold(m, cfg)), true)
+    labels, _, outcome = filter_and_refine(m, cfg)
+    assert outcome.pool == 10
+    assert labels.inlier.tolist() == true.tolist()
+
+
+def test_pool_threshold_never_exceeds_the_other_inliers_a_motion_needs():
+    # a wrong match and its duplicate (5 and 12) keep only each other's
+    # distance, a score of 1: a motion of t_acc matches has t_acc - 1 other
+    # inliers, so the pool takes them below t_acc = 3 and every match,
+    # down to the one match of a one-match set, at t_acc = 1
+    m = with_wrong_targets(exact_similarity(12), [5], 300.0)
+    m = MatchSet.from_points(np.vstack([m.x, m.x[5]]), np.vstack([m.y, m.y[5]]))
+    graph = build_neighbors(m, Config())
+    for t_acc, pool in ((1, range(13)), (2, range(13)), (3, [i for i in range(13) if i not in (5, 12)]),
+                        (5, [i for i in range(13) if i not in (5, 12)])):
+        assert ransac.control_pool(graph, 20.0, t_acc).tolist() == list(pool)
+    one = MatchSet.from_points([[1.0, 2.0]], [[3.0, 4.0]])
+    assert ransac.control_pool(build_neighbors(one, Config()), 20.0, 1).tolist() == [0]
+
+
+def test_pool_on_collinear_2d_sources():
+    # 200 sources on one line under one rigid motion, the last 40 targets
+    # scattered over the frame: the line's matches keep their distances and
+    # make up the pool, the scattered ones do not
+    s = np.arange(200.0) * 3.0
+    x = np.stack([100.0 + 0.8 * s, 50.0 + 0.6 * s], axis=1)
+    R = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+    y = x @ R.T + np.array([40.0, -25.0])
+    y[160:] = make_rng(28).uniform(0.0, 1.0, size=(40, 2)) * [800.0, 600.0]
+    m = MatchSet.from_points(x, y)
+    cfg = Config(seed=0)
+    assert pool_of(m, cfg).tolist() == list(range(160))
+    labels, _, outcome = filter_and_refine(m, cfg)
+    assert outcome.pool == 160 and outcome.trials == 1
+    assert labels.inlier.tolist() == [i < 160 for i in range(200)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pool_is_permutation_and_similarity_invariant(dim):
+    if dim == 2:
+        m = synth_generate(SynthSpec(n=1000, outlier_ratio=0.85, seed=5))[0]
+    else:
+        m = surface_scene_3d(693, 0.84, seed=5)[0]
+    cfg = Config.for_matches(m, seed=5)
+    pool = pool_of(m, cfg)
+    assert 0 < pool.size < m.n
+    perm = make_rng(8).permutation(m.n)
+    permuted = MatchSet.from_points(m.x[perm], m.y[perm])
+    assert np.array_equal(np.sort(perm[pool_of(permuted, cfg)]), pool)
+    for s in (0.37, 250.0):
+        scaled = MatchSet.from_points(m.x * s, m.y * s)
+        assert np.array_equal(pool_of(scaled, replace(cfg, H=cfg.H * s, r=cfg.r * s)), pool)
+
+
+def test_controls_come_from_the_pool():
+    m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.7, seed=6))
+    cfg = Config(seed=6)
+    pool = pool_of(m, cfg)
+    out = ransac_run(m, cfg)
+    assert out.pool == pool.size < m.n
+    assert out.graph.built_for(m, cfg)
+    assert np.isin([h.control for h in out.hypotheses], pool).all()
