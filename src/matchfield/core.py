@@ -271,16 +271,13 @@ class NeighborGraph:
     idx is (n, k) with column 0 the match itself; w_dist holds the pairwise
     distance weights max(exp(-|y_i - y_j|^2 / 2 r^2), exp(-|x_i - x_j|^2 / 2 r^2)),
     so a pair close on either side of the correspondence couples strongly.
-    stretch holds | |y_j - y_i| - |x_j - x_i| |, how much the correspondence
-    changes each neighbor distance; RANSAC draws its controls from matches
-    whose near neighbors keep their distances. matches, N_neighbor and r
-    record what build_neighbors built the graph from; a graph made by hand
-    has no matches and is never taken for a build.
+    matches, N_neighbor and r record what build_neighbors built the graph
+    from; a graph made by hand has no matches and is never taken for a
+    build.
     """
 
     idx: IntArray
     w_dist: FloatArray
-    stretch: FloatArray | None = None
     matches: MatchSet | None = field(default=None, repr=False, compare=False)
     N_neighbor: int = 0
     r: float = 0.0
@@ -292,7 +289,7 @@ class NeighborGraph:
         return self.matches is m and self.N_neighbor == cfg.N_neighbor and self.r == cfg.r
 
 
-def _neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
+def neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
     """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
     coordinate at a time in the order a sum over the last axis takes, so no
     (n, k, dim) temporary is built and the result is bit-identical."""
@@ -329,17 +326,13 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
             if hits.size:
                 row[hits[0]] = row[0]
             row[0] = i
-    dx2 = _neighbor_sq_dists(m.x, idx)
-    dy2 = _neighbor_sq_dists(m.y, idx)
+    dx2 = neighbor_sq_dists(m.x, idx)
+    dy2 = neighbor_sq_dists(m.y, idx)
     w_dist = np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
-    # in place: the squares become distances, and dy2's buffer the stretch
-    stretch = np.sqrt(dy2, out=dy2)
-    stretch -= np.sqrt(dx2, out=dx2)
-    np.abs(stretch, out=stretch)
     # the outcome and every EM state on it share these arrays
-    for a in (idx, w_dist, stretch):
+    for a in (idx, w_dist):
         a.setflags(write=False)
-    return NeighborGraph(idx=idx, w_dist=w_dist, stretch=stretch, matches=m,
+    return NeighborGraph(idx=idx, w_dist=w_dist, matches=m,
                          N_neighbor=cfg.N_neighbor, r=cfg.r)
 
 

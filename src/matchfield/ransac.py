@@ -53,7 +53,7 @@ degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +70,7 @@ from .core import (
     RigidTransform,
     build_neighbors,
     make_rng,
+    neighbor_sq_dists,
     small_det,
 )
 
@@ -120,8 +121,9 @@ class TransformHypothesis:
 class RansacOutcome:
     """What a run decided: the kept hypotheses in the order they were
     found, the match count n, the trial count, gamma after each trial, the
-    size of the control pool the trials drew from, and the kNN graph the
-    pool was read from, which EM reuses (None in an outcome made by hand).
+    size of the control pool the trials drew from, and the run's kNN graph
+    of N_neighbor neighbors, which EM reuses (None in an outcome made by
+    hand).
 
     Everything else is derived from these. owner names the motion that
     owns each match, inlier_union holds the covered matches and gamma is
@@ -199,18 +201,27 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     return max(cfg.T_min, t)
 
 
-def control_pool(graph: NeighborGraph, H: float, t_acc: int) -> IntArray:
+def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> IntArray:
     """The matches a run may draw as controls, ascending.
 
     A match's score counts its first POOL_COLUMNS source neighbors j
     (columns 1..POOL_COLUMNS of graph.idx) with | |y_j - y_i| - |x_j - x_i| |
-    < H, read from graph.stretch; the pool holds the matches scoring at
-    least POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept
-    motion's control need not keep more neighbors than the motion has
-    other inliers. A graph with fewer other columns (n <= POOL_COLUMNS,
-    or N_neighbor < POOL_COLUMNS) is read whole.
+    < H; the pool holds the matches scoring at least POOL_MIN_SCORE. The
+    threshold never exceeds t_acc - 1: a kept motion's control need not
+    keep more neighbors than the motion has other inliers. The pool does
+    not depend on N_neighbor: a graph with fewer than POOL_COLUMNS other
+    columns is read whole only when it holds every other match (n <=
+    POOL_COLUMNS); otherwise the score reads a POOL_COLUMNS graph built for
+    it alone, and graph stays what EM blends over.
     """
-    score = np.count_nonzero(graph.stretch[:, 1 : POOL_COLUMNS + 1] < H, axis=1)
+    idx = graph.idx
+    if idx.shape[1] - 1 < min(POOL_COLUMNS, m.n - 1):
+        idx = build_neighbors(m, replace(cfg, N_neighbor=POOL_COLUMNS)).idx
+    # a contiguous copy gathers about twice as fast as the strided view
+    idx = np.ascontiguousarray(idx[:, 1 : POOL_COLUMNS + 1])
+    stretch = np.sqrt(neighbor_sq_dists(m.y, idx))
+    stretch -= np.sqrt(neighbor_sq_dists(m.x, idx))
+    score = np.count_nonzero(np.abs(stretch) < cfg.H, axis=1)
     return np.nonzero(score >= min(POOL_MIN_SCORE, t_acc - 1))[0]
 
 
@@ -457,7 +468,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     inlier_mask = np.zeros(n, dtype=bool)
     # the open controls, pooled matches neither reserved by a hypothesis nor
     # tried yet, in ascending order
-    candidates = control_pool(graph, cfg.H, t_acc)
+    candidates = control_pool(m, graph, cfg, t_acc)
     pool = candidates.size
     n_in = 0
     hyps: list[TransformHypothesis] = []

@@ -264,6 +264,21 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     assert len(cli._CONFIG_FLAGS) == len(want)
 
 
+def test_filter_with_one_neighbor_still_finds_the_motions(tmp_path, capsys):
+    # RANSAC's control pool reads its own 16 neighbors, so a one-neighbor EM
+    # graph leaves the draws as they are and the run still finds the scene
+    scene = tmp_path / "scene.csv"
+    labels = tmp_path / "labels.csv"
+    save_matches(scene, *synth_generate(SynthSpec(n=300, outlier_ratio=0.3, seed=1)))
+    assert main(["filter", "--input", str(scene), "--output", str(labels), "--seed", "1",
+                 "--n-neighbor", "1"]) == 0
+    printed = capsys.readouterr()
+    assert "no rigid motion found" not in printed.err
+    assert float(re.search(r"gamma=([0-9.]+)", printed.out).group(1)) > 0.5
+    out = run_ok(["eval", "--input", str(labels), "--truth", str(scene)], capsys)
+    assert float(re.search(r"fscore=([0-9.]+)", out).group(1)) > 0.9
+
+
 def test_bad_config_file_returns_2(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "0"], capsys)

@@ -56,7 +56,7 @@ def test_build_neighbors_layout():
     assert np.array_equal(g.idx[:, 0], np.arange(30))
     assert np.allclose(g.w_dist[:, 0], 1.0)
     # RANSAC's outcome and every EM state on it share the arrays
-    assert not any(a.flags.writeable for a in (g.idx, g.w_dist, g.stretch))
+    assert not any(a.flags.writeable for a in (g.idx, g.w_dist))
     # rows index real neighbors, no repeats of self past column 0
     for i in range(30):
         assert i not in g.idx[i, 1:]
@@ -504,7 +504,7 @@ def test_em_readers_reject_an_outcome_of_another_match_count(with_hypotheses):
 
 
 def graph_bytes(g):
-    return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.w_dist, g.stretch)]
+    return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.w_dist)]
 
 
 def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings():

@@ -725,9 +725,9 @@ def reference_reweight_spatial(m, o, cfg):
 def reference_pool(m, cfg, t_acc):
     """Pool membership from the whole (n, k, dim) difference arrays: a match
     is a control candidate when at least min(2, t_acc - 1) of its first 16
-    source neighbors (the columns after self in build_neighbors' order)
-    change their distance by less than H."""
-    idx = build_neighbors(m, cfg).idx[:, 1:17]
+    source neighbors (the columns after self in build_neighbors' order, on
+    a graph of at least 16 neighbors) change their distance by less than H."""
+    idx = build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, 16))).idx[:, 1:17]
     dx = np.sqrt(np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1))
     dy = np.sqrt(np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1))
     return (np.abs(dy - dx) < cfg.H).sum(axis=1) >= min(2, t_acc - 1)
@@ -956,7 +956,7 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
 
 
 def pool_of(m, cfg):
-    return ransac.control_pool(build_neighbors(m, cfg), cfg.H, acceptance_threshold(m, cfg))
+    return ransac.control_pool(m, build_neighbors(m, cfg), cfg, acceptance_threshold(m, cfg))
 
 
 def with_wrong_targets(m, wrong, shift):
@@ -1018,12 +1018,13 @@ def test_pool_threshold_never_exceeds_the_other_inliers_a_motion_needs():
     # down to the one match of a one-match set, at t_acc = 1
     m = with_wrong_targets(exact_similarity(12), [5], 300.0)
     m = MatchSet.from_points(np.vstack([m.x, m.x[5]]), np.vstack([m.y, m.y[5]]))
-    graph = build_neighbors(m, Config())
+    cfg = Config()
+    graph = build_neighbors(m, cfg)
     for t_acc, pool in ((1, range(13)), (2, range(13)), (3, [i for i in range(13) if i not in (5, 12)]),
                         (5, [i for i in range(13) if i not in (5, 12)])):
-        assert ransac.control_pool(graph, 20.0, t_acc).tolist() == list(pool)
+        assert ransac.control_pool(m, graph, cfg, t_acc).tolist() == list(pool)
     one = MatchSet.from_points([[1.0, 2.0]], [[3.0, 4.0]])
-    assert ransac.control_pool(build_neighbors(one, Config()), 20.0, 1).tolist() == [0]
+    assert ransac.control_pool(one, build_neighbors(one, cfg), cfg, 1).tolist() == [0]
 
 
 def test_pool_on_collinear_2d_sources():
@@ -1058,6 +1059,39 @@ def test_pool_is_permutation_and_similarity_invariant(dim):
     for s in (0.37, 250.0):
         scaled = MatchSet.from_points(m.x * s, m.y * s)
         assert np.array_equal(pool_of(scaled, replace(cfg, H=cfg.H * s, r=cfg.r * s)), pool)
+
+
+def rigid_scene_with_wrong_targets(n, dim, wrong_ratio, seed):
+    """n matches under one rotation and translation in a 100-wide box, with
+    a wrong_ratio share of the targets scattered over the box."""
+    m, _, _, _ = similarity_scene(make_rng(seed), n, dim, mu=1.0)
+    wrong = np.arange(int(n * wrong_ratio))
+    y = m.y.copy()
+    y[wrong] = make_rng(seed + 1).uniform(0.0, 100.0, size=(wrong.size, dim))
+    return MatchSet.from_points(m.x, y), wrong.size
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_neighbor", [1, 9])
+def test_pool_does_not_depend_on_n_neighbor(dim, n_neighbor):
+    # a graph of one other column would give every match a score of at most
+    # 1 and an empty pool, and one of 9 a narrower pool than the columns
+    # were measured on: the pool reads POOL_COLUMNS neighbors whatever
+    # N_neighbor, while EM keeps the N_neighbor graph
+    m, n_wrong = rigid_scene_with_wrong_targets(400, dim, 0.5, seed=30 + dim)
+    cfg = Config.for_matches(m, seed=0, H=2.0) if dim == 2 else Config.for_matches(m, seed=0)
+    narrow = replace(cfg, N_neighbor=n_neighbor)
+    pool = pool_of(m, cfg)
+    assert 0 < pool.size < m.n
+    assert np.array_equal(pool_of(m, narrow), pool)
+    assert np.array_equal(reference_pool(m, narrow, acceptance_threshold(m, narrow)),
+                          np.isin(np.arange(m.n), pool))
+    out = ransac_run(m, narrow)
+    assert out.pool == pool.size and out.hypotheses
+    assert out.graph.built_for(m, narrow) and out.graph.idx.shape == (m.n, n_neighbor + 1)
+    assert np.isin(np.arange(n_wrong, m.n), out.inlier_union).all()
+    labels, _, _ = filter_and_refine(m, narrow)
+    assert labels.inlier[n_wrong:].all()
 
 
 def test_controls_come_from_the_pool():
