@@ -6,7 +6,7 @@ Subcommands:
 * field:  filter, then sample the deformation field on a lattice
 * synth:  generate a ground-truthed synthetic match file
 * eval:   score a label file against a ground-truthed match file
-* bench:  outlier-ratio sweep with accuracy and runtime columns
+* bench:  outlier-ratio and size sweep with accuracy and runtime columns
 
 Exit codes: 0 on success, 2 for unparseable input (bad flags or malformed
 files), 3 for degenerate input such as collapsed geometry or too few
@@ -224,7 +224,7 @@ def _bench_once(spec: SynthSpec, grid_step: float) -> tuple:
 
 def cmd_bench(args) -> int:
     ratios = [float(v) for v in args.ratios.split(",")]
-    sizes = [int(v) for v in args.sizes.split(",")] if args.sizes else [args.n]
+    sizes = [int(v) for v in args.n.split(",")]
     rows = ["ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"
             "recall,precision,trials,pool,filter_ms_median,field_ms_median"]
     for ratio in ratios:
@@ -294,9 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="accuracy and runtime sweep on synthetic scenes")
     p_bench.add_argument("--ratios", type=str, default="30,50,70,85",
                          help="outlier percentages, comma separated")
-    p_bench.add_argument("--n", type=int, default=SynthSpec.n)
-    p_bench.add_argument("--sizes", type=str, default=None,
-                         help="comma-separated n values overriding --n")
+    p_bench.add_argument("--n", type=str, default=str(SynthSpec.n),
+                         help="match counts, comma separated")
     p_bench.add_argument("--repeats", type=int, default=20)
     p_bench.add_argument("--grid-step", type=float, default=GRID_STEP)
     p_bench.add_argument("--seed", type=int, default=SynthSpec.seed)

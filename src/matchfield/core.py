@@ -56,12 +56,23 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+# largest coordinate magnitude a match set may hold. Squared distances
+# between any two points of both clouds then stay below 1.2e291, and the
+# fits, the scale estimate and EM add up n of them times small constants,
+# which stays finite for any n that fits in memory. A bound on each cloud's
+# extent alone is not enough: EM squares y - x wherever no motion covers a
+# match, and a cloud on one point at 1e175 squares its rounding error when
+# it is centred
+MAX_COORD = 1e145
+
+
 @dataclass(frozen=True)
 class MatchSet:
     """Paired point clouds, x[i] in the source frame matched to y[i] in the target.
 
     dim is 2 or 3 and both arrays are (n, dim) float64. Coordinates must be
-    finite; n >= 1.
+    finite and at most MAX_COORD (1e145) in magnitude, so no squared
+    distance overflows; n >= 1.
     """
 
     dim: int
@@ -79,8 +90,11 @@ class MatchSet:
             raise ValueError(f"x and y shapes differ: {x.shape} vs {y.shape}")
         if x.shape[0] < 1:
             raise ValueError("need at least one match")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("coordinates must be finite")
+        # np.maximum, unlike max, carries a NaN through, and NaN fails the test
+        big = float(np.maximum(np.abs(x).max(), np.abs(y).max()))
+        if not big <= MAX_COORD:
+            raise ValueError(f"coordinates must be finite and at most {MAX_COORD:g} in "
+                             f"magnitude, got {big:g}")
         object.__setattr__(self, "x", _frozen_array(x))
         object.__setattr__(self, "y", _frozen_array(y))
 
@@ -190,29 +204,28 @@ class LabelResult:
 class Config:
     """Algorithm parameters. Defaults are the tuned 2D pixel-scale values.
 
-    H                inlier residual threshold
-    T_min            floor on the support a RANSAC hypothesis needs
-    ransac_p         target confidence of the RANSAC stopping rule
-    n_reweight_iters fit/re-weight alternations per trial
-    r                neighborhood radius of the distance weights
-    a                uniform outlier density of the mixture model
-    p_min            posterior threshold for the final inlier label
-    theta            EM termination threshold on mean posterior change
-    N_neighbor       neighbors used for blending and field queries
-    max_em_iters     EM iteration cap
-    seed             seed for every random draw in a run
+    H           inlier residual threshold
+    T_min       floor on the support a RANSAC hypothesis needs
+    r           neighborhood radius of the distance weights
+    a           uniform outlier density of the mixture model
+    p_min       posterior threshold for the final inlier label
+    theta       EM termination threshold on mean posterior change
+    N_neighbor  neighbors used for blending and field queries
+    seed        seed for every random draw in a run
+
+    These are exactly the settings the filter and field flags and the
+    config file set. Values no caller sets are module constants beside the
+    code that reads them: ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P and
+    em_refine.MAX_EM_ITERS.
     """
 
     H: float = 20.0
     T_min: int = 5
-    ransac_p: float = 0.95
-    n_reweight_iters: int = 3
     r: float = 50.0
     a: float = 1e-5
     p_min: float = 0.5
     theta: float = 0.005
     N_neighbor: int = 16
-    max_em_iters: int = 50
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -220,18 +233,11 @@ class Config:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive, got {v}")
-        for name in ("ransac_p", "p_min"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
-        if self.T_min < 1:
-            raise ConfigError(f"T_min must be >= 1, got {self.T_min}")
-        if self.n_reweight_iters < 1:
-            raise ConfigError("n_reweight_iters must be >= 1")
-        if self.N_neighbor < 1:
-            raise ConfigError("N_neighbor must be >= 1")
-        if self.max_em_iters < 1:
-            raise ConfigError("max_em_iters must be >= 1")
+        if not (0.0 < self.p_min < 1.0):
+            raise ConfigError(f"p_min must lie in (0, 1), got {self.p_min}")
+        for name in ("T_min", "N_neighbor"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def adapted_for_scale(self, s: float) -> "Config":
         """Rescale the pixel-tuned thresholds to a cloud of spatial scale s.

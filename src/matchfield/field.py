@@ -5,7 +5,8 @@ motions: a query point blends the motions of its nearest inlier matches,
 weighted by a source-side Gaussian of the distance times the match's
 posterior. Sparse inlier coverage far from the query shows up as a small
 weight sum, reported as the sample's support; samples below a support
-floor are flagged invalid rather than extrapolated silently.
+floor are flagged invalid, so an extrapolated value is never passed off as
+a supported one.
 
 Also holds the lattice sampler plus the CSV and SVG emitters used by the
 command line.
@@ -61,8 +62,10 @@ def query_field(
     Each point blends the motions of its N_neighbor nearest labeled inliers
     with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j and applies the
     blended motion to the point. support is the raw weight sum; a sample
-    with support below 0.01 is invalid and reports the query point itself
-    as the displaced position. With zero inliers every sample is invalid.
+    with support below SUPPORT_MIN (0.01) is flagged invalid but still
+    reports the blended motion applied to the point. Only a sample without
+    any weight (support 0) reports the query point itself as the displaced
+    position. With zero inliers every sample is invalid.
     Rejects non-finite query points with a ValueError naming the first.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
@@ -101,23 +104,28 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
 def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     """Per-axis sample positions: lo, lo + step, ... up to and including hi.
 
-    bounds is (mins, maxs). A step larger than an extent yields the single
-    sample at that axis minimum. Rejects non-finite or inverted bounds, an
-    extent that overflows, non-finite or non-positive steps, and an axis
-    with more samples than an index can count.
+    bounds is (mins, maxs). An axis holds floor((hi - lo) / step) + 1
+    samples, so none lies past hi: bounds (0, 11) at step 4 give 0, 4, 8. A
+    ratio a few ulps short of an integer counts as that integer, so an
+    exact multiple keeps its end sample. A step larger than an extent
+    yields the single sample at that axis minimum. Rejects non-finite or
+    inverted bounds, an extent that overflows, non-finite or non-positive
+    steps, and an axis with more samples than an index can count.
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
         raise ValueError("empty bounds: max < min")
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
-    # the sample count np.arange takes, in the same float arithmetic
     with np.errstate(over="ignore"):
-        counts = np.ceil((maxs + 0.5 * step - mins) / step)
-    if not (counts <= np.iinfo(np.intp).max).all():
-        raise ValueError(f"lattice of {counts.tolist()} samples per axis at step {step} "
-                         "overflows an index")
-    return [np.arange(lo, hi + 0.5 * step, step) for lo, hi in zip(mins, maxs)]
+        q = (maxs - mins) / step
+    if not (q < np.iinfo(np.intp).max).all():
+        raise ValueError(f"lattice of {(np.floor(q) + 1.0).tolist()} samples per axis at step "
+                         f"{step} overflows an index")
+    counts = np.floor(q + 4.0 * np.spacing(q)).astype(np.intp) + 1
+    # np.arange's own count can take one sample past hi; the first counts
+    # of its samples keep their bits
+    return [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
 
 
 def grid_field(

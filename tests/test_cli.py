@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from matchfield import cli, em_refine, ransac
 from matchfield.cli import main
-from matchfield.core import Config, MatchSet, config_overrides_from_file, scale_estimate
+from matchfield.core import (
+    Config,
+    LabelResult,
+    MatchSet,
+    config_overrides_from_file,
+    scale_estimate,
+)
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import (
     SynthSpec,
@@ -131,6 +138,15 @@ def test_missing_input_file_returns_2(tmp_path, capsys):
     rc = main(["filter", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_eval_of_labels_for_another_match_count_returns_2(tmp_path, capsys):
+    scene, labels = tmp_path / "scene.csv", tmp_path / "labels.csv"
+    run_ok(["synth", "--output", str(scene), "--n", "60", "--seed", "3"], capsys)
+    save_labels(labels, LabelResult(inlier=np.ones(59, bool), posterior=np.ones(59),
+                                    residual=np.zeros(59)))
+    assert main(["eval", "--input", str(labels), "--truth", str(scene)]) == 2
+    assert capsys.readouterr().err == "error: label count 59 does not match 60 matches\n"
 
 
 def test_eval_without_ground_truth_returns_2(tmp_path, capsys):
@@ -292,7 +308,8 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
 
 def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
-    # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone
+    # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone;
+    # ransac_p, n_reweight_iters and max_em_iters are module constants
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
     argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
@@ -301,11 +318,19 @@ def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
             main(argv + flags)
         assert exc.value.code == 2
     cfgfile = tmp_path / "old.cfg"
-    cfgfile.write_text("N_sparse = 100\n")
-    capsys.readouterr()
-    assert main(argv + ["--config", str(cfgfile)]) == 2
-    assert "unknown config key 'N_sparse'" in capsys.readouterr().err
-    assert not (tmp_path / "o.csv").exists()
+    for key, val in (("N_sparse", "100"), ("ransac_p", "0.99"), ("n_reweight_iters", "3"),
+                     ("max_em_iters", "50")):
+        cfgfile.write_text(f"{key} = {val}\n")
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfgfile)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
+def test_config_flags_set_exactly_the_config_fields():
+    # the flags and the config file set the same names, and nothing else
+    names = [name for _, name, _, _ in cli._CONFIG_FLAGS]
+    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 8
 
 
 def test_bench_emits_table(tmp_path, capsys):
@@ -328,6 +353,19 @@ def test_bench_emits_table(tmp_path, capsys):
     outcome = ransac.ransac_run(m, Config.for_matches(m, seed=0))
     cells = dict(zip(header_fields, lines[1].split(",")))
     assert (cells["trials"], cells["pool"]) == (f"{outcome.trials:.1f}", f"{outcome.pool:.1f}")
+
+
+def test_bench_size_sweep_is_a_list_of_n(capsys):
+    # --n takes the whole size sweep: one row per ratio and size, in that order
+    out = run_ok(["bench", "--ratios", "30,50", "--n", "120,150", "--repeats", "1"], capsys)
+    rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+    assert rows == [["30", "120", "1"], ["30", "150", "1"], ["50", "120", "1"], ["50", "150", "1"]]
+    # no second flag overrides --n
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "120"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["bench", "--n", "120,x", "--repeats", "1"]) == 2
 
 
 @pytest.mark.parametrize("command", ["filter", "field"])

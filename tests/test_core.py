@@ -45,6 +45,11 @@ def test_matchset_rejects_bad_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         MatchSet(dim=2, x=bad, y=np.zeros((2, 2)))
+    # a non-finite or too large target is caught whatever the sources hold
+    for v in (np.nan, np.inf, 1e146):
+        bad[0, 0] = v
+        with pytest.raises(ValueError, match="must be finite and at most 1e\\+145"):
+            MatchSet(dim=2, x=np.ones((2, 2)), y=bad)
 
 
 def test_rigid_transform_apply():
@@ -68,6 +73,9 @@ def test_rigid_transform_rejects_bad_matrices():
         RigidTransform(R=np.eye(2), t=np.zeros(2), mu=0.0)
     with pytest.raises(ValueError):
         RigidTransform(R=np.eye(2), t=np.zeros(2), mu=-2.0)
+    # square and orthonormal, but of no supported dimension
+    with pytest.raises(ValueError, match="R must be 2x2 or 3x3, got \\(4, 4\\)"):
+        RigidTransform(R=np.eye(4), t=np.zeros(4), mu=1.0)
 
 
 def random_rotation(rng, d):
@@ -181,16 +189,22 @@ def test_config_defaults():
     cfg = Config()
     assert cfg.H == 20.0
     assert cfg.T_min == 5
-    assert cfg.ransac_p == 0.95
-    assert cfg.n_reweight_iters == 3
     assert cfg.r == 50.0
     assert cfg.a == 1e-5
     assert cfg.p_min == 0.5
     assert cfg.theta == 0.005
     assert cfg.N_neighbor == 16
-    assert cfg.max_em_iters == 50
+    assert cfg.seed == 0
     # one RANSAC path: no sample-size knob left
     assert not hasattr(cfg, "N_sparse")
+
+
+@pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters"])
+def test_config_holds_no_unset_knob(name):
+    # settings no caller sets are module constants, not Config fields
+    assert not hasattr(Config(), name)
+    with pytest.raises(TypeError):
+        Config(**{name: 1})
 
 
 def test_config_rejects_out_of_range():
@@ -199,15 +213,13 @@ def test_config_rejects_out_of_range():
     with pytest.raises(ConfigError):
         Config(r=-1.0)
     with pytest.raises(ConfigError):
-        Config(ransac_p=1.0)
-    with pytest.raises(ConfigError):
         Config(p_min=0.0)
+    with pytest.raises(ConfigError):
+        Config(p_min=1.0)
     with pytest.raises(ConfigError):
         Config(T_min=0)
     with pytest.raises(ConfigError):
         Config(N_neighbor=0)
-    with pytest.raises(ConfigError):
-        Config(max_em_iters=0)
 
 
 def test_config_scale_adaptation():

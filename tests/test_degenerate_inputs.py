@@ -163,3 +163,40 @@ def test_ninety_five_percent_outliers_give_valid_labels(seed):
     assert_label_invariants(labels, m.n)
     assert outcome.hypotheses
     assert labels.inlier.any()
+
+
+@pytest.mark.parametrize("scale", [1e90, 1e103, 1e140])
+def test_huge_3d_coordinates_keep_the_labels(tmp_path, capsys, scale):
+    # the 3D config sets H = 0.1 s, and H**3 overflowed acceptance_threshold
+    # at 1e103; p_c is now a product of ratios H / extent, each at most 1/2
+    m, gt = synth_generate(SynthSpec(n=400, outlier_ratio=0.3, seed=5, **SPEC_3D))
+    labels, _, _ = filter_and_refine(m, Config.for_matches(m, seed=5))
+    big = MatchSet.from_points(m.x * scale, m.y * scale)
+    big_labels, _, _ = filter_and_refine(big, Config.for_matches(big, seed=5))
+    assert np.array_equal(big_labels.inlier, labels.inlier)
+    assert compute_metrics(labels, gt).fscore > 0.99
+    scene, out = tmp_path / "scene.csv", tmp_path / "labels.csv"
+    save_matches(scene, big, gt=gt)
+    assert main(["filter", "--input", str(scene), "--output", str(out), "--seed", "5"]) == 0
+    assert np.array_equal(load_labels(out).inlier, labels.inlier)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coordinates_past_the_bound_exit_2(tmp_path, capsys, dim):
+    # squared distances of 1e155 coordinates overflow, and the kd-tree then
+    # reported neighbor index n (IndexError, exit 1); MatchSet now refuses
+    # any coordinate past MAX_COORD = 1e145, so no run squares its way past
+    # a float
+    spec = SPEC_3D if dim == 3 else {}
+    m, gt = synth_generate(SynthSpec(n=200, outlier_ratio=0.3, seed=1, **spec))
+    with pytest.raises(ValueError, match=r"at most 1e\+145 in magnitude"):
+        MatchSet.from_points(m.x * 1e155, m.y * 1e155)
+    assert MatchSet.from_points(m.x, m.y + 1e145 - 1e143).n == m.n
+    scene = tmp_path / "scene.csv"
+    rows = [f"{dim},{m.n},units"] + [",".join(repr(float(v) * 1e155) for v in (*m.x[i], *m.y[i]))
+                                     for i in range(m.n)]
+    scene.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]) == 2
+    assert "at most 1e+145 in magnitude" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()

@@ -29,7 +29,7 @@ from matchfield.ransac import RansacOutcome, TransformHypothesis, ransac_run
 
 
 def empty_outcome(n):
-    return RansacOutcome(hypotheses=(), n=n, trials=0, gamma_history=())
+    return RansacOutcome(hypotheses=(), n=n, gamma_history=())
 
 
 def self_only_state(m, p, sigma=5.0, gamma=0.5):
@@ -112,7 +112,7 @@ def test_init_adopts_largest_support_and_seeds_sigma():
     shift = RigidTransform(R=np.eye(2), t=np.array([1.0, 0.0]), mu=1.0)
     h1 = TransformHypothesis(control=0, transform=ident, inliers=np.array([0, 1]))
     h2 = TransformHypothesis(control=2, transform=shift, inliers=np.array([1, 2, 3]))
-    out = RansacOutcome(hypotheses=(h1, h2), n=5, trials=2, gamma_history=(0.4, 0.8))
+    out = RansacOutcome(hypotheses=(h1, h2), n=5, gamma_history=(0.4, 0.8))
     cfg = Config(H=2.0)
     state = init_from_hypotheses(m, out, cfg)
     assert np.allclose(state.qs[0], dq8_from_rt(np.eye(2), np.zeros(2)))
@@ -157,7 +157,7 @@ def test_batched_seeding_bit_identical_to_loop():
         )
         for j, rows in enumerate(([0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 1, 2, 3]))
     )
-    ties = RansacOutcome(hyps, 6, 4, (0.5, 0.8, 1.0, 1.0))
+    ties = RansacOutcome(hyps, 6, (0.5, 0.8, 1.0, 1.0))
     m2, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.7, seed=42))
     m3, _ = synth_generate(SynthSpec(
         n=693, dim=3, outlier_ratio=0.2, n_anchors=3, max_rotation=0.05,
@@ -193,7 +193,6 @@ def test_init_empty_outcome_and_gamma_clamp():
     full = RansacOutcome(
         hypotheses=(TransformHypothesis(control=0, transform=ident, inliers=np.arange(20)),),
         n=20,
-        trials=1,
         gamma_history=(1.0,),
     )
     assert np.isclose(init_from_hypotheses(m, full, cfg).gamma, 0.95)
@@ -463,7 +462,7 @@ def test_isolated_match_does_not_vouch_for_itself():
         transform=RigidTransform(R=np.eye(2), t=np.array([2.0, 2.0]), mu=1.0),
         inliers=np.arange(40, dtype=np.int64),
     )
-    outcome = RansacOutcome(hypotheses=(hyp,), n=40, trials=1, gamma_history=(1.0,))
+    outcome = RansacOutcome(hypotheses=(hyp,), n=40, gamma_history=(1.0,))
     state = init_from_hypotheses(m, outcome, cfg)
     state.p[:] = 1.0
     state.p[0] = 1e-3
@@ -552,3 +551,17 @@ def test_a_run_builds_the_neighbor_graph_once(path, monkeypatch):
     else:
         run_em(m, ransac.ransac_run(m, cfg), cfg)
     assert calls == ["matchfield.ransac"]
+
+
+def test_em_stops_at_the_iteration_cap(monkeypatch):
+    # no scene reaches MAX_EM_ITERS = 50 (at most 15 iterations on synthetic
+    # scenes at 30-97% outliers), so a cap of 2 stands in for it
+    m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.9, seed=0))
+    cfg = Config(seed=0)
+    outcome = ransac_run(m, cfg)
+    _, free = run_em(m, outcome, cfg)
+    assert free.converged and free.n_iters > 2
+    monkeypatch.setattr(em_refine, "MAX_EM_ITERS", 2)
+    _, capped = run_em(m, outcome, cfg)
+    assert not capped.converged and capped.n_iters == 2
+    assert len(capped.delta_history) == 1 and capped.delta_history[0] >= cfg.theta

@@ -63,6 +63,24 @@ def test_grid_axes_lattice_sizes():
     assert len(axes[0]) == 1 and axes[0][0] == 0.0
 
 
+def test_grid_axes_stay_inside_the_box():
+    # np.arange's count would add 12 past 11 and 15 past 10
+    axes = grid_axes(((0.0, 0.0), (11.0, 10.0)), 4.0, 2)
+    assert axes[0].tolist() == [0.0, 4.0, 8.0] and axes[1].tolist() == [0.0, 4.0, 8.0]
+    axes = grid_axes(((0.0, 0.0), (10.0, 10.0)), 15.0, 2)
+    assert [a.tolist() for a in axes] == [[0.0], [0.0]]
+    # an exact multiple keeps its end sample, also when the ratio rounds
+    # to a few ulps short of it (0.7 / 0.1 = 6.999999999999999)
+    assert 0.7 / 0.1 < 7.0
+    axes = grid_axes(((0.0, 0.0), (0.7, 800.0)), 0.1, 2)
+    assert axes[0].size == 8
+    # kept samples are np.arange's bits
+    axes = grid_axes(((0.0, 0.0), (800.0, 600.0)), 50.0, 2)
+    assert [a.size for a in axes] == [17, 13]
+    for a, hi in zip(axes, (800.0, 600.0)):
+        assert a.tobytes() == np.arange(0.0, hi + 25.0, 50.0).tobytes()
+
+
 def test_grid_axes_rejects_bad_bounds():
     with pytest.raises(ValueError):
         grid_axes((np.array([10.0, 0.0]), np.array([0.0, 10.0])), 5.0, 2)
@@ -100,7 +118,7 @@ def zero_inlier_field():
     rng = make_rng(10)
     x = rng.uniform(0.0, 100.0, size=(25, 2))
     m = MatchSet.from_points(x, x + 500.0)
-    empty = RansacOutcome(hypotheses=(), n=m.n, trials=0, gamma_history=())
+    empty = RansacOutcome(hypotheses=(), n=m.n, gamma_history=())
     cfg = Config()
     labels, state = run_em(m, empty, cfg)
     return m, cfg, labels, state
@@ -136,6 +154,23 @@ def test_3d_query_with_tiny_support_stays_finite():
     samples = query_field(state, labels, m, pts, cfg)
     assert all(0.0 < s.support < 1e-190 for s in samples)
     assert all(np.isfinite(s.displaced).all() and not s.valid for s in samples)
+
+
+def test_low_support_sample_is_invalid_but_moved():
+    # below SUPPORT_MIN a sample is flagged invalid, yet it still carries the
+    # blended motion applied to the query; only support 0 keeps the query
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    pts = np.array([[500.0 + d, 250.0] for d in range(0, 400, 10)] + [[1e6, 1e6]])
+    samples = query_field(state, labels, m, pts, cfg)
+    low = [s for s in samples if 0.0 < s.support < field.SUPPORT_MIN]
+    assert low
+    for s in low:
+        assert not s.valid
+        # every inlier motion is the scene's one similarity, so any blend is it
+        assert np.abs(s.displaced - mu * (R @ s.query + t)).max() < 1e-6
+        assert np.abs(s.displaced - s.query).max() > 1.0
+    assert samples[-1].support == 0.0 and not samples[-1].valid
+    assert samples[-1].displaced.tobytes() == pts[-1].tobytes()
 
 
 def test_valid_tracks_support_threshold():
@@ -295,6 +330,21 @@ def test_field_csv_round_trip(tmp_path):
     s0 = grid.samples[0]
     assert np.allclose([float(v) for v in first[:4]], np.concatenate([s0.query, s0.displaced]))
     assert first[5] in ("0", "1")
+
+
+def test_svg_draws_invalid_samples_as_circles(tmp_path):
+    # a valid sample is an arrow, an invalid one a grey dot at its query
+    m, cfg, labels, state, R, t, mu = rigid_pipeline(n=40)
+    grid = grid_field(state, labels, m, (np.zeros(2), np.array([2000.0, 200.0])), 100.0, cfg)
+    invalid = [s for s in grid.samples if not s.valid]
+    assert invalid and len(invalid) < len(grid.samples)
+    path = tmp_path / "scene.svg"
+    render_scene_svg(m, labels, grid, path)
+    text = path.read_text()
+    assert text.count("<circle") == len(invalid)
+    s = invalid[0]
+    assert f'<circle cx="{s.query[0]:.2f}" cy="{s.query[1]:.2f}" r="1.5"' in text
+    assert text.count('marker-end="url(#tip)"') == len(grid.samples) - len(invalid)
 
 
 def test_svg_rendering(tmp_path):

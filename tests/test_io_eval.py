@@ -217,13 +217,16 @@ def test_synth_spec_validation():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_synth_rejects_squared_extent_overflow_and_keeps_huge_boxes_finite(dim):
-    # squares of 2e200 overflow a float; a box of extent 1e150 still gives a
-    # finite scene (RuntimeWarnings are errors under the test settings)
+    # squares of 2e200 overflow a float; a box of extent 1e140 still gives a
+    # finite scene (RuntimeWarnings are errors under the test settings), and
+    # a box past MatchSet's coordinate bound raises ValueError
     with pytest.raises(ValueError, match="squared extent overflows"):
         SynthSpec(dim=dim, bounds=((-1e200,) * dim, (1e200,) * dim))
-    m, gt = synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e150,) * dim)))
+    m, gt = synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e140,) * dim)))
     assert np.isfinite(m.x).all() and np.isfinite(m.y).all()
-    assert gt.sum() == 100 and np.ptp(m.x, axis=0).min() > 1e149
+    assert gt.sum() == 100 and np.ptp(m.x, axis=0).min() > 1e139
+    with pytest.raises(ValueError, match="at most 1e\\+145 in magnitude"):
+        synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e150,) * dim)))
 
 
 def test_synth_spec_default_box_follows_dim():
@@ -253,10 +256,10 @@ def reference_save_labels(path, labels):
     path.write_text("\n".join(lines) + "\n")
 
 
-def awkward_floats(rng, shape):
+def awkward_floats(rng, shape, top=300):
     # ordinary values plus negative zeros, integers, and huge and tiny
-    # magnitudes, all of which repr spells differently
-    v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    # magnitudes up to 10**top, all of which repr spells differently
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-300, top, size=shape)
     flat = v.reshape(-1)
     flat[::7] = -0.0
     flat[1::7] = np.round(flat[1::7] * 1e-290)
@@ -267,7 +270,8 @@ def awkward_floats(rng, shape):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_match_file_bytes_match_per_row_writer(tmp_path, dim):
     rng = make_rng(60 + dim)
-    m = MatchSet.from_points(awkward_floats(rng, (57, dim)), awkward_floats(rng, (57, dim)))
+    m = MatchSet.from_points(awkward_floats(rng, (57, dim), top=140),
+                             awkward_floats(rng, (57, dim), top=140))
     gt = rng.uniform(size=57) < 0.5
     for flags in (gt, None):
         save_matches(tmp_path / "got.csv", m, gt=flags, units="pixels")
@@ -307,7 +311,8 @@ def reference_load_matches(path):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_bulk_parse_equals_the_per_row_parser(tmp_path, dim):
     rng = make_rng(70 + dim)
-    m = MatchSet.from_points(awkward_floats(rng, (83, dim)), awkward_floats(rng, (83, dim)))
+    m = MatchSet.from_points(awkward_floats(rng, (83, dim), top=140),
+                             awkward_floats(rng, (83, dim), top=140))
     gt = rng.uniform(size=83) < 0.5
     p = tmp_path / "m.csv"
     for flags in (gt, None):
@@ -421,3 +426,27 @@ def test_label_file_errors_name_the_first_bad_row(tmp_path, bad_row, error, mess
         load_labels(p)
     assert type(info.value) is error
     assert str(info.value) == f"{p}: {message}"
+
+
+def test_save_matches_rejects_a_flag_array_of_another_length(tmp_path):
+    m = MatchSet.from_points(np.zeros((4, 2)), np.ones((4, 2)))
+    with pytest.raises(ValueError, match="one flag per match"):
+        save_matches(tmp_path / "m.csv", m, gt=np.ones(3, dtype=bool))
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("header", ["two,1,units", "2,one,units", "2,1.5,units"])
+def test_non_numeric_header_counts_are_named(tmp_path, header):
+    p = tmp_path / "m.csv"
+    p.write_text(f"{header}\n0,0,1,1\n")
+    with pytest.raises(NonNumericRowError, match="non-numeric header counts"):
+        load_matches(p)
+
+
+def test_well_formed_label_file_with_a_non_numeric_posterior(tmp_path):
+    # widths and indices pass the bulk checks; float() fails in bulk, and the
+    # row walk names the row
+    p = tmp_path / "l.csv"
+    p.write_text("index,inlier,posterior,residual\n0,1,0.5,1.0\n1,0,half,2.0\n")
+    with pytest.raises(NonNumericRowError, match="row 2"):
+        load_labels(p)
