@@ -47,7 +47,7 @@ from .io_eval import (
 from .ransac import labels_from_outcome
 
 
-# default lattice spacing of field and bench
+# default lattice spacing of field, and the one bench samples at
 GRID_STEP = 50.0
 
 # (flag, Config field, type, help) of every parameter flag of filter and field
@@ -128,10 +128,11 @@ def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
     """The run step of filter and field.
 
     Loads the input and checks --dim, takes field's lattice bounds_of(m)
-    before the pipeline spends its time, builds the config (defaults,
-    scale-adapted for 3D, then file overrides, then flags), runs the
-    pipeline and warns when no match is an inlier. Returns the run with
-    its bounds and the head of the summary line.
+    before the pipeline spends its time, builds the config with
+    Config.for_matches (defaults, scale-adapted for 3D, then file
+    overrides, then flags), runs the pipeline and warns when no match is
+    an inlier. Returns the run with its bounds and the head of the summary
+    line.
     """
     m, _ = load_matches(args.input)
     if args.dim is not None and args.dim != m.dim:
@@ -206,17 +207,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bench_once(spec: SynthSpec, grid_step: float) -> tuple:
+def _bench_once(spec: SynthSpec) -> tuple:
     """One repeat's record: RANSAC and EM error counts and F-scores, EM
     recall and precision, RANSAC trials and control pool size, then filter
-    and field times in ms."""
+    and field times in ms, the field sampled at GRID_STEP."""
     m, gt = synth_generate(spec)
     cfg = Config.for_matches(m, seed=spec.seed)
     labels, state, outcome, filter_ms = _run_pipeline(m, cfg)
     rm = compute_metrics(labels_from_outcome(m, outcome, cfg), gt)
     em = compute_metrics(labels, gt)
     t1 = time.perf_counter()
-    grid_field(state, labels, m, spec.bounds, grid_step, cfg)
+    grid_field(state, labels, m, spec.bounds, GRID_STEP, cfg)
     field_ms = (time.perf_counter() - t1) * 1000.0
     return (rm.n_errors, em.n_errors, rm.fscore, em.fscore, em.recall, em.precision,
             outcome.trials, outcome.pool, filter_ms, field_ms)
@@ -229,19 +230,14 @@ def cmd_bench(args) -> int:
             "recall,precision,trials,pool,filter_ms_median,field_ms_median"]
     for ratio in ratios:
         for size in sizes:
-            records = [
-                _bench_once(SynthSpec(n=size, outlier_ratio=ratio / 100.0, seed=args.seed + rep),
-                            args.grid_step)
-                for rep in range(args.repeats)
-            ]
+            specs = [SynthSpec(n=size, outlier_ratio=ratio / 100.0, seed=args.seed + rep)
+                     for rep in range(args.repeats)]
+            records = list(map(_bench_once, specs))
             means = [statistics.mean(r[i] for r in records) for i in range(8)]
             medians = [statistics.median(r[i] for r in records) for i in (8, 9)]
             cells = [f"{v:.{dp}f}" for v, dp in zip(means + medians, (2, 2, 4, 4, 4, 4, 1, 1, 2, 2))]
             rows.append(",".join([f"{ratio:g}", str(size), str(args.repeats)] + cells))
-    table = "\n".join(rows)
-    print(table)
-    if args.output is not None:
-        Path(args.output).write_text(table + "\n")
+    print("\n".join(rows))
     return 0
 
 
@@ -297,9 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--n", type=str, default=str(SynthSpec.n),
                          help="match counts, comma separated")
     p_bench.add_argument("--repeats", type=int, default=20)
-    p_bench.add_argument("--grid-step", type=float, default=GRID_STEP)
     p_bench.add_argument("--seed", type=int, default=SynthSpec.seed)
-    p_bench.add_argument("--output", type=Path, default=None, help="also write the table here")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

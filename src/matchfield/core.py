@@ -11,7 +11,8 @@ it, EM blends over it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
@@ -56,23 +57,35 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
-# largest coordinate magnitude a match set may hold. Squared distances
-# between any two points of both clouds then stay below 1.2e291, and the
-# fits, the scale estimate and EM add up n of them times small constants,
-# which stays finite for any n that fits in memory. A bound on each cloud's
-# extent alone is not enough: EM squares y - x wherever no motion covers a
-# match, and a cloud on one point at 1e175 squares its rounding error when
-# it is centred
+# largest coordinate magnitude the package takes in, in match files, match
+# sets, synthetic and lattice boxes and query points. Squared distances
+# between any two such points then stay below 1.2e291, and the fits, the
+# scale estimate and EM add up n of them times small constants, which stays
+# finite for any n that fits in memory. A bound on each cloud's extent alone
+# is not enough: EM squares y - x wherever no motion covers a match, and a
+# cloud on one point at 1e175 squares its rounding error when it is centred
 MAX_COORD = 1e145
+# the coordinate rule as every error message words it
+COORD_RULE = f"finite and at most {MAX_COORD:g} in magnitude"
+
+
+def coords_in_range(a) -> BoolArray:
+    """The coordinate rule, per row of an (n, dim) array, or for one (dim,)
+    row: whether every value of the row is finite and at most MAX_COORD in
+    magnitude. NaN fails the comparison, so it fails the rule."""
+    ok = np.abs(a) <= MAX_COORD
+    # and-ing the columns is several times faster than ok.all(axis=-1),
+    # which reduces each short row on its own
+    return reduce(np.logical_and, ok.T)
 
 
 @dataclass(frozen=True)
 class MatchSet:
     """Paired point clouds, x[i] in the source frame matched to y[i] in the target.
 
-    dim is 2 or 3 and both arrays are (n, dim) float64. Coordinates must be
-    finite and at most MAX_COORD (1e145) in magnitude, so no squared
-    distance overflows; n >= 1.
+    dim is 2 or 3 and both arrays are (n, dim) float64. Coordinates obey
+    the coordinate rule (coords_in_range: finite and at most MAX_COORD,
+    1e145, in magnitude), so no squared distance overflows; n >= 1.
     """
 
     dim: int
@@ -90,11 +103,11 @@ class MatchSet:
             raise ValueError(f"x and y shapes differ: {x.shape} vs {y.shape}")
         if x.shape[0] < 1:
             raise ValueError("need at least one match")
-        # np.maximum, unlike max, carries a NaN through, and NaN fails the test
-        big = float(np.maximum(np.abs(x).max(), np.abs(y).max()))
-        if not big <= MAX_COORD:
-            raise ValueError(f"coordinates must be finite and at most {MAX_COORD:g} in "
-                             f"magnitude, got {big:g}")
+        ok = coords_in_range(x) & coords_in_range(y)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"match {i}: coordinates must be {COORD_RULE}, got "
+                             f"{x[i].tolist()} -> {y[i].tolist()}")
         object.__setattr__(self, "x", _frozen_array(x))
         object.__setattr__(self, "y", _frozen_array(y))
 
@@ -202,7 +215,9 @@ class LabelResult:
 
 @dataclass(frozen=True)
 class Config:
-    """Algorithm parameters. Defaults are the tuned 2D pixel-scale values.
+    """Algorithm parameters. Defaults are the tuned 2D pixel-scale values;
+    Config.for_matches, the one builder of a run's config, rescales them
+    for 3D inputs.
 
     H           inlier residual threshold
     T_min       floor on the support a RANSAC hypothesis needs
@@ -239,35 +254,26 @@ class Config:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def adapted_for_scale(self, s: float) -> "Config":
-        """Rescale the pixel-tuned thresholds to a cloud of spatial scale s.
-
-        Used for 3D inputs where there is no pixel grid: H becomes 0.1 s,
-        r becomes 0.3 s, the outlier density a becomes 20 / s^2, and the
-        neighborhood grows to 50. Applied once, at config build time.
-
-        a goes as 1 / s^2 because the E-step weighs the Gaussian likelihood
-        against the uniform term 2 pi sigma^2 a (1 - gamma) / gamma, and
-        sigma grows with s: only then does a change of units leave every
-        posterior, and so every label, unchanged.
-        """
-        if not (math.isfinite(s) and s > 0.0):
-            raise ConfigError(f"scale must be positive, got {s}")
-        return replace(self, H=0.1 * s, r=0.3 * s, a=20.0 / (s * s), N_neighbor=50)
-
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
-        """Config of a run on m: defaults, scale-adapted when m is 3D, then overrides.
+        """The one builder of a run's config: defaults, rescaled to m's
+        spatial scale s = scale_estimate(m) when m is 3D, then overrides.
+
+        3D inputs have no pixel grid, so H becomes 0.1 s, r becomes 0.3 s,
+        the outlier density a becomes 20 / s^2 and the neighborhood grows
+        to 50. a goes as 1 / s^2 because the E-step weighs the Gaussian
+        likelihood against the uniform term 2 pi sigma^2 a (1 - gamma) /
+        gamma, and sigma grows with s: only then does a change of units
+        leave every posterior, and so every label, unchanged.
 
         The CLI passes its config-file values updated with its flags as the
-        overrides, so this is the one place a run's config is assembled.
+        overrides.
         """
-        cfg = cls()
+        scaled = {}
         if m.dim == 3:
-            cfg = cfg.adapted_for_scale(scale_estimate(m))
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        return cfg
+            s = scale_estimate(m)
+            scaled = dict(H=0.1 * s, r=0.3 * s, a=20.0 / (s * s), N_neighbor=50)
+        return cls(**{**scaled, **overrides})
 
 
 @dataclass(frozen=True)
@@ -380,19 +386,16 @@ def config_overrides_from_file(path) -> dict:
 def box_corners(bounds, dim: int) -> tuple[FloatArray, FloatArray]:
     """The (mins, maxs) of a box as float arrays.
 
-    Rejects anything but two dim-vectors, non-finite corners and a box
-    whose extent maxs - mins overflows a float. Says nothing about order.
+    Rejects anything but two dim-vectors and corners that break the
+    coordinate rule (coords_in_range), so no extent, nor the sum of the
+    squared extents, overflows a float. Says nothing about order.
     """
     mins = np.asarray(bounds[0], dtype=np.float64)
     maxs = np.asarray(bounds[1], dtype=np.float64)
     if mins.shape != (dim,) or maxs.shape != (dim,):
         raise ValueError(f"bounds must be two {dim}-vectors")
-    if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
-        raise ValueError(f"bounds must be finite, got {mins.tolist()} to {maxs.tolist()}")
-    with np.errstate(over="ignore"):
-        extent = maxs - mins
-    if not np.isfinite(extent).all():
-        raise ValueError(f"bounds extent must be finite, got {mins.tolist()} to {maxs.tolist()}")
+    if not (coords_in_range(mins) and coords_in_range(maxs)):
+        raise ValueError(f"bounds must be {COORD_RULE}, got {mins.tolist()} to {maxs.tolist()}")
     return mins, maxs
 
 

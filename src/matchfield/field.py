@@ -14,6 +14,7 @@ command line.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import Config, FloatArray, LabelResult, MatchSet, box_corners
+from .core import (COORD_RULE, Config, FloatArray, LabelResult, MatchSet, box_corners,
+                   coords_in_range)
 from .dualquat import dq8_apply
 from .em_refine import EmState, blend_neighbors
 from .io_eval import flag_column, float_column, write_csv_columns
@@ -66,15 +68,17 @@ def query_field(
     reports the blended motion applied to the point. Only a sample without
     any weight (support 0) reports the query point itself as the displaced
     position. With zero inliers every sample is invalid.
-    Rejects non-finite query points with a ValueError naming the first.
+    Query points obey the coordinate rule (core.coords_in_range: finite and
+    at most MAX_COORD in magnitude); a ValueError names the first that
+    breaks it.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != m.dim:
         raise ValueError(f"query points must be (k, {m.dim}), got {pts.shape}")
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"query point {i} is not finite: {pts[i].tolist()}")
+    ok = coords_in_range(pts)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"query point {i} must be {COORD_RULE}, got {pts[i].tolist()}")
     disp, support, valid = _field_eval(state, labels, m, pts, cfg)
     return list(map(FieldSample, pts.copy(), disp, support.tolist(), valid.tolist()))
 
@@ -101,31 +105,48 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
     return disp, support, support >= SUPPORT_MIN
 
 
+@contextmanager
+def _lattice_fits(counts: list[int], step: float):
+    """Turn a MemoryError raised while a lattice's axes or points are
+    allocated into a ValueError naming the per-axis sample counts."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"lattice of {counts} samples per axis at step {step} "
+                         "does not fit in memory") from None
+
+
 def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     """Per-axis sample positions: lo, lo + step, ... up to and including hi.
 
-    bounds is (mins, maxs). An axis holds floor((hi - lo) / step) + 1
-    samples, so none lies past hi: bounds (0, 11) at step 4 give 0, 4, 8. A
-    ratio a few ulps short of an integer counts as that integer, so an
-    exact multiple keeps its end sample. A step larger than an extent
-    yields the single sample at that axis minimum. Rejects non-finite or
-    inverted bounds, an extent that overflows, non-finite or non-positive
-    steps, and an axis with more samples than an index can count.
+    bounds is (mins, maxs), whose corners obey the coordinate rule (see
+    core.box_corners). An axis holds floor((hi - lo) / step) + 1 samples:
+    bounds (0, 11) at step 4 give 0, 4, 8. A ratio a few ulps short of an
+    integer counts as that integer, so an exact multiple keeps its end
+    sample, and a last sample that np.arange rounds past hi becomes hi:
+    (0, 0.7) at step 0.1 ends at exactly 0.7. So no sample lies past hi,
+    and every lattice point obeys the coordinate rule; the samples at or
+    below hi keep np.arange's bits. A step larger than an extent yields the
+    single sample at that axis minimum. Rejects inverted bounds, non-finite
+    or non-positive steps, an axis with more samples than an index can
+    count, and axes too long to allocate.
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
         raise ValueError("empty bounds: max < min")
     if not (step > 0.0 and np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
+    # a tiny step can still take the ratio past a float
     with np.errstate(over="ignore"):
         q = (maxs - mins) / step
     if not (q < np.iinfo(np.intp).max).all():
         raise ValueError(f"lattice of {(np.floor(q) + 1.0).tolist()} samples per axis at step "
                          f"{step} overflows an index")
     counts = np.floor(q + 4.0 * np.spacing(q)).astype(np.intp) + 1
-    # np.arange's own count can take one sample past hi; the first counts
-    # of its samples keep their bits
-    return [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
+    with _lattice_fits(counts.tolist(), step):
+        axes = [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
+        # np.where, unlike np.minimum, keeps the sign of a zero sample
+        return [np.where(ax > hi, hi, ax) for ax, hi in zip(axes, maxs)]
 
 
 def grid_field(
@@ -133,16 +154,13 @@ def grid_field(
 ) -> FieldGrid:
     """Sample the field on a regular lattice over bounds with the given step.
 
-    A lattice whose points cannot be allocated raises ValueError naming the
-    per-axis sample counts.
+    A lattice whose axes or points cannot be allocated raises ValueError
+    naming the per-axis sample counts.
     """
     axes = grid_axes(bounds, step, m.dim)
-    try:
+    with _lattice_fits([ax.size for ax in axes], step):
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    except MemoryError:
-        raise ValueError(f"lattice of {[ax.size for ax in axes]} samples per axis at step "
-                         f"{step} does not fit in memory") from None
     samples = query_field(state, labels, m, pts, cfg)
     return FieldGrid(shape=tuple(len(ax) for ax in axes), samples=tuple(samples))
 

@@ -25,7 +25,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners, make_rng
+from .core import (COORD_RULE, BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners,
+                   coords_in_range, make_rng)
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 
 
@@ -95,11 +96,13 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
     """Read a match file back into a MatchSet and its optional labels.
 
     Raises DimensionMismatchError for a bad declared dimension or wrong row
-    widths, NonNumericRowError for unparseable fields, TruncatedFileError
-    when the row count disagrees with the header. The first data row decides
-    whether the ground-truth column is present. The body is checked and
-    converted in bulk; only a file that fails a check is walked row by row,
-    to name its first bad row.
+    widths, NonNumericRowError for unparseable fields and for coordinates
+    that break the coordinate rule (core.coords_in_range), and
+    TruncatedFileError when the row count disagrees with the header. The
+    first data row decides whether the ground-truth column is present. The
+    body is checked and converted in bulk; only a file that fails a check
+    is walked row by row, so its error names the path and the first bad
+    row.
     """
     lines = _data_lines(path)
     if not lines:
@@ -131,7 +134,7 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
         xy = np.array(list(map(float, fields))).reshape(n, width)
     except ValueError:
         _raise_first_bad_match_row(path, body, dim)
-    if not np.isfinite(xy).all() or (has_gt and not np.isin(flags, ("0", "1")).all()):
+    if not coords_in_range(xy).all() or (has_gt and not np.isin(flags, ("0", "1")).all()):
         _raise_first_bad_match_row(path, body, dim)
     gt = flags == "1" if has_gt else None
     return MatchSet(dim=dim, x=xy[:, :dim], y=xy[:, dim:]), gt
@@ -139,7 +142,8 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
 
 def _raise_first_bad_match_row(path, body: list[str], dim: int) -> NoReturn:
     """Raise the error of the first row of a match file body that fails a
-    check, checking each row's width, numbers, finiteness and flag in turn."""
+    check, checking each row's width, numbers, coordinate rule and flag in
+    turn."""
     width = 2 * dim
     has_gt: bool | None = None
     for i, line in enumerate(body):
@@ -158,8 +162,8 @@ def _raise_first_bad_match_row(path, body: list[str], dim: int) -> NoReturn:
             vals = [float(v) for v in parts[:width]]
         except ValueError as e:
             raise NonNumericRowError(f"{path}: row {i + 1}: {e}") from e
-        if not all(math.isfinite(v) for v in vals):
-            raise NonNumericRowError(f"{path}: row {i + 1}: non-finite coordinate")
+        if not coords_in_range(vals):
+            raise NonNumericRowError(f"{path}: row {i + 1}: coordinates must be {COORD_RULE}")
         if has_gt and parts[width].strip() not in ("0", "1"):
             raise NonNumericRowError(f"{path}: row {i + 1}: gt flag must be 0 or 1")
     raise AssertionError("bulk check failed but every row passes")
@@ -278,8 +282,10 @@ class SynthSpec:
 
     bounds left as None becomes the default box of dim: the 800 x 600
     frame ((0, 0), (800, 600)) in 2D, the 100-unit cube ((0, 0, 0),
-    (100, 100, 100)) in 3D. Bounds must be finite with a positive, finite
-    extent on every axis whose squares sum to a finite float.
+    (100, 100, 100)) in 3D. Bounds obey the coordinate rule (finite and at
+    most core.MAX_COORD in magnitude, checked by core.box_corners), so the
+    squared distances across the box that the anchor weights take stay
+    finite, and have a positive extent on every axis.
     """
 
     n: int = 1000
@@ -311,11 +317,6 @@ class SynthSpec:
         mins, maxs = box_corners(self.bounds, self.dim)
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")
-        # the anchor weights take squared distances across the box
-        with np.errstate(over="ignore"):
-            sq_extent = np.square(maxs - mins).sum()
-        if not np.isfinite(sq_extent):
-            raise ValueError(f"bounds {mins.tolist()} to {maxs.tolist()}: squared extent overflows")
 
 
 def _anchor_rotation(rng: np.random.Generator, dim: int, max_rotation: float):

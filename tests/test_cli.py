@@ -1,4 +1,8 @@
+import argparse
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -334,18 +338,14 @@ def test_config_flags_set_exactly_the_config_fields():
 
 
 def test_bench_emits_table(tmp_path, capsys):
-    table_path = tmp_path / "bench.csv"
-    out = run_ok(
-        ["bench", "--ratios", "30,50", "--n", "120", "--repeats", "1", "--seed", "0",
-         "--output", str(table_path)],
-        capsys,
-    )
+    # the table goes to stdout, and nowhere else
+    out = run_ok(["bench", "--ratios", "30,50", "--n", "120", "--repeats", "1", "--seed", "0"],
+                 capsys)
     lines = out.strip().splitlines()
     assert lines[0] == ("ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"
                         "recall,precision,trials,pool,filter_ms_median,field_ms_median")
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "30"
-    assert table_path.read_text().strip() == out.strip()
     header_fields = lines[0].split(",")
     assert len(lines[1].split(",")) == len(header_fields)
     # one repeat: the trials and pool cells are that run's counts
@@ -453,8 +453,9 @@ def _count_stage_calls(monkeypatch) -> dict:
 
 @pytest.mark.parametrize(
     "lattice",
-    [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"]],
-    ids=["nan-bounds", "bounds-count", "zero-step"],
+    [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"],
+     ["--bounds=0,0,1e200,1e200", "--grid-step", "5e199"]],
+    ids=["nan-bounds", "bounds-count", "zero-step", "past-the-coordinate-rule"],
 )
 def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeypatch, lattice):
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
@@ -525,13 +526,15 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
 
 
 def test_overflowing_bounds_exit_2(tmp_path, capsys):
-    # every corner is finite, but the extent max - min overflows a float
+    # every corner is finite, but the extent max - min overflows a float;
+    # the coordinate rule refuses corners past 1e145
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
     synth, field = tmp_path / "s.csv", tmp_path / "f.csv"
     for argv in (["synth", "--output", str(synth), "--n", "50"],
                  ["field", "--input", str(scene), "--output", str(field)]):
         assert main(argv + ["--bounds=-1e308,-1e308,1e308,1e308"]) == 2
-        assert capsys.readouterr().err.startswith("error: bounds extent must be finite")
+        assert capsys.readouterr().err.startswith(
+            "error: bounds must be finite and at most 1e+145 in magnitude")
     assert not synth.exists() and not field.exists()
 
 
@@ -546,8 +549,8 @@ def test_synth_rejects_a_box_whose_squared_extent_overflows(tmp_path, capsys):
     assert rc == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert err.startswith("error: bounds [-1e+200, -1e+200] to [1e+200, 1e+200]")
-    assert "squared extent overflows" in err
+    assert err == ("error: bounds must be finite and at most 1e+145 in magnitude, got "
+                   "[-1e+200, -1e+200] to [1e+200, 1e+200]\n")
     assert not synth.exists()
 
 
@@ -555,16 +558,17 @@ def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monke
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
     calls = _count_stage_calls(monkeypatch)
     field = tmp_path / "f.csv"
+    # corners within the coordinate rule overflow an index at a tiny step
     rc = main(["field", "--input", str(scene), "--output", str(field),
-               "--bounds=1,1,1e200,1e200"])
+               "--bounds=0,0,1e145,1e145", "--grid-step", "1e120"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: lattice of [2e+198, 2e+198] samples per axis at step 50.0")
+    assert err.startswith("error: lattice of [1e+25, 1e+25] samples per axis at step 1e+120")
     assert "overflows an index" in err
     assert not calls["ransac"] and not field.exists()
 
 
-def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys):
+def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # 100,001 samples per axis are 0.8 MB each, but the 1e15-point 3D
     # lattice needs petabytes, which numpy refuses without allocating
     scene = _synth(tmp_path / "scene3.csv", capsys, dim=3, n=150)
@@ -576,13 +580,39 @@ def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert err == ("error: lattice of [100001, 100001, 100001] samples per axis at step 1.0 "
                    "does not fit in memory\n")
     assert not field.exists() and not labels.exists()
+    # one axis of 1e14 samples (728 TiB) already fails as the lattice is
+    # checked, with the same message, before RANSAC runs
+    scene = _synth(tmp_path / "scene2.csv", capsys, n=150)
+    calls = _count_stage_calls(monkeypatch)
+    rc = main(["field", "--input", str(scene), "--output", str(field),
+               "--bounds=0,0,1e14,1", "--grid-step", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("error: lattice of [100000000000001, 2] samples per axis "
+                                       "at step 1.0 does not fit in memory\n")
+    assert not calls["ransac"] and not field.exists()
 
 
-def test_field_and_bench_share_the_grid_step_default():
+def test_field_and_bench_share_the_grid_step_default(capsys, monkeypatch):
+    # bench samples at field's default step, the step its 20 ms gate was set
+    # for, and has no flag to change it, nor one to write its table to a file
     parser = cli.build_parser()
     field = parser.parse_args(["field", "--input", "m.csv", "--output", "f.csv"])
-    bench = parser.parse_args(["bench"])
-    assert field.grid_step == bench.grid_step == cli.GRID_STEP == 50.0
+    assert field.grid_step == cli.GRID_STEP == 50.0
+    steps = []
+    grid_field = cli.grid_field
+
+    def recorded(state, labels, m, bounds, step, cfg):
+        steps.append(step)
+        return grid_field(state, labels, m, bounds, step, cfg)
+
+    monkeypatch.setattr(cli, "grid_field", recorded)
+    run_ok(["bench", "--ratios", "30", "--n", "120", "--repeats", "1"], capsys)
+    assert steps == [cli.GRID_STEP]
+    for flag in ("--grid-step", "--output"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["bench", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -623,3 +653,46 @@ def test_readme_parameter_table_is_the_flag_table():
     assert [flag for flag, _ in rows] == [flag for flag, *_ in cli._CONFIG_FLAGS]
     for (_, default), (_, name, kind, _) in zip(rows, cli._CONFIG_FLAGS):
         assert kind(default.strip()) == getattr(Config(), name), name
+
+
+def _subcommand_flags() -> dict:
+    """Each subcommand's long flags, --help left out."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {opt for a in sub._actions for opt in a.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+            for name, sub in subparsers.choices.items()}
+
+
+def test_readme_and_the_parser_name_the_same_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    flags = _subcommand_flags()
+    assert sorted(flags) == ["bench", "eval", "field", "filter", "synth"]
+    assert flags["bench"] == {"--ratios", "--n", "--repeats", "--seed"}
+    # every flag the parser defines is documented
+    for name, defined in flags.items():
+        for flag in defined:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", readme), (name, flag)
+    # every README example passes only flags its subcommand defines, so no
+    # removed flag (bench --grid-step, --output, --sizes) lingers there
+    examples = re.findall(r"^matchfield (\w+)(.*)$", readme.replace("\\\n", " "), re.M)
+    assert {name for name, _ in examples} == set(flags)
+    for name, rest in examples:
+        assert set(re.findall(r"--[a-z][\w-]*", rest)) <= flags[name], (name, rest)
+
+
+def test_python_m_matchfield_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "matchfield", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("--help")
+    assert done.returncode == 0 and "usage: matchfield" in done.stdout
+    done = run("eval", "--input", str(tmp_path / "nope.csv"), "--truth", str(tmp_path / "t.csv"))
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "nope.csv" in lines[0]

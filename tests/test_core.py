@@ -223,13 +223,20 @@ def test_config_rejects_out_of_range():
 
 
 def test_config_scale_adaptation():
-    cfg = Config().adapted_for_scale(50.0)
+    # Config.for_matches is the one builder of a 3D config; these clouds
+    # have scale estimate exactly 50
+    x = [[50.0, 0.0, 0.0], [-50.0, 0.0, 0.0]]
+    m = MatchSet.from_points(x, x)
+    assert scale_estimate(m) == 50.0
+    cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
     assert np.isclose(cfg.a, 0.008)
     assert cfg.N_neighbor == 50
-    with pytest.raises(ConfigError):
-        Config().adapted_for_scale(0.0)
+    assert not hasattr(Config, "adapted_for_scale")
+    # a 3D set without spread has no scale to adapt to
+    with pytest.raises(DegenerateScaleError):
+        Config.for_matches(MatchSet.from_points(x[:1] * 2, x[:1] * 2))
 
 
 def test_config_for_matches_adapts_only_3d():

@@ -70,10 +70,19 @@ def test_grid_axes_stay_inside_the_box():
     axes = grid_axes(((0.0, 0.0), (10.0, 10.0)), 15.0, 2)
     assert [a.tolist() for a in axes] == [[0.0], [0.0]]
     # an exact multiple keeps its end sample, also when the ratio rounds
-    # to a few ulps short of it (0.7 / 0.1 = 6.999999999999999)
-    assert 0.7 / 0.1 < 7.0
+    # to a few ulps short of it (0.7 / 0.1 = 6.999999999999999), and a
+    # last sample np.arange rounds past hi becomes hi
+    assert 0.7 / 0.1 < 7.0 and np.arange(0.0, 0.75, 0.1)[-1] > 0.7
     axes = grid_axes(((0.0, 0.0), (0.7, 800.0)), 0.1, 2)
-    assert axes[0].size == 8
+    assert axes[0].size == 8 and axes[0][-1] == 0.7
+    assert axes[0][:7].tobytes() == np.arange(0.0, 0.75, 0.1)[:7].tobytes()
+    # the widest lattice the coordinate rule allows stays inside its box
+    # (np.arange ends at 1.0000000000000011e145), with no RuntimeWarning
+    axes = grid_axes(((-1e145, -1e145), (1e145, 1e145)), 1e144, 2)
+    assert [a.size for a in axes] == [21, 21]
+    assert all(a[0] == -1e145 and a[-1] == 1e145 and (np.diff(a) > 0.0).all() for a in axes)
+    # a zero sample keeps its sign
+    assert np.signbit(grid_axes(((-0.0, 0.0), (0.0, 1.0)), 1.0, 2)[0]).tolist() == [True]
     # kept samples are np.arange's bits
     axes = grid_axes(((0.0, 0.0), (800.0, 600.0)), 50.0, 2)
     assert [a.size for a in axes] == [17, 13]
@@ -101,16 +110,21 @@ def test_grid_axes_rejects_non_finite_bounds_and_steps(bad):
 
 
 def test_grid_axes_rejects_an_overflowing_extent():
-    # each corner is finite, but max - min is not; no RuntimeWarning leaks
-    with pytest.raises(ValueError, match="bounds extent must be finite"):
-        grid_axes((np.full(2, -1e308), np.full(2, 1e308)), 1.0, 2)
+    # each corner is finite, but max - min is not; the coordinate rule
+    # refuses corners past 1e145, and no RuntimeWarning leaks
+    for bound in (1e308, 1e200, 1e146):
+        with pytest.raises(ValueError, match=r"bounds must be finite and at most 1e\+145"):
+            grid_axes((np.full(2, -bound), np.full(2, bound)), 1.0, 2)
 
 
 def test_grid_axes_rejects_a_lattice_that_overflows_an_index():
-    # np.arange's own error names neither the counts nor the step
-    with pytest.raises(ValueError, match=r"lattice of \[2e\+198, 2e\+198\] samples per axis "
-                                         r"at step 50.0 overflows an index"):
-        grid_axes(((1.0, 1.0), (1e200, 1e200)), 50.0, 2)
+    # np.arange's own error names neither the counts nor the step; corners
+    # within the coordinate rule overflow an index at a tiny step
+    with pytest.raises(ValueError, match=r"lattice of \[1e\+25, 1e\+25\] samples per axis "
+                                         r"at step 1e\+120 overflows an index"):
+        grid_axes(((0.0, 0.0), (1e145, 1e145)), 1e120, 2)
+    with pytest.raises(ValueError, match="overflows an index"):
+        grid_axes(((0.0, 0.0), (1.0, 1.0)), 1e-300, 2)
     assert [a.size for a in grid_axes(((0.0, 0.0), (800.0, 600.0)), 50.0, 2)] == [17, 13]
 
 
@@ -237,9 +251,20 @@ def test_query_rejects_wrong_width():
 def test_query_rejects_non_finite_points_with_and_without_inliers(bad):
     pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [bad, 40.0], [50.0, bad]])
     for m, cfg, labels, state in (rigid_pipeline()[:4], zero_inlier_field()):
-        with pytest.raises(ValueError, match="query point 3 is not finite"):
+        with pytest.raises(ValueError, match=r"query point 3 must be finite and at most 1e\+145"):
             query_field(state, labels, m, pts, cfg)
         assert len(query_field(state, labels, m, pts[:3], cfg)) == 3
+
+
+def test_query_keeps_to_the_coordinate_rule():
+    # a point past 1e145 used to reach the kd-tree, whose neighbor index n
+    # for an infinite distance raised IndexError
+    m, cfg, labels, state = rigid_pipeline()[:4]
+    with pytest.raises(ValueError, match=r"query point 1 must be finite and at most 1e\+145"):
+        query_field(state, labels, m, [[0.0, 0.0], [1e160, -1e160]], cfg)
+    # points at the bound still get a sample, with no RuntimeWarning
+    samples = query_field(state, labels, m, [[1e145, -1e145], [-1e145, 1e145]], cfg)
+    assert all(np.isfinite(s.displaced).all() and not s.valid for s in samples)
 
 
 def test_samples_are_named_tuples_over_one_copied_array():

@@ -210,23 +210,25 @@ def test_synth_spec_validation():
         SynthSpec(bounds=((0.0, 0.0), (0.0, 600.0)))
     with pytest.raises(ValueError):
         SynthSpec(dim=3, bounds=((0.0, 0.0), (800.0, 600.0)))
-    # finite corners whose extent overflows a float
-    with pytest.raises(ValueError, match="bounds extent must be finite"):
+    # finite corners whose extent overflows a float break the coordinate rule
+    with pytest.raises(ValueError, match=r"bounds must be finite and at most 1e\+145"):
         SynthSpec(bounds=((-1e308, -1e308), (1e308, 1e308)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_synth_rejects_squared_extent_overflow_and_keeps_huge_boxes_finite(dim):
-    # squares of 2e200 overflow a float; a box of extent 1e140 still gives a
-    # finite scene (RuntimeWarnings are errors under the test settings), and
-    # a box past MatchSet's coordinate bound raises ValueError
-    with pytest.raises(ValueError, match="squared extent overflows"):
-        SynthSpec(dim=dim, bounds=((-1e200,) * dim, (1e200,) * dim))
+    # squares of 2e200 overflow a float; the coordinate rule refuses such a
+    # box, and any box past 1e145, before a point is drawn
+    for bound in (1e200, 1e150):
+        with pytest.raises(ValueError, match=r"bounds must be finite and at most 1e\+145"):
+            SynthSpec(dim=dim, bounds=((-bound,) * dim, (bound,) * dim))
+    # a box of extent 1e140 gives a finite scene (RuntimeWarnings are errors
+    # under the test settings)
     m, gt = synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e140,) * dim)))
     assert np.isfinite(m.x).all() and np.isfinite(m.y).all()
     assert gt.sum() == 100 and np.ptp(m.x, axis=0).min() > 1e139
-    with pytest.raises(ValueError, match="at most 1e\\+145 in magnitude"):
-        synth_generate(SynthSpec(n=200, dim=dim, bounds=((0.0,) * dim, (1e150,) * dim)))
+    # the widest box the rule allows takes no squared extent past a float
+    assert SynthSpec(dim=dim, bounds=((-1e145,) * dim, (1e145,) * dim)).n == 1000
 
 
 def test_synth_spec_default_box_follows_dim():
@@ -377,14 +379,22 @@ MATCH_ROWS = ["0,0,1,1,1", "2,2,3,3,0"]
          "row 3 has 6 fields, expected 5 for dim=2"),
         (["6,oops,7,7,1", "8,8,9,9,1"], NonNumericRowError,
          "row 3: could not convert string to float: 'oops'"),
-        (["6,inf,7,7,1", "8,8,9,9,1"], NonNumericRowError, "row 3: non-finite coordinate"),
+        (["6,inf,7,7,1", "8,8,9,9,1"], NonNumericRowError,
+         "row 3: coordinates must be finite and at most 1e+145 in magnitude"),
         (["6,6,7,7,2", "8,8,9,9,1"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
         # the first bad row names the error, whatever the later rows hold
-        (["6,nan,7,7,1", "8,oops,9,9,1"], NonNumericRowError, "row 3: non-finite coordinate"),
+        (["6,nan,7,7,1", "8,oops,9,9,1"], NonNumericRowError,
+         "row 3: coordinates must be finite and at most 1e+145 in magnitude"),
         (["6,6,7,7,1.0", "8,8"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
         (["6,6,7,7,x", "8,8,9,-inf,1"], NonNumericRowError, "row 3: gt flag must be 0 or 1"),
         (["6,6,7,oops,1", "8,8,9,9,7"], NonNumericRowError,
          "row 3: could not convert string to float: 'oops'"),
+        # a finite coordinate past the coordinate rule's 1e145 is named by
+        # row too, not left to MatchSet, which knows neither path nor row
+        (["6,6,1e160,7,1", "8,8,9,9,1"], NonNumericRowError,
+         "row 3: coordinates must be finite and at most 1e+145 in magnitude"),
+        (["6,6,7,7,1", "8,-1e146,9,9,1"], NonNumericRowError,
+         "row 4: coordinates must be finite and at most 1e+145 in magnitude"),
     ],
 )
 def test_match_file_errors_name_the_first_bad_row(tmp_path, bad_rows, error, message):

@@ -915,6 +915,19 @@ def test_lapack_fit_rejects_what_the_numpy_svd_fit_rejects(case, message):
             fit()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_fit_rejects_sources_collapsed_onto_the_control(dim):
+    # sources spread by about 1e-170 and targets of order 1: the weighted
+    # squared source norms underflow to 0 while the cross matrix (about
+    # 1e-170) keeps its rank and its rotation part, so only the collapse
+    # check stands between the fit and sqrt(syy / sxx) dividing by zero
+    rng = make_rng(63)
+    m = MatchSet.from_points(1e-170 * rng.normal(size=(12, dim)), rng.normal(size=(12, dim)))
+    assert np.square(m.x - m.x[0]).sum() == 0.0 and np.abs(m.x - m.x[0]).max() > 0.0
+    with pytest.raises(DegenerateGeometryError, match="weighted points collapse onto the control"):
+        weighted_rigid_fit(m, 0, np.ones(m.n))
+
+
 def test_unconverged_svd_raises_linalg_error(monkeypatch):
     m, w = random_weighted_spatial_set(make_rng(62), 20)
     dgesdd = ransac.lapack.dgesdd
