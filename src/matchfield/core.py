@@ -5,7 +5,9 @@ consumes the value types defined here. All of them are immutable after
 construction; the arrays they hold are marked read-only so accidental
 mutation fails loudly. The k-nearest-neighbor graph lives here because a
 run builds it once and both stages read it: RANSAC picks its controls from
-it, EM blends over it.
+it, EM blends over it. The graph is what the kd-tree query returns, the
+neighbor indices and source distances; it holds no weights, so one graph
+serves any radius r.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ class Config:
 
     H           inlier residual threshold
     T_min       floor on the support a RANSAC hypothesis needs
-    r           neighborhood radius of the distance weights
+    r           radius of the Gaussian distance weights of the blend
     a           uniform outlier density of the mixture model
     p_min       posterior threshold for the final inlier label
     theta       EM termination threshold on mean posterior change
@@ -278,58 +280,50 @@ class Config:
 
 @dataclass(frozen=True)
 class NeighborGraph:
-    """Immutable k-nearest-neighbor structure over the source points.
+    """Immutable k-nearest-neighbor structure over the source points: what
+    the kd-tree query returns.
 
-    idx is (n, k) with column 0 the match itself; w_dist holds the pairwise
-    distance weights max(exp(-|y_i - y_j|^2 / 2 r^2), exp(-|x_i - x_j|^2 / 2 r^2)),
-    so a pair close on either side of the correspondence couples strongly.
-    matches, N_neighbor and r record what build_neighbors built the graph
-    from; a graph made by hand has no matches and is never taken for a
-    build.
+    idx is (n, k) with column 0 the match itself, and dist holds the source
+    distances |x_j - x_i| per (match, neighbor), so column 0 is 0. The
+    weights that blend over the graph (em_refine.blend_neighbors) are
+    formed from dist by whoever blends, so the graph reads no setting but
+    N_neighbor. matches and N_neighbor record what build_neighbors built
+    the graph from; a graph made by hand has no matches and is never taken
+    for a build.
     """
 
     idx: IntArray
-    w_dist: FloatArray
+    dist: FloatArray
     matches: MatchSet | None = field(default=None, repr=False, compare=False)
     N_neighbor: int = 0
-    r: float = 0.0
 
     def built_for(self, m: MatchSet, cfg: Config) -> bool:
         """Whether build_neighbors(m, cfg) would return this graph: built on
         this very match set (matches are immutable, so identity settles it)
-        with cfg's N_neighbor and r, the only settings the graph reads."""
-        return self.matches is m and self.N_neighbor == cfg.N_neighbor and self.r == cfg.r
-
-
-def neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
-    """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
-    coordinate at a time in the order a sum over the last axis takes, so no
-    (n, k, dim) temporary is built and the result is bit-identical."""
-    cols = np.ascontiguousarray(pts.T)
-    d2 = np.square(cols[0][idx] - cols[0][:, None])
-    for col in cols[1:]:
-        diff = col[idx] - col[:, None]
-        d2 += np.square(diff, out=diff)
-    return d2
+        with cfg's N_neighbor, the only setting the graph reads."""
+        return self.matches is m and self.N_neighbor == cfg.N_neighbor
 
 
 def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
     """k-nearest neighbors by source-side distance, self in column 0.
 
     Uses N_neighbor neighbors plus the match itself; with n <= N_neighbor
-    every other match is a neighbor. A run builds the graph once, before
+    every other match is a neighbor. The indices and distances are the
+    kd-tree query's, so dist is bit-identical to the square root of the
+    summed squared source differences. A run builds the graph once, before
     RANSAC, and EM reuses it; it never changes.
     """
     n = m.n
-    k_other = min(cfg.N_neighbor, n - 1)
     if n == 1:
         idx = np.zeros((1, 1), dtype=np.int64)
+        dist = np.zeros((1, 1))
     else:
-        tree = cKDTree(m.x)
-        _, idx = tree.query(m.x, k=k_other + 1)
+        dist, idx = cKDTree(m.x).query(m.x, k=min(cfg.N_neighbor, n - 1) + 1)
         idx = idx.astype(np.int64)
         # the kd-tree breaks distance ties arbitrarily; force self into
-        # column 0 so blending always sees the match's own motion
+        # column 0 so blending always sees the match's own motion. Only
+        # duplicates of the source, at distance 0, come before it, so the
+        # swap leaves dist valid
         self_col = np.arange(n, dtype=np.int64)
         wrong = np.nonzero(idx[:, 0] != self_col)[0]
         for i in wrong:
@@ -338,14 +332,10 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
             if hits.size:
                 row[hits[0]] = row[0]
             row[0] = i
-    dx2 = neighbor_sq_dists(m.x, idx)
-    dy2 = neighbor_sq_dists(m.y, idx)
-    w_dist = np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
     # the outcome and every EM state on it share these arrays
-    for a in (idx, w_dist):
+    for a in (idx, dist):
         a.setflags(write=False)
-    return NeighborGraph(idx=idx, w_dist=w_dist, matches=m,
-                         N_neighbor=cfg.N_neighbor, r=cfg.r)
+    return NeighborGraph(idx=idx, dist=dist, matches=m, N_neighbor=cfg.N_neighbor)
 
 
 # Config field name -> its annotated type, int or float

@@ -11,8 +11,9 @@ drag along snaps to the consensus of their surroundings instead.
 
 State is kept in flat arrays: qs holds one unit dual quaternion per match
 as a row of 8, mus and p are per-match scale and posterior. blend_neighbors
-is the one blending step of the field; the M-step and the dense field
-queries in field.py both call it.
+is the one blending step of the field and owns its one weight rule, a
+source-side Gaussian of radius r times the neighbor's posterior; the
+M-step and the dense field queries in field.py both call it.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     inlier prior gamma is the RANSAC cover fraction clamped to
     [0.05, 0.95] and stays fixed for the whole EM run.
 
-    The state takes the outcome's kNN graph when it was built for m,
-    cfg.N_neighbor and cfg.r (NeighborGraph.built_for), and otherwise
-    builds one with build_neighbors, the same function.
+    The state takes the outcome's kNN graph when it was built for m and
+    cfg.N_neighbor (NeighborGraph.built_for), whatever cfg.r is, since the
+    graph holds distances, not weights; otherwise it builds one with
+    build_neighbors, the same function.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
@@ -137,16 +139,20 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     )
 
 
-def blend_neighbors(w: FloatArray, qs: FloatArray, mus: FloatArray, idx: IntArray):
-    """Blend each row's neighbor motions (qs[idx], mus[idx]) under weights w.
+def blend_neighbors(dist: FloatArray, p: FloatArray, qs: FloatArray, mus: FloatArray,
+                    idx: IntArray, r: float):
+    """Blend each row's neighbor motions (qs[idx], mus[idx]) under the one
+    weight rule of the field, w = exp(-dist^2 / 2 r^2) * p.
 
-    w is (rows, k) and non-negative. Each row is divided by its sum before
-    blending: a row of tiny but positive weights (sums near 1e-224 occur)
-    would otherwise give a blended quaternion whose squared norm underflows
-    to 0 and normalizes to inf/NaN. Returns (qbar, mubar, wsum) with the raw
-    row sums; rows whose weights sum to 0 come back as NaN motions of scale
-    0, for the caller to replace.
+    dist holds the (rows, k) source distances to the neighbors idx and p
+    their posteriors, both non-negative. Each row of weights is divided by
+    its sum before blending: a row of tiny but positive weights (sums near
+    1e-224 occur) would otherwise give a blended quaternion whose squared
+    norm underflows to 0 and normalizes to inf/NaN. Returns (qbar, mubar,
+    wsum) with the raw row sums; rows whose weights sum to 0 come back as
+    NaN motions of scale 0, for the caller to replace.
     """
+    w = np.exp(-(dist * dist) / (2.0 * r * r)) * p
     # dq8_blend is looked up in this module, so a wrapper on
     # em_refine.dq8_blend sees every blend of EM and of field queries
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -161,9 +167,10 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     """Re-estimate the field, the noise level, and the per-match motions.
 
     For every match the neighbor motions are blended with weights
-    w_j = w_dist[i][j] * p_j, giving the smoothed motion (q_bar_i, mu_bar_i)
-    and the field value f(x_i). sigma^2 becomes the posterior-weighted mean
-    squared field residual (floored). Each blended motion is then nudged by
+    w_j = exp(-|x_i - x_j|^2 / 2 r^2) * p_j (blend_neighbors), giving the
+    smoothed motion (q_bar_i, mu_bar_i) and the field value f(x_i).
+    sigma^2 becomes the posterior-weighted mean squared field residual
+    (floored). Each blended motion is then nudged by
     the pure translation (y_i - f(x_i)) / mu_bar_i so the stored g_i maps
     x_i exactly onto y_i again; smoothness of the field lives in the blend,
     exactness of the per-match motions in this correction.
@@ -179,8 +186,8 @@ def m_step(state: EmState, m: MatchSet, cfg: Config, update_sigma: bool = True) 
     field there would claim a zero residual for a match nothing supports.
     Returns the new field values.
     """
-    idx = state.graph.idx
-    qbar, mubar, wsum = blend_neighbors(state.graph.w_dist * state.p[idx], state.qs, state.mus, idx)
+    g = state.graph
+    qbar, mubar, wsum = blend_neighbors(g.dist, state.p[g.idx], state.qs, state.mus, g.idx, cfg.r)
     active = wsum > 0.0
     qbar = np.where(active[:, None], qbar, state.qs)
     mubar = np.where(active, mubar, state.mus)

@@ -1,12 +1,13 @@
 """Dense queries of the deformation field away from the matches.
 
 After EM the field is defined by the labeled inliers and their per-match
-motions: a query point blends the motions of its nearest inlier matches,
-weighted by a source-side Gaussian of the distance times the match's
-posterior. Sparse inlier coverage far from the query shows up as a small
-weight sum, reported as the sample's support; samples below a support
-floor are flagged invalid, so an extrapolated value is never passed off as
-a supported one.
+motions: a query point blends the motions of its nearest inlier matches
+under the M-step's one weight rule (em_refine.blend_neighbors), a
+source-side Gaussian of the distance times the match's posterior. Sparse
+inlier coverage far from the query shows up as a small weight sum,
+reported as the sample's support; samples below a support floor are
+flagged invalid, so an extrapolated value is never passed off as a
+supported one.
 
 Also holds the lattice sampler plus the CSV and SVG emitters used by the
 command line.
@@ -62,10 +63,11 @@ def query_field(
     """Evaluate the field at arbitrary points (k, dim).
 
     Each point blends the motions of its N_neighbor nearest labeled inliers
-    with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j and applies the
-    blended motion to the point. support is the raw weight sum; a sample
-    with support below SUPPORT_MIN (0.01) is flagged invalid but still
-    reports the blended motion applied to the point. Only a sample without
+    with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j, the M-step's
+    rule (em_refine.blend_neighbors), and applies the blended motion to the
+    point. support is the raw weight sum; a sample with support below
+    SUPPORT_MIN (0.01) is flagged invalid but still reports the blended
+    motion applied to the point. Only a sample without
     any weight (support 0) reports the query point itself as the displaced
     position. With zero inliers every sample is invalid.
     Query points obey the coordinate rule (core.coords_in_range: finite and
@@ -97,8 +99,7 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
         rows = slice(lo, lo + QUERY_BLOCK)
         # a list of k keeps the neighbor axis when k is 1
         dist, jdx = tree.query(pts[rows], k=[k] if k == 1 else k)
-        w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * post[jdx]
-        qbar, mubar, support[rows] = blend_neighbors(w, qs, mus, jdx)
+        qbar, mubar, support[rows] = blend_neighbors(dist, post[jdx], qs, mus, jdx, cfg.r)
         # rows without support blended to NaN; they keep the query point
         moved = dq8_apply(qbar, mubar, pts[rows])
         disp[rows] = np.where((support[rows] > 0.0)[:, None], moved, pts[rows])
@@ -129,7 +130,8 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     below hi keep np.arange's bits. A step larger than an extent yields the
     single sample at that axis minimum. Rejects inverted bounds, non-finite
     or non-positive steps, an axis with more samples than an index can
-    count, and axes too long to allocate.
+    count, axes too long to allocate, and a step at or below the float
+    spacing at the box, whose samples would not be distinct.
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
@@ -145,8 +147,15 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     counts = np.floor(q + 4.0 * np.spacing(q)).astype(np.intp) + 1
     with _lattice_fits(counts.tolist(), step):
         axes = [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
-        # np.where, unlike np.minimum, keeps the sign of a zero sample
-        return [np.where(ax > hi, hi, ax) for ax, hi in zip(axes, maxs)]
+    # np.arange steps by (lo + step) - lo, which rounds to 0 for a step
+    # below the float spacing at lo and can leave an axis short of its count
+    # for a step at it
+    for a, (ax, c) in enumerate(zip(axes, counts)):
+        if ax.size < c or not (np.diff(ax) > 0.0).all():
+            raise ValueError(f"lattice axis {a}: step {step} is at or below the float spacing "
+                             f"at the box, so its {c} samples would not all differ")
+    # np.where, unlike np.minimum, keeps the sign of a zero sample
+    return [np.where(ax > hi, hi, ax) for ax, hi in zip(axes, maxs)]
 
 
 def grid_field(

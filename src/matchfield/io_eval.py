@@ -184,45 +184,29 @@ def load_labels(path) -> LabelResult:
 
     Raises MatchFileError for a missing header or indices that do not count
     up from 0, DimensionMismatchError for rows that are not 4 fields wide,
-    NonNumericRowError for unparseable fields. Checked and converted in bulk
-    like load_matches; only a file that fails a check is walked row by row.
+    NonNumericRowError for unparseable fields, each naming the first row
+    that fails: one walk over the rows parses and checks each in turn (its
+    width, then each field, then its index).
     """
     lines = _data_lines(path)
     if not lines or lines[0] != "index,inlier,posterior,residual":
         raise MatchFileError(f"{path}: missing label header")
-    body = lines[1:]
-    if not _widths_agree(body, 4):
-        _raise_first_bad_label_row(path, body)
-    fields = _fields(body)
-    flags = fields[1::4]
-    try:
-        ok = list(map(int, fields[0::4])) == list(range(len(body)))
-        post = np.array(list(map(float, fields[2::4])))
-        resid = np.array(list(map(float, fields[3::4])))
-    except ValueError:
-        ok = False
-    if not ok or not set(flags) <= {"0", "1"}:
-        _raise_first_bad_label_row(path, body)
-    return LabelResult(inlier=np.array(flags, dtype=str) == "1", posterior=post, residual=resid)
-
-
-def _raise_first_bad_label_row(path, body: list[str]) -> NoReturn:
-    """Raise the error of the first row of a label file body that fails a
-    check: its width, then each field in turn, then its index."""
-    for row, line in enumerate(body):
+    flags, post, resid = [], [], []
+    for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 4:
             raise DimensionMismatchError(f"{path}: row {row + 1} has {len(parts)} fields")
         try:
             i = int(parts[0])
-            {"0": False, "1": True}[parts[1]]
-            float(parts[2])
-            float(parts[3])
+            flags.append({"0": False, "1": True}[parts[1]])
+            post.append(float(parts[2]))
+            resid.append(float(parts[3]))
         except (ValueError, KeyError) as e:
             raise NonNumericRowError(f"{path}: row {row + 1}: {e}") from e
         if i != row:
             raise MatchFileError(f"{path}: rows out of order at {row + 1}")
-    raise AssertionError("bulk check failed but every row passes")
+    return LabelResult(inlier=np.array(flags, dtype=bool), posterior=np.array(post),
+                       residual=np.array(resid))
 
 
 @dataclass(frozen=True)
@@ -340,7 +324,8 @@ def synth_generate(spec: SynthSpec) -> tuple[MatchSet, BoolArray]:
     the deformation strength. Inlier targets blend the anchor motions with
     Gaussian distance weights of radius half the largest extent, which
     keeps the ground-truth field smooth but genuinely non-rigid once two
-    anchors disagree.
+    anchors disagree. A box so near the coordinate bound that the motions
+    carry a target past it raises ValueError naming the box.
     """
     rng = make_rng(spec.seed)
     mins = np.asarray(spec.bounds[0], dtype=np.float64)
@@ -381,4 +366,7 @@ def synth_generate(spec: SynthSpec) -> tuple[MatchSet, BoolArray]:
             y[inl] += rng.normal(0.0, spec.noise_sigma, size=(inl.size, spec.dim))
     if out.size:
         y[out] = rng.uniform(mins, maxs, size=(out.size, spec.dim))
+    if not coords_in_range(y).all():
+        raise ValueError(f"box {mins.tolist()} to {maxs.tolist()}: its anchor motions carry "
+                         f"targets past the coordinate rule, {COORD_RULE}")
     return MatchSet(dim=spec.dim, x=x, y=y), gt

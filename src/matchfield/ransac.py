@@ -70,7 +70,6 @@ from .core import (
     RigidTransform,
     build_neighbors,
     make_rng,
-    neighbor_sq_dists,
     small_det,
 )
 
@@ -212,26 +211,39 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     return max(cfg.T_min, t)
 
 
+def neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
+    """|pts[idx] - pts[:, None]|^2 per (match, neighbor), added up one
+    coordinate at a time in the order a sum over the last axis takes, so no
+    (n, k, dim) temporary is built and the result is bit-identical."""
+    cols = np.ascontiguousarray(pts.T)
+    d2 = np.square(cols[0][idx] - cols[0][:, None])
+    for col in cols[1:]:
+        diff = col[idx] - col[:, None]
+        d2 += np.square(diff, out=diff)
+    return d2
+
+
 def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> IntArray:
     """The matches a run may draw as controls, ascending.
 
     A match's score counts its first POOL_COLUMNS source neighbors j
     (columns 1..POOL_COLUMNS of graph.idx) with | |y_j - y_i| - |x_j - x_i| |
-    < H; the pool holds the matches scoring at least POOL_MIN_SCORE. The
-    threshold never exceeds t_acc - 1: a kept motion's control need not
-    keep more neighbors than the motion has other inliers. The pool does
-    not depend on N_neighbor: a graph with fewer than POOL_COLUMNS other
-    columns is read whole only when it holds every other match (n <=
-    POOL_COLUMNS); otherwise the score reads a POOL_COLUMNS graph built for
-    it alone, and graph stays what EM blends over.
+    < H; the source distances are the graph's dist, so only the target
+    side is computed here. The pool holds the matches scoring at least
+    POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept motion's
+    control need not keep more neighbors than the motion has other
+    inliers. The pool does not depend on N_neighbor: a graph with fewer
+    than POOL_COLUMNS other columns is read whole only when it holds every
+    other match (n <= POOL_COLUMNS); otherwise the score reads a
+    POOL_COLUMNS graph built for it alone, and graph stays what EM blends
+    over.
     """
-    idx = graph.idx
-    if idx.shape[1] - 1 < min(POOL_COLUMNS, m.n - 1):
-        idx = build_neighbors(m, replace(cfg, N_neighbor=POOL_COLUMNS)).idx
+    if graph.idx.shape[1] - 1 < min(POOL_COLUMNS, m.n - 1):
+        graph = build_neighbors(m, replace(cfg, N_neighbor=POOL_COLUMNS))
+    cols = slice(1, POOL_COLUMNS + 1)
     # a contiguous copy gathers about twice as fast as the strided view
-    idx = np.ascontiguousarray(idx[:, 1 : POOL_COLUMNS + 1])
-    stretch = np.sqrt(neighbor_sq_dists(m.y, idx))
-    stretch -= np.sqrt(neighbor_sq_dists(m.x, idx))
+    stretch = np.sqrt(neighbor_sq_dists(m.y, np.ascontiguousarray(graph.idx[:, cols])))
+    stretch -= graph.dist[:, cols]
     score = np.count_nonzero(np.abs(stretch) < cfg.H, axis=1)
     return np.nonzero(score >= min(POOL_MIN_SCORE, t_acc - 1))[0]
 

@@ -61,3 +61,70 @@ def test_import_leaves_scipy_stats_unloaded():
             "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# names the benchmark's tracer still asks for although the package dropped
+# them; the tracer skips a missing name, so its per-layer number reads 0
+STALE_TRACED_NAMES = {"matchfield.em_refine.dq4_blend", "matchfield.em_refine.dq4_apply",
+                      "matchfield.field.dq4_blend", "matchfield.field.dq4_apply",
+                      "matchfield.field.dq8_blend", "matchfield.cli.ransac_run",
+                      "matchfield.cli.run_em"}
+
+
+def test_every_traced_layer_is_called_through_its_module(tmp_path, monkeypatch):
+    # the benchmark's per-layer split (perfbench/workloads.py install_tracing)
+    # replaces module attributes; a layer renamed or called past its module
+    # attribute would read 0 there without any error
+    from dataclasses import replace
+
+    from matchfield import cli, field, io_eval
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench import workloads
+
+    class Recorder:
+        """What install_tracing asks of the benchmark's span recorder."""
+
+        def __init__(self):
+            self.asked, self.wrapped = set(), []
+
+        def wrap(self, module, attr, name, on_result=None, counted_error=None):
+            key = f"{module.__name__}.{attr}"
+            self.asked.add(key)
+            if hasattr(module, attr):
+                self.wrapped.append((module, attr, key, on_result))
+
+        def count(self, name, value=1):
+            pass
+
+    rec = Recorder()
+    workloads.install_tracing(rec)
+    calls = {key: [] for _, _, key, _ in rec.wrapped}
+    for module, attr, key, on_result in rec.wrapped:
+        def traced(*args, _orig=getattr(module, attr), _key=key, _hook=on_result, **kwargs):
+            calls[_key].append(args)
+            result = _orig(*args, **kwargs)
+            # the tracer's counters unpack the arguments and the result
+            if _hook is not None:
+                _hook(rec, args, kwargs, result)
+            return result
+        monkeypatch.setattr(module, attr, traced)
+    assert rec.asked - set(calls) <= STALE_TRACED_NAMES
+
+    m, gt = io_eval.synth_generate(io_eval.SynthSpec(n=300, outlier_ratio=0.5, seed=5))
+    cfg = matchfield.Config.for_matches(m, seed=5)
+    labels, state, outcome = em_refine.filter_and_refine(m, cfg)
+    grid = field.grid_field(state, labels, m, ((0.0, 0.0), (800.0, 600.0)), 100.0, cfg)
+    field.write_field_csv(grid, tmp_path / "field.csv", 2)
+    io_eval.save_matches(tmp_path / "scene.csv", m, gt=gt)
+    assert cli.main(["filter", "--input", str(tmp_path / "scene.csv"),
+                     "--output", str(tmp_path / "labels.csv")]) == 0
+    # the run's graph comes from ransac_run through core.build_neighbors, so
+    # EM's own build_neighbors runs only when the outcome's graph does not
+    # serve it (its traced span reads 0 on the benchmark)
+    assert {key for key, args in calls.items() if not args} == {
+        "matchfield.em_refine.build_neighbors"}
+    em_refine.run_em(m, outcome, replace(cfg, N_neighbor=9))
+    assert calls["matchfield.em_refine.build_neighbors"]
+    # the blend counter unpacks (weights, motions)
+    assert all(len(args) == 2 for args in calls["matchfield.em_refine.dq8_blend"])

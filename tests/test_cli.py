@@ -454,8 +454,10 @@ def _count_stage_calls(monkeypatch) -> dict:
 @pytest.mark.parametrize(
     "lattice",
     [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"],
-     ["--bounds=0,0,1e200,1e200", "--grid-step", "5e199"]],
-    ids=["nan-bounds", "bounds-count", "zero-step", "past-the-coordinate-rule"],
+     ["--bounds=0,0,1e200,1e200", "--grid-step", "5e199"],
+     ["--bounds=1e16,0,10000000000000010,1", "--grid-step", "1"]],
+    ids=["nan-bounds", "bounds-count", "zero-step", "past-the-coordinate-rule",
+         "step-below-the-float-spacing"],
 )
 def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeypatch, lattice):
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
@@ -552,6 +554,20 @@ def test_synth_rejects_a_box_whose_squared_extent_overflows(tmp_path, capsys):
     assert err == ("error: bounds must be finite and at most 1e+145 in magnitude, got "
                    "[-1e+200, -1e+200] to [1e+200, 1e+200]\n")
     assert not synth.exists()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lo, hi", [("-1e145", "1e145"), ("0", "1e145"), ("-1e145", "0")])
+def test_synth_names_a_box_near_the_bound_whose_targets_leave_it(tmp_path, capsys, dim, lo, hi):
+    synth = tmp_path / "s.csv"
+    bounds = ",".join([lo] * dim + [hi] * dim)
+    rc = main(["synth", "--dim", str(dim), "--output", str(synth), "--n", "300", "--seed", "3",
+               f"--bounds={bounds}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: box {[float(lo)] * dim} to {[float(hi)] * dim}: its anchor "
+                          "motions carry targets past the coordinate rule")
+    assert "match" not in err and not synth.exists()
 
 
 def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monkeypatch):

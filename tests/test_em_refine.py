@@ -24,6 +24,7 @@ from matchfield.em_refine import (
     m_step,
     run_em,
 )
+from matchfield.field import query_field
 from matchfield.io_eval import SynthSpec, compute_metrics, synth_generate
 from matchfield.ransac import RansacOutcome, TransformHypothesis, ransac_run
 
@@ -34,7 +35,7 @@ def empty_outcome(n):
 
 def self_only_state(m, p, sigma=5.0, gamma=0.5):
     n = m.n
-    graph = NeighborGraph(idx=np.arange(n, dtype=np.int64)[:, None], w_dist=np.ones((n, 1)))
+    graph = NeighborGraph(idx=np.arange(n, dtype=np.int64)[:, None], dist=np.zeros((n, 1)))
     return EmState(
         qs=dq8_identity(n),
         mus=np.ones(n),
@@ -54,46 +55,69 @@ def test_build_neighbors_layout():
     g = build_neighbors(m, Config())
     assert g.idx.shape == (30, 17)
     assert np.array_equal(g.idx[:, 0], np.arange(30))
-    assert np.allclose(g.w_dist[:, 0], 1.0)
+    assert not g.dist[:, 0].any()
     # RANSAC's outcome and every EM state on it share the arrays
-    assert not any(a.flags.writeable for a in (g.idx, g.w_dist))
+    assert not any(a.flags.writeable for a in (g.idx, g.dist))
     # rows index real neighbors, no repeats of self past column 0
     for i in range(30):
         assert i not in g.idx[i, 1:]
 
 
+def blend_weight_sums(g, p, r):
+    """Row sums of the blend weights over graph g under posteriors p."""
+    n = g.idx.shape[0]
+    return em_refine.blend_neighbors(g.dist, np.asarray(p)[g.idx], dq8_identity(n), np.ones(n),
+                                     g.idx, r)[2]
+
+
 def test_neighbor_weight_hand_value():
-    # frozen: both sides one radius apart -> exp(-1/2) = 0.6065306...
+    # frozen: sources one radius apart -> exp(-1/2) = 0.6065306..., beside
+    # the self weight 1; the targets play no part
     m = MatchSet.from_points(
         [[0.0, 0.0], [50.0, 0.0]], [[100.0, 100.0], [100.0, 150.0]]
     )
     g = build_neighbors(m, Config())
-    assert np.isclose(g.w_dist[0, 1], np.exp(-0.5))
-    assert np.isclose(g.w_dist[1, 1], np.exp(-0.5))
+    assert g.dist.tolist() == [[0.0, 50.0], [0.0, 50.0]]
+    assert np.allclose(blend_weight_sums(g, [1.0, 1.0], 50.0), 1.0 + np.exp(-0.5),
+                       rtol=1e-15, atol=0.0)
 
 
-def test_neighbor_weight_uses_closer_side():
-    # far apart in x, coincident in y: the y side rescues the pair
+def test_neighbor_weight_reads_only_the_source_side():
+    # far apart in x, coincident in y: ten radii of source distance leave
+    # the pair a weight of exp(-50) whatever the targets do
     m = MatchSet.from_points([[0.0, 0.0], [500.0, 0.0]], [[7.0, 7.0], [7.0, 7.0]])
     g = build_neighbors(m, Config())
-    assert np.isclose(g.w_dist[0, 1], 1.0)
+    assert g.dist[0, 1] == 500.0
+    assert np.allclose(blend_weight_sums(g, [0.0, 1.0], 50.0)[0], np.exp(-50.0),
+                       rtol=1e-12, atol=0.0)
 
 
-def reference_neighbor_weights(m, idx, cfg):
-    """The distance weights from the whole (n, k, dim) difference array."""
-    dx2 = np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1)
-    dy2 = np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1)
-    return np.exp(-np.minimum(dx2, dy2) / (2.0 * cfg.r * cfg.r))
+def reference_neighbor_dists(m, idx):
+    """The source distances from the whole (n, k, dim) difference array."""
+    return np.sqrt(np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1))
 
 
-def test_neighbor_weights_bit_identical_to_full_difference_array():
+def with_duplicate_sources(m):
+    """m with runs of matches moved onto one source point, more copies than
+    a 3D graph has columns, so the kd-tree's ties push self out of column 0."""
+    x = m.x.copy()
+    x[1:4] = x[0]
+    x[10:70] = x[9]
+    return MatchSet.from_points(x, m.y)
+
+
+def test_neighbor_distances_bit_identical_to_full_difference_array():
     spec_3d = dict(
         dim=3, n_anchors=3, max_rotation=0.05, max_scale_jitter=0.02, noise_sigma=0.05,
         bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
     )
+    big_2d = synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=41))[0]
+    big_3d = synth_generate(SynthSpec(n=693, outlier_ratio=0.84, seed=42, **spec_3d))[0]
     scenes = [
-        synth_generate(SynthSpec(n=1000, outlier_ratio=0.5, seed=41))[0],
-        synth_generate(SynthSpec(n=693, outlier_ratio=0.84, seed=42, **spec_3d))[0],
+        big_2d,
+        big_3d,
+        with_duplicate_sources(big_2d),
+        with_duplicate_sources(big_3d),
         synth_generate(SynthSpec(n=12, outlier_ratio=0.5, seed=43))[0],
         synth_generate(SynthSpec(n=40, outlier_ratio=0.5, seed=44, **spec_3d))[0],
         MatchSet.from_points([[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]),
@@ -101,8 +125,9 @@ def test_neighbor_weights_bit_identical_to_full_difference_array():
     for m in scenes:
         cfg = Config.for_matches(m) if m.n > 1 else Config()
         g = build_neighbors(m, cfg)
-        assert g.idx.shape[1] == min(cfg.N_neighbor + 1, m.n)
-        assert np.array_equal(g.w_dist, reference_neighbor_weights(m, g.idx, cfg))
+        assert g.idx.shape == g.dist.shape == (m.n, min(cfg.N_neighbor + 1, m.n))
+        assert np.array_equal(g.idx[:, 0], np.arange(m.n))
+        assert g.dist.tobytes() == reference_neighbor_dists(m, g.idx).tobytes()
 
 
 def test_init_adopts_largest_support_and_seeds_sigma():
@@ -356,7 +381,7 @@ def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
     value. row_sums, if given, collects each call's smallest positive weight
     sum."""
     idx = state.graph.idx
-    wt = state.graph.w_dist * state.p[idx]
+    wt = np.exp(-(state.graph.dist ** 2) / (2.0 * cfg.r * cfg.r)) * state.p[idx]
     wsum = wt.sum(axis=1)
     active = wsum > 0.0
     if row_sums is not None and active.any():
@@ -439,7 +464,7 @@ def test_m_step_zero_weight_rows_byte_equal_to_the_inline_blend():
     f = m_step(state, m, cfg)
     reference_m_step(ref, m, cfg)
     assert state.isolated[rows].tolist() == [True, True, False]
-    assert 0.0 < (ref.graph.w_dist * ref.p[idx])[rows[2]].sum() < 1e-200
+    assert 0.0 < blend_weight_sums(ref.graph, ref.p, cfg.r)[rows[2]] < 1e-200
     for a, b in [(f, ref.field_at_x), (state.qs, ref.qs), (state.mus, ref.mus),
                  (state.isolated, ref.isolated)]:
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -503,7 +528,7 @@ def test_em_readers_reject_an_outcome_of_another_match_count(with_hypotheses):
 
 
 def graph_bytes(g):
-    return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.w_dist)]
+    return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.dist)]
 
 
 def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings():
@@ -515,13 +540,20 @@ def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings():
     labels, state = run_em(m, outcome, cfg)
     assert state.graph is outcome.graph
     assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, cfg))
-    # another r or N_neighbor, another match set of the same n, and an equal
-    # copy of m (identity, not content, ties a graph to its matches) each get
-    # a fresh build, with the bytes of a run that never had a graph
+    # the graph holds distances, not weights, so another r reuses it with
+    # the bytes of a fresh build
+    for r in (35.0, 80.0):
+        other_cfg = replace(cfg, r=r)
+        assert outcome.graph.built_for(m, other_cfg)
+        labels, state = run_em(m, outcome, other_cfg)
+        assert state.graph is outcome.graph
+        assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, other_cfg))
+    # another N_neighbor, another match set of the same n, and an equal copy
+    # of m (identity, not content, ties a graph to its matches) each get a
+    # fresh build, with the bytes of a run that never had a graph
     same_n, _ = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=22))
     copy = MatchSet.from_points(m.x.copy(), m.y.copy())
-    for other_m, other_cfg in ((m, replace(cfg, r=35.0)), (m, replace(cfg, N_neighbor=9)),
-                               (same_n, cfg), (copy, cfg)):
+    for other_m, other_cfg in ((m, replace(cfg, N_neighbor=9)), (same_n, cfg), (copy, cfg)):
         labels, state = run_em(other_m, outcome, other_cfg)
         assert state.graph is not outcome.graph and state.graph.built_for(other_m, other_cfg)
         assert graph_bytes(state.graph) == graph_bytes(build_neighbors(other_m, other_cfg))
@@ -531,7 +563,44 @@ def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings():
 def test_a_hand_made_graph_is_never_taken_for_a_build():
     m = synth_generate(SynthSpec(n=30, outlier_ratio=0.0, seed=4))[0]
     g = build_neighbors(m, Config())
-    assert not NeighborGraph(idx=g.idx, w_dist=g.w_dist).built_for(m, Config())
+    assert not NeighborGraph(idx=g.idx, dist=g.dist).built_for(m, Config())
+
+
+def spy_blend_weights(monkeypatch):
+    """Record the normalized weights and neighbor indices of every
+    dq8_blend call that blend_neighbors makes."""
+    calls = []
+    def spy(w, qs, idx=None, blend=em_refine.dq8_blend):
+        calls.append((w.copy(), idx))
+        return blend(w, qs, idx=idx)
+    monkeypatch.setattr(em_refine, "dq8_blend", spy)
+    return calls
+
+
+def normalized(w):
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def test_m_step_and_field_queries_weigh_through_the_one_rule(monkeypatch):
+    m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.3, seed=24))
+    cfg = Config(seed=24, r=40.0)
+    labels, state, _ = filter_and_refine(m, cfg)
+    calls = spy_blend_weights(monkeypatch)
+    g = state.graph
+    m_step(replace(state), m, cfg)
+    (w, idx), = calls
+    assert idx is g.idx
+    want = np.exp(-(g.dist * g.dist) / (2.0 * cfg.r * cfg.r)) * state.p[g.idx]
+    assert w.tobytes() == normalized(want).tobytes()
+    # a field query weighs its nearest inliers by the same rule
+    calls.clear()
+    pts = np.array([[100.0, 100.0], [400.0, 300.0], [650.0, 520.0]])
+    query_field(state, labels, m, pts, cfg)
+    (w, jdx), = calls
+    inl = np.nonzero(labels.inlier)[0]
+    dist = np.sqrt(np.sum((m.x[inl][jdx] - pts[:, None, :]) ** 2, axis=-1))
+    want = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * labels.posterior[inl][jdx]
+    assert np.allclose(w, normalized(want), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("path", ["filter_and_refine", "ransac_run-then-run_em"])

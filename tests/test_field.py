@@ -90,6 +90,19 @@ def test_grid_axes_stay_inside_the_box():
         assert a.tobytes() == np.arange(0.0, hi + 25.0, 50.0).tobytes()
 
 
+def test_grid_axes_rejects_a_step_at_or_below_the_float_spacing():
+    # at 1e16 the float spacing is 2: np.arange's increment (lo + 1) - lo is
+    # 0, which gave ten copies of 1e16 where the count rule asks for 11
+    box = ((1e16, 0.0), (1e16 + 10, 1.0))
+    with pytest.raises(ValueError, match=r"lattice axis 0: step 1.0 .* 11 samples"):
+        grid_axes(box, 1.0, 2)
+    # a step the spacing resolves keeps its distinct samples, and the other
+    # axis is named when it is the one that fails
+    assert grid_axes(box, 2.0, 2)[0].tolist() == [1e16 + 2.0 * i for i in range(6)]
+    with pytest.raises(ValueError, match=r"lattice axis 2: step 1.0"):
+        grid_axes(((0.0, 0.0, 1e16), (10.0, 10.0, 1e16 + 10)), 1.0, 3)
+
+
 def test_grid_axes_rejects_bad_bounds():
     with pytest.raises(ValueError):
         grid_axes((np.array([10.0, 0.0]), np.array([0.0, 10.0])), 5.0, 2)

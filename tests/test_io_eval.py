@@ -231,6 +231,22 @@ def test_synth_rejects_squared_extent_overflow_and_keeps_huge_boxes_finite(dim):
     assert SynthSpec(dim=dim, bounds=((-1e145,) * dim, (1e145,) * dim)).n == 1000
 
 
+NEAR_BOUND_BOXES = [(-1e145, 1e145), (0.0, 1e145), (-1e145, 0.0)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lo, hi", NEAR_BOUND_BOXES)
+def test_synth_names_the_box_whose_motions_carry_targets_past_the_rule(dim, lo, hi):
+    # the box keeps the coordinate rule, but rotations, scale jitter and
+    # translations move inlier targets out of it; the error names the box,
+    # not a match the caller never wrote
+    spec = SynthSpec(n=300, dim=dim, bounds=((lo,) * dim, (hi,) * dim), seed=3)
+    box = f"box {[lo] * dim} to {[hi] * dim}: its anchor motions carry targets past the "
+    with pytest.raises(ValueError) as e:
+        synth_generate(spec)
+    assert str(e.value) == box + "coordinate rule, finite and at most 1e+145 in magnitude"
+
+
 def test_synth_spec_default_box_follows_dim():
     assert SynthSpec().bounds == ((0.0, 0.0), (800.0, 600.0))
     assert SynthSpec(dim=3).bounds == ((0.0, 0.0, 0.0), (100.0, 100.0, 100.0))
