@@ -323,15 +323,12 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
         # the kd-tree breaks distance ties arbitrarily; force self into
         # column 0 so blending always sees the match's own motion. Only
         # duplicates of the source, at distance 0, come before it, so the
-        # swap leaves dist valid
-        self_col = np.arange(n, dtype=np.int64)
-        wrong = np.nonzero(idx[:, 0] != self_col)[0]
-        for i in wrong:
-            row = idx[i]
-            hits = np.nonzero(row == i)[0]
-            if hits.size:
-                row[hits[0]] = row[0]
-            row[0] = i
+        # swap leaves dist valid. A row that misses itself (more duplicates
+        # than columns) finds no hit, argmax 0, and takes itself in column 0
+        wrong = np.flatnonzero(idx[:, 0] != np.arange(n))
+        rows = idx[wrong]
+        idx[wrong, np.argmax(rows == wrong[:, None], axis=1)] = rows[:, 0]
+        idx[wrong, 0] = wrong
     # the outcome and every EM state on it share these arrays
     for a in (idx, dist):
         a.setflags(write=False)

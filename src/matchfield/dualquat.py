@@ -18,6 +18,15 @@ vectors, lift 2D ones into that plane themselves and return the width they
 were given. The dq_* functions are checked single-motion entry points onto
 the same kernels.
 
+dq8_blend flips each motion into the hemisphere of its blend's heaviest
+one (Kavan et al., "Geometric Skinning with Approximate Dual Quaternion
+Blending", 2008), and takes those dot products only in blends that hold a
+turned motion. A motion is unturned when its scalar part w is positive and
+at least 3/4 of its real part's norm (a turn of at most ~83 degrees); two
+unturned motions have a dot of at least cos(2 acos(3/4)) = 1/8 of their
+norms' product, so a blend of them flips nothing and skips the dots with
+the same bits.
+
 Conventions used throughout:
 
 * quaternion product is the Hamilton product;
@@ -33,7 +42,7 @@ import math
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import FloatArray, IntArray, RigidTransform
+from .core import BoolArray, FloatArray, IntArray, RigidTransform
 
 UNIT_TOL = 1e-9
 
@@ -233,6 +242,13 @@ def dq8_blend(weights: FloatArray, dqs: FloatArray, idx: IntArray | None = None)
     can cancel), then the sum is renormalized. Rows whose weights sum to
     zero are the caller's problem; this function assumes at least one
     positive weight per row.
+
+    The hemisphere dots are taken only on rows that hold a turned table
+    motion. A motion is unturned when its real part r has a positive scalar
+    part w of at least 3/4 of |r| (w^2 >= 9/16 |r|^2, a turn of at most ~83
+    degrees; _unturned). Two unturned motions have a dot of at least
+    cos(2 acos(3/4)) = 1/8 of their norms' product, so no weight of a row
+    of them would flip, and its signed weights are its weights, bit for bit.
     """
     if idx is None:
         idx = np.broadcast_to(np.arange(dqs.shape[0]), weights.shape)
@@ -244,18 +260,39 @@ def dq8_blend(weights: FloatArray, dqs: FloatArray, idx: IntArray | None = None)
     # of every row is gathered as one contiguous (rows, k) plane rather than
     # read with a stride of 8 from a gathered (rows, k, 8) block
     real = np.ascontiguousarray(dqs[:, 0:4].T)
-    heaviest = np.take_along_axis(idx, np.argmax(weights, axis=1)[:, None], axis=1)
-    head = np.take(real, heaviest, axis=1)
-    dots = np.take(real[0], idx) * head[0]
-    for c in range(1, 4):
-        term = np.take(real[c], idx)
-        dots += np.multiply(term, head[c], out=term)
-    signed = np.negative(weights, out=weights.copy(), where=dots < 0.0)
+    turned = ~_unturned(real)
+    signed = weights
+    if turned.any():
+        need = np.flatnonzero(np.take(turned, idx).any(axis=1))
+        sub, w = idx[need], weights[need]
+        heaviest = np.take_along_axis(sub, np.argmax(w, axis=1)[:, None], axis=1)
+        head = np.take(real, heaviest, axis=1)
+        dots = np.take(real[0], sub) * head[0]
+        for c in range(1, 4):
+            term = np.take(real[c], sub)
+            dots += np.multiply(term, head[c], out=term)
+        signed = weights.copy()
+        signed[need] = np.negative(w, out=w, where=dots < 0.0)
     # one CSR product adds each row's k weighted table rows in index order
     # onto 0.0, without gathering a (rows, k, 8) block
     mix = csr_array((signed.ravel(), idx.ravel(), np.arange(0, rows * k + 1, k)),
                     shape=(rows, dqs.shape[0]))
     return dq8_normalize(mix @ dqs).reshape(lead + (8,))
+
+
+def _unturned(real: FloatArray) -> BoolArray:
+    """Which motions of a component-major (4, m) real-part table are
+    unturned (see dq8_blend): w > 0 and w^2 >= 9/16 |r|^2.
+
+    |r|^2 must also lie within 1e-300..1e300, so that no product of a dot
+    under- or overflows and the bound of 1/8 of the norms' product stays
+    far above the rounding of four products and three sums. Other motions,
+    NaN ones included, count as turned.
+    """
+    w = real[0]
+    with np.errstate(over="ignore"):
+        rr = w * w + real[1] * real[1] + real[2] * real[2] + real[3] * real[3]
+        return (w > 0.0) & (w * w >= 0.5625 * rr) & (rr >= 1e-300) & (rr <= 1e300)
 
 
 def dq8_to_rt(dq: FloatArray) -> tuple[FloatArray, FloatArray]:

@@ -130,8 +130,9 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
     below hi keep np.arange's bits. A step larger than an extent yields the
     single sample at that axis minimum. Rejects inverted bounds, non-finite
     or non-positive steps, an axis with more samples than an index can
-    count, axes too long to allocate, and a step at or below the float
-    spacing at the box, whose samples would not be distinct.
+    count, axes too long to allocate, a step the float spacing at lo rounds
+    so far that the last sample would drift half a step or more from
+    lo + (count - 1) step, and samples that would not all differ.
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
@@ -145,11 +146,18 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
         raise ValueError(f"lattice of {(np.floor(q) + 1.0).tolist()} samples per axis at step "
                          f"{step} overflows an index")
     counts = np.floor(q + 4.0 * np.spacing(q)).astype(np.intp) + 1
+    # np.arange steps by (lo + step) - lo, the step rounded to the float
+    # spacing at lo: 0 below it, and 2 for a step of 3 at 1e16, where the
+    # last sample would fall short of lo + (c - 1) step by 2 steps
+    for a, (lo, c) in enumerate(zip(mins, counts)):
+        inc = (lo + step) - lo
+        if abs(inc - step) * (c - 1) >= 0.5 * step:
+            raise ValueError(f"lattice axis {a}: step {step} advances by {inc} at the box, so "
+                             f"its {c} samples would drift half a step or more off the lattice")
     with _lattice_fits(counts.tolist(), step):
         axes = [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
-    # np.arange steps by (lo + step) - lo, which rounds to 0 for a step
-    # below the float spacing at lo and can leave an axis short of its count
-    # for a step at it
+    # an increment the spacing at lo resolves can still fall below the
+    # spacing at hi, a binade up, where two samples round to one
     for a, (ax, c) in enumerate(zip(axes, counts)):
         if ax.size < c or not (np.diff(ax) > 0.0).all():
             raise ValueError(f"lattice axis {a}: step {step} is at or below the float spacing "

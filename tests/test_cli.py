@@ -455,9 +455,10 @@ def _count_stage_calls(monkeypatch) -> dict:
     "lattice",
     [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"],
      ["--bounds=0,0,1e200,1e200", "--grid-step", "5e199"],
-     ["--bounds=1e16,0,10000000000000010,1", "--grid-step", "1"]],
+     ["--bounds=1e16,0,10000000000000010,1", "--grid-step", "1"],
+     ["--bounds=9999999999999990,0,10000000000000010,1", "--grid-step", "3"]],
     ids=["nan-bounds", "bounds-count", "zero-step", "past-the-coordinate-rule",
-         "step-below-the-float-spacing"],
+         "step-below-the-float-spacing", "step-rounded-by-the-float-spacing"],
 )
 def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeypatch, lattice):
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)

@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from matchfield.core import make_rng
 from matchfield.dualquat import (
+    _unturned,
     dq8_apply,
     dq8_blend,
     dq8_from_rt,
@@ -410,6 +411,93 @@ def test_hemisphere_sign_follows_the_written_out_order():
     assert (signs > 0).any() and (signs < 0).any()
     assert ((paired < 0.0) != (signs < 0)).any()
     assert np.array_equal(dq8_blend(w, table, idx), reference_dq8_blend(w, gathered))
+
+
+def motions_of(real, rng):
+    """Unit motions with the given (m, 4) real parts and random translations."""
+    real = np.asarray(real, dtype=np.float64)
+    t = np.zeros((real.shape[0], 4))
+    t[:, 1:4] = rng.normal(size=(real.shape[0], 3)) * 20.0
+    return np.concatenate([real, 0.5 * quat_mul(t, real)], axis=1)
+
+
+def opposed_pair(w, axis):
+    """Two unit real parts of scalar part w whose vector parts point along
+    +axis and -axis: their dot is w^2 - (1 - w^2)."""
+    v = np.sqrt(1.0 - w * w) * np.asarray(axis, dtype=np.float64) / np.linalg.norm(axis)
+    return [np.concatenate([[w], v]), np.concatenate([[w], -v])]
+
+
+def test_blend_flips_an_antipode_among_small_motions():
+    # a small 3D motion (w ~ 0.96) and the antipode of another small one:
+    # the antipode's w^2 passes the 9/16 bound, but its negative w marks it
+    # turned, so its row takes the dots and the antipode flips
+    rng = make_rng(310)
+    small = Rotation.from_rotvec([[0.3, -0.4, 0.2], [-0.2, 0.35, 0.25]]).as_quat(scalar_first=True)
+    table = motions_of(small, rng)
+    table[1] = -table[1]
+    assert -0.98 < table[1, 0] < -0.95 and table[0, 0] > 0.95
+    assert _unturned(np.ascontiguousarray(table[:, 0:4].T)).tolist() == [True, False]
+    idx = np.array([[0, 1], [1, 0]])
+    w = np.array([[1.0, 0.7], [0.2, 0.5]])
+    assert (np.sign(reference_hemisphere_signs(w, table[idx])) == [[1, -1], [-1, 1]]).all()
+    assert np.array_equal(dq8_blend(w, table, idx), reference_dq8_blend(w, table[idx]))
+
+
+@pytest.mark.parametrize("w0,dot,flips", [(0.6, -0.28, True), (0.76, 0.1552, False)])
+def test_blend_bound_at_three_quarters(w0, dot, flips):
+    # unit pairs with opposing vector parts: at w = 0.6 (turned past the
+    # bound) their dot is -0.28 and must flip; at w = 0.76 (inside it) the
+    # dot is +0.155 and the row skips the dots
+    rng = make_rng(311)
+    table = motions_of(opposed_pair(w0, [1.0, -2.0, 0.5]), rng)
+    assert np.isclose(np.dot(table[0, 0:4], table[1, 0:4]), dot, atol=1e-12)
+    assert _unturned(np.ascontiguousarray(table[:, 0:4].T)).tolist() == [not flips] * 2
+    idx = np.array([[0, 1], [1, 0], [0, 0]])
+    w = np.array([[1.0, 0.3], [0.8, 0.4], [0.5, 0.5]])
+    signs = np.sign(reference_hemisphere_signs(w, table[idx]))
+    assert (signs[:2, 1] < 0).all() == flips and (signs[:2, 1] > 0).all() == (not flips)
+    assert np.array_equal(dq8_blend(w, table, idx), reference_dq8_blend(w, table[idx]))
+
+
+def test_blend_takes_the_dots_for_motions_of_extreme_norm():
+    # real parts whose squares under- or overflow: at 1e-170 the turn of
+    # (1e-170, -1e-165, 0, 0) is lost in w^2 = |r|^2 = 0, at 1e160 in
+    # w^2 = |r|^2 = inf, so both count as turned, and the blends that hold
+    # them flip the weight of the motion opposite their heaviest one
+    small = [0.9, np.sqrt(1.0 - 0.81), 0.0, 0.0]
+    for far, w in [([1e-170, -1e-165, 0.0, 0.0], [1e165, 1.0]),
+                   ([1e160, -2e161, 0.0, 0.0], [1e-161, 1.0])]:
+        table = np.zeros((2, 8))
+        table[:, 0:4] = [far, small]
+        assert _unturned(np.ascontiguousarray(table[:, 0:4].T)).tolist() == [False, True]
+        w = np.array([w])
+        assert (reference_hemisphere_signs(w, table[None]) < 0).any()
+        assert np.array_equal(dq8_blend(w, table), reference_dq8_blend(w, table[None]))
+
+
+def test_blend_mixes_rows_with_and_without_turned_motions():
+    # one call over a table of small motions and turned ones (half turns,
+    # antipodes, the w = 0.6 pair): rows of small motions skip the dots,
+    # the other rows take them, and every row equals the written-out blend
+    rng = make_rng(312)
+    small = Rotation.from_rotvec(rng.normal(size=(40, 3)) * 0.3).as_quat(scalar_first=True)
+    turned = np.concatenate([
+        Rotation.from_rotvec(rng.normal(size=(10, 3)) * 2.5).as_quat(scalar_first=True),
+        -small[:5],
+        opposed_pair(0.6, [0.0, 1.0, 1.0]),
+    ])
+    table = motions_of(np.concatenate([small, turned]), rng)
+    kind = _unturned(np.ascontiguousarray(table[:, 0:4].T))
+    assert kind[:40].all() and not kind[40:].any()
+    idx = np.concatenate([rng.integers(0, 40, size=(300, 8)),
+                          rng.integers(0, table.shape[0], size=(300, 8))])
+    w = rng.uniform(0.0, 1.0, size=idx.shape)
+    holds_turned = ~kind[idx].all(axis=1)
+    assert 250 < holds_turned.sum() < 300
+    signs = reference_hemisphere_signs(w, table[idx])
+    assert (signs[~holds_turned] == w[~holds_turned]).all() and (signs < 0).any()
+    assert np.array_equal(dq8_blend(w, table, idx), reference_dq8_blend(w, table[idx]))
 
 
 def reference_quat_from_matrix(R):

@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from matchfield import em_refine, ransac
 from matchfield.core import Config, MatchSet, RigidTransform, make_rng
 from matchfield.dualquat import (
     dq8_apply,
-    dq8_blend,
     dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
@@ -27,6 +27,8 @@ from matchfield.em_refine import (
 from matchfield.field import query_field
 from matchfield.io_eval import SynthSpec, compute_metrics, synth_generate
 from matchfield.ransac import RansacOutcome, TransformHypothesis, ransac_run
+
+from test_dualquat import reference_dq8_blend, reference_hemisphere_signs
 
 
 def empty_outcome(n):
@@ -106,6 +108,25 @@ def with_duplicate_sources(m):
     return MatchSet.from_points(x, m.y)
 
 
+def doubled(m, copies=2):
+    """Every match of m repeated copies times, the copies one block each."""
+    return MatchSet.from_points(np.tile(m.x, (copies, 1)), np.tile(m.y, (copies, 1)))
+
+
+def reference_self_first(idx):
+    """The kd-tree's neighbour rows with self moved into column 0, one row
+    at a time: self's first hit swaps with column 0; a row that misses self
+    takes it in column 0."""
+    idx = idx.astype(np.int64)
+    for i, row in enumerate(idx):
+        if row[0] != i:
+            hits = np.flatnonzero(row == i)
+            if hits.size:
+                row[hits[0]] = row[0]
+            row[0] = i
+    return idx
+
+
 def test_neighbor_distances_bit_identical_to_full_difference_array():
     spec_3d = dict(
         dim=3, n_anchors=3, max_rotation=0.05, max_scale_jitter=0.02, noise_sigma=0.05,
@@ -118,6 +139,9 @@ def test_neighbor_distances_bit_identical_to_full_difference_array():
         big_3d,
         with_duplicate_sources(big_2d),
         with_duplicate_sources(big_3d),
+        doubled(big_2d),
+        doubled(big_3d),
+        doubled(big_2d, 4),
         synth_generate(SynthSpec(n=12, outlier_ratio=0.5, seed=43))[0],
         synth_generate(SynthSpec(n=40, outlier_ratio=0.5, seed=44, **spec_3d))[0],
         MatchSet.from_points([[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]),
@@ -128,6 +152,18 @@ def test_neighbor_distances_bit_identical_to_full_difference_array():
         assert g.idx.shape == g.dist.shape == (m.n, min(cfg.N_neighbor + 1, m.n))
         assert np.array_equal(g.idx[:, 0], np.arange(m.n))
         assert g.dist.tobytes() == reference_neighbor_dists(m, g.idx).tobytes()
+        if m.n > 1:
+            # the kd-tree's own rows, self moved to column 0 and nothing else
+            raw = cKDTree(m.x).query(m.x, k=g.idx.shape[1])[1]
+            assert np.array_equal(g.idx, reference_self_first(raw))
+            kept = (raw == np.arange(m.n)[:, None]).any(axis=1)
+            assert np.array_equal(np.sort(g.idx[kept], axis=1), np.sort(raw[kept], axis=1))
+    # every doubled point sees its twin at distance 0, so the kd-tree put
+    # self out of column 0 in some rows, and no row misses self
+    m = doubled(big_2d)
+    raw = cKDTree(m.x).query(m.x, k=Config.for_matches(m).N_neighbor + 1)[1]
+    assert (raw[:, 0] != np.arange(m.n)).any()
+    assert (raw == np.arange(m.n)[:, None]).any(axis=1).all()
 
 
 def test_init_adopts_largest_support_and_seeds_sigma():
@@ -376,8 +412,9 @@ def test_run_em_survives_underflowing_blend_weights():
 
 def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
     """The M-step as written before blend_neighbors: its own weight
-    normalization, 2D points lifted into z = 0 by hand and sliced back, and
-    the three-branch sigma update. Rows without weight keep their last field
+    normalization, the written-out blend of test_dualquat over the gathered
+    neighbour motions, 2D points lifted into z = 0 by hand and sliced back,
+    and the three-branch sigma update. Rows without weight keep their last field
     value. row_sums, if given, collects each call's smallest positive weight
     sum."""
     idx = state.graph.idx
@@ -390,7 +427,7 @@ def reference_m_step(state, m, cfg, update_sigma=True, row_sums=None):
     wt = wt / wsum_safe[:, None]
     mubar = np.where(active, (wt * state.mus[idx]).sum(axis=1), state.mus)
     with np.errstate(invalid="ignore", divide="ignore"):
-        qbar = dq8_blend(wt, state.qs, idx)
+        qbar = reference_dq8_blend(wt, state.qs[idx])
         qbar = np.where(active[:, None], qbar, state.qs)
         f = dq8_apply(qbar, mubar, embed3(m.x))[:, : m.dim]
         delta = (m.y - f) / mubar[:, None]
@@ -470,6 +507,30 @@ def test_m_step_zero_weight_rows_byte_equal_to_the_inline_blend():
         assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
     assert state.sigma == ref.sigma
     assert np.isfinite(state.qs).all()
+
+
+@pytest.mark.parametrize("spec", [
+    SynthSpec(n=300, outlier_ratio=0.5, seed=9),
+    SynthSpec(n=629, outlier_ratio=0.24, seed=12, **ACCEPTANCE_3D),
+], ids=["2d", "3d"])
+def test_m_step_over_antipodes_byte_equal_to_the_inline_blend(spec):
+    # the scenes' own blends flip no sign; storing every other motion as its
+    # antipode (the same motion) makes the hemisphere test flip weights in
+    # most rows, and the blend must still equal the written-out one
+    m, _ = synth_generate(spec)
+    cfg = Config.for_matches(m, seed=spec.seed)
+    state = init_from_hypotheses(m, ransac_run(m, cfg), cfg)
+    state.qs[1::2] *= -1.0
+    g = state.graph
+    w = np.exp(-(g.dist ** 2) / (2.0 * cfg.r * cfg.r)) * state.p[g.idx]
+    flips = (reference_hemisphere_signs(w, state.qs[g.idx]) < 0.0).any(axis=1)
+    assert flips.mean() > 0.3
+    ref = replace(state)
+    f = m_step(state, m, cfg)
+    reference_m_step(ref, m, cfg)
+    for a, b in [(f, ref.field_at_x), (state.qs, ref.qs), (state.mus, ref.mus)]:
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    assert state.sigma == ref.sigma
 
 
 def test_isolated_match_does_not_vouch_for_itself():

@@ -21,6 +21,8 @@ from matchfield.field import (
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import RansacOutcome
 
+from test_dualquat import reference_dq8_blend
+
 
 def rigid_pipeline(seed=1, n=120):
     rng = make_rng(seed)
@@ -101,6 +103,36 @@ def test_grid_axes_rejects_a_step_at_or_below_the_float_spacing():
     assert grid_axes(box, 2.0, 2)[0].tolist() == [1e16 + 2.0 * i for i in range(6)]
     with pytest.raises(ValueError, match=r"lattice axis 2: step 1.0"):
         grid_axes(((0.0, 0.0, 1e16), (10.0, 10.0, 1e16 + 10)), 1.0, 3)
+
+
+def test_grid_axes_rejects_a_step_the_float_spacing_rounds_off():
+    # np.arange steps by (lo + 3) - lo = 2 at 1e16: the 7 samples would end
+    # 2 steps short of lo + 6 * 3, at step 2 where 3 was asked
+    lo = 1e16 - 10
+    assert (lo + 3.0) - lo == 2.0
+    with pytest.raises(ValueError, match=r"lattice axis 0: step 3.0 advances by 2.0 .* its 7 "
+                                         r"samples would drift half a step or more"):
+        grid_axes(((lo, 0.0), (1e16 + 10, 1.0)), 3.0, 2)
+    # at 1e10 the step 1e-3 rounds to 0.00099945..., 0.55 steps over 1000
+    with pytest.raises(ValueError, match=r"lattice axis 1: step 0.001 advances by 0.000999"):
+        grid_axes(((0.0, 1e10), (1.0, 1e10 + 1.0)), 1e-3, 2)
+    # steps the spacing rounds by less keep np.arange's bits
+    for lo, hi, step in [(0.0, 800.0, 5.0), (0.1, 10.1, 0.2), (0.0, 0.7, 0.1)]:
+        ax = grid_axes(((lo, 0.0), (hi, 1.0)), step, 2)[0]
+        want = np.arange(lo, hi + 0.5 * step, step)[:ax.size]
+        assert ax.size == round((hi - lo) / step) + 1
+        assert ax[:-1].tobytes() == want[:-1].tobytes() and ax[-1] == min(want[-1], hi)
+
+
+def test_grid_axes_rejects_samples_that_round_together_a_binade_up():
+    # the increment 1 is exact at 2**53 - 4 but below the spacing 2 past
+    # 2**53, where two samples round to one: no drift, so the sample check
+    # rejects it
+    lo = 2.0 ** 53 - 4
+    assert (lo + 1.0) - lo == 1.0
+    with pytest.raises(ValueError, match=r"lattice axis 0: step 1.0 .* 9 samples would not all "
+                                         r"differ"):
+        grid_axes(((lo, 0.0), (lo + 8, 1.0)), 1.0, 2)
 
 
 def test_grid_axes_rejects_bad_bounds():
@@ -406,8 +438,9 @@ def test_svg_rendering(tmp_path):
 
 def reference_field_eval(state, labels, m, pts, cfg):
     """query_field's blend as written before blend_neighbors: its own weight
-    normalization, 2D points lifted into z = 0 by hand and sliced back, all
-    rows in one block."""
+    normalization, the written-out blend of test_dualquat over the gathered
+    neighbour motions, 2D points lifted into z = 0 by hand and sliced back,
+    all rows in one block."""
     inl = np.nonzero(labels.inlier)[0]
     k = min(cfg.N_neighbor, inl.size)
     qs, mus, post = state.qs[inl], state.mus[inl], labels.posterior[inl]
@@ -418,15 +451,14 @@ def reference_field_eval(state, labels, m, pts, cfg):
     w = w / np.where(ok, support, 1.0)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         mubar = np.where(ok, (w * mus[jdx]).sum(axis=1), 1.0)
-        qbar = dq8_blend(w, qs, jdx)
+        qbar = reference_dq8_blend(w, qs[jdx])
         moved = dq8_apply(qbar, mubar, embed3(pts))[:, : m.dim]
     return np.where(ok[:, None], moved, pts), support, support >= field.SUPPORT_MIN
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_query_byte_equal_to_the_inline_blend(dim, monkeypatch):
-    # ordinary, zero-support and tiny-support (1e-197..1e-293) rows, over
-    # several query blocks
+def query_scene(dim):
+    """A fitted scene and query points far from it (zero and tiny support)
+    and over it, in 2D or 3D."""
     if dim == 2:
         m, _ = synth_generate(SynthSpec(n=600, outlier_ratio=0.5, seed=21))
         far = [[1e5, 1e5], [-4e3, 0.0]]
@@ -440,16 +472,42 @@ def test_query_byte_equal_to_the_inline_blend(dim, monkeypatch):
         pts = make_rng(23).uniform(-20.0, 120.0, size=(300, 3))
     cfg = Config.for_matches(m, seed=1)
     labels, state, _ = filter_and_refine(m, cfg)
-    pts = np.vstack([far, pts, far])
-    monkeypatch.setattr(field, "QUERY_BLOCK", 64)
+    return m, cfg, labels, state, np.vstack([far, pts, far])
+
+
+def assert_query_equals_reference(state, labels, m, pts, cfg):
     samples = query_field(state, labels, m, pts, cfg)
     disp, support, valid = reference_field_eval(state, labels, m, pts, cfg)
-    assert np.array(support).min() == 0.0
-    if dim == 3:
-        assert 0.0 < min(s.support for s in samples[:3]) < 1e-190
     assert np.array([s.displaced for s in samples]).tobytes() == disp.tobytes()
     assert np.array([s.support for s in samples]).tobytes() == support.tobytes()
     assert [s.valid for s in samples] == valid.tolist()
+    return support
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_query_byte_equal_to_the_inline_blend(dim, monkeypatch):
+    # ordinary, zero-support and tiny-support (1e-197..1e-293) rows, over
+    # several query blocks
+    m, cfg, labels, state, pts = query_scene(dim)
+    monkeypatch.setattr(field, "QUERY_BLOCK", 64)
+    support = assert_query_equals_reference(state, labels, m, pts, cfg)
+    assert support.min() == 0.0
+    if dim == 3:
+        assert 0.0 < support[:3].min() < 1e-190
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_query_over_antipodes_byte_equal_to_the_inline_blend(dim):
+    # every other inlier motion stored as its antipode (the same motion):
+    # query rows flip weights in the hemisphere test and still equal the
+    # written-out blend, whose displaced points they keep up to rounding
+    m, cfg, labels, state, pts = query_scene(dim)
+    before = np.array([s.displaced for s in query_field(state, labels, m, pts, cfg)])
+    inl = np.flatnonzero(labels.inlier)
+    state.qs[inl[1::2]] *= -1.0
+    assert_query_equals_reference(state, labels, m, pts, cfg)
+    after = np.array([s.displaced for s in query_field(state, labels, m, pts, cfg)])
+    assert np.allclose(after, before, rtol=0.0, atol=1e-9 * np.abs(before).max())
 
 
 def test_field_queries_blend_through_the_em_refine_kernel(monkeypatch):
