@@ -49,12 +49,25 @@ UNIT_TOL = 1e-9
 
 def embed3(pts) -> FloatArray:
     """Points (..., 2) lifted into the z = 0 plane; (..., 3) returned as is."""
-    pts = np.asarray(pts, dtype=np.float64)
+    pts = _points(pts)
     if pts.shape[-1] == 3:
         return pts
-    if pts.shape[-1] != 2:
-        raise ValueError(f"points must be 2- or 3-dimensional, got {pts.shape}")
     return np.concatenate([pts, np.zeros(pts.shape[:-1] + (1,))], axis=-1)
+
+
+def _points(pts) -> FloatArray:
+    """Points or vectors as a float array, (..., 2) or (..., 3)."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.shape[-1:] not in ((2,), (3,)):
+        raise ValueError(f"points must be 2- or 3-dimensional, got {pts.shape}")
+    return pts
+
+
+def _xyz(pts: FloatArray):
+    """The x, y and z columns of _points; z of 2D points is the scalar 0.0,
+    whose products are those of a zero column."""
+    x, y, *z = np.moveaxis(pts, -1, 0)
+    return x, y, (z[0] if z else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -81,14 +94,6 @@ _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 def quat_conj(q: FloatArray) -> FloatArray:
     return q * _CONJ_SIGNS
-
-
-def quat_rotate(q: FloatArray, v: FloatArray) -> FloatArray:
-    """Rotate vectors (..., 3) by unit quaternions (..., 4)."""
-    u = q[..., 1:4]
-    w = q[..., 0:1]
-    t = 2.0 * np.cross(u, v)
-    return v + w * t + np.cross(u, t)
 
 
 def quat_to_matrix(q) -> FloatArray:
@@ -162,28 +167,48 @@ def dq8_normalize(dq: FloatArray) -> FloatArray:
     With real part r and dual part d this is r -> r/|r| and
     d -> d/|r| - r <r, d> / |r|^3, which restores both unit invariants
     (|real| = 1 and <real, dual> = 0) exactly up to rounding.
+
+    Component-wise, each four-term dot product added left to right. <r, d>
+    then gets + 0.0, so a dot of four -0.0 products is +0.0, as np.sum
+    gives by adding onto its identity 0.0; the sign shows in d.
     """
-    r = dq[..., 0:4]
-    d = dq[..., 4:8]
-    n2 = np.sum(r * r, axis=-1, keepdims=True)
+    r0, r1, r2, r3, d0, d1, d2, d3 = np.moveaxis(dq, -1, 0)
+    n2 = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
     n = np.sqrt(n2)
-    rn = r / n
-    dn = d / n - rn * (np.sum(r * d, axis=-1, keepdims=True) / n2)
-    return np.concatenate([rn, dn], axis=-1)
+    s = (r0 * d0 + r1 * d1 + r2 * d2 + r3 * d3 + 0.0) / n2
+    out = np.empty(np.shape(n) + (8,))
+    for c, (rc, dc) in enumerate(zip((r0, r1, r2, r3), (d0, d1, d2, d3))):
+        rn = np.divide(rc, n, out=out[..., c])
+        np.subtract(dc / n, rn * s, out=out[..., 4 + c])
+    return out
 
 
 def dq8_apply(dq: FloatArray, mu, pts) -> FloatArray:
     """Apply scaled motions: mu * (R p + t) for unit dqs (..., 8).
 
     Points are (..., 2) or (..., 3) and the result has their width.
+    Component-wise, with 2D points at z = 0: R p = (p + w c) + u x c for
+    the real part (w, u) and c = 2 u x p, t = 2 (d conj(r)), the vector
+    part of the Hamilton product, each sum in that order.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    r = dq[..., 0:4]
-    d = dq[..., 4:8]
-    rotated = quat_rotate(r, embed3(pts))
-    t = 2.0 * quat_mul(d, quat_conj(r))[..., 1:4]
+    pts = _points(pts)
+    px, py, pz = _xyz(pts)
+    w, x, y, z, dw, dx, dy, dz = np.moveaxis(dq, -1, 0)
     mu = np.asarray(mu, dtype=np.float64)
-    return (mu[..., None] * (rotated + t))[..., : pts.shape[-1]]
+    c0 = 2.0 * (y * pz - z * py)
+    c1 = 2.0 * (z * px - x * pz)
+    c2 = 2.0 * (x * py - y * px)
+    # a product with a part of conj(r) is the negated product with r's,
+    # and a + (-b) is a - b exactly; -(p) - q is kept, as -(p + q) can
+    # differ from it in the sign of a zero
+    cols = [
+        mu * (((px + w * c0) + (y * c2 - z * c1)) + 2.0 * (((dx * w - dw * x) - dy * z) + dz * y)),
+        mu * (((py + w * c1) + (z * c0 - x * c2)) + 2.0 * (((dx * z - dw * y) + dy * w) - dz * x)),
+    ]
+    if pts.shape[-1] == 3:
+        cols.append(mu * (((pz + w * c2) + (x * c1 - y * c0))
+                          + 2.0 * (((-(dw * z) - dx * y) + dy * x) + dz * w)))
+    return np.stack(cols, axis=-1)
 
 
 def dq8_from_rt(R, t) -> FloatArray:
@@ -221,12 +246,17 @@ def dq8_translate_after(dq: FloatArray, t) -> FloatArray:
     motion of dq.
 
     Equals dq8_mul(dq8_translation(t), dq) but cheaper: the real part is
-    unchanged and the dual part gains 0.5 * t_quat * real.
+    unchanged and the dual part gains 0.5 * t_quat * real, t_quat =
+    (0, t), its Hamilton product written out component-wise.
     """
-    tq = np.zeros(dq.shape[:-1] + (4,))
-    tq[..., 1:4] = embed3(t)
+    tx, ty, tz = _xyz(_points(t))
+    w, x, y, z = np.moveaxis(dq[..., 0:4], -1, 0)
     out = dq.copy()
-    out[..., 4:8] += 0.5 * quat_mul(tq, dq[..., 0:4])
+    o = np.moveaxis(out, -1, 0)
+    o[4] += 0.5 * (((0.0 * w - tx * x) - ty * y) - tz * z)
+    o[5] += 0.5 * (((0.0 * x + tx * w) + ty * z) - tz * y)
+    o[6] += 0.5 * (((0.0 * y - tx * z) + ty * w) + tz * x)
+    o[7] += 0.5 * (((0.0 * z + tx * y) - ty * x) + tz * w)
     return out
 
 
@@ -263,7 +293,8 @@ def dq8_blend(weights: FloatArray, dqs: FloatArray, idx: IntArray | None = None)
     turned = ~_unturned(real)
     signed = weights
     if turned.any():
-        need = np.flatnonzero(np.take(turned, idx).any(axis=1))
+        # np.take would copy a read-only idx (the kNN graph's) to index with it
+        need = np.flatnonzero(turned[idx].any(axis=1))
         sub, w = idx[need], weights[need]
         heaviest = np.take_along_axis(sub, np.argmax(w, axis=1)[:, None], axis=1)
         head = np.take(real, heaviest, axis=1)

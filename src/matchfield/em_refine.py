@@ -158,7 +158,8 @@ def blend_neighbors(dist: FloatArray, p: FloatArray, qs: FloatArray, mus: FloatA
     with np.errstate(invalid="ignore", divide="ignore"):
         wsum = w.sum(axis=1)
         w = w / np.where(wsum > 0.0, wsum, 1.0)[:, None]
-        mubar = (w * np.take(mus, idx)).sum(axis=1)
+        # np.take would copy a read-only idx (the kNN graph's) to index with it
+        mubar = (w * mus[idx]).sum(axis=1)
         qbar = dq8_blend(w, qs, idx=idx)
     return qbar, mubar, wsum
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,7 +84,9 @@ def query_field(
         i = int(np.argmin(ok))
         raise ValueError(f"query point {i} must be {COORD_RULE}, got {pts[i].tolist()}")
     disp, support, valid = _field_eval(state, labels, m, pts, cfg)
-    return list(map(FieldSample, pts.copy(), disp, support.tolist(), valid.tolist()))
+    # tuple.__new__ builds each sample in C, without FieldSample's Python-level __new__
+    return list(map(tuple.__new__, repeat(FieldSample),
+                    zip(pts.copy(), disp, support.tolist(), valid.tolist())))
 
 
 def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArray, cfg: Config):
@@ -183,13 +187,23 @@ def grid_field(
 
 
 def write_field_csv(grid: FieldGrid, path, dim: int) -> None:
-    """Write samples as CSV: query coords, displaced coords, support, valid."""
+    """Write samples as CSV: query coords, displaced coords, support, valid.
+
+    Samples whose query or displaced points are not dim wide raise
+    ValueError, and nothing is written.
+    """
     header = ",".join(["qx", "qy", "qz"][:dim] + ["dx", "dy", "dz"][:dim] + ["support", "valid"])
     columns = []
     if grid.samples:
-        query, displaced, support, valid = zip(*grid.samples)
-        columns += [float_column(c) for c in np.array(query, dtype=np.float64).T]
-        columns += [float_column(c) for c in np.array(displaced, dtype=np.float64).T]
+        # one C-level pass per field; zip(*samples) would make an iterator per sample
+        query, displaced, support, valid = (list(map(itemgetter(f), grid.samples))
+                                            for f in range(4))
+        for name, pts in (("query", query), ("displaced", displaced)):
+            pts = np.array(pts, dtype=np.float64)
+            if pts.shape[1:] != (dim,):
+                raise ValueError(f"field samples hold {name} points of shape {pts.shape[1:]}, "
+                                 f"but dim is {dim}")
+            columns += [float_column(c) for c in pts.T]
         columns += [float_column(support), flag_column(valid)]
     write_csv_columns(path, header, columns)
 

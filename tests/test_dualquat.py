@@ -23,7 +23,6 @@ from matchfield.dualquat import (
     embed3,
     quat_from_matrix,
     quat_mul,
-    quat_rotate,
     quat_to_matrix,
 )
 
@@ -60,13 +59,14 @@ def test_quat_mul_matches_rotation_composition():
         assert np.allclose(M, (Ra * Rb).as_matrix(), atol=1e-12)
 
 
-def test_quat_rotate_matches_matrix():
+def test_apply_rotation_matches_scipy():
+    # a motion without translation, at scale 1, rotates as scipy does
     rng = make_rng(3)
     for _ in range(20):
         R = random_rotation_obj(rng)
-        q = quat_from_matrix(R.as_matrix())
+        dq = dq8_from_rt(R.as_matrix(), np.zeros(3))
         v = rng.normal(size=3)
-        assert np.allclose(quat_rotate(q, v), R.apply(v), atol=1e-12)
+        assert np.allclose(dq8_apply(dq, 1.0, v), R.apply(v), atol=1e-12)
 
 
 def test_quat_matrix_round_trip():
@@ -306,14 +306,54 @@ def test_dq_to_transform_planar_slice():
 
 def reference_dq8_normalize(dq):
     # the kernel's arithmetic written out: each four-term dot product added
-    # left to right, as np.sum over a length-4 last axis does
+    # left to right onto 0.0, as np.sum over a length-4 last axis does
     r0, r1, r2, r3, d0, d1, d2, d3 = np.moveaxis(dq, -1, 0)
-    n2 = r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+    n2 = 0.0 + r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
     n = np.sqrt(n2)
-    s = (r0 * d0 + r1 * d1 + r2 * d2 + r3 * d3) / n2
+    s = (0.0 + r0 * d0 + r1 * d1 + r2 * d2 + r3 * d3) / n2
     rn = [r0 / n, r1 / n, r2 / n, r3 / n]
     dn = [d / n - rc * s for d, rc in zip((d0, d1, d2, d3), rn)]
     return np.stack(rn + dn, axis=-1)
+
+
+def lifted_columns(pts):
+    # x, y, z of (..., 2) or (..., 3) points, 2D ones lifted onto a column
+    # of zeros
+    pts = np.asarray(pts, dtype=np.float64)
+    cols = list(np.moveaxis(pts, -1, 0))
+    return cols + [np.zeros(pts.shape[:-1])] * (3 - len(cols))
+
+
+def reference_dq8_apply(dq, mu, pts):
+    # mu (R p + t) in its vector forms spelled out per component: the
+    # rotation as p + w c + u x c with c = 2 u x p, each cross product as
+    # np.cross takes it, and t = 2 (d conj(r)) as quat_mul's vector rows
+    # over the real part negated by -1.0, as quat_conj negates it
+    width = np.shape(pts)[-1]
+    a, b, c = lifted_columns(pts)
+    w, x, y, z, dw, dx, dy, dz = np.moveaxis(dq, -1, 0)
+    c0, c1, c2 = 2.0 * (y * c - z * b), 2.0 * (z * a - x * c), 2.0 * (x * b - y * a)
+    rotated = [a + w * c0 + (y * c2 - z * c1), b + w * c1 + (z * c0 - x * c2),
+               c + w * c2 + (x * c1 - y * c0)]
+    cx, cy, cz = x * -1.0, y * -1.0, z * -1.0
+    t = [2.0 * (dw * cx + dx * w + dy * cz - dz * cy), 2.0 * (dw * cy - dx * cz + dy * w + dz * cx),
+         2.0 * (dw * cz + dx * cy - dy * cx + dz * w)]
+    mu = np.asarray(mu, dtype=np.float64)
+    return np.stack([mu * (p + q) for p, q in zip(rotated, t)], axis=-1)[..., :width]
+
+
+def reference_dq8_translate_after(dq, t):
+    # the dual part plus 0.5 (0, t) r, quat_mul's four rows written out with
+    # a scalar part of zeros
+    tx, ty, tz = lifted_columns(t)
+    w, x, y, z = np.moveaxis(dq[..., 0:4], -1, 0)
+    zero = np.zeros(dq.shape[:-1])
+    prod = [zero * w - tx * x - ty * y - tz * z, zero * x + tx * w + ty * z - tz * y,
+            zero * y - tx * z + ty * w + tz * x, zero * z + tx * y - ty * x + tz * w]
+    out = dq.copy()
+    for c, pc in enumerate(prod):
+        out[..., 4 + c] = dq[..., 4 + c] + 0.5 * pc
+    return out
 
 
 def reference_hemisphere_signs(weights, dqs):
@@ -385,6 +425,103 @@ def test_normalize_bit_identical_to_the_written_out_order():
     for dq in (noisy, dqs, noisy.reshape(40, 50, 8), noisy[0]):
         assert not (dq == 0.0).any()
         assert np.array_equal(dq8_normalize(dq), reference_dq8_normalize(dq))
+
+
+def planar_motions(rng, m):
+    """m unit 2D motions of both hemispheres whose four off-plane columns
+    are zeros of random sign."""
+    ang = rng.uniform(-np.pi, np.pi, m)
+    c, s = np.cos(ang), np.sin(ang)
+    R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    dqs = dq8_from_rt(R, rng.normal(size=(m, 2)) * 40.0) * rng.choice([-1.0, 1.0], size=(m, 1))
+    dqs[:, OFF_PLANE_COLS] = rng.choice([-0.0, 0.0], size=(m, 4))
+    return dqs
+
+
+def signed_zero_points(rng, shape):
+    # points of 100s with about a fifth of their coordinates +0.0 and a
+    # fifth -0.0
+    pts = rng.normal(size=shape) * 100.0
+    pts[rng.random(shape) < 0.2] = 0.0
+    pts[rng.random(shape) < 0.25] = -0.0
+    return pts
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("lead", [(), (600,), (20, 30)])
+def test_apply_and_translate_bit_identical_to_the_written_out_formulas(dim, lead):
+    # unit motions of both hemispheres (2D ones with signed-zero off-plane
+    # columns) over points with signed zeros, per-row and scalar mu, and
+    # one (8,) motion over every point
+    rng = make_rng(320 + dim + len(lead))
+    k = int(np.prod(lead, dtype=np.int64))
+    dqs = (planar_motions if dim == 2 else unit_motions_3d)(rng, max(k, 1))
+    dqs = dqs.reshape(lead + (8,))
+    pts = signed_zero_points(rng, lead + (dim,))
+    mu = rng.uniform(0.5, 2.0, size=lead)
+    for q, m_ in ((dqs, mu), (dqs, 1.7), (dqs.reshape(-1, 8)[0], 1.0), (dqs.reshape(-1, 8)[0], mu)):
+        assert_same_bits(dq8_apply(q, m_, pts), reference_dq8_apply(q, m_, pts))
+    if dim == 2:
+        # a 2D point under a general 3D motion; rotations about the origin
+        # (dual parts of signed zeros) over points that include the origin;
+        # and 3D points in the plane, z of either sign, under the planar motions
+        general = unit_motions_3d(rng, max(k, 1)).reshape(lead + (8,))
+        still = dqs.copy()
+        still[..., 4:8] = rng.choice([-0.0, 0.0], size=lead + (4,))
+        flat = np.concatenate([pts, rng.choice([-0.0, 0.0], size=lead + (1,))], axis=-1)
+        for q, p in ((general, pts), (still, pts), (dqs, flat), (still, flat)):
+            assert_same_bits(dq8_apply(q, mu, p), reference_dq8_apply(q, mu, p))
+            assert_same_bits(dq8_translate_after(q, p), reference_dq8_translate_after(q, p))
+    assert_same_bits(dq8_translate_after(dqs, pts), reference_dq8_translate_after(dqs, pts))
+    one = pts.reshape(-1, dim)[0]
+    assert_same_bits(dq8_translate_after(dqs, one), reference_dq8_translate_after(dqs, one))
+    assert_same_bits(dq8_normalize(dqs), reference_dq8_normalize(dqs))
+    if dim == 3 and lead:
+        # the references are the vector forms: quat_mul and np.cross
+        r, d = dqs[..., 0:4], dqs[..., 4:8]
+        c = 2.0 * np.cross(r[..., 1:4], pts)
+        rotated = pts + r[..., 0:1] * c + np.cross(r[..., 1:4], c)
+        t = 2.0 * quat_mul(d, r * np.array([1.0, -1.0, -1.0, -1.0]))[..., 1:4]
+        assert_same_bits(reference_dq8_apply(dqs, mu, pts), mu[..., None] * (rotated + t))
+        tq = np.zeros(lead + (4,))
+        tq[..., 1:4] = pts
+        assert_same_bits(reference_dq8_translate_after(dqs, pts)[..., 4:8],
+                         d + 0.5 * quat_mul(tq, r))
+
+
+def test_rotations_about_the_origin_keep_the_signs_of_its_zeros():
+    # planar rotations with a dual part of signed zeros, at the origin with
+    # signed-zero coordinates: every product is a zero, and the sign of the
+    # result depends on each one, the products of the lifted z = 0 included
+    rng = make_rng(331)
+    dqs = planar_motions(rng, 20000)
+    dqs[:, 4:8] = rng.choice([-0.0, 0.0], size=(20000, 4))
+    origin = rng.choice([-0.0, 0.0], size=(20000, 2))
+    for mu in (1.0, rng.uniform(0.5, 2.0, size=20000)):
+        assert_same_bits(dq8_apply(dqs, mu, origin), reference_dq8_apply(dqs, mu, origin))
+    assert_same_bits(dq8_translate_after(dqs, origin), reference_dq8_translate_after(dqs, origin))
+
+
+def test_normalize_adds_the_dual_dot_onto_zero():
+    # planar motions whose real-dual dot is four -0.0 products: added left
+    # to right it is -0.0, onto 0.0 (as np.sum adds) it is +0.0, and the
+    # sign shows in the -0.0 dual columns; the sum form and the kernel agree
+    rng = make_rng(330)
+    dqs = planar_motions(rng, 4000)
+    r, d = dqs[:, 0:4], dqs[:, 4:8]
+    dots = r * d
+    assert ((dots == 0.0) & np.signbit(dots)).all(axis=1).sum() > 100
+    n2 = np.sum(r * r, axis=-1, keepdims=True)
+    summed = np.concatenate([r / np.sqrt(n2), d / np.sqrt(n2) - r / np.sqrt(n2)
+                             * (np.sum(r * d, axis=-1, keepdims=True) / n2)], axis=-1)
+    assert_same_bits(reference_dq8_normalize(dqs), summed)
+    assert_same_bits(dq8_normalize(dqs), summed)
+    for i in range(50):
+        assert_same_bits(dq8_normalize(dqs[i]), summed[i])
 
 
 def test_hemisphere_sign_follows_the_written_out_order():

@@ -388,6 +388,22 @@ def test_field_csv_bytes_match_per_sample_writer_edge_cases(tmp_path):
     assert (tmp_path / "got.csv").read_text() == "qx,qy,dx,dy,support,valid\n"
 
 
+def test_field_csv_rejects_samples_of_another_width(tmp_path):
+    # a 2D grid written as 3D used to get the 3D header over 6-field rows
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    grid = grid_field(state, labels, m, (np.zeros(2), np.array([200.0, 200.0])), 100.0, cfg)
+    path = tmp_path / "field.csv"
+    with pytest.raises(ValueError, match=r"query points of shape \(2,\), but dim is 3"):
+        write_field_csv(grid, path, 3)
+    with pytest.raises(ValueError, match=r"query points of shape \(2,\), but dim is 1"):
+        write_field_csv(grid, path, 1)
+    assert not path.exists()
+    mixed = FieldSample(np.zeros(2), np.zeros(3), 1.0, True)
+    with pytest.raises(ValueError, match=r"displaced points of shape \(3,\), but dim is 2"):
+        write_field_csv(FieldGrid(shape=(1,), samples=(mixed,)), path, 2)
+    assert not path.exists()
+
+
 def test_field_csv_round_trip(tmp_path):
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     grid = grid_field(state, labels, m, (np.zeros(2), np.array([200.0, 200.0])), 100.0, cfg)
