@@ -20,12 +20,6 @@ from .core import (
     build_neighbors,
     scale_estimate,
 )
-from .dualquat import (
-    dq_apply,
-    dq_blend,
-    dq_from_transform,
-    dq_multiply,
-)
 from .em_refine import (
     EmState,
     e_step,
@@ -91,10 +85,6 @@ __all__ = [
     "TruncatedFileError",
     "build_neighbors",
     "compute_metrics",
-    "dq_apply",
-    "dq_blend",
-    "dq_from_transform",
-    "dq_multiply",
     "e_step",
     "filter_and_refine",
     "grid_field",

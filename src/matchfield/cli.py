@@ -224,6 +224,8 @@ def _bench_once(spec: SynthSpec) -> tuple:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     ratios = [float(v) for v in args.ratios.split(",")]
     sizes = [int(v) for v in args.n.split(",")]
     rows = ["ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"

@@ -255,6 +255,8 @@ class Config:
         for name in ("T_min", "N_neighbor"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":

@@ -15,8 +15,8 @@ exactly zero and stay zero through products, blends and translations, so
 2D and 3D share one layout and one set of kernels.
 dq8_apply and dq8_translate_after take (..., 2) or (..., 3) points and
 vectors, lift 2D ones into that plane themselves and return the width they
-were given. The dq_* functions are checked single-motion entry points onto
-the same kernels.
+were given. The kernels check nothing but that width: a motion off the
+unit invariants is the caller's to renormalize with dq8_normalize.
 
 dq8_blend flips each motion into the hemisphere of its blend's heaviest
 one (Kavan et al., "Geometric Skinning with Approximate Dual Quaternion
@@ -31,20 +31,16 @@ Conventions used throughout:
 
 * quaternion product is the Hamilton product;
 * dual part of a motion (R, t) is 0.5 * t_quat * real where t_quat = (0, t);
-* dq_multiply(a, b) is the motion "apply b first, then a", matching how
+* dq8_mul(a, b) is the motion "apply b first, then a", matching how
   rotation matrices compose.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.sparse import csr_array
 
-from .core import BoolArray, FloatArray, IntArray, RigidTransform
-
-UNIT_TOL = 1e-9
+from .core import BoolArray, FloatArray, IntArray
 
 
 def embed3(pts) -> FloatArray:
@@ -87,13 +83,6 @@ def quat_mul(a: FloatArray, b: FloatArray) -> FloatArray:
         ],
         axis=-1,
     )
-
-
-_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_conj(q: FloatArray) -> FloatArray:
-    return q * _CONJ_SIGNS
 
 
 def quat_to_matrix(q) -> FloatArray:
@@ -232,22 +221,14 @@ def dq8_from_rt(R, t) -> FloatArray:
     return np.concatenate([real, dual], axis=-1)
 
 
-def dq8_translation(t: FloatArray) -> FloatArray:
-    """Pure translation dqs from vectors (..., 3)."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape[:-1] + (8,))
-    out[..., 0] = 1.0
-    out[..., 5:8] = 0.5 * t
-    return out
-
-
 def dq8_translate_after(dq: FloatArray, t) -> FloatArray:
     """Compose a translation t, (..., 2) or (..., 3), applied after the
     motion of dq.
 
-    Equals dq8_mul(dq8_translation(t), dq) but cheaper: the real part is
-    unchanged and the dual part gains 0.5 * t_quat * real, t_quat =
-    (0, t), its Hamilton product written out component-wise.
+    Equals dq8_mul with the pure translation [1, 0, 0, 0, 0, t / 2] on the
+    left, but cheaper: the real part is unchanged and the dual part gains
+    0.5 * t_quat * real, t_quat = (0, t), its Hamilton product written out
+    component-wise.
     """
     tx, ty, tz = _xyz(_points(t))
     w, x, y, z = np.moveaxis(dq[..., 0:4], -1, 0)
@@ -324,82 +305,3 @@ def _unturned(real: FloatArray) -> BoolArray:
     with np.errstate(over="ignore"):
         rr = w * w + real[1] * real[1] + real[2] * real[2] + real[3] * real[3]
         return (w > 0.0) & (w * w >= 0.5625 * rr) & (rr >= 1e-300) & (rr <= 1e300)
-
-
-def dq8_to_rt(dq: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Recover (R, t) in 3D from unit dqs (..., 8)."""
-    r = dq[..., 0:4]
-    d = dq[..., 4:8]
-    R = quat_to_matrix(r)
-    t = 2.0 * quat_mul(d, quat_conj(r))[..., 1:4]
-    return R, t
-
-
-# ---------------------------------------------------------------------------
-# checked operations on single (8,) dual quaternions
-
-
-def _unit_dq(dq) -> FloatArray:
-    """A caller's dual quaternion as an (8,) array, held to the unit invariants.
-
-    Rejects any other shape, |real| off 1 by more than UNIT_TOL, and real
-    and dual parts further than UNIT_TOL from orthogonal.
-    """
-    a = np.asarray(dq, dtype=np.float64)
-    if a.shape != (8,):
-        raise ValueError(f"expected 8 components, got shape {a.shape}")
-    if abs(np.linalg.norm(a[0:4]) - 1.0) > UNIT_TOL:
-        raise ValueError("real part must be a unit quaternion")
-    if abs(float(np.dot(a[0:4], a[4:8]))) > UNIT_TOL:
-        raise ValueError("real and dual parts must be orthogonal")
-    return a
-
-
-def dq_from_transform(R, t) -> FloatArray:
-    """Encode a rigid motion (R, t), 2D or 3D, as a unit dual quaternion (8,).
-
-    Scale stays outside; pass it to dq_apply for the full mapping
-    mu * (R x + t). Rejects what RigidTransform rejects: a matrix that is
-    not a proper rotation, or a t that does not fit R.
-    """
-    rt = RigidTransform(R, t, 1.0)
-    return dq8_from_rt(rt.R, rt.t)
-
-
-def dq_apply(dq, mu: float, x) -> FloatArray:
-    """Apply the scaled motion (dq, mu) to one point or an array of points.
-
-    Accepts (..., 2) or (..., 3) points and returns the same shape; mu must
-    be finite and positive.
-    """
-    mu = float(mu)
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be finite and positive, got {mu}")
-    return dq8_apply(_unit_dq(dq), mu, x)
-
-
-def dq_multiply(a, b) -> FloatArray:
-    """Compose motions: the result applies b first, then a.
-
-    The product is renormalized, so the output satisfies the unit
-    invariants even after long chains.
-    """
-    return dq8_normalize(dq8_mul(_unit_dq(a), _unit_dq(b)))
-
-
-def dq_blend(pairs) -> FloatArray:
-    """Blend weighted unit dual quaternions: normalized sign-consistent sum.
-
-    pairs is an iterable of (weight, dq) with non-negative weights, at
-    least one positive. Invariant under rescaling all weights and under
-    replacing any input by its antipode.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (weight, dq) pair")
-    w = np.array([float(p[0]) for p in pairs])
-    if (w < 0.0).any():
-        raise ValueError("weights must be non-negative")
-    if not (w > 0.0).any():
-        raise ValueError("at least one weight must be positive")
-    return dq8_blend(w, np.stack([_unit_dq(p[1]) for p in pairs]))

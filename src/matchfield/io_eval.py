@@ -298,6 +298,8 @@ class SynthSpec:
             raise ValueError("max_scale_jitter must lie in [0, 1)")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         mins, maxs = box_corners(self.bounds, self.dim)
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")

@@ -16,7 +16,6 @@ from matchfield.dualquat import (
     dq8_from_rt,
     dq8_mul,
     dq8_normalize,
-    dq_apply,
 )
 from matchfield.em_refine import e_step, filter_and_refine, init_from_hypotheses, m_step, run_em
 from matchfield.io_eval import SynthSpec, compute_metrics, save_matches, synth_generate
@@ -181,14 +180,19 @@ def test_numerical_invariants():
             assert np.abs(R_fit - R).max() < 1e-6
             assert abs(mu_fit - mu) < 1e-6
 
-    # every refinement step leaves each live motion mapping its own match exactly
+    # every refinement step leaves each live motion a unit dual quaternion
+    # with a finite positive scale that maps its own match exactly
     m, gt = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=17))
     cfg = Config(seed=17)
     state = init_from_hypotheses(m, ransac_run(m, cfg), cfg)
     for it in range(1, 7):
         m_step(state, m, cfg, update_sigma=it > 1)
-        live = np.nonzero(~state.isolated)[0]
-        mapped = np.stack([dq_apply(state.qs[i], state.mus[i], m.x[i]) for i in live])
+        live = ~state.isolated
+        qs, mus = state.qs[live], state.mus[live]
+        assert np.abs(np.linalg.norm(qs[:, 0:4], axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(np.sum(qs[:, 0:4] * qs[:, 4:8], axis=1)).max() <= 1e-9
+        assert np.isfinite(mus).all() and (mus > 0.0).all()
+        mapped = dq8_apply(qs, mus, m.x[live])
         assert np.abs(mapped - m.y[live]).max() < 1e-6
         e_step(state, m, cfg)
 

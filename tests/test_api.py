@@ -1,5 +1,5 @@
 """The package's public names: everything exported resolves, and the
-dual-quaternion toolbox is the array kernels plus four checked functions."""
+dual-quaternion toolbox is the (..., 8) array kernels alone."""
 
 import os
 import subprocess
@@ -23,7 +23,8 @@ def test_every_exported_name_resolves():
     "name",
     ["Quaternion", "UnitDualQuaternion", "ScaledDq", "PLANAR_COLS", "dq4_from8", "dq4_to8",
      "dq4_normalize", "dq4_apply", "dq4_translate_after", "dq4_blend", "dq_normalize",
-     "dq_to_transform", "trans2dq"],
+     "dq_to_transform", "trans2dq", "dq_from_transform", "dq_apply", "dq_multiply",
+     "dq_blend", "_unit_dq", "UNIT_TOL", "dq8_to_rt", "dq8_translation", "quat_conj"],
 )
 def test_removed_dual_quaternion_layers_are_gone(name):
     assert not hasattr(dualquat, name)
@@ -32,10 +33,14 @@ def test_removed_dual_quaternion_layers_are_gone(name):
 
 
 def test_dual_quaternion_functions_return_plain_arrays():
-    dq = matchfield.dq_from_transform(np.eye(2), np.array([2.0, 4.0]))
+    dq = dualquat.dq8_from_rt(np.eye(2), np.array([2.0, 4.0]))
     assert type(dq) is np.ndarray and dq.shape == (8,)
-    assert matchfield.dq_multiply(dq, dq).shape == (8,)
-    assert matchfield.dq_blend([(1.0, dq)]).shape == (8,)
+    for out in (dualquat.dq8_normalize(dualquat.dq8_mul(dq, dq)),
+                dualquat.dq8_blend(np.ones(1), dq[None]),
+                dualquat.dq8_translate_after(dq, np.ones(2))):
+        assert type(out) is np.ndarray and out.shape == (8,)
+    y = dualquat.dq8_apply(dq, 2.0, np.zeros((3, 2)))
+    assert type(y) is np.ndarray and y.shape == (3, 2)
 
 
 def test_neighbor_graph_lives_in_core_and_stays_importable_from_em_refine():

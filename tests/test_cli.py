@@ -504,6 +504,35 @@ def test_cli_labels_equal_library_run(tmp_path, capsys, dim, cfg_text, H):
     assert cli_out.read_bytes() == lib_out.read_bytes()
 
 
+def test_negative_seed_exits_2_before_the_pipeline(tmp_path, capsys, monkeypatch):
+    # a seed below 0 is refused where the config or scene is built, naming
+    # seed, before any RANSAC run and without writing an output file
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    cfgfile = tmp_path / "f.cfg"
+    cfgfile.write_text("seed = -3\n")
+    out = tmp_path / "o.csv"
+    calls = _count_stage_calls(monkeypatch)
+    for argv, got in (
+        (["filter", "--input", str(scene), "--seed", "-1"], "got -1"),
+        (["field", "--input", str(scene), "--seed", "-1"], "got -1"),
+        (["filter", "--input", str(scene), "--config", str(cfgfile)], "got -3"),
+        (["synth", "--n", "50", "--seed", "-1"], "got -1"),
+    ):
+        assert main(argv + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"seed must be >= 0, {got}" in err
+        assert not out.exists()
+    assert not calls["ransac"]
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_rejects_fewer_than_one_repeat(capsys, repeats):
+    assert main(["bench", "--ratios", "30", "--n", "50", "--repeats", repeats]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --repeats must be >= 1, got {repeats}\n"
+    assert captured.out == ""
+
+
 def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypatch):
     # precedence: defaults, 3D adaptation, config file, flags; a flag for H
     # leaves the adapted r alone

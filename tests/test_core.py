@@ -220,6 +220,9 @@ def test_config_rejects_out_of_range():
         Config(T_min=0)
     with pytest.raises(ConfigError):
         Config(N_neighbor=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        Config(seed=-1)
+    assert Config(seed=0).seed == 0
 
 
 def test_config_scale_adaptation():
@@ -292,6 +295,9 @@ def test_config_file_errors(tmp_path):
         config_overrides_from_file(p)
     p.write_text("T_min=abc\n")
     with pytest.raises(ConfigError):
+        config_overrides_from_file(p)
+    p.write_text("seed = -3\n")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
         config_overrides_from_file(p)
 
 

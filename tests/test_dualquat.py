@@ -13,13 +13,7 @@ from matchfield.dualquat import (
     dq8_identity,
     dq8_mul,
     dq8_normalize,
-    dq8_to_rt,
     dq8_translate_after,
-    dq8_translation,
-    dq_apply,
-    dq_blend,
-    dq_from_transform,
-    dq_multiply,
     embed3,
     quat_from_matrix,
     quat_mul,
@@ -94,27 +88,22 @@ def test_dq8_apply_matches_matrix_oracle():
             assert np.allclose(got, want3, atol=1e-9)
 
 
-def test_dq8_to_rt_round_trip():
-    rng = make_rng(6)
-    for _ in range(20):
-        R = random_rotation(rng, 3)
-        t = rng.normal(size=3)
-        R2, t2 = dq8_to_rt(dq8_from_rt(R, t))
-        assert np.allclose(R2, R, atol=1e-12)
-        assert np.allclose(t2, t, atol=1e-12)
-
-
 def test_dq8_identity_and_translation():
     assert np.allclose(dq8_identity(), [1, 0, 0, 0, 0, 0, 0, 0])
     assert dq8_identity(4).shape == (4, 8)
-    dq = dq8_translation(np.array([2.0, 4.0, 6.0]))
+    assert not dq8_identity()[OFF_PLANE_COLS].any()
+    # a translation after the identity is the pure translation motion
+    dq = dq8_translate_after(dq8_identity(), np.array([2.0, 4.0, 6.0]))
+    assert np.allclose(dq[0:4], [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(dq[4:8], [0.0, 1.0, 2.0, 3.0])
+    p = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
+    assert np.allclose(dq8_apply(dq, 1.0, p), p + [2.0, 4.0, 6.0], atol=1e-12)
 
 
 def test_trans2dq_hand_value():
     # frozen: a 2D translation lifted into z = 0 has dual = t_quat / 2 times
     # the identity real part -> (0, 1, 2, 0)
-    dq = dq8_translation(embed3([2.0, 4.0]))
+    dq = dq8_translate_after(dq8_identity(), embed3([2.0, 4.0]))
     assert np.allclose(dq[0:4], [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(dq[4:8], [0.0, 1.0, 2.0, 0.0])
     with pytest.raises(ValueError):
@@ -122,16 +111,17 @@ def test_trans2dq_hand_value():
 
 
 def test_dq_multiply_applies_right_operand_first():
+    # dq8_mul(a, b), renormalized, applies b first, then a:
+    # x -> Ra (Rb x + tb) + ta, at points of both widths
     rng = make_rng(7)
-    for _ in range(10):
-        Ra, ta = random_rotation(rng, 3), rng.normal(size=3)
-        Rb, tb = random_rotation(rng, 3), rng.normal(size=3)
-        a = dq_from_transform(Ra, ta)
-        b = dq_from_transform(Rb, tb)
-        Rc, tc = dq8_to_rt(dq_multiply(a, b))
-        # b first, then a: x -> Ra (Rb x + tb) + ta
-        assert np.allclose(Rc, Ra @ Rb, atol=1e-9)
-        assert np.allclose(tc, Ra @ tb + ta, atol=1e-9)
+    for dim in (2, 3):
+        for _ in range(10):
+            Ra, ta = random_rotation(rng, dim), rng.normal(size=dim)
+            Rb, tb = random_rotation(rng, dim), rng.normal(size=dim)
+            ab = dq8_normalize(dq8_mul(dq8_from_rt(Ra, ta), dq8_from_rt(Rb, tb)))
+            x = rng.normal(size=(6, dim)) * 10.0
+            want = (x @ Rb.T + tb) @ Ra.T + ta
+            assert np.allclose(dq8_apply(ab, 1.0, x), want, atol=1e-9)
 
 
 def test_dq8_translate_after_equals_product():
@@ -139,7 +129,9 @@ def test_dq8_translate_after_equals_product():
     for _ in range(10):
         dq = dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3))
         t = rng.normal(size=3)
-        want = dq8_mul(dq8_translation(t), dq)
+        # the pure translation motion: identity real part, dual (0, t) / 2
+        trans = np.concatenate([[1.0, 0.0, 0.0, 0.0, 0.0], 0.5 * t])
+        want = dq8_mul(trans, dq)
         assert np.allclose(dq8_translate_after(dq, t), want, atol=1e-12)
 
 
@@ -160,42 +152,15 @@ def test_dq_normalize_restores_invariants():
         assert unit_residual(fixed) < 1e-9
 
 
-def test_unit_dual_quaternion_validation():
-    # every checked entry point rejects a dq off the unit invariants or of
-    # the wrong shape
-    not_unit = np.array([2.0, 0, 0, 0, 0, 0, 0, 0])
-    not_orthogonal = np.array([1.0, 0, 0, 0, 1.0, 0, 0, 0])
-    ident = dq8_identity()
-    for bad in (not_unit, not_orthogonal, np.ones(4)):
-        with pytest.raises(ValueError):
-            dq_apply(bad, 1.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            dq_multiply(ident, bad)
-        with pytest.raises(ValueError):
-            dq_multiply(bad, ident)
-        with pytest.raises(ValueError):
-            dq_blend([(1.0, ident), (1.0, bad)])
-    assert not dq8_identity()[OFF_PLANE_COLS].any()
-
-
-def test_dq_from_transform_rejects_non_rotation():
-    with pytest.raises(ValueError):
-        dq_from_transform(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
-    with pytest.raises(ValueError):
-        dq_from_transform(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
-
-
-def test_dq_apply_scalar_layer():
+def test_dq8_apply_hand_value():
+    # frozen: a 90 degree turn then a unit step along x, at mu = 2, takes
+    # (1, 0) to 2 ((0, 1) + (1, 0)) = (2, 2) and the origin to (2, 0)
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    dq = dq_from_transform(R, np.array([1.0, 0.0]))
-    out = dq_apply(dq, 2.0, np.array([1.0, 0.0]))
+    dq = dq8_from_rt(R, np.array([1.0, 0.0]))
+    out = dq8_apply(dq, 2.0, np.array([1.0, 0.0]))
+    assert out.shape == (2,)
     assert np.allclose(out, [2.0, 2.0], atol=1e-12)
-    assert np.allclose(dq_apply(dq, 2.0, [[1.0, 0.0], [0.0, 0.0]]), [[2.0, 2.0], [2.0, 0.0]])
-    for mu in (-1.0, 0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            dq_apply(dq, mu, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        dq_apply(dq, 1.0, np.zeros(5))
+    assert np.allclose(dq8_apply(dq, 2.0, [[1.0, 0.0], [0.0, 0.0]]), [[2.0, 2.0], [2.0, 0.0]])
 
 
 @pytest.mark.parametrize("lead", [(), (7,), (4, 5)])
@@ -215,9 +180,6 @@ def test_2d_points_equal_the_lifted_3d_result_bit_for_bit(lead):
     assert out.tobytes() == dq8_apply(dqs, mu, lifted)[..., :2].tobytes()
     moved = dq8_translate_after(dqs, pts)
     assert moved.tobytes() == dq8_translate_after(dqs, lifted).tobytes()
-    if not lead:
-        one = dq_apply(dqs, float(mu), pts)
-        assert one.tobytes() == dq8_apply(dqs, mu, lifted)[:2].tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 4])
@@ -227,7 +189,7 @@ def test_apply_rejects_points_neither_2_nor_3_wide(width):
         with pytest.raises(ValueError):
             dq8_apply(dq, 1.0, pts)
         with pytest.raises(ValueError):
-            dq_apply(dq, 1.0, pts)
+            dq8_translate_after(dq, pts)
 
 
 def test_planar_motions_stay_planar_through_kernels():
@@ -255,53 +217,55 @@ def test_blend_of_perpendicular_rotations_bisects():
     R45 = np.array(
         [[np.cos(np.pi / 4), -np.sin(np.pi / 4)], [np.sin(np.pi / 4), np.cos(np.pi / 4)]]
     )
-    a = dq_from_transform(np.eye(2), np.zeros(2))
-    b = dq_from_transform(R90, center - R90 @ center)
-    blended = dq_blend([(1.0, a), (1.0, b)])
-    Rc, tc = dq8_to_rt(blended)
-    Rc, tc = Rc[:2, :2], tc[:2]
-    assert np.allclose(Rc, R45, atol=1e-12)
-    assert np.allclose(tc, center - R45 @ center, atol=1e-12)
+    a = dq8_from_rt(np.eye(2), np.zeros(2))
+    b = dq8_from_rt(R90, center - R90 @ center)
+    blended = dq8_blend(np.array([1.0, 1.0]), np.stack([a, b]))
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0], [-2.0, 5.0]])
+    want = (pts - center) @ R45.T + center
+    assert np.allclose(dq8_apply(blended, 1.0, pts), want, atol=1e-12)
 
 
 def test_blend_ignores_antipodes_and_weight_scale():
     rng = make_rng(14)
     for _ in range(10):
-        qs = [dq_from_transform(random_rotation(rng, 3), rng.normal(size=3)) for _ in range(4)]
-        w = list(rng.uniform(0.1, 1.0, size=4))
-        base = dq_blend(zip(w, qs))
-        flipped = [-qs[1]] + qs[:1] + qs[2:]
-        wf = [w[1], w[0]] + w[2:]
-        other = dq_blend(zip(wf, flipped))
-        scaled = dq_blend(zip([5.0 * v for v in w], qs))
-        p = rng.normal(size=3)
-        assert np.allclose(dq_apply(base, 1.0, p), dq_apply(other, 1.0, p), atol=1e-9)
-        assert np.allclose(dq_apply(base, 1.0, p), dq_apply(scaled, 1.0, p), atol=1e-9)
+        qs = np.stack([dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3))
+                       for _ in range(4)])
+        w = rng.uniform(0.1, 1.0, size=4)
+        base = dq8_blend(w, qs)
+        # the antipode of motion 1, moved to the front with its weight
+        flipped = np.concatenate([-qs[1:2], qs[:1], qs[2:]])
+        wf = np.concatenate([w[1:2], w[:1], w[2:]])
+        other = dq8_blend(wf, flipped)
+        scaled = dq8_blend(5.0 * w, qs)
+        p = rng.normal(size=(5, 3))
+        assert np.allclose(dq8_apply(base, 1.0, p), dq8_apply(other, 1.0, p), atol=1e-9)
+        assert np.allclose(dq8_apply(base, 1.0, p), dq8_apply(scaled, 1.0, p), atol=1e-9)
 
 
-def test_blend_unit_invariants_and_errors():
+def test_blend_unit_invariants():
+    # a blend of unit motions, antipodes and zero weights among them, is a
+    # unit motion; so is every row of a batched, indexed blend
     rng = make_rng(15)
-    qs = [dq_from_transform(random_rotation(rng, 3), rng.normal(size=3)) for _ in range(6)]
-    out = dq_blend([(w, q) for w, q in zip(rng.uniform(0.0, 1.0, size=6), qs)])
-    assert unit_residual(out) < 1e-9
-    with pytest.raises(ValueError):
-        dq_blend([])
-    with pytest.raises(ValueError):
-        dq_blend([(-1.0, qs[0])])
-    with pytest.raises(ValueError):
-        dq_blend([(0.0, qs[0]), (0.0, qs[1])])
+    qs = np.stack([dq8_from_rt(random_rotation(rng, 3), rng.normal(size=3)) for _ in range(6)])
+    qs[::2] *= -1.0
+    w = rng.uniform(0.0, 1.0, size=6)
+    w[1] = 0.0
+    assert unit_residual(dq8_blend(w, qs)) < 1e-9
+    idx = rng.integers(0, 6, size=(50, 4))
+    rows = dq8_blend(rng.uniform(0.1, 1.0, size=(50, 4)), qs, idx)
+    assert max(unit_residual(r) for r in rows) < 1e-9
 
 
 def test_dq_to_transform_planar_slice():
-    # a 2D motion comes back as the 2x2 block of a rotation about z and a
-    # translation with zero z
+    # a 2D motion is a rotation about z, its 2x2 block the given one, and a
+    # translation with zero z: the image of the 3D origin
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    dq = dq_from_transform(R, np.array([2.0, 5.0]))
-    R3, t3 = dq8_to_rt(dq)
+    dq = dq8_from_rt(R, np.array([2.0, 5.0]))
+    R3 = quat_to_matrix(dq[0:4])
     assert np.allclose(R3[:2, :2], R, atol=1e-12)
     assert np.allclose(R3[2], [0.0, 0.0, 1.0], atol=1e-12)
     assert np.allclose(R3[:, 2], [0.0, 0.0, 1.0], atol=1e-12)
-    assert np.allclose(t3, [2.0, 5.0, 0.0], atol=1e-12)
+    assert np.allclose(dq8_apply(dq, 1.0, np.zeros(3)), [2.0, 5.0, 0.0], atol=1e-12)
 
 
 def reference_dq8_normalize(dq):
@@ -328,7 +292,7 @@ def reference_dq8_apply(dq, mu, pts):
     # mu (R p + t) in its vector forms spelled out per component: the
     # rotation as p + w c + u x c with c = 2 u x p, each cross product as
     # np.cross takes it, and t = 2 (d conj(r)) as quat_mul's vector rows
-    # over the real part negated by -1.0, as quat_conj negates it
+    # with conj(r) the vector part of r times -1.0
     width = np.shape(pts)[-1]
     a, b, c = lifted_columns(pts)
     w, x, y, z, dw, dx, dy, dz = np.moveaxis(dq, -1, 0)
@@ -702,9 +666,8 @@ def test_batched_dq8_from_rt_bit_identical_to_single_reference():
         assert np.array_equal(dq8_from_rt(R, t), ref)
         if d == 3:
             assert np.array_equal(quat_from_matrix(R), ref[:, :4])
-        # any leading shape, and one matrix at a time as dq_from_transform calls it
+        # any leading shape, and one matrix at a time
         lead = dq8_from_rt(R.reshape(2, -1, d, d), t.reshape(2, -1, d))
         assert np.array_equal(lead.reshape(-1, 8), ref)
         for i in range(0, R.shape[0], 37):
             assert np.array_equal(dq8_from_rt(R[i], t[i]), ref[i])
-            assert np.array_equal(dq_from_transform(R[i], t[i]), ref[i])

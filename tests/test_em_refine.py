@@ -11,7 +11,6 @@ from matchfield.dualquat import (
     dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
-    dq_apply,
     embed3,
 )
 from matchfield.em_refine import (
@@ -288,7 +287,7 @@ def test_m_step_sigma_hand_value_and_exactness():
     assert np.isclose(state.sigma, np.sqrt(12.5))
     # the translation correction re-pins each motion onto its own match
     for i in range(2):
-        assert np.allclose(dq_apply(state.qs[i], state.mus[i], x[i]), y[i], atol=1e-12)
+        assert np.allclose(dq8_apply(state.qs[i], state.mus[i], x[i]), y[i], atol=1e-12)
 
 
 def test_m_step_can_hold_sigma():
@@ -321,7 +320,7 @@ def test_m_step_exactness_through_iterations():
         m_step(state, m, cfg, update_sigma=it > 1)
         live = ~state.isolated
         assert live.any()
-        mapped = np.stack([dq_apply(state.qs[i], state.mus[i], m.x[i]) for i in np.nonzero(live)[0]])
+        mapped = dq8_apply(state.qs[live], state.mus[live], m.x[live])
         assert np.abs(mapped - m.y[live]).max() < 1e-6
         e_step(state, m, cfg)
 
@@ -556,7 +555,7 @@ def test_isolated_match_does_not_vouch_for_itself():
     blended = state.field_at_x[0].copy()
     assert np.abs(blended - (x[0] + 2.0)).max() < 0.1
     # the correction made the stored motion exact at the stray match
-    assert np.abs(dq_apply(state.qs[0], state.mus[0], x[0]) - y[0]).max() < 1e-9
+    assert np.abs(dq8_apply(state.qs[0], state.mus[0], x[0]) - y[0]).max() < 1e-9
     qs0 = state.qs[0].copy()
     state.p[state.graph.idx[0]] = 0.0
     m_step(state, m, cfg, update_sigma=False)

@@ -206,6 +206,8 @@ def test_synth_spec_validation():
         SynthSpec(max_scale_jitter=1.0)
     with pytest.raises(ValueError):
         SynthSpec(noise_sigma=-1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SynthSpec(seed=-1)
     with pytest.raises(ValueError):
         SynthSpec(bounds=((0.0, 0.0), (0.0, 600.0)))
     with pytest.raises(ValueError):
