@@ -85,8 +85,21 @@ def _given(args, table) -> dict:
     return {n: getattr(args, n) for _, n, _, _ in table if getattr(args, n) is not None}
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    """The comma-separated items of a list flag, each read with kind; a
+    ValueError names the flag and the first item that does not read."""
+    vals = []
+    for item in text.split(","):
+        try:
+            vals.append(kind(item))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{flag} item {item!r} is not {what}") from None
+    return vals
+
+
 def _parse_bounds(text: str, dim: int):
-    vals = [float(v) for v in text.split(",")]
+    vals = _parse_list("--bounds", text, float)
     if len(vals) != 2 * dim:
         raise ValueError(f"--bounds needs {2 * dim} comma-separated values for {dim}D")
     return tuple(vals[:dim]), tuple(vals[dim:])
@@ -226,8 +239,11 @@ def _bench_once(spec: SynthSpec) -> tuple:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
-    ratios = [float(v) for v in args.ratios.split(",")]
-    sizes = [int(v) for v in args.n.split(",")]
+    ratios = _parse_list("--ratios", args.ratios, float)
+    bad = [r for r in ratios if not 0.0 <= r < 100.0]
+    if bad:
+        raise ValueError(f"--ratios are outlier percentages in [0, 100), got {bad[0]:g}")
+    sizes = _parse_list("--n", args.n, int)
     rows = ["ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"
             "recall,precision,trials,pool,filter_ms_median,field_ms_median"]
     for ratio in ratios:

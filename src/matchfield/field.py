@@ -190,21 +190,20 @@ def write_field_csv(grid: FieldGrid, path, dim: int) -> None:
     """Write samples as CSV: query coords, displaced coords, support, valid.
 
     Samples whose query or displaced points are not dim wide raise
-    ValueError, and nothing is written.
+    ValueError before the file is opened, so nothing is written.
     """
     header = ",".join(["qx", "qy", "qz"][:dim] + ["dx", "dy", "dz"][:dim] + ["support", "valid"])
     columns = []
     if grid.samples:
         # one C-level pass per field; zip(*samples) would make an iterator per sample
-        query, displaced, support, valid = (list(map(itemgetter(f), grid.samples))
-                                            for f in range(4))
-        for name, pts in (("query", query), ("displaced", displaced)):
-            pts = np.array(pts, dtype=np.float64)
+        for f, name in enumerate(("query", "displaced")):
+            pts = np.array(list(map(itemgetter(f), grid.samples)), dtype=np.float64)
             if pts.shape[1:] != (dim,):
                 raise ValueError(f"field samples hold {name} points of shape {pts.shape[1:]}, "
                                  f"but dim is {dim}")
-            columns += [float_column(c) for c in pts.T]
-        columns += [float_column(support), flag_column(valid)]
+            columns += [(float_column, c) for c in pts.T]
+        columns += [(float_column, list(map(itemgetter(2), grid.samples))),
+                    (flag_column, list(map(itemgetter(3), grid.samples)))]
     write_csv_columns(path, header, columns)
 
 
@@ -220,7 +219,7 @@ def render_scene_svg(
     if m.dim != 2:
         raise ValueError("SVG rendering is 2D only")
     pts = [m.x, m.y]
-    if grid is not None:
+    if grid is not None and grid.samples:
         pts += [np.array([s.query for s in grid.samples])]
     allp = np.vstack(pts)
     lo = allp.min(axis=0) - 20.0

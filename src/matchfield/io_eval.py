@@ -7,7 +7,9 @@ File formats are plain CSV with one-line headers:
 * label files: header "index,inlier,posterior,residual".
 
 Floats are written with repr, which round-trips float64 exactly, so saving
-and loading is lossless and byte-deterministic.
+and loading is lossless and byte-deterministic. Every CSV file of the
+package, field files included, goes out through write_csv_columns,
+CSV_BLOCK rows at a time.
 
 The synthetic generator builds scenes with known labels: inlier targets
 follow a smooth non-rigid field obtained by blending a few anchored rigid
@@ -28,6 +30,14 @@ import numpy as np
 from .core import (COORD_RULE, BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners,
                    coords_in_range, make_rng)
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
+
+
+# rows each CSV write formats and joins at a time. Written whole, a file's
+# cells, rows and text peaked at 8-9x its size (47 MB for 80,000 match
+# rows), and that peak set the process's peak RSS on perfbench field-dense
+# (a 19,481-row field file): 103 MB on a 2-core Xeon VM. There 4,096-row
+# blocks read 95 MB, 1,024-row blocks 93 MB, and 256-row blocks no less
+CSV_BLOCK = 1024
 
 
 class MatchFileError(MatchFieldError):
@@ -57,12 +67,26 @@ def flag_column(values) -> list[str]:
     return np.where(np.asarray(values, dtype=bool), "1", "0").tolist()
 
 
-def write_csv_columns(path, header: str, columns: list[list[str]]) -> None:
+def index_column(values) -> list[str]:
+    """The decimal text of each integer."""
+    return list(map(str, values))
+
+
+def write_csv_columns(path, header: str, columns) -> None:
     """Write a header line, then one comma-joined row per position of the
-    equally long, already formatted columns; every line ends in a newline."""
-    lines = [header]
-    lines += map(",".join, zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    equally long columns; every line ends in a newline.
+
+    columns holds (format, values) pairs, where format turns a slice of
+    values into its cells (float_column, flag_column, index_column). The
+    rows are formatted and written CSV_BLOCK at a time, so the text held at
+    once is one block's, however long the file.
+    """
+    n = len(columns[0][1]) if columns else 0
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for lo in range(0, n, CSV_BLOCK):
+            cells = [fmt(values[lo:lo + CSV_BLOCK]) for fmt, values in columns]
+            f.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "units") -> None:
@@ -71,9 +95,9 @@ def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "u
         gt = np.asarray(gt, dtype=bool)
         if gt.shape != (m.n,):
             raise ValueError("gt must be one flag per match")
-    columns = [float_column(c) for c in (*m.x.T, *m.y.T)]
+    columns = [(float_column, c) for c in (*m.x.T, *m.y.T)]
     if gt is not None:
-        columns.append(flag_column(gt))
+        columns.append((flag_column, gt))
     write_csv_columns(path, f"{m.dim},{m.n},{units}", columns)
 
 
@@ -171,10 +195,10 @@ def _raise_first_bad_match_row(path, body: list[str], dim: int) -> NoReturn:
 
 def save_labels(path, labels: LabelResult) -> None:
     columns = [
-        list(map(str, range(labels.n))),
-        flag_column(labels.inlier),
-        float_column(labels.posterior),
-        float_column(labels.residual),
+        (index_column, range(labels.n)),
+        (flag_column, labels.inlier),
+        (float_column, labels.posterior),
+        (float_column, labels.residual),
     ]
     write_csv_columns(path, "index,inlier,posterior,residual", columns)
 

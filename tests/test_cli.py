@@ -533,6 +533,29 @@ def test_bench_rejects_fewer_than_one_repeat(capsys, repeats):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("ratios, n, message", [
+    ("30,x", "50", "--ratios item 'x' is not a number"),
+    ("30", "5x", "--n item '5x' is not an integer"),
+    ("100", "50", "--ratios are outlier percentages in [0, 100), got 100"),
+])
+def test_bench_list_flag_errors_name_the_flag(capsys, ratios, n, message):
+    assert main(["bench", "--ratios", ratios, "--n", n, "--repeats", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["field", "synth"])
+def test_bounds_item_errors_name_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--output", str(out), "--bounds", "0,0,x,1"]
+    if command == "field":
+        argv += ["--input", str(_synth(tmp_path / "scene.csv", capsys, n=150))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --bounds item 'x' is not a number\n"
+    assert not out.exists()
+
+
 def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypatch):
     # precedence: defaults, 3D adaptation, config file, flags; a flag for H
     # leaves the adapted r alone

@@ -18,7 +18,7 @@ from matchfield.field import (
     render_scene_svg,
     write_field_csv,
 )
-from matchfield.io_eval import SynthSpec, synth_generate
+from matchfield.io_eval import CSV_BLOCK, SynthSpec, synth_generate
 from matchfield.ransac import RansacOutcome
 
 from test_dualquat import reference_dq8_blend
@@ -356,6 +356,16 @@ def test_field_csv_bytes_match_per_sample_writer_2d(tmp_path):
     assert_field_csv_bytes_match_reference(grid, 2, tmp_path)
 
 
+@pytest.mark.parametrize("rows", [0, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 1])
+def test_field_csv_bytes_match_per_sample_writer_at_block_seams(tmp_path, rows):
+    # a block boundary that drops, repeats or merges a row changes the bytes
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    pts = make_rng(rows).uniform(-300.0, 800.0, size=(rows, 2))
+    samples = query_field(state, labels, m, pts, cfg)
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(rows,), samples=tuple(samples)), 2,
+                                           tmp_path)
+
+
 def test_field_csv_bytes_match_per_sample_writer_3d(tmp_path):
     rng = make_rng(21)
     x = rng.uniform(0.0, 100.0, size=(150, 3))
@@ -442,6 +452,9 @@ def test_svg_rendering(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<line") >= m.n
     render_scene_svg(m, labels, None, tmp_path / "bare.svg")
+    # a grid without samples draws the matches alone
+    render_scene_svg(m, labels, FieldGrid(shape=(0,), samples=()), tmp_path / "empty.svg")
+    assert (tmp_path / "empty.svg").read_text() == (tmp_path / "bare.svg").read_text()
     x3 = np.zeros((6, 3))
     x3[:, 0] = np.arange(6)
     m3 = MatchSet.from_points(x3, x3 + 1.0)

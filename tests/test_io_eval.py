@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
+from matchfield.field import FieldGrid, FieldSample, write_field_csv
 from matchfield.io_eval import (
+    CSV_BLOCK,
     DimensionMismatchError,
     MatchFileError,
     NonNumericRowError,
@@ -287,30 +291,72 @@ def awkward_floats(rng, shape, top=300):
     return v
 
 
+# row counts at either side of the writer's block seams; a block boundary
+# that drops, repeats or merges a row changes the bytes
+SEAM_ROWS = [0, CSV_BLOCK - 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 1]
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_match_file_bytes_match_per_row_writer(tmp_path, dim):
-    rng = make_rng(60 + dim)
-    m = MatchSet.from_points(awkward_floats(rng, (57, dim), top=140),
-                             awkward_floats(rng, (57, dim), top=140))
-    gt = rng.uniform(size=57) < 0.5
-    for flags in (gt, None):
-        save_matches(tmp_path / "got.csv", m, gt=flags, units="pixels")
-        reference_save_matches(tmp_path / "want.csv", m, gt=flags, units="pixels")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert "-0.0" in (tmp_path / "got.csv").read_text()
+    # a MatchSet holds at least one match, so its shortest file has one row
+    for rows in [57, 1] + SEAM_ROWS[1:]:
+        rng = make_rng(60 + dim)
+        m = MatchSet.from_points(awkward_floats(rng, (rows, dim), top=140),
+                                 awkward_floats(rng, (rows, dim), top=140))
+        gt = rng.uniform(size=rows) < 0.5
+        for flags in (gt, None):
+            save_matches(tmp_path / "got.csv", m, gt=flags, units="pixels")
+            reference_save_matches(tmp_path / "want.csv", m, gt=flags, units="pixels")
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert "-0.0" in (tmp_path / "got.csv").read_text()
 
 
 def test_label_file_bytes_match_per_row_writer(tmp_path):
-    rng = make_rng(62)
-    n = 1234
-    labels = LabelResult(
-        inlier=rng.uniform(size=n) < 0.4,
-        posterior=np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(size=n)),
-        residual=np.abs(awkward_floats(rng, (n,))),
-    )
-    save_labels(tmp_path / "got.csv", labels)
-    reference_save_labels(tmp_path / "want.csv", labels)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    for n in [1234] + SEAM_ROWS:
+        rng = make_rng(62)
+        labels = LabelResult(
+            inlier=rng.uniform(size=n) < 0.4,
+            posterior=np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(size=n)),
+            residual=np.abs(awkward_floats(rng, (n,))),
+        )
+        save_labels(tmp_path / "got.csv", labels)
+        reference_save_labels(tmp_path / "want.csv", labels)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def traced_peak(write) -> int:
+    """The peak of memory traced while write() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writers_hold_a_block_not_the_file(tmp_path):
+    # written whole, a file's cells, rows and text peaked at 8-9x its size;
+    # streamed in blocks, the match and label writers hold one block however
+    # long the file, and the field writer also the columns it gathers from
+    # its samples
+    peaks = {}
+    for n in (20_000, 80_000):
+        rng = make_rng(n)
+        x, y = rng.uniform(0.0, 800.0, size=(2, n, 2))
+        m = MatchSet.from_points(x, y)
+        labels = LabelResult(inlier=rng.uniform(size=n) < 0.5, posterior=rng.uniform(size=n),
+                             residual=rng.uniform(0.0, 50.0, size=n))
+        grid = FieldGrid(shape=(n,), samples=tuple(map(
+            FieldSample, x, y, labels.posterior.tolist(), labels.inlier.tolist())))
+        writers = {"save_matches": lambda p: save_matches(p, m, gt=labels.inlier),
+                   "save_labels": lambda p: save_labels(p, labels),
+                   "write_field_csv": lambda p: write_field_csv(grid, p, 2)}
+        for name, write in writers.items():
+            path = tmp_path / f"{name}.csv"
+            peaks[name, n] = traced_peak(lambda: write(path))
+            assert peaks[name, n] < 1.5 * path.stat().st_size, (name, n)
+    for name in ("save_matches", "save_labels"):
+        assert abs(peaks[name, 80_000] - peaks[name, 20_000]) < 0.2e6, name
 
 
 def reference_load_matches(path):
