@@ -16,7 +16,6 @@ from .core import (
     MatchFieldError,
     MatchSet,
     NeighborGraph,
-    RigidTransform,
     build_neighbors,
     scale_estimate,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "NeighborGraph",
     "NonNumericRowError",
     "RansacOutcome",
-    "RigidTransform",
     "SynthSpec",
     "TransformHypothesis",
     "TruncatedFileError",

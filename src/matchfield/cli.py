@@ -244,6 +244,9 @@ def cmd_bench(args) -> int:
     if bad:
         raise ValueError(f"--ratios are outlier percentages in [0, 100), got {bad[0]:g}")
     sizes = _parse_list("--n", args.n, int)
+    bad = [s for s in sizes if s < 1]
+    if bad:
+        raise ValueError(f"--n counts must be >= 1, got {bad[0]}")
     rows = ["ratio_pct,n,repeats,ransac_errors,em_errors,ransac_fscore,em_fscore,"
             "recall,precision,trials,pool,filter_ms_median,field_ms_median"]
     for ratio in ratios:

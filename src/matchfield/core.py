@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from pathlib import Path
 from typing import get_type_hints
 
@@ -123,68 +122,18 @@ class MatchSet:
         return cls(dim=int(x.shape[1]), x=x, y=y)
 
 
-ORTHONORMAL_TOL = 1e-9
-
-
 def small_det(a: FloatArray) -> float:
-    """Determinant of a 2x2 or 3x3 matrix by cofactor expansion.
+    """Determinant of a 3x3 matrix by cofactor expansion.
 
     A few products of Python floats, where np.linalg.det pays for a LAPACK
-    LU factorization; used by the transform check and the 3D fits.
+    LU factorization; used by the 3D fits.
     """
-    rows = a.tolist()
-    if len(rows) == 2:
-        (a00, a01), (a10, a11) = rows
-        return a00 * a11 - a01 * a10
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     return (
         a00 * (a11 * a22 - a12 * a21)
         - a01 * (a10 * a22 - a12 * a20)
         + a02 * (a10 * a21 - a11 * a20)
     )
-
-
-@dataclass(frozen=True)
-class RigidTransform:
-    """A rotation R, translation t, and isotropic scale mu, mapping x to mu*(R x + t)."""
-
-    R: FloatArray
-    t: FloatArray
-    mu: float
-
-    def __post_init__(self) -> None:
-        R = np.asarray(self.R, dtype=np.float64)
-        t = np.asarray(self.t, dtype=np.float64)
-        d = R.shape[0]
-        if R.shape != (d, d) or d not in (2, 3):
-            raise ValueError(f"R must be 2x2 or 3x3, got {R.shape}")
-        if t.shape != (d,):
-            raise ValueError(f"t must be ({d},), got {t.shape}")
-        if not all(map(math.isfinite, chain(R.ravel().tolist(), t.tolist()))):
-            raise ValueError("transform entries must be finite")
-        # largest entry of |R^T R - I|, the identity taken off the diagonal
-        gram = (R.T @ R).tolist()
-        for i in range(d):
-            gram[i][i] -= 1.0
-        if max(map(abs, chain.from_iterable(gram))) > ORTHONORMAL_TOL:
-            raise ValueError("R is not orthonormal")
-        if abs(small_det(R) - 1.0) > ORTHONORMAL_TOL:
-            raise ValueError("R must be a proper rotation (det +1)")
-        mu = float(self.mu)
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise ValueError(f"mu must be finite and positive, got {mu}")
-        object.__setattr__(self, "R", _frozen_array(R))
-        object.__setattr__(self, "t", _frozen_array(t))
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def dim(self) -> int:
-        return self.R.shape[0]
-
-    def apply(self, pts: FloatArray) -> FloatArray:
-        """Map points (..., dim) through mu*(R p + t)."""
-        pts = np.asarray(pts, dtype=np.float64)
-        return self.mu * (pts @ self.R.T + self.t)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """EM refinement of match labels over a blended deformation field.
 
 The RANSAC stage leaves a set of locally rigid motions, each explaining a
-patch of matches. This module melts them into one smooth field: every match
-carries its own scaled motion g_i = (q_i, mu_i), the field at a match is the
-distance-weighted blend of its neighbors' motions, and an EM loop alternates
-between re-estimating the field (M-step) and re-scoring how likely each
-match is to be an inlier under a Gaussian-plus-uniform mixture (E-step).
-Outliers lose influence through their posterior, so the field they would
-drag along snaps to the consensus of their surroundings instead.
+patch of matches and each already a unit dual quaternion with a scale. This
+module melts them into one smooth field: every match carries its own scaled
+motion g_i = (q_i, mu_i), seeded from the motion that covers it, the field
+at a match is the distance-weighted blend of its neighbors' motions, and an
+EM loop alternates between re-estimating the field (M-step) and re-scoring
+how likely each match is to be an inlier under a Gaussian-plus-uniform
+mixture (E-step). Outliers lose influence through their posterior, so the
+field they would drag along snaps to the consensus of their surroundings
+instead.
 
 State is kept in flat arrays: qs holds one unit dual quaternion per match
 as a row of 8, mus and p are per-match scale and posterior. blend_neighbors
@@ -36,7 +38,6 @@ from .core import (
 from .dualquat import (
     dq8_apply,
     dq8_blend,
-    dq8_from_rt,
     dq8_identity,
     dq8_translate_after,
 )
@@ -83,9 +84,8 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
 
     Each covered match adopts the motion of its owner (RansacOutcome.owner:
     the covering hypothesis with the largest support, the earliest one
-    among equal supports) and that support count as its (unnormalized)
-    starting weight. All hypotheses are converted to dual quaternions in
-    one batched pass.
+    among equal supports), its dual quaternion and scale as they are, and
+    that support count as its (unnormalized) starting weight.
     Uncovered matches start at the identity with scale 1 and weight 0, so
     they pull no blend until the first E-step scores them. sigma starts at
     the RMS seeding residual of covered matches, floored at H / 10; the
@@ -113,11 +113,8 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     covered = owner >= 0
     if hyps:
         win = owner[covered]
-        dqs = dq8_from_rt(
-            np.stack([h.transform.R for h in hyps]), np.stack([h.transform.t for h in hyps])
-        )
-        qs[covered] = dqs[win]
-        mus[covered] = np.array([h.transform.mu for h in hyps])[win]
+        qs[covered] = np.stack([h.dq for h in hyps])[win]
+        mus[covered] = np.array([h.mu for h in hyps])[win]
         p[covered] = np.array([h.support for h in hyps])[win]
     field_at_x = dq8_apply(qs, mus, m.x)
     resid = np.linalg.norm(m.y - field_at_x, axis=1)

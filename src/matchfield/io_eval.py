@@ -144,8 +144,10 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
     body = lines[1:]
     if len(body) != n:
         raise TruncatedFileError(f"{path}: header declares {n} rows, found {len(body)}")
+    if not body:
+        raise MatchFileError(f"{path}: header declares 0 rows, need at least one match")
     width = 2 * dim
-    cols = body[0].count(",") + 1 if body else width
+    cols = body[0].count(",") + 1
     if cols not in (width, width + 1) or not _widths_agree(body, cols):
         _raise_first_bad_match_row(path, body, dim)
     has_gt = cols == width + 1

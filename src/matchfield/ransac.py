@@ -7,7 +7,9 @@ y_i - y_o = mu R (x_i - x_o) is fit to all matches at once, and a few
 fit/re-weight rounds with weights w_i = min(H / d_i, 1) let the nearby
 consistent matches take the fit over. Each accepted hypothesis reserves its
 inliers so later trials hunt for other locally rigid motions, which yields a
-multi-hypothesis cover of a non-rigid scene.
+multi-hypothesis cover of a non-rigid scene. The kept motions leave the run
+as unit dual quaternions with a scale, in the one (..., 8) layout of
+dualquat: they are the initial values of EM's blended field.
 
 Controls are not drawn from all n matches. A run first builds the kNN graph
 over the sources (core.build_neighbors), the one EM blends over, and opens
@@ -67,11 +69,11 @@ from .core import (
     LabelResult,
     MatchSet,
     NeighborGraph,
-    RigidTransform,
     build_neighbors,
     make_rng,
     small_det,
 )
+from .dualquat import dq8_apply, dq8_from_rt
 
 # relative second singular value below which a 3D weighted cross matrix is
 # treated as rank one or less (points collinear through the control, or
@@ -111,12 +113,15 @@ RANSAC_P = 0.95
 class TransformHypothesis:
     """One locally rigid motion found by a trial.
 
-    control is the index of the match the trial grew from, inliers are all
-    matches within H of the motion; support, their count, is the T_o score.
+    control is the index of the match the trial grew from; dq (a read-only
+    (8,) row in the dualquat layout) and mu are the scaled motion
+    x -> mu (R x + t); inliers are all matches within H of it, and
+    support, their count, is the T_o score.
     """
 
     control: int
-    transform: RigidTransform
+    dq: FloatArray
+    mu: float
     inliers: IntArray
 
     @property
@@ -440,9 +445,9 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config):
     weighted cross matrix, its SVD and the residuals |yr - mu R xr|; only a
     cross matrix of rank one or less is degenerate, so coplanar sources fit.
 
-    Returns (RigidTransform, d, w): the motion in y = mu (R x + t) form
-    with t recovered as y_o / mu - R x_o, residuals d over all matches
-    under the final fit, and the final weights.
+    Returns ((R, t, mu), d, w): the motion in y = mu (R x + t) form with
+    t recovered as y_o / mu - R x_o, residuals d over all matches under
+    the final fit, and the final weights.
     """
     relative, terms, fit, residuals = _parts(m.dim)
     rel = relative(m, o)
@@ -454,8 +459,7 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config):
         # bit-identical to min(H / d, 1), and 1 at d = 0
         w = cfg.H / np.maximum(d, cfg.H)
     R = _rotation_matrix(m.dim, rot)
-    t = m.y[o] / mu - R @ m.x[o]
-    return RigidTransform(R=R, t=t, mu=mu), d, w
+    return (R, m.y[o] / mu - R @ m.x[o], mu), d, w
 
 
 def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
@@ -476,9 +480,11 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     exceeds the bound for t_acc at confidence RANSAC_P, re-evaluated with
     the current gamma before every trial.
 
-    The outcome records the pool size and carries the graph, which
-    run_em reuses for the same matches and settings. With nothing but
-    outliers the outcome is empty: no hypotheses and gamma = 0.
+    At the end of the run one batched dq8_from_rt call turns the kept
+    motions into the dualquat rows EM seeds from. The outcome records the
+    pool size and carries the graph, which run_em reuses for the same
+    matches and settings. With nothing but outliers the outcome is empty:
+    no hypotheses and gamma = 0.
     """
     n = m.n
     if n < cfg.T_min:
@@ -494,7 +500,8 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     candidates = control_pool(m, graph, cfg, t_acc)
     pool = candidates.size
     n_in = 0
-    hyps: list[TransformHypothesis] = []
+    # (control, R, t, mu, inliers) of every accepted trial
+    kept: list[tuple] = []
     # one entry per trial, so its length is the trial count
     gamma_history: list[float] = []
     # the three stopping rules, all on the current gamma
@@ -505,19 +512,26 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
         o = int(candidates[j])
         candidates = np.concatenate((candidates[:j], candidates[j + 1 :]))
         try:
-            rt, d, _ = reweight_fit(m, o, cfg)
+            (R, t, mu), d, _ = reweight_fit(m, o, cfg)
         except DegenerateGeometryError:
             pass
         else:
             inl = np.nonzero(d < cfg.H)[0]
             if inl.size >= t_acc:
-                hyps.append(TransformHypothesis(o, rt, inl.astype(np.int64)))
+                kept.append((o, R, t, mu, inl.astype(np.int64)))
                 new = inl[~inlier_mask[inl]]
                 inlier_mask[new] = True
                 n_in += new.size
                 candidates = candidates[~inlier_mask[candidates]]
         gamma_history.append(n_in / n)
-    return RansacOutcome(hypotheses=tuple(hyps), n=n, gamma_history=tuple(gamma_history),
+    hyps = ()
+    if kept:
+        controls, Rs, ts, mus, inliers = zip(*kept)
+        # a stack gives each motion its own 8-vector bit for bit
+        dqs = dq8_from_rt(np.stack(Rs), np.stack(ts))
+        dqs.setflags(write=False)
+        hyps = tuple(map(TransformHypothesis, controls, dqs, mus, inliers))
+    return RansacOutcome(hypotheses=hyps, n=n, gamma_history=tuple(gamma_history),
                          pool=pool, graph=graph)
 
 
@@ -533,7 +547,7 @@ def labels_from_outcome(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Lab
     owner = outcome.owner_for(m)
     # one residual row per motion, then an all-inf row: owner -1 picks it,
     # and without motions it leaves the minimum infinite
-    d = np.array([np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
+    d = np.array([np.linalg.norm(m.y - dq8_apply(h.dq, h.mu, m.x), axis=1)
                   for h in outcome.hypotheses] + [np.full(m.n, np.inf)])
     inlier = owner >= 0
     residual = np.where(inlier, d[owner, np.arange(m.n)], d.min(axis=0))

@@ -49,6 +49,15 @@ def test_neighbor_graph_lives_in_core_and_stays_importable_from_em_refine():
     assert em_refine.NeighborGraph is core.NeighborGraph is matchfield.NeighborGraph
 
 
+@pytest.mark.parametrize("name", ["RigidTransform", "ORTHONORMAL_TOL"])
+def test_the_matrix_motion_type_is_gone(name):
+    # a kept RANSAC motion is a dq row and a scale, the layout EM blends
+    assert not hasattr(core, name)
+    assert not hasattr(ransac, name)
+    assert not hasattr(matchfield, name)
+    assert name not in matchfield.__all__
+
+
 def test_sparse_ransac_entry_point_is_gone():
     # every run goes through ransac_run
     assert not hasattr(ransac, "ransac_run_sparse")

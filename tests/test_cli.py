@@ -537,6 +537,9 @@ def test_bench_rejects_fewer_than_one_repeat(capsys, repeats):
     ("30,x", "50", "--ratios item 'x' is not a number"),
     ("30", "5x", "--n item '5x' is not an integer"),
     ("100", "50", "--ratios are outlier percentages in [0, 100), got 100"),
+    ("30", "0", "--n counts must be >= 1, got 0"),
+    ("30", "-5", "--n counts must be >= 1, got -5"),
+    ("30", "50,0", "--n counts must be >= 1, got 0"),
 ])
 def test_bench_list_flag_errors_name_the_flag(capsys, ratios, n, message):
     assert main(["bench", "--ratios", ratios, "--n", n, "--repeats", "1"]) == 2

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from matchfield import em_refine, ransac
-from matchfield.core import Config, MatchSet, RigidTransform, make_rng
+from matchfield.core import Config, MatchSet, make_rng
 from matchfield.dualquat import (
     dq8_apply,
     dq8_from_rt,
@@ -168,10 +168,10 @@ def test_neighbor_distances_bit_identical_to_full_difference_array():
 def test_init_adopts_largest_support_and_seeds_sigma():
     x = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0], [300.0, 300.0]])
     m = MatchSet.from_points(x, x)
-    ident = RigidTransform(R=np.eye(2), t=np.zeros(2), mu=1.0)
-    shift = RigidTransform(R=np.eye(2), t=np.array([1.0, 0.0]), mu=1.0)
-    h1 = TransformHypothesis(control=0, transform=ident, inliers=np.array([0, 1]))
-    h2 = TransformHypothesis(control=2, transform=shift, inliers=np.array([1, 2, 3]))
+    ident = dq8_from_rt(np.eye(2), np.zeros(2))
+    shift = dq8_from_rt(np.eye(2), np.array([1.0, 0.0]))
+    h1 = TransformHypothesis(control=0, dq=ident, mu=1.0, inliers=np.array([0, 1]))
+    h2 = TransformHypothesis(control=2, dq=shift, mu=1.0, inliers=np.array([1, 2, 3]))
     out = RansacOutcome(hypotheses=(h1, h2), n=5, gamma_history=(0.4, 0.8))
     cfg = Config(H=2.0)
     state = init_from_hypotheses(m, out, cfg)
@@ -198,8 +198,8 @@ def reference_seeds(m, outcome):
         take = h.inliers[h.support > best[h.inliers]]
         if take.size == 0:
             continue
-        qs[take] = dq8_from_rt(h.transform.R, h.transform.t)
-        mus[take] = h.transform.mu
+        qs[take] = h.dq
+        mus[take] = h.mu
         p[take] = float(h.support)
         best[take] = h.support
     return qs, mus, p
@@ -212,7 +212,8 @@ def test_batched_seeding_bit_identical_to_loop():
     hyps = tuple(
         TransformHypothesis(
             control=int(rows[0]),
-            transform=RigidTransform(R=np.eye(2), t=np.array([float(j), 0.0]), mu=1.0 + j),
+            dq=dq8_from_rt(np.eye(2), np.array([float(j), 0.0])),
+            mu=1.0 + j,
             inliers=np.array(rows, dtype=np.int64),
         )
         for j, rows in enumerate(([0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 1, 2, 3]))
@@ -249,9 +250,9 @@ def test_init_empty_outcome_and_gamma_clamp():
     assert np.all(state.p == 0.0)
     assert np.isclose(state.sigma, cfg.H / 10.0)
     assert np.isclose(state.gamma, 0.05)
-    ident = RigidTransform(R=np.eye(2), t=np.zeros(2), mu=1.0)
+    ident = dq8_from_rt(np.eye(2), np.zeros(2))
     full = RansacOutcome(
-        hypotheses=(TransformHypothesis(control=0, transform=ident, inliers=np.arange(20)),),
+        hypotheses=(TransformHypothesis(control=0, dq=ident, mu=1.0, inliers=np.arange(20)),),
         n=20,
         gamma_history=(1.0,),
     )
@@ -544,7 +545,8 @@ def test_isolated_match_does_not_vouch_for_itself():
     cfg = Config()
     hyp = TransformHypothesis(
         control=1,
-        transform=RigidTransform(R=np.eye(2), t=np.array([2.0, 2.0]), mu=1.0),
+        dq=dq8_from_rt(np.eye(2), np.array([2.0, 2.0])),
+        mu=1.0,
         inliers=np.arange(40, dtype=np.int64),
     )
     outcome = RansacOutcome(hypotheses=(hyp,), n=40, gamma_history=(1.0,))

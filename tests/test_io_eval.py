@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matchfield.cli import main
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
 from matchfield.field import FieldGrid, FieldSample, write_field_csv
 from matchfield.io_eval import (
@@ -507,6 +508,19 @@ def test_save_matches_rejects_a_flag_array_of_another_length(tmp_path):
     with pytest.raises(ValueError, match="one flag per match"):
         save_matches(tmp_path / "m.csv", m, gt=np.ones(3, dtype=bool))
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_match_file_of_no_rows_is_named(tmp_path, capsys, dim):
+    p = tmp_path / "m.csv"
+    p.write_text(f"{dim},0,units\n")
+    message = f"{p}: header declares 0 rows, need at least one match"
+    with pytest.raises(MatchFileError) as e:
+        load_matches(p)
+    assert str(e.value) == message
+    assert main(["filter", "--input", str(p), "--output", str(tmp_path / "l.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "l.csv").exists()
 
 
 @pytest.mark.parametrize("header", ["two,1,units", "2,one,units", "2,1.5,units"])

@@ -11,10 +11,11 @@ from matchfield.core import (
     Config,
     DegenerateGeometryError,
     MatchSet,
-    RigidTransform,
     build_neighbors,
     make_rng,
+    scale_estimate,
 )
+from matchfield.dualquat import dq8_apply, dq8_from_rt
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
@@ -191,9 +192,9 @@ def test_reweight_fit_matches_svd_reference():
         cfg = Config.for_matches(m)
         for o in range(0, m.n, 50):
             R_ref, mu_ref, d_ref, w_ref = svd_reference_reweight(m, o, cfg)
-            rt, d, w = reweight_fit(m, o, cfg)
-            assert np.abs(rt.R - R_ref).max() < 1e-9
-            assert abs(rt.mu - mu_ref) <= 1e-9 * mu_ref
+            (R, _, mu), d, w = reweight_fit(m, o, cfg)
+            assert np.abs(R - R_ref).max() < 1e-9
+            assert abs(mu - mu_ref) <= 1e-9 * mu_ref
             assert np.abs(d - d_ref).max() < 1e-8
             assert np.abs(w - w_ref).max() < 1e-9
 
@@ -321,8 +322,8 @@ def test_reweight_fit_exact_scene():
     rng = make_rng(23)
     m, R, t, mu = similarity_scene(rng, 50, 2)
     cfg = Config()
-    rt, d, w = reweight_fit(m, 3, cfg)
-    assert np.allclose(rt.apply(m.x), m.y, atol=1e-6)
+    (R_fit, t_fit, mu_fit), d, w = reweight_fit(m, 3, cfg)
+    assert np.allclose(mu_fit * (m.x @ R_fit.T + t_fit), m.y, atol=1e-6)
     assert d.max() < 1e-6
     assert np.all(w == 1.0)
 
@@ -335,14 +336,14 @@ def test_reweight_fit_weights_match_final_residuals():
     y[19] += np.array([0.0, -150.0])
     m2 = MatchSet.from_points(m.x, y)
     cfg = Config()
-    rt, d, w = reweight_fit(m2, 0, cfg)
+    (R_fit, _, _), d, w = reweight_fit(m2, 0, cfg)
     # final weights are min(H/d, 1) under the final fit, weight 1 at d = 0
     with np.errstate(divide="ignore"):
         want = np.where(d > 0.0, np.minimum(cfg.H / d, 1.0), 1.0)
     assert np.allclose(w, want)
     assert w[7] < 0.2 and w[19] < 0.2
     # the strays barely perturb the recovered motion
-    assert np.abs(rt.R - R).max() < 1e-3
+    assert np.abs(R_fit - R).max() < 1e-3
 
 
 def test_trial_bound_hand_value():
@@ -464,7 +465,8 @@ def test_ransac_covers_rigid_scene():
     assert out.gamma == 1.0
     assert np.array_equal(out.inlier_union, np.arange(100))
     top = max(out.hypotheses, key=lambda h: h.support)
-    assert np.abs(top.transform.R - R).max() < 1e-6
+    assert np.abs(top.dq - dq8_from_rt(R, t)).max() < 1e-6
+    assert abs(top.mu - mu) < 1e-6
 
 
 def test_ransac_outcome_bookkeeping():
@@ -577,7 +579,7 @@ def reference_labels_from_outcome(m, outcome):
     residual = np.full(n, np.inf)
     min_d = np.full(n, np.inf)
     for h in outcome.hypotheses:
-        d = np.linalg.norm(m.y - h.transform.apply(m.x), axis=1)
+        d = np.linalg.norm(m.y - dq8_apply(h.dq, h.mu, m.x), axis=1)
         min_d = np.minimum(min_d, d)
         take = np.zeros(n, dtype=bool)
         take[h.inliers] = True
@@ -597,7 +599,8 @@ def tied_outcome():
     hyps = tuple(
         TransformHypothesis(
             control=int(rows[0]),
-            transform=RigidTransform(R=np.eye(2), t=np.array([float(j), 0.5]), mu=1.0),
+            dq=dq8_from_rt(np.eye(2), np.array([float(j), 0.5])),
+            mu=1.0,
             inliers=np.array(rows, dtype=np.int64),
         )
         for j, rows in enumerate(([0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 1, 2, 3]))
@@ -622,12 +625,47 @@ def test_owner_is_the_largest_earliest_covering_hypothesis():
 
 
 def test_outcome_stores_only_what_the_run_decided():
-    assert [f.name for f in fields(TransformHypothesis)] == ["control", "transform", "inliers"]
+    assert [f.name for f in fields(TransformHypothesis)] == ["control", "dq", "mu", "inliers"]
     # pool is the control pool's size and graph the kNN graph the pool was
     # read from, which EM reuses; trials is derived, one per gamma entry
     assert [f.name for f in fields(RansacOutcome)] == [
         "hypotheses", "n", "gamma_history", "pool", "graph"]
     assert RansacOutcome(hypotheses=(), n=3, gamma_history=(0.0, 0.0)).trials == 2
+
+
+@pytest.mark.parametrize("scene", ["2d", "3d", "2d-collapsed-targets"])
+def test_kept_motions_are_unit_read_only_and_replay_their_fit(scene, monkeypatch):
+    # a kept motion is checked on the run's own output: a unit dual
+    # quaternion, read-only, that moves every match as its control's fit
+    # does; the run converts all of them in one call, or none
+    m = {"2d": lambda: synth_generate(SynthSpec(n=1000, outlier_ratio=0.7, seed=42))[0],
+         "3d": lambda: surface_scene_3d(693, 0.84, seed=43)[0],
+         "2d-collapsed-targets": lambda: collapsed_targets(2)}[scene]()
+    cfg = Config.for_matches(m, seed=42)
+    calls, convert = [], ransac.dq8_from_rt
+
+    def counted(R, t):
+        calls.append(len(R))
+        return convert(R, t)
+
+    monkeypatch.setattr(ransac, "dq8_from_rt", counted)
+    out = ransac_run(m, cfg)
+    if scene.endswith("collapsed-targets"):
+        assert out.hypotheses == () and out.trials > 0 and calls == []
+        return
+    assert len(out.hypotheses) >= 2 and calls == [len(out.hypotheses)]
+    s = scale_estimate(m)
+    for h in out.hypotheses:
+        real, dual = h.dq[:4], h.dq[4:]
+        assert h.dq.shape == (8,) and h.dq.dtype == np.float64
+        assert abs(math.sqrt(real @ real) - 1.0) <= 1e-12
+        assert abs(real @ dual) <= 1e-12
+        assert not h.dq.flags.writeable
+        with pytest.raises(ValueError):
+            h.dq[0] = 1.0
+        (R, t, mu), _, _ = reweight_fit(m, h.control, cfg)
+        assert h.mu == mu
+        assert np.abs(dq8_apply(h.dq, h.mu, m.x) - mu * (m.x @ R.T + t)).max() <= 1e-9 * s
 
 
 @pytest.mark.parametrize("scene", ["ties", "2d", "2d-3000", "3d"])
@@ -764,10 +802,12 @@ def reference_run(m, cfg):
         except DegenerateGeometryError:
             gamma_history.append(gamma)
             continue
-        rt = RigidTransform(R=R, t=m.y[o] / mu - R @ m.x[o], mu=mu)
         inl = np.nonzero(d < cfg.H)[0]
         if inl.size >= t_acc:
-            hyps.append(TransformHypothesis(control=o, transform=rt, inliers=inl.astype(np.int64)))
+            # one motion at a time: the run's stacked conversion must give
+            # each motion these bits
+            dq = dq8_from_rt(R, m.y[o] / mu - R @ m.x[o])
+            hyps.append(TransformHypothesis(control=o, dq=dq, mu=mu, inliers=inl.astype(np.int64)))
             inlier_mask[inl] = True
         gamma_history.append(float(inlier_mask.sum()) / n)
     union = np.nonzero(inlier_mask)[0].astype(np.int64)
@@ -809,9 +849,8 @@ def test_lean_loop_reproduces_the_reference_run(name):
     assert len(out.hypotheses) == len(ref.hypotheses)
     for h, g in zip(out.hypotheses, ref.hypotheses):
         assert h.control == g.control and h.support == g.support == h.inliers.size
-        assert h.transform.R.tobytes() == g.transform.R.tobytes()
-        assert h.transform.t.tobytes() == g.transform.t.tobytes()
-        assert h.transform.mu == g.transform.mu
+        assert h.dq.tobytes() == g.dq.tobytes()
+        assert h.mu == g.mu
         assert h.inliers.dtype == g.inliers.dtype and h.inliers.tobytes() == g.inliers.tobytes()
     assert out.pool == np.count_nonzero(reference_pool(m, cfg, acceptance_threshold(m, cfg)))
     if name.endswith("collapsed-targets"):
@@ -952,9 +991,8 @@ def test_3d_run_needs_no_numpy_svd(monkeypatch):
     assert len(out.hypotheses) == len(ref.hypotheses) > 0
     for h, g in zip(out.hypotheses, ref.hypotheses):
         assert h.control == g.control and h.inliers.tobytes() == g.inliers.tobytes()
-        assert h.transform.R.tobytes() == g.transform.R.tobytes()
-        assert h.transform.t.tobytes() == g.transform.t.tobytes()
-        assert h.transform.mu == g.transform.mu
+        assert h.dq.tobytes() == g.dq.tobytes()
+        assert h.mu == g.mu
 
 
 @pytest.mark.parametrize("with_hypotheses", [False, True], ids=["empty", "hypotheses"])

@@ -4,7 +4,7 @@ function the package no longer has."""
 import re
 from pathlib import Path
 
-from matchfield import Config, ransac_run
+from matchfield import Config, ransac_run, reweight_fit
 from matchfield.io_eval import SynthSpec, synth_generate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -16,7 +16,8 @@ def test_every_readme_python_block_runs():
     # the names the blocks leave open: a small scene's matches x -> y and
     # one scaled rigid motion R, t, mu that RANSAC finds in it
     m, _ = synth_generate(SynthSpec(n=200, outlier_ratio=0.3, seed=5))
-    motion = ransac_run(m, Config.for_matches(m, seed=5)).hypotheses[0].transform
-    scene = {"x": m.x, "y": m.y, "R": motion.R, "t": motion.t, "mu": motion.mu}
+    cfg = Config.for_matches(m, seed=5)
+    (R, t, mu), _, _ = reweight_fit(m, ransac_run(m, cfg).hypotheses[0].control, cfg)
+    scene = {"x": m.x, "y": m.y, "R": R, "t": t, "mu": mu}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), dict(scene))
