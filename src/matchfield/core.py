@@ -4,10 +4,10 @@ Everything downstream (the RANSAC stage, the EM refinement, field queries)
 consumes the value types defined here. All of them are immutable after
 construction; the arrays they hold are marked read-only so accidental
 mutation fails loudly. The k-nearest-neighbor graph lives here because a
-run builds it once and both stages read it: RANSAC picks its controls from
-it, EM blends over it. The graph is what the kd-tree query returns, the
-neighbor indices and source distances; it holds no weights, so one graph
-serves any radius r.
+run makes one kd-tree query and both stages read its answer: RANSAC picks
+its controls from the first 16 neighbors, EM blends over the first
+N_neighbor. The graph is the neighbor indices and source distances; it
+holds no weights, so one graph serves any radius r.
 """
 
 from __future__ import annotations
@@ -122,6 +122,16 @@ class MatchSet:
         return cls(dim=int(x.shape[1]), x=x, y=y)
 
 
+def check_count(name: str, v, least: int, error=ValueError) -> None:
+    """Raise error naming the field name unless v is a Python or numpy
+    integer of at least least. A bool or a float of integral value is no
+    integer here, so neither stands in for a count or a seed."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {v!r}")
+    if v < least:
+        raise error(f"{name} must be >= {least}, got {v}")
+
+
 def small_det(a: FloatArray) -> float:
     """Determinant of a 3x3 matrix by cofactor expansion.
 
@@ -195,17 +205,14 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, least in (("T_min", 1), ("N_neighbor", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), least, ConfigError)
         for name in ("H", "r", "a", "theta"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive, got {v}")
         if not (0.0 < self.p_min < 1.0):
             raise ConfigError(f"p_min must lie in (0, 1), got {self.p_min}")
-        for name in ("T_min", "N_neighbor"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
@@ -236,23 +243,15 @@ class NeighborGraph:
 
     idx is (n, k) with column 0 the match itself, and dist holds the source
     distances |x_j - x_i| per (match, neighbor), so column 0 is 0. The
-    weights that blend over the graph (em_refine.blend_neighbors) are
-    formed from dist by whoever blends, so the graph reads no setting but
-    N_neighbor. matches and N_neighbor record what build_neighbors built
-    the graph from; a graph made by hand has no matches and is never taken
-    for a build.
+    width k is the graph's one setting; the weights that blend over it
+    (em_refine.blend_neighbors) are formed from dist by whoever blends.
+    matches records the match set build_neighbors built the graph from; a
+    graph made by hand has none and is never taken for a build.
     """
 
     idx: IntArray
     dist: FloatArray
     matches: MatchSet | None = field(default=None, repr=False, compare=False)
-    N_neighbor: int = 0
-
-    def built_for(self, m: MatchSet, cfg: Config) -> bool:
-        """Whether build_neighbors(m, cfg) would return this graph: built on
-        this very match set (matches are immutable, so identity settles it)
-        with cfg's N_neighbor, the only setting the graph reads."""
-        return self.matches is m and self.N_neighbor == cfg.N_neighbor
 
 
 def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
@@ -261,8 +260,9 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
     Uses N_neighbor neighbors plus the match itself; with n <= N_neighbor
     every other match is a neighbor. The indices and distances are the
     kd-tree query's, so dist is bit-identical to the square root of the
-    summed squared source differences. A run builds the graph once, before
-    RANSAC, and EM reuses it; it never changes.
+    summed squared source differences. A run builds its graph once, before
+    RANSAC, wide enough for the control pool and for EM, which blends over
+    its leading columns; it never changes.
     """
     n = m.n
     if n == 1:
@@ -283,7 +283,7 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
     # the outcome and every EM state on it share these arrays
     for a in (idx, dist):
         a.setflags(write=False)
-    return NeighborGraph(idx=idx, dist=dist, matches=m, N_neighbor=cfg.N_neighbor)
+    return NeighborGraph(idx=idx, dist=dist, matches=m)
 
 
 # Config field name -> its annotated type, int or float

@@ -92,20 +92,24 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     inlier prior gamma is the RANSAC cover fraction clamped to
     [0.05, 0.95] and stays fixed for the whole EM run.
 
-    The state takes the outcome's kNN graph when it was built for m and
-    cfg.N_neighbor (NeighborGraph.built_for), whatever cfg.r is, since the
-    graph holds distances, not weights; otherwise it builds one with
-    build_neighbors, the same function.
+    The state reads the first min(N_neighbor, n - 1) + 1 columns of the
+    outcome's graph as views when build_neighbors built it on this very
+    match set (identity, as matches are immutable) at least that wide,
+    whatever cfg.r is. They hold what build_neighbors(m, cfg) finds, up
+    to which of the sources tied at one distance come first. A hand-made,
+    foreign, too narrow or missing graph is replaced by that build.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
     ValueError.
     """
     owner = outcome.owner_for(m)
-    graph = outcome.graph
-    if graph is None or not graph.built_for(m, cfg):
-        graph = build_neighbors(m, cfg)
     n = m.n
+    k = min(cfg.N_neighbor, n - 1) + 1
+    g = outcome.graph
+    if g is None or g.matches is not m or g.idx.shape[1] < k:
+        g = build_neighbors(m, cfg)
+    graph = NeighborGraph(idx=g.idx[:, :k], dist=g.dist[:, :k], matches=m)
     qs = dq8_identity(n)
     mus = np.ones(n)
     p = np.zeros(n)
@@ -236,9 +240,9 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
     Iterations stop when the mean absolute posterior change drops below
     theta, or at MAX_EM_ITERS with the converged flag left false. A match
     ends up an inlier when its final posterior exceeds p_min and its field
-    residual stays below H. The kNN graph is the one RANSAC built for the
-    same matches and settings, carried on the outcome, or a fresh build
-    (see init_from_hypotheses).
+    residual stays below H. The kNN graph is the leading N_neighbor columns
+    of the one RANSAC built on the same matches, carried on the outcome, or
+    a fresh build (see init_from_hypotheses).
     """
     state = init_from_hypotheses(m, outcome, cfg)
     p_prev: FloatArray | None = None

@@ -28,7 +28,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import (COORD_RULE, BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners,
-                   coords_in_range, make_rng)
+                   check_count, coords_in_range, make_rng)
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 
 
@@ -309,23 +309,21 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
+        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.bounds is None:
             box = ((0.0, 0.0), (800.0, 600.0)) if self.dim == 2 else ((0.0,) * 3, (100.0,) * 3)
             object.__setattr__(self, "bounds", box)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        for name, least in (("n", 1), ("n_anchors", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), least)
         if not (0.0 <= self.outlier_ratio < 1.0):
             raise ValueError("outlier_ratio must lie in [0, 1)")
-        if self.n_anchors < 1:
-            raise ValueError("n_anchors must be >= 1")
         if not (0.0 <= self.max_scale_jitter < 1.0):
             raise ValueError("max_scale_jitter must lie in [0, 1)")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("max_rotation", "noise_sigma"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be finite and non-negative, got {v}")
         mins, maxs = box_corners(self.bounds, self.dim)
         if not (maxs > mins).all():
             raise ValueError("bounds must have positive extent on every axis")

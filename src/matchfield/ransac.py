@@ -11,15 +11,16 @@ multi-hypothesis cover of a non-rigid scene. The kept motions leave the run
 as unit dual quaternions with a scale, in the one (..., 8) layout of
 dualquat: they are the initial values of EM's blended field.
 
-Controls are not drawn from all n matches. A run first builds the kNN graph
-over the sources (core.build_neighbors), the one EM blends over, and opens
-only the matches that keep their distances to near neighbors: a wrong match
-rarely agrees with two of its 16 nearest neighbors (control_pool). This is
-the neighborhood-preservation test of LPM (Ma et al., IJCV 2019) used only
-as a prior on which controls are drawn, as in PROSAC (Chum & Matas, CVPR
-2005); every kept motion still scores every match, and EM still decides
-the labels. The graph travels to EM on the outcome, so a run builds it
-once.
+Controls are not drawn from all n matches. A run first builds one kNN
+graph over the sources (core.build_neighbors), max(N_neighbor, 16)
+neighbors wide, and opens only the matches that keep their distances to
+near neighbors: a wrong match rarely agrees with two of its 16 nearest
+neighbors (control_pool). This is the neighborhood-preservation test of
+LPM (Ma et al., IJCV 2019) used only as a prior on which controls are
+drawn, as in PROSAC (Chum & Matas, CVPR 2005); every kept motion still
+scores every match, and EM still decides the labels. The graph travels to
+EM on the outcome, which blends over its first N_neighbor neighbors, so a
+run makes one kd-tree query.
 
 A motion is kept only when chance cannot explain its support (the a
 contrario rule of Moisan & Stival, IJCV 2004). A wrong match lands within H
@@ -134,8 +135,9 @@ class RansacOutcome:
     """What a run decided: the kept hypotheses in the order they were
     found, the match count n, gamma after each trial, the size of the
     control pool the trials drew from, and the run's kNN graph of
-    N_neighbor neighbors, which EM reuses (None in an outcome made by
-    hand).
+    max(N_neighbor, POOL_COLUMNS) neighbors (every other match when n is
+    smaller), whose leading columns EM blends over (None in an outcome
+    made by hand).
 
     Everything else is derived from these. trials is the length of
     gamma_history, one entry per trial; owner names the motion that owns
@@ -237,14 +239,10 @@ def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> 
     side is computed here. The pool holds the matches scoring at least
     POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept motion's
     control need not keep more neighbors than the motion has other
-    inliers. The pool does not depend on N_neighbor: a graph with fewer
-    than POOL_COLUMNS other columns is read whole only when it holds every
-    other match (n <= POOL_COLUMNS); otherwise the score reads a
-    POOL_COLUMNS graph built for it alone, and graph stays what EM blends
-    over.
+    inliers. graph holds POOL_COLUMNS neighbors, or every other match when
+    n is smaller: ransac_run builds it that wide whatever N_neighbor is,
+    so the pool does not depend on N_neighbor.
     """
-    if graph.idx.shape[1] - 1 < min(POOL_COLUMNS, m.n - 1):
-        graph = build_neighbors(m, replace(cfg, N_neighbor=POOL_COLUMNS))
     cols = slice(1, POOL_COLUMNS + 1)
     # a contiguous copy gathers about twice as fast as the strided view
     stretch = np.sqrt(neighbor_sq_dists(m.y, np.ascontiguousarray(graph.idx[:, cols])))
@@ -465,9 +463,10 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config):
 def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     """Extract locally rigid motions until the confidence bound is met.
 
-    The run first builds the kNN graph (core.build_neighbors) and opens
-    the control pool from it (control_pool): the matches that keep their
-    distances to at least two of their 16 nearest source neighbors.
+    The run first builds its one kNN graph (core.build_neighbors),
+    max(N_neighbor, POOL_COLUMNS) neighbors wide, and opens the control
+    pool from it (control_pool): the matches that keep their distances to
+    at least two of their 16 nearest source neighbors.
     Controls are drawn uniformly from pooled matches that no accepted
     hypothesis covers yet, and each control is tried at most once (a trial
     is deterministic in the control, so retrying one is pointless), so a
@@ -482,16 +481,17 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
 
     At the end of the run one batched dq8_from_rt call turns the kept
     motions into the dualquat rows EM seeds from. The outcome records the
-    pool size and carries the graph, which run_em reuses for the same
-    matches and settings. With nothing but outliers the outcome is empty:
-    no hypotheses and gamma = 0.
+    pool size and carries the graph; run_em on the same match set blends
+    over its first N_neighbor neighbors and queries no kd-tree. With
+    nothing but outliers the outcome is empty: no hypotheses and
+    gamma = 0.
     """
     n = m.n
     if n < cfg.T_min:
         raise DegenerateGeometryError(
             f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
         )
-    graph = build_neighbors(m, cfg)
+    graph = build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, POOL_COLUMNS)))
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)

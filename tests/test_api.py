@@ -134,11 +134,11 @@ def test_every_traced_layer_is_called_through_its_module(tmp_path, monkeypatch):
     assert cli.main(["filter", "--input", str(tmp_path / "scene.csv"),
                      "--output", str(tmp_path / "labels.csv")]) == 0
     # the run's graph comes from ransac_run through core.build_neighbors, so
-    # EM's own build_neighbors runs only when the outcome's graph does not
-    # serve it (its traced span reads 0 on the benchmark)
+    # EM's own build_neighbors runs only when the outcome carries no graph
+    # it can read (its traced span reads 0 on the benchmark)
     assert {key for key, args in calls.items() if not args} == {
         "matchfield.em_refine.build_neighbors"}
-    em_refine.run_em(m, outcome, replace(cfg, N_neighbor=9))
+    em_refine.run_em(m, replace(outcome, graph=None), cfg)
     assert calls["matchfield.em_refine.build_neighbors"]
     # the blend counter unpacks (weights, motions)
     assert all(len(args) == 2 for args in calls["matchfield.em_refine.dq8_blend"])

@@ -626,6 +626,17 @@ def test_synth_names_a_box_near_the_bound_whose_targets_leave_it(tmp_path, capsy
     assert "match" not in err and not synth.exists()
 
 
+@pytest.mark.parametrize("flag, name", [("--max-rotation", "max_rotation"),
+                                        ("--noise-sigma", "noise_sigma")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_synth_rejects_a_non_finite_or_negative_rotation_or_noise(tmp_path, capsys, flag, name, value):
+    synth = tmp_path / "s.csv"
+    assert main(["synth", "--output", str(synth), "--n", "50", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name} must be finite and non-negative, got {float(value)}\n"
+    assert not synth.exists()
+
+
 def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monkeypatch):
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
     calls = _count_stage_calls(monkeypatch)

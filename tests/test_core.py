@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_config_rejects_out_of_range():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("name", ["T_min", "N_neighbor", "seed"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, False, np.float64(9.0), "9"])
+def test_config_rejects_integer_fields_given_as_other_types(name, value):
+    # Config(seed=1.5) once failed in numpy's SeedSequence, N_neighbor=2.5
+    # ran a kd-tree query for 3.5 neighbors and N_neighbor=True ran as 1
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        Config(**{name: value})
+
+
+def test_config_takes_python_and_numpy_integers():
+    cfg = Config(T_min=np.int64(6), N_neighbor=np.int32(9), seed=np.uint64(4))
+    assert (cfg.T_min, cfg.N_neighbor, cfg.seed) == (6, 9, 4)
+    with pytest.raises(ConfigError, match="N_neighbor must be >= 1, got 0"):
+        Config(N_neighbor=np.int64(0))
 
 
 def test_config_scale_adaptation():

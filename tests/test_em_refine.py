@@ -593,39 +593,70 @@ def graph_bytes(g):
     return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.dist)]
 
 
-def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings():
+def count_builds(monkeypatch):
+    """The module of every build_neighbors call the pipeline makes, looked
+    up through ransac.build_neighbors and em_refine.build_neighbors."""
+    calls = []
+    for mod in (ransac, em_refine):
+        def counted(m, cfg, build=mod.build_neighbors, name=mod.__name__):
+            calls.append(name)
+            return build(m, cfg)
+        monkeypatch.setattr(mod, "build_neighbors", counted)
+    return calls
+
+
+def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings(monkeypatch):
     m, _ = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=21))
     cfg = Config(seed=21)
     outcome = ransac_run(m, cfg)
-    assert outcome.graph.built_for(m, cfg)
     bare = replace(outcome, graph=None)
-    labels, state = run_em(m, outcome, cfg)
-    assert state.graph is outcome.graph
-    assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, cfg))
-    # the graph holds distances, not weights, so another r reuses it with
-    # the bytes of a fresh build
-    for r in (35.0, 80.0):
-        other_cfg = replace(cfg, r=r)
-        assert outcome.graph.built_for(m, other_cfg)
+    calls = count_builds(monkeypatch)
+    # the graph holds distances, not weights, so another r reads it too, and
+    # a narrower N_neighbor reads its leading columns as views: no build,
+    # and the bytes of a fresh build
+    for other_cfg in (cfg, replace(cfg, r=35.0), replace(cfg, r=80.0),
+                      replace(cfg, N_neighbor=9), replace(cfg, N_neighbor=1)):
         labels, state = run_em(m, outcome, other_cfg)
-        assert state.graph is outcome.graph
+        assert calls == []
+        assert state.graph.idx.shape == (m.n, other_cfg.N_neighbor + 1)
+        assert np.shares_memory(state.graph.idx, outcome.graph.idx)
+        assert np.shares_memory(state.graph.dist, outcome.graph.dist)
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, other_cfg))
         assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, other_cfg))
-    # another N_neighbor, another match set of the same n, and an equal copy
-    # of m (identity, not content, ties a graph to its matches) each get a
-    # fresh build, with the bytes of a run that never had a graph
+        calls.clear()
+    # a wider N_neighbor than the graph holds, another match set of the same
+    # n, an equal copy of m (identity, not content, ties a graph to its
+    # matches) and no graph each get a fresh build, with the bytes of a run
+    # that never had a graph
     same_n, _ = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=22))
     copy = MatchSet.from_points(m.x.copy(), m.y.copy())
-    for other_m, other_cfg in ((m, replace(cfg, N_neighbor=9)), (same_n, cfg), (copy, cfg)):
-        labels, state = run_em(other_m, outcome, other_cfg)
-        assert state.graph is not outcome.graph and state.graph.built_for(other_m, other_cfg)
+    for other_m, other_cfg, out in ((m, replace(cfg, N_neighbor=24), outcome), (same_n, cfg, outcome),
+                                    (copy, cfg, outcome), (m, cfg, bare)):
+        labels, state = run_em(other_m, out, other_cfg)
+        assert calls == ["matchfield.em_refine"]
+        assert not np.shares_memory(state.graph.idx, outcome.graph.idx)
+        assert state.graph.matches is other_m
         assert graph_bytes(state.graph) == graph_bytes(build_neighbors(other_m, other_cfg))
         assert em_bytes(labels, state) == em_bytes(*run_em(other_m, bare, other_cfg))
+        calls.clear()
 
 
-def test_a_hand_made_graph_is_never_taken_for_a_build():
+def test_a_hand_made_graph_is_never_taken_for_a_build(monkeypatch):
+    # a graph made by hand records no matches, so EM builds its own, even
+    # when the hand-made one holds the very arrays of a build
     m = synth_generate(SynthSpec(n=30, outlier_ratio=0.0, seed=4))[0]
-    g = build_neighbors(m, Config())
-    assert not NeighborGraph(idx=g.idx, dist=g.dist).built_for(m, Config())
+    cfg = Config(seed=4)
+    outcome = ransac_run(m, cfg)
+    g = outcome.graph
+    calls = count_builds(monkeypatch)
+    for hand_made in (NeighborGraph(idx=g.idx, dist=g.dist),
+                      NeighborGraph(idx=np.arange(m.n, dtype=np.int64)[:, None], dist=np.zeros((m.n, 1)))):
+        labels, state = run_em(m, replace(outcome, graph=hand_made), cfg)
+        assert calls == ["matchfield.em_refine"]
+        assert state.graph is not hand_made and state.graph.matches is m
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, cfg))
+        assert em_bytes(labels, state) == em_bytes(*run_em(m, outcome, cfg))
+        calls.clear()
 
 
 def spy_blend_weights(monkeypatch):
@@ -669,12 +700,7 @@ def test_m_step_and_field_queries_weigh_through_the_one_rule(monkeypatch):
 def test_a_run_builds_the_neighbor_graph_once(path, monkeypatch):
     # RANSAC builds the graph and hands it to EM on the outcome, also when a
     # caller passes only the outcome between the stages
-    calls = []
-    for mod in (ransac, em_refine):
-        def counted(m, cfg, build=mod.build_neighbors, name=mod.__name__):
-            calls.append(name)
-            return build(m, cfg)
-        monkeypatch.setattr(mod, "build_neighbors", counted)
+    calls = count_builds(monkeypatch)
     m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=23))
     cfg = Config(seed=23)
     if path == "filter_and_refine":
@@ -682,6 +708,27 @@ def test_a_run_builds_the_neighbor_graph_once(path, monkeypatch):
     else:
         run_em(m, ransac.ransac_run(m, cfg), cfg)
     assert calls == ["matchfield.ransac"]
+
+
+@pytest.mark.parametrize("dim,n_neighbor", [(2, 1), (2, 9), (2, 16), (3, 9), (3, 50)])
+def test_one_kd_query_per_run_whatever_n_neighbor(dim, n_neighbor, monkeypatch):
+    # the run's one graph is max(N_neighbor, 16) wide: the control pool
+    # reads its first 16 columns and builds nothing, EM its first N_neighbor
+    if dim == 2:
+        m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25))
+    else:
+        m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25, **ACCEPTANCE_3D))
+    cfg = Config.for_matches(m, seed=25, N_neighbor=n_neighbor)
+    calls = count_builds(monkeypatch)
+    labels, state, outcome = filter_and_refine(m, cfg)
+    assert calls == ["matchfield.ransac"]
+    assert outcome.graph.idx.shape == (m.n, max(n_neighbor, ransac.POOL_COLUMNS) + 1)
+    assert state.graph.idx.shape == (m.n, n_neighbor + 1)
+    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, cfg))
+    calls.clear()
+    # the same labels and EM state as EM on a graph of its own
+    assert em_bytes(labels, state) == em_bytes(*run_em(m, replace(outcome, graph=None), cfg))
+    assert calls == ["matchfield.em_refine"]
 
 
 def test_em_stops_at_the_iteration_cap(monkeypatch):

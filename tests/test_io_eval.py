@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -220,6 +221,35 @@ def test_synth_spec_validation():
     # finite corners whose extent overflows a float break the coordinate rule
     with pytest.raises(ValueError, match=r"bounds must be finite and at most 1e\+145"):
         SynthSpec(bounds=((-1e308, -1e308), (1e308, 1e308)))
+
+
+@pytest.mark.parametrize("name", ["max_rotation", "noise_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.5, -1e-300])
+def test_synth_spec_rejects_a_non_finite_or_negative_rotation_or_noise(name, value):
+    # nan once passed the noise check and meant no noise; inf and negative
+    # rotations ended in numpy errors when the scene was drawn
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and non-negative, got {value}")):
+        SynthSpec(**{name: value})
+    # zero is legal: a rigid scene, or one without noise
+    assert getattr(SynthSpec(**{name: 0.0}), name) == 0.0
+
+
+@pytest.mark.parametrize("name", ["n", "dim", "n_anchors", "seed"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, np.float64(3.0)])
+def test_synth_spec_rejects_integer_fields_given_as_floats_or_bools(name, value):
+    # n=2.5 once ended in numpy's "'float' object cannot be interpreted as
+    # an integer", and dim=2.0 passed as 2
+    want = f"dim must be 2 or 3, got {value}" if name == "dim" else f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        SynthSpec(**{name: value})
+
+
+def test_synth_spec_takes_python_and_numpy_integers():
+    plain = synth_generate(SynthSpec(n=40, dim=3, n_anchors=2, seed=7))
+    spec = SynthSpec(n=np.int64(40), dim=np.int32(3), n_anchors=np.uint8(2), seed=np.int64(7))
+    m, gt = synth_generate(spec)
+    assert m.x.tobytes() == plain[0].x.tobytes() and m.y.tobytes() == plain[0].y.tobytes()
+    assert gt.tolist() == plain[1].tolist()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -16,7 +16,7 @@ from matchfield.core import (
     scale_estimate,
 )
 from matchfield.dualquat import dq8_apply, dq8_from_rt
-from matchfield.em_refine import filter_and_refine
+from matchfield.em_refine import filter_and_refine, run_em
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     ALPHA,
@@ -30,6 +30,8 @@ from matchfield.ransac import (
     trial_bound,
     weighted_rigid_fit,
 )
+
+from test_em_refine import graph_bytes
 
 
 def svd_reference_fit(xr, yr, w):
@@ -1009,8 +1011,13 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
         labels_from_outcome(other, out, Config())
 
 
+def run_graph(m, cfg):
+    """The graph ransac_run builds: max(N_neighbor, POOL_COLUMNS) wide."""
+    return build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, ransac.POOL_COLUMNS)))
+
+
 def pool_of(m, cfg):
-    return ransac.control_pool(m, build_neighbors(m, cfg), cfg, acceptance_threshold(m, cfg))
+    return ransac.control_pool(m, run_graph(m, cfg), cfg, acceptance_threshold(m, cfg))
 
 
 def with_wrong_targets(m, wrong, shift):
@@ -1130,8 +1137,9 @@ def rigid_scene_with_wrong_targets(n, dim, wrong_ratio, seed):
 def test_pool_does_not_depend_on_n_neighbor(dim, n_neighbor):
     # a graph of one other column would give every match a score of at most
     # 1 and an empty pool, and one of 9 a narrower pool than the columns
-    # were measured on: the pool reads POOL_COLUMNS neighbors whatever
-    # N_neighbor, while EM keeps the N_neighbor graph
+    # were measured on: the run's one graph is POOL_COLUMNS wide whatever
+    # N_neighbor, the pool reads it, and EM blends over its first
+    # N_neighbor columns
     m, n_wrong = rigid_scene_with_wrong_targets(400, dim, 0.5, seed=30 + dim)
     cfg = Config.for_matches(m, seed=0, H=2.0) if dim == 2 else Config.for_matches(m, seed=0)
     narrow = replace(cfg, N_neighbor=n_neighbor)
@@ -1142,10 +1150,13 @@ def test_pool_does_not_depend_on_n_neighbor(dim, n_neighbor):
                           np.isin(np.arange(m.n), pool))
     out = ransac_run(m, narrow)
     assert out.pool == pool.size and out.hypotheses
-    assert out.graph.built_for(m, narrow) and out.graph.idx.shape == (m.n, n_neighbor + 1)
+    assert out.graph.matches is m and out.graph.idx.shape == (m.n, ransac.POOL_COLUMNS + 1)
+    assert graph_bytes(out.graph) == graph_bytes(run_graph(m, narrow))
     assert np.isin(np.arange(n_wrong, m.n), out.inlier_union).all()
-    labels, _, _ = filter_and_refine(m, narrow)
+    labels, state = run_em(m, out, narrow)
+    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, narrow))
     assert labels.inlier[n_wrong:].all()
+    assert labels.inlier.tolist() == filter_and_refine(m, narrow)[0].inlier.tolist()
 
 
 def test_controls_come_from_the_pool():
@@ -1154,5 +1165,6 @@ def test_controls_come_from_the_pool():
     pool = pool_of(m, cfg)
     out = ransac_run(m, cfg)
     assert out.pool == pool.size < m.n
-    assert out.graph.built_for(m, cfg)
+    assert out.graph.matches is m
+    assert graph_bytes(out.graph) == graph_bytes(build_neighbors(m, cfg))
     assert np.isin([h.control for h in out.hypotheses], pool).all()
