@@ -54,7 +54,6 @@ GRID_STEP = 50.0
 _CONFIG_FLAGS = (
     ("--H", "H", float, "inlier residual threshold"),
     ("--r", "r", float, "neighborhood radius"),
-    ("--a", "a", float, "uniform outlier density"),
     ("--p-min", "p_min", float, "posterior threshold for inliers"),
     ("--theta", "theta", float, "EM termination threshold"),
     ("--t-min", "T_min", int, "floor on the support a RANSAC motion needs"),

@@ -5,7 +5,7 @@ consumes the value types defined here. All of them are immutable after
 construction; the arrays they hold are marked read-only so accidental
 mutation fails loudly. The k-nearest-neighbor graph lives here because a
 run makes one kd-tree query and both stages read its answer: RANSAC picks
-its controls from the first 16 neighbors, EM blends over the first
+its controls from the first POOL_COLUMNS neighbors, EM blends over the first
 N_neighbor. The graph is the neighbor indices and source distances; it
 holds no weights, so one graph serves any radius r.
 """
@@ -58,6 +58,14 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+# near source neighbors (columns 1..POOL_COLUMNS of the kNN graph) whose
+# distances a control's score reads (ransac.control_pool), in 2D and in 3D.
+# 16 is the whole 2D graph. The 3D graph has 50, but over all 50 a wrong
+# match finds two consistent neighbors by chance far more often: on the 3D
+# benchmark scenes (629/0.76, 1784/0.39, 693/0.16 inliers) the first 16 cut
+# mean trials from 69/459/321 to 12/32/38, all 50 only to 56/276/314
+POOL_COLUMNS = 16
+
 # largest coordinate magnitude the package takes in, in match files, match
 # sets, synthetic and lattice boxes and query points. Squared distances
 # between any two such points then stay below 1.2e291, and the fits, the
@@ -94,7 +102,7 @@ class MatchSet:
     y: FloatArray
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
+        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
@@ -183,7 +191,6 @@ class Config:
     H           inlier residual threshold
     T_min       floor on the support a RANSAC hypothesis needs
     r           radius of the Gaussian distance weights of the blend
-    a           uniform outlier density of the mixture model
     p_min       posterior threshold for the final inlier label
     theta       EM termination threshold on mean posterior change
     N_neighbor  neighbors used for blending and field queries
@@ -192,13 +199,15 @@ class Config:
     These are exactly the settings the filter and field flags and the
     config file set. Values no caller sets are module constants beside the
     code that reads them: ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P and
-    em_refine.MAX_EM_ITERS.
+    em_refine.MAX_EM_ITERS. The mixture's uniform outlier density is no
+    setting either: em_refine.e_step takes it from the data, as the inverse
+    volume of the targets' bounding box padded by H
+    (ransac.padded_box_fraction).
     """
 
     H: float = 20.0
     T_min: int = 5
     r: float = 50.0
-    a: float = 1e-5
     p_min: float = 0.5
     theta: float = 0.005
     N_neighbor: int = 16
@@ -207,9 +216,10 @@ class Config:
     def __post_init__(self) -> None:
         for name, least in (("T_min", 1), ("N_neighbor", 1), ("seed", 0)):
             check_count(name, getattr(self, name), least, ConfigError)
-        for name in ("H", "r", "a", "theta"):
+        for name in ("H", "r", "theta"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+            # bool is an int subclass, so True would pass as 1
+            if isinstance(v, bool) or not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive, got {v}")
         if not (0.0 < self.p_min < 1.0):
             raise ConfigError(f"p_min must lie in (0, 1), got {self.p_min}")
@@ -219,12 +229,10 @@ class Config:
         """The one builder of a run's config: defaults, rescaled to m's
         spatial scale s = scale_estimate(m) when m is 3D, then overrides.
 
-        3D inputs have no pixel grid, so H becomes 0.1 s, r becomes 0.3 s,
-        the outlier density a becomes 20 / s^2 and the neighborhood grows
-        to 50. a goes as 1 / s^2 because the E-step weighs the Gaussian
-        likelihood against the uniform term 2 pi sigma^2 a (1 - gamma) /
-        gamma, and sigma grows with s: only then does a change of units
-        leave every posterior, and so every label, unchanged.
+        3D inputs have no pixel grid, so H becomes 0.1 s, r becomes 0.3 s
+        and the neighborhood grows to 50. Every other length the run uses
+        (sigma, the targets' padded box) comes from the data, so a change
+        of units leaves every posterior, and so every label, unchanged.
 
         The CLI passes its config-file values updated with its flags as the
         overrides.
@@ -232,7 +240,7 @@ class Config:
         scaled = {}
         if m.dim == 3:
             s = scale_estimate(m)
-            scaled = dict(H=0.1 * s, r=0.3 * s, a=20.0 / (s * s), N_neighbor=50)
+            scaled = dict(H=0.1 * s, r=0.3 * s, N_neighbor=50)
         return cls(**{**scaled, **overrides})
 
 
@@ -257,19 +265,23 @@ class NeighborGraph:
 def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
     """k-nearest neighbors by source-side distance, self in column 0.
 
-    Uses N_neighbor neighbors plus the match itself; with n <= N_neighbor
-    every other match is a neighbor. The indices and distances are the
-    kd-tree query's, so dist is bit-identical to the square root of the
-    summed squared source differences. A run builds its graph once, before
-    RANSAC, wide enough for the control pool and for EM, which blends over
-    its leading columns; it never changes.
+    Uses max(N_neighbor, POOL_COLUMNS) neighbors plus the match itself, wide
+    enough for the control pool and for EM, which blends over its leading
+    N_neighbor columns; with fewer matches every other match is a
+    neighbor. This is the one width any graph is built at: among sources
+    tied at one distance the kd-tree keeps other neighbors at another
+    width, so a narrower build would let EM's result depend on who built
+    its graph. The indices and distances are the kd-tree query's, so dist
+    is bit-identical to the square root of the summed squared source
+    differences. A run builds its graph once, before RANSAC; it never
+    changes.
     """
     n = m.n
     if n == 1:
         idx = np.zeros((1, 1), dtype=np.int64)
         dist = np.zeros((1, 1))
     else:
-        dist, idx = cKDTree(m.x).query(m.x, k=min(cfg.N_neighbor, n - 1) + 1)
+        dist, idx = cKDTree(m.x).query(m.x, k=min(max(cfg.N_neighbor, POOL_COLUMNS), n - 1) + 1)
         idx = idx.astype(np.int64)
         # the kd-tree breaks distance ties arbitrarily; force self into
         # column 0 so blending always sees the match's own motion. Only

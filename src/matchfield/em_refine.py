@@ -7,9 +7,11 @@ motion g_i = (q_i, mu_i), seeded from the motion that covers it, the field
 at a match is the distance-weighted blend of its neighbors' motions, and an
 EM loop alternates between re-estimating the field (M-step) and re-scoring
 how likely each match is to be an inlier under a Gaussian-plus-uniform
-mixture (E-step). Outliers lose influence through their posterior, so the
-field they would drag along snaps to the consensus of their surroundings
-instead.
+mixture (E-step). The mixture's uniform part spreads the outliers over the
+targets' bounding box padded by H, the box of RANSAC's a contrario test, so
+it has no setting of its own. Outliers lose influence through their
+posterior, so the field they would drag along snaps to the consensus of
+their surroundings instead.
 
 State is kept in flat arrays: qs holds one unit dual quaternion per match
 as a row of 8, mus and p are per-match scale and posterior. blend_neighbors
@@ -95,9 +97,11 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     The state reads the first min(N_neighbor, n - 1) + 1 columns of the
     outcome's graph as views when build_neighbors built it on this very
     match set (identity, as matches are immutable) at least that wide,
-    whatever cfg.r is. They hold what build_neighbors(m, cfg) finds, up
-    to which of the sources tied at one distance come first. A hand-made,
-    foreign, too narrow or missing graph is replaced by that build.
+    whatever cfg.r is. A hand-made, foreign, too narrow or missing graph
+    is replaced by build_neighbors(m, cfg), whose leading columns the state
+    reads alike. Every graph is built at one width, so the two hold the
+    same neighbors, ties included, and EM's result does not depend on
+    which graph it read.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
@@ -217,15 +221,27 @@ def e_step(state: EmState, m: MatchSet, cfg: Config) -> FloatArray:
 
     Each match is scored by the Gaussian likelihood of its field residual,
     G_i = exp(-|y_i - f(x_i)|^2 / 2 sigma^2), against a uniform outlier
-    density a, mixed by the fixed inlier prior gamma:
-    p_i = G_i / (G_i + 2 pi sigma^2 a (1 - gamma) / gamma). Returns the
-    posteriors, which always lie in [0, 1].
+    density, the inverse volume of the targets' bounding box padded by H,
+    of extents E_k = ptp_k(y) + 2 H, mixed by the fixed inlier prior gamma:
+    p_i = G_i / (G_i + c) with
+
+        c = (2 pi)^(d/2) prod_k (sigma / E_k) (1 - gamma) / gamma,
+
+    the normalizer of the d-dimensional Gaussian over the uniform density.
+    The product is ransac.padded_box_fraction(m, sigma, H), the box and the
+    per-axis ratios of RANSAC's p_c, so no power of a coordinate is built.
+    c has no unit: a rescale of the scene that rescales H leaves every
+    posterior as it is. Returns the posteriors, which always lie in
+    [0, 1].
     """
     resid2 = np.sum((m.y - state.field_at_x) ** 2, axis=1)
-    s2 = state.sigma * state.sigma
-    G = np.exp(-resid2 / (2.0 * s2))
-    c = 2.0 * np.pi * s2 * cfg.a * (1.0 - state.gamma) / state.gamma
-    p = G / (G + c)
+    G = np.exp(-resid2 / (2.0 * state.sigma * state.sigma))
+    c = ((2.0 * np.pi) ** (m.dim / 2) * ransac.padded_box_fraction(m, state.sigma, cfg.H)
+         * (1.0 - state.gamma) / state.gamma)
+    # in a box some 1e107 sigmas wide (3D coordinates of 1e108, H = 300) c
+    # underflows to 0; a match whose G underflows too, 38 sigmas out,
+    # scores 0, not 0 / 0
+    p = G / np.maximum(G + c, np.finfo(np.float64).smallest_subnormal)
     state.p = p
     return p
 

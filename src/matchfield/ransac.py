@@ -56,13 +56,14 @@ degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .core import (
+    POOL_COLUMNS,
     Config,
     DegenerateGeometryError,
     FloatArray,
@@ -85,14 +86,6 @@ RANK_TOL = 1e-9
 # chance level of the acceptance test: a motion is kept only when a random
 # motion reaches its support with probability at most ALPHA
 ALPHA = 1e-3
-
-# near source neighbors (columns 1..POOL_COLUMNS of the kNN graph) whose
-# distances a control's score reads, in 2D and in 3D. 16 is the whole 2D
-# graph. The 3D graph has 50, but over all 50 a wrong match finds two
-# consistent neighbors by chance far more often: on the 3D benchmark scenes
-# (629/0.76, 1784/0.39, 693/0.16 inliers) the first 16 cut mean trials from
-# 69/459/321 to 12/32/38, all 50 only to 56/276/314
-POOL_COLUMNS = 16
 
 # consistent neighbors a control needs among those columns. With 2, 2D
 # trials at n = 1000 fall from 92/146/215/272 to 12/15/23/28 at
@@ -190,24 +183,37 @@ class RansacOutcome:
         return self.inlier_union.size / self.n
 
 
+def padded_box_fraction(m: MatchSet, length: float, H: float) -> float:
+    """prod_i length / (ptp_i(y) + 2 H): the volume of a cube of side length
+    over that of y's bounding box padded by H on every side, the box a
+    wrong match's target is taken to fall in uniformly. RANSAC's chance
+    level (acceptance_threshold, length H) and EM's outlier term
+    (em_refine.e_step, length sigma) both read it. It is formed from
+    per-axis ratios, so no power of a length or product of extents can
+    overflow; the padding keeps each extent at least 2 H, even when every
+    target sits on one point. Unchanged by a shift, and by a rescale that
+    rescales length and H with the scene.
+    """
+    return math.prod((length / (np.ptp(m.y, axis=0) + 2.0 * H)).tolist())
+
+
 def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     """Smallest support that chance explains with probability at most ALPHA.
 
     A wrong match falls within H of a random motion's prediction with
     probability p_c = (pi H^2 in 2D, 4/3 pi H^3 in 3D) / volume of y's
-    bounding box padded by H on every side, taken as the ball constant
-    times the per-axis ratios H / padded extent, so no power of H or
-    product of extents can overflow. The padding keeps each ratio at most
-    1/2 and p_c below pi / 4 even when every target sits on one point. The
-    chance support of a motion is then Binomial(n, p_c); its upper tail is
-    found by walking the CDF up from 0 in log space. Returns t_acc = max(T_min, t) for the
+    bounding box padded by H on every side, the ball constant times
+    padded_box_fraction(m, H, H), the box EM takes its outlier density
+    from. Each of its ratios H / padded extent is at most 1/2, so p_c stays
+    below pi / 4 even when every target sits on one point. The chance
+    support of a motion is then Binomial(n, p_c); its upper tail is found
+    by walking the CDF up from 0 in log space. Returns t_acc = max(T_min, t) for the
     smallest t with P[Binomial(n, p_c) >= t] <= ALPHA. Depends only on the
     extent of y, so it is unchanged by a shift, and by a similarity rescale
     that rescales H with it.
     """
     n, H = m.n, cfg.H
-    ratios = H / (np.ptp(m.y, axis=0) + 2.0 * H)
-    p_c = (math.pi if m.dim == 2 else 4.0 / 3.0 * math.pi) * math.prod(ratios.tolist())
+    p_c = (math.pi if m.dim == 2 else 4.0 / 3.0 * math.pi) * padded_box_fraction(m, H, H)
     log_c, log_p, log_q = math.lgamma(n + 1), math.log(p_c), math.log1p(-p_c)
     cdf, t = 0.0, 0
     # P[X >= t] = 1 - P[X < t]; P[X >= n + 1] = 0 ends the walk at the latest
@@ -240,8 +246,8 @@ def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> 
     POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept motion's
     control need not keep more neighbors than the motion has other
     inliers. graph holds POOL_COLUMNS neighbors, or every other match when
-    n is smaller: ransac_run builds it that wide whatever N_neighbor is,
-    so the pool does not depend on N_neighbor.
+    n is smaller: build_neighbors builds every graph that wide whatever
+    N_neighbor is, so the pool does not depend on N_neighbor.
     """
     cols = slice(1, POOL_COLUMNS + 1)
     # a contiguous copy gathers about twice as fast as the strided view
@@ -491,7 +497,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
         raise DegenerateGeometryError(
             f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
         )
-    graph = build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, POOL_COLUMNS)))
+    graph = build_neighbors(m, cfg)
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)

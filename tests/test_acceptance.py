@@ -109,6 +109,21 @@ def test_3d_accuracy_across_inlier_ratios():
         )
 
 
+@pytest.mark.parametrize("ratio", [0.50, 0.70, 0.85])
+def test_3d_default_noise_accuracy(ratio):
+    # the synth --dim 3 default scene: noise 2 per axis in the 100-unit
+    # cube. EM weighs each match against the outlier density of the
+    # targets' padded box in 3D, so inliers at high outlier ratios keep a
+    # posterior above p_min; mean F over seeds 0-4 >= 0.95
+    scores = []
+    for seed in range(5):
+        m, gt = synth_generate(SynthSpec(n=1000, dim=3, outlier_ratio=ratio, seed=seed))
+        labels, _, _ = filter_and_refine(m, Config.for_matches(m, seed=seed))
+        scores.append(compute_metrics(labels, gt).fscore)
+    mean_f = float(np.mean(scores))
+    assert mean_f >= 0.95, f"ratio {ratio:.0%}: mean fscore {mean_f:.4f}, seeds {np.round(scores, 3)}"
+
+
 def test_runtime_budgets(capsys):
     # 20-run medians from the bench subcommand: full pipeline on n=1000 at
     # 50% outliers under 100 ms, 17x13 grid sampling under 20 ms

@@ -271,10 +271,10 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_run_pipeline", fake_pipeline)
     scene = tmp_path / "scene.csv"
     save_matches(scene, *synth_generate(SynthSpec(n=50, seed=0)))
-    want = {"H": 12.5, "r": 40.0, "a": 2e-5, "p_min": 0.6, "theta": 0.01, "T_min": 6,
-            "N_neighbor": 9, "seed": 4}
-    flags = ["--H", "12.5", "--r", "40", "--a", "2e-5", "--p-min", "0.6", "--theta", "0.01",
-             "--t-min", "6", "--n-neighbor", "9", "--seed", "4"]
+    want = {"H": 12.5, "r": 40.0, "p_min": 0.6, "theta": 0.01, "T_min": 6, "N_neighbor": 9,
+            "seed": 4}
+    flags = ["--H", "12.5", "--r", "40", "--p-min", "0.6", "--theta", "0.01", "--t-min", "6",
+             "--n-neighbor", "9", "--seed", "4"]
     for cmd in ("filter", "field"):
         assert main([cmd, "--input", str(scene), "--output", str(tmp_path / "o.csv")]
                     + flags) == 2
@@ -313,17 +313,18 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
 def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
     # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone;
-    # ransac_p, n_reweight_iters and max_em_iters are module constants
+    # ransac_p, n_reweight_iters and max_em_iters are module constants, and
+    # EM takes its outlier density a from the targets' box
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
     argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
-    for flags in (["--sparse"], ["--n-sparse", "100"]):
+    for flags in (["--sparse"], ["--n-sparse", "100"], ["--a", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 2
     cfgfile = tmp_path / "old.cfg"
     for key, val in (("N_sparse", "100"), ("ransac_p", "0.99"), ("n_reweight_iters", "3"),
-                     ("max_em_iters", "50")):
+                     ("max_em_iters", "50"), ("a", "1e-5")):
         cfgfile.write_text(f"{key} = {val}\n")
         capsys.readouterr()
         assert main(argv + ["--config", str(cfgfile)]) == 2
@@ -334,7 +335,7 @@ def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
 def test_config_flags_set_exactly_the_config_fields():
     # the flags and the config file set the same names, and nothing else
     names = [name for _, name, _, _ in cli._CONFIG_FLAGS]
-    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 8
+    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 7
 
 
 def test_bench_emits_table(tmp_path, capsys):
@@ -571,7 +572,7 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
     cfg = calls["ransac"][0]
     s = scale_estimate(load_matches(scene)[0])
     assert cfg.H == 2.5
-    assert np.isclose(cfg.r, 0.3 * s) and np.isclose(cfg.a, 20.0 / s**2)
+    assert np.isclose(cfg.r, 0.3 * s)
     assert cfg.N_neighbor == 30 and cfg.seed == 4
     # a bad file value exits 2 even when a flag overrides it
     cfgfile.write_text("r = -1\n")

@@ -34,6 +34,10 @@ def test_matchset_arrays_are_read_only():
 def test_matchset_rejects_bad_inputs():
     with pytest.raises(ValueError):
         MatchSet(dim=4, x=np.zeros((3, 4)), y=np.zeros((3, 4)))
+    # a float dim once passed as 2 and was stored as 2.0
+    for dim in (2.0, True, 1):
+        with pytest.raises(ValueError, match="dim must be"):
+            MatchSet(dim=dim, x=np.zeros((3, 2)), y=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         MatchSet(dim=2, x=np.zeros((3, 3)), y=np.zeros((3, 3)))
     with pytest.raises(ValueError):
@@ -101,7 +105,6 @@ def test_config_defaults():
     assert cfg.H == 20.0
     assert cfg.T_min == 5
     assert cfg.r == 50.0
-    assert cfg.a == 1e-5
     assert cfg.p_min == 0.5
     assert cfg.theta == 0.005
     assert cfg.N_neighbor == 16
@@ -110,9 +113,10 @@ def test_config_defaults():
     assert not hasattr(cfg, "N_sparse")
 
 
-@pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters"])
+@pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters", "a"])
 def test_config_holds_no_unset_knob(name):
-    # settings no caller sets are module constants, not Config fields
+    # settings no caller sets are module constants, not Config fields, and
+    # the outlier density a is taken from the targets' box
     assert not hasattr(Config(), name)
     with pytest.raises(TypeError):
         Config(**{name: 1})
@@ -134,6 +138,11 @@ def test_config_rejects_out_of_range():
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
+    # H=True once ran as H = 1 and theta=True as theta = 1
+    for name in ("H", "r", "theta"):
+        for v in (True, False):
+            with pytest.raises(ConfigError, match=f"{name} must be positive, got {v}"):
+                Config(**{name: v})
 
 
 @pytest.mark.parametrize("name", ["T_min", "N_neighbor", "seed"])
@@ -161,7 +170,6 @@ def test_config_scale_adaptation():
     cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
-    assert np.isclose(cfg.a, 0.008)
     assert cfg.N_neighbor == 50
     assert not hasattr(Config, "adapted_for_scale")
     # a 3D set without spread has no scale to adapt to
@@ -179,7 +187,7 @@ def test_config_for_matches_adapts_only_3d():
     cfg3 = Config.for_matches(m3, seed=7)
     s = scale_estimate(m3)
     assert np.isclose(cfg3.H, 0.1 * s)
-    assert np.isclose(cfg3.a, 20.0 / s**2)
+    assert np.isclose(cfg3.r, 0.3 * s)
     assert cfg3.N_neighbor == 50
     assert cfg3.seed == 7
 

@@ -260,12 +260,18 @@ def test_init_empty_outcome_and_gamma_clamp():
 
 
 def test_e_step_hand_value():
-    # frozen: zero residual, sigma=2, gamma=0.9, a=1e-5
-    # p = 1 / (1 + 2 pi 4 (1/9) 1e-5) = 0.999972075...
+    # frozen: zero residual, sigma=2, gamma=0.9, H=20; the targets span 10
+    # along x, so the padded box is 50 x 40 (x 40 in 3D)
+    # 2D: p = 1 / (1 + 2 pi (2/50) (2/40) (1/9)) = 0.998605683...
     m = MatchSet.from_points([[0.0, 0.0], [10.0, 0.0]], [[0.0, 0.0], [10.0, 0.0]])
     state = self_only_state(m, p=[1.0, 1.0], sigma=2.0, gamma=0.9)
-    p = e_step(state, m, Config(a=1e-5))
-    want = 1.0 / (1.0 + 2.0 * np.pi * 4.0 * (1.0 / 9.0) * 1e-5)
+    p = e_step(state, m, Config(H=20.0))
+    assert np.allclose(p, 0.9986056834315993, rtol=0.0, atol=1e-12)
+    # 3D: the Gaussian's normalizer is (2 pi)^(3/2)
+    m3 = MatchSet.from_points([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    state = self_only_state(m3, p=[1.0, 1.0], sigma=2.0, gamma=0.9)
+    p = e_step(state, m3, Config(H=20.0))
+    want = 1.0 / (1.0 + (2.0 * np.pi) ** 1.5 * (2.0 / 50.0) * (2.0 / 40.0) ** 2 / 9.0)
     assert np.allclose(p, want, rtol=0.0, atol=1e-12)
 
 
@@ -275,6 +281,15 @@ def test_e_step_large_residual_goes_to_zero():
     p = e_step(state, m, Config())
     assert p[0] < 1e-12
     assert ((0.0 <= p) & (p <= 1.0)).all()
+
+
+def test_e_step_scores_zero_where_both_mixture_terms_underflow():
+    # 3D targets 1e110 apart with sigma 30: (30 / 1e110)^3 underflows, so c
+    # is 0, and a match 1e110 off its field value has G = 0 too
+    m = MatchSet.from_points(np.zeros((2, 3)), [[0.0, 0.0, 0.0], [1e110, 1e110, 1e110]])
+    state = self_only_state(m, p=[1.0, 1.0], sigma=30.0)
+    p = e_step(state, m, Config(H=300.0))
+    assert p.tolist() == [1.0, 0.0]
 
 
 def test_m_step_sigma_hand_value_and_exactness():
@@ -565,7 +580,8 @@ def test_isolated_match_does_not_vouch_for_itself():
     assert np.array_equal(state.qs[0], qs0)
     assert state.field_at_x[0].tobytes() == blended.tobytes()
     state.sigma = 5.0
-    c = 2.0 * np.pi * 25.0 * cfg.a * (1.0 - state.gamma) / state.gamma
+    box = np.ptp(y, axis=0) + 2.0 * cfg.H
+    c = 2.0 * np.pi * (5.0 / box[0]) * (5.0 / box[1]) * (1.0 - state.gamma) / state.gamma
     # a zero residual would have scored it 1 / (1 + c)
     assert 1.0 / (1.0 + c) > 0.9
     G = np.exp(-np.sum((y[0] - blended) ** 2) / 50.0)
@@ -589,8 +605,10 @@ def test_em_readers_reject_an_outcome_of_another_match_count(with_hypotheses):
             read()
 
 
-def graph_bytes(g):
-    return [np.ascontiguousarray(a).tobytes() for a in (g.idx, g.dist)]
+def graph_bytes(g, k=None):
+    """The bytes of g's indices and distances, of its first k columns when
+    k is given: what EM reads of a graph for N_neighbor = k - 1."""
+    return [np.ascontiguousarray(a[:, :k]).tobytes() for a in (g.idx, g.dist)]
 
 
 def count_builds(monkeypatch):
@@ -613,15 +631,16 @@ def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings(monkeyp
     calls = count_builds(monkeypatch)
     # the graph holds distances, not weights, so another r reads it too, and
     # a narrower N_neighbor reads its leading columns as views: no build,
-    # and the bytes of a fresh build
+    # and the leading columns of a fresh build
     for other_cfg in (cfg, replace(cfg, r=35.0), replace(cfg, r=80.0),
                       replace(cfg, N_neighbor=9), replace(cfg, N_neighbor=1)):
         labels, state = run_em(m, outcome, other_cfg)
         assert calls == []
-        assert state.graph.idx.shape == (m.n, other_cfg.N_neighbor + 1)
+        k = other_cfg.N_neighbor + 1
+        assert state.graph.idx.shape == (m.n, k)
         assert np.shares_memory(state.graph.idx, outcome.graph.idx)
         assert np.shares_memory(state.graph.dist, outcome.graph.dist)
-        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, other_cfg))
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, other_cfg), k)
         assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, other_cfg))
         calls.clear()
     # a wider N_neighbor than the graph holds, another match set of the same
@@ -724,11 +743,39 @@ def test_one_kd_query_per_run_whatever_n_neighbor(dim, n_neighbor, monkeypatch):
     assert calls == ["matchfield.ransac"]
     assert outcome.graph.idx.shape == (m.n, max(n_neighbor, ransac.POOL_COLUMNS) + 1)
     assert state.graph.idx.shape == (m.n, n_neighbor + 1)
-    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, cfg))
+    # build_neighbors owns the width, so a build of its own is the run's graph
+    assert graph_bytes(outcome.graph) == graph_bytes(build_neighbors(m, cfg))
+    assert graph_bytes(state.graph) == graph_bytes(outcome.graph, n_neighbor + 1)
     calls.clear()
     # the same labels and EM state as EM on a graph of its own
     assert em_bytes(labels, state) == em_bytes(*run_em(m, replace(outcome, graph=None), cfg))
     assert calls == ["matchfield.em_refine"]
+
+
+def tied_lattice(seed):
+    """A 20 x 15 source lattice of step 20, where each source has several
+    neighbors at every distance, under a smooth field, with 100 of its 300
+    targets redrawn uniformly over the frame."""
+    gx, gy = np.meshgrid(np.arange(20) * 20.0, np.arange(15) * 20.0, indexing="ij")
+    x = np.column_stack([gx.ravel(), gy.ravel()])
+    y = x + np.column_stack([8.0 * np.sin(x[:, 1] / 90.0), 6.0 * np.cos(x[:, 0] / 120.0)])
+    rng = make_rng(seed)
+    wrong = rng.choice(x.shape[0], size=100, replace=False)
+    y[wrong] = rng.uniform((0.0, 0.0), (380.0, 280.0), size=(100, 2))
+    return MatchSet.from_points(x, y)
+
+
+@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
+def test_em_on_tied_sources_does_not_depend_on_who_built_the_graph(n_neighbor):
+    # among sources tied at one distance the kd-tree keeps other neighbors
+    # at other widths; every graph is built at one width, so EM on the
+    # run's graph and EM on a build of its own read the same neighbors
+    cfg = Config(N_neighbor=n_neighbor, seed=2)
+    for seed in range(5):
+        m = tied_lattice(seed)
+        outcome = ransac_run(m, cfg)
+        bare = replace(outcome, graph=None)
+        assert em_bytes(*run_em(m, outcome, cfg)) == em_bytes(*run_em(m, bare, cfg))
 
 
 def test_em_stops_at_the_iteration_cap(monkeypatch):

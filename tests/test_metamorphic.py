@@ -41,15 +41,16 @@ def scene_3d():
 
 @pytest.mark.parametrize("make_scene", [scene_2d, scene_3d], ids=["2d", "3d"])
 def test_rescale_with_rescaled_thresholds_is_bit_identical(make_scene):
-    # a similarity rescale by s with H s, r s and a / s^2 (a is a density
-    # per unit area) leaves every decision unchanged; powers of two keep
-    # the scaled coordinates exact
+    # a similarity rescale by s with H s and r s leaves every decision
+    # unchanged: sigma and the targets' padded box, whose ratio gives EM's
+    # outlier term, rescale with the scene. Powers of two keep the scaled
+    # coordinates exact
     m, _, cfg = make_scene()
     base_out, base = run_pipeline(m, cfg)
     assert base.inlier.any()
     for s in (4.0, 0.25):
         ms = MatchSet.from_points(m.x * s, m.y * s)
-        cs = replace(cfg, H=cfg.H * s, r=cfg.r * s, a=cfg.a / s**2)
+        cs = replace(cfg, H=cfg.H * s, r=cfg.r * s)
         out, labels = run_pipeline(ms, cs)
         assert out.trials == base_out.trials
         assert np.array_equal(labels.inlier, base.inlier)
@@ -57,9 +58,10 @@ def test_rescale_with_rescaled_thresholds_is_bit_identical(make_scene):
 
 
 def test_3d_rescale_with_plain_config_keeps_labels():
-    # Config.for_matches adapts H, r and a = 20 / s^2 to the cloud scale, so
-    # a change of units alone leaves every label unchanged; powers of two
-    # keep the posteriors bit-identical, other factors round in the last bits
+    # Config.for_matches adapts H and r to the cloud scale, and EM's outlier
+    # term is a ratio of lengths, so a change of units alone leaves every
+    # label unchanged; powers of two keep the posteriors bit-identical, other
+    # factors round in the last bits
     m, _, cfg = scene_3d()
     _, base = run_pipeline(m, cfg)
     assert base.inlier.any()

@@ -1011,13 +1011,8 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
         labels_from_outcome(other, out, Config())
 
 
-def run_graph(m, cfg):
-    """The graph ransac_run builds: max(N_neighbor, POOL_COLUMNS) wide."""
-    return build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, ransac.POOL_COLUMNS)))
-
-
 def pool_of(m, cfg):
-    return ransac.control_pool(m, run_graph(m, cfg), cfg, acceptance_threshold(m, cfg))
+    return ransac.control_pool(m, build_neighbors(m, cfg), cfg, acceptance_threshold(m, cfg))
 
 
 def with_wrong_targets(m, wrong, shift):
@@ -1151,10 +1146,10 @@ def test_pool_does_not_depend_on_n_neighbor(dim, n_neighbor):
     out = ransac_run(m, narrow)
     assert out.pool == pool.size and out.hypotheses
     assert out.graph.matches is m and out.graph.idx.shape == (m.n, ransac.POOL_COLUMNS + 1)
-    assert graph_bytes(out.graph) == graph_bytes(run_graph(m, narrow))
+    assert graph_bytes(out.graph) == graph_bytes(build_neighbors(m, narrow))
     assert np.isin(np.arange(n_wrong, m.n), out.inlier_union).all()
     labels, state = run_em(m, out, narrow)
-    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, narrow))
+    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, narrow), n_neighbor + 1)
     assert labels.inlier[n_wrong:].all()
     assert labels.inlier.tolist() == filter_and_refine(m, narrow)[0].inlier.tolist()
 
