@@ -60,10 +60,10 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
 
 # near source neighbors (columns 1..POOL_COLUMNS of the kNN graph) whose
 # distances a control's score reads (ransac.control_pool), in 2D and in 3D.
-# 16 is the whole 2D graph. The 3D graph has 50, but over all 50 a wrong
+# 16 is the whole 2D graph. The 3D graph has 24, but over all 24 a wrong
 # match finds two consistent neighbors by chance far more often: on the 3D
 # benchmark scenes (629/0.76, 1784/0.39, 693/0.16 inliers) the first 16 cut
-# mean trials from 69/459/321 to 12/32/38, all 50 only to 56/276/314
+# mean trials from 69/459/321 to 12/32/38, all 24 only to 21/67/93
 POOL_COLUMNS = 16
 
 # largest coordinate magnitude the package takes in, in match files, match
@@ -230,7 +230,7 @@ class Config:
         spatial scale s = scale_estimate(m) when m is 3D, then overrides.
 
         3D inputs have no pixel grid, so H becomes 0.1 s, r becomes 0.3 s
-        and the neighborhood grows to 50. Every other length the run uses
+        and the neighborhood grows to 24. Every other length the run uses
         (sigma, the targets' padded box) comes from the data, so a change
         of units leaves every posterior, and so every label, unchanged.
 
@@ -240,7 +240,7 @@ class Config:
         scaled = {}
         if m.dim == 3:
             s = scale_estimate(m)
-            scaled = dict(H=0.1 * s, r=0.3 * s, N_neighbor=50)
+            scaled = dict(H=0.1 * s, r=0.3 * s, N_neighbor=24)
         return cls(**{**scaled, **overrides})
 
 

@@ -235,7 +235,10 @@ def e_step(state: EmState, m: MatchSet, cfg: Config) -> FloatArray:
     [0, 1].
     """
     resid2 = np.sum((m.y - state.field_at_x) ** 2, axis=1)
-    G = np.exp(-resid2 / (2.0 * state.sigma * state.sigma))
+    # a residual past some 1e154 sigmas overflows the quotient to inf,
+    # whose exp is the 0 a finite quotient would give; nothing to warn of
+    with np.errstate(over="ignore"):
+        G = np.exp(-resid2 / (2.0 * state.sigma * state.sigma))
     c = ((2.0 * np.pi) ** (m.dim / 2) * ransac.padded_box_fraction(m, state.sigma, cfg.H)
          * (1.0 - state.gamma) / state.gamma)
     # in a box some 1e107 sigmas wide (3D coordinates of 1e108, H = 300) c

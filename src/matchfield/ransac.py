@@ -214,6 +214,11 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     """
     n, H = m.n, cfg.H
     p_c = (math.pi if m.dim == 2 else 4.0 / 3.0 * math.pi) * padded_box_fraction(m, H, H)
+    if p_c == 0.0:
+        # in a 3D box some 1e108 H wide (2D: 1e162) p_c underflows, and
+        # log(0) raises: chance explains no support, and t = 1 is the
+        # smallest with P[X >= t] = 0
+        return max(cfg.T_min, 1)
     log_c, log_p, log_q = math.lgamma(n + 1), math.log(p_c), math.log1p(-p_c)
     cdf, t = 0.0, 0
     # P[X >= t] = 1 - P[X < t]; P[X >= n + 1] = 0 ends the walk at the latest

@@ -18,6 +18,7 @@ from matchfield.dualquat import (
     dq8_normalize,
 )
 from matchfield.em_refine import e_step, filter_and_refine, init_from_hypotheses, m_step, run_em
+from matchfield.field import query_field
 from matchfield.io_eval import SynthSpec, compute_metrics, save_matches, synth_generate
 from matchfield.ransac import labels_from_outcome, ransac_run, trial_bound, weighted_rigid_fit
 
@@ -82,24 +83,33 @@ def test_refinement_improves_on_consensus_stage(sweep_2d):
     assert np.mean(gaps) >= 0.1, f"precision gaps {np.round(gaps, 3)}"
 
 
+CASES_3D = ((629, 0.76), (1784, 0.39), (693, 0.16))
+
+
+def surface_3d(n, inlier_ratio, seed):
+    """A smooth low-noise 3D surface scene: n matches, noise 0.05 per axis
+    in the 100-unit cube."""
+    return synth_generate(
+        SynthSpec(
+            n=n,
+            dim=3,
+            outlier_ratio=round(1.0 - inlier_ratio, 2),
+            n_anchors=3,
+            max_rotation=0.05,
+            max_scale_jitter=0.02,
+            noise_sigma=0.05,
+            bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
+            seed=seed,
+        )
+    )
+
+
 def test_3d_accuracy_across_inlier_ratios():
     # smooth low-noise 3D surfaces at three inlier levels; mean F >= 0.93 each
-    cases = ((629, 0.76), (1784, 0.39), (693, 0.16))
-    for n, inlier_ratio in cases:
+    for n, inlier_ratio in CASES_3D:
         scores = []
         for seed in range(5):
-            spec = SynthSpec(
-                n=n,
-                dim=3,
-                outlier_ratio=round(1.0 - inlier_ratio, 2),
-                n_anchors=3,
-                max_rotation=0.05,
-                max_scale_jitter=0.02,
-                noise_sigma=0.05,
-                bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
-                seed=seed,
-            )
-            m, gt = synth_generate(spec)
+            m, gt = surface_3d(n, inlier_ratio, seed)
             cfg = Config.for_matches(m, seed=seed)
             labels, _, _ = filter_and_refine(m, cfg)
             scores.append(compute_metrics(labels, gt).fscore)
@@ -109,19 +119,50 @@ def test_3d_accuracy_across_inlier_ratios():
         )
 
 
+# bound on the mean over seeds 0-4 of the capped hold-out error per 3D
+# surface scene: 1.25 times the larger of the means measured with 50 and
+# with 24 neighbors (0.1036 / 0.0997 / 0.2250 and 0.0993 / 0.0956 / 0.2339),
+# rounded up to 0.01. The noise alone puts a withheld target about 0.08 off
+# the field; the 693/0.16 scene keeps only 61 inliers to fit
+HOLDOUT_BOUND_3D = {629: 0.13, 1784: 0.13, 693: 0.30}
+
+
+@pytest.mark.parametrize("n, inlier_ratio", CASES_3D)
+def test_3d_field_predicts_withheld_inliers(n, inlier_ratio):
+    # withhold the first 50 true inliers, fit on the rest, and ask the
+    # field where the withheld sources go; each error is capped at H, so
+    # a point the field misses counts as H
+    errs = []
+    for seed in range(5):
+        m, gt = surface_3d(n, inlier_ratio, seed)
+        hold = np.flatnonzero(gt)[:50]
+        keep = np.ones(m.n, dtype=bool)
+        keep[hold] = False
+        fit = MatchSet.from_points(m.x[keep], m.y[keep])
+        cfg = Config.for_matches(fit, seed=seed)
+        labels, state, _ = filter_and_refine(fit, cfg)
+        disp = np.array([s.displaced for s in query_field(state, labels, fit, m.x[hold], cfg)])
+        errs.append(float(np.minimum(np.linalg.norm(disp - m.y[hold], axis=1), cfg.H).mean()))
+    bound = HOLDOUT_BOUND_3D[n]
+    assert np.mean(errs) <= bound, (
+        f"n={n}: mean capped hold-out error {np.mean(errs):.4f} > {bound}, seeds {np.round(errs, 4)}"
+    )
+
+
 @pytest.mark.parametrize("ratio", [0.50, 0.70, 0.85])
 def test_3d_default_noise_accuracy(ratio):
     # the synth --dim 3 default scene: noise 2 per axis in the 100-unit
     # cube. EM weighs each match against the outlier density of the
     # targets' padded box in 3D, so inliers at high outlier ratios keep a
-    # posterior above p_min; mean F over seeds 0-4 >= 0.95
+    # posterior above p_min; mean F over seeds 0-4 >= 0.96 (0.9725 /
+    # 0.9800 / 0.9790 with 24 neighbors)
     scores = []
     for seed in range(5):
         m, gt = synth_generate(SynthSpec(n=1000, dim=3, outlier_ratio=ratio, seed=seed))
         labels, _, _ = filter_and_refine(m, Config.for_matches(m, seed=seed))
         scores.append(compute_metrics(labels, gt).fscore)
     mean_f = float(np.mean(scores))
-    assert mean_f >= 0.95, f"ratio {ratio:.0%}: mean fscore {mean_f:.4f}, seeds {np.round(scores, 3)}"
+    assert mean_f >= 0.96, f"ratio {ratio:.0%}: mean fscore {mean_f:.4f}, seeds {np.round(scores, 3)}"
 
 
 def test_runtime_budgets(capsys):
@@ -253,18 +294,7 @@ def test_byte_identical_outputs_3d(tmp_path):
     # the 3D fits reduce over all n matches in one (3, n) @ (n, 3) product,
     # so the BLAS thread count must not reorder those sums either
     scene = tmp_path / "scene3.csv"
-    spec = SynthSpec(
-        n=1784,
-        dim=3,
-        outlier_ratio=0.61,
-        n_anchors=3,
-        max_rotation=0.05,
-        max_scale_jitter=0.02,
-        noise_sigma=0.05,
-        bounds=((0.0, 0.0, 0.0), (100.0, 100.0, 100.0)),
-        seed=4,
-    )
-    m, gt = synth_generate(spec)
+    m, gt = surface_3d(1784, 0.39, 4)
     save_matches(scene, m, gt=gt, units="units")
     outputs = []
     for tag, threads in (("a", "1"), ("b", "4")):

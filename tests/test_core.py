@@ -170,7 +170,7 @@ def test_config_scale_adaptation():
     cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
-    assert cfg.N_neighbor == 50
+    assert cfg.N_neighbor == 24
     assert not hasattr(Config, "adapted_for_scale")
     # a 3D set without spread has no scale to adapt to
     with pytest.raises(DegenerateScaleError):
@@ -188,7 +188,7 @@ def test_config_for_matches_adapts_only_3d():
     s = scale_estimate(m3)
     assert np.isclose(cfg3.H, 0.1 * s)
     assert np.isclose(cfg3.r, 0.3 * s)
-    assert cfg3.N_neighbor == 50
+    assert cfg3.N_neighbor == 24
     assert cfg3.seed == 7
 
 

@@ -181,6 +181,36 @@ def test_huge_3d_coordinates_keep_the_labels(tmp_path, capsys, scale):
     assert np.array_equal(load_labels(out).inlier, labels.inlier)
 
 
+def test_underflowing_chance_level_keeps_t_min(tmp_path, capsys):
+    # 3D targets some 1e110 wide with H = 100: p_c = 4/3 pi prod H / extent
+    # underflows to 0, and math.log(p_c) raised "math domain error" (exit
+    # 2 naming nothing). Chance explains no support, so t_acc is T_min; H
+    # is far below the 2e108 noise, so no motion is found and all matches
+    # are outliers
+    m, gt = synth_generate(SynthSpec(n=300, dim=3, seed=1))
+    big = MatchSet.from_points(m.x * 1e108, m.y * 1e108)
+    cfg = Config.for_matches(big, H=100.0)
+    assert ransac.acceptance_threshold(big, cfg) == cfg.T_min
+    labels, _, _ = filter_and_refine(big, cfg)
+    assert_label_invariants(labels, big.n)
+    assert not labels.inlier.any()
+    scene, out = tmp_path / "scene.csv", tmp_path / "labels.csv"
+    save_matches(scene, big, gt=gt)
+    assert main(["filter", "--input", str(scene), "--output", str(out), "--H", "100"]) == 0
+    assert np.array_equal(load_labels(out).inlier, labels.inlier)
+    assert "no rigid motion found" in capsys.readouterr().err
+
+
+def test_overflowing_residual_quotient_does_not_warn():
+    # 2D clouds times 1e138 with H = 1e-20: EM's sigma is so small that
+    # resid2 / (2 sigma^2) overflows, which warned under -W error although
+    # G = exp(-inf) = 0 is what a finite quotient past 745 gives too
+    m, _ = synth_generate(SynthSpec(n=300, seed=1))
+    big = MatchSet.from_points(m.x * 1e138, m.y * 1e138)
+    labels, _, _ = filter_and_refine(big, Config.for_matches(big, seed=1, H=1e-20))
+    assert_label_invariants(labels, big.n)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_coordinates_past_the_bound_exit_2(tmp_path, capsys, dim):
     # squared distances of 1e155 coordinates overflow, and the kd-tree then

@@ -1,10 +1,14 @@
 """Every ```python block of README.md runs, so an example cannot name a
-function the package no longer has."""
+function the package no longer has, and README's 3D defaults are the ones
+the code sets."""
 
 import re
 from pathlib import Path
 
+import numpy as np
+
 from matchfield import Config, ransac_run, reweight_fit
+from matchfield.core import scale_estimate
 from matchfield.io_eval import SynthSpec, synth_generate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,3 +25,17 @@ def test_every_readme_python_block_runs():
     scene = {"x": m.x, "y": m.y, "R": R, "t": t, "mu": mu}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), dict(scene))
+
+
+def test_readme_3d_defaults_are_the_builders():
+    # the sentence on 3D defaults names the factors of H and r and the
+    # neighborhood size that Config.for_matches sets
+    text = " ".join(README.read_text().split())
+    found = re.search(r"\(H = ([\d.]+) s, r = ([\d.]+) s for scale s, (\d+) neighbors\)", text)
+    assert found, "README no longer states the 3D defaults"
+    h, r, k = float(found[1]), float(found[2]), int(found[3])
+    m, _ = synth_generate(SynthSpec(n=200, dim=3, seed=5))
+    s = scale_estimate(m)
+    cfg = Config.for_matches(m)
+    assert np.isclose(cfg.H, h * s) and np.isclose(cfg.r, r * s)
+    assert cfg.N_neighbor == k
