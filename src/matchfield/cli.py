@@ -54,9 +54,6 @@ GRID_STEP = 50.0
 _CONFIG_FLAGS = (
     ("--H", "H", float, "inlier residual threshold"),
     ("--r", "r", float, "neighborhood radius"),
-    ("--p-min", "p_min", float, "posterior threshold for inliers"),
-    ("--theta", "theta", float, "EM termination threshold"),
-    ("--t-min", "T_min", int, "floor on the support a RANSAC motion needs"),
     ("--n-neighbor", "N_neighbor", int, "neighbors for blending"),
     ("--seed", "seed", int, "random seed"),
 )
@@ -226,7 +223,7 @@ def _bench_once(spec: SynthSpec) -> tuple:
     m, gt = synth_generate(spec)
     cfg = Config.for_matches(m, seed=spec.seed)
     labels, state, outcome, filter_ms = _run_pipeline(m, cfg)
-    rm = compute_metrics(labels_from_outcome(m, outcome, cfg), gt)
+    rm = compute_metrics(labels_from_outcome(m, outcome), gt)
     em = compute_metrics(labels, gt)
     t1 = time.perf_counter()
     grid_field(state, labels, m, spec.bounds, GRID_STEP, cfg)

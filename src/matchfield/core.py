@@ -189,40 +189,33 @@ class Config:
     for 3D inputs.
 
     H           inlier residual threshold
-    T_min       floor on the support a RANSAC hypothesis needs
     r           radius of the Gaussian distance weights of the blend
-    p_min       posterior threshold for the final inlier label
-    theta       EM termination threshold on mean posterior change
     N_neighbor  neighbors used for blending and field queries
     seed        seed for every random draw in a run
 
     These are exactly the settings the filter and field flags and the
-    config file set. Values no caller sets are module constants beside the
-    code that reads them: ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P and
-    em_refine.MAX_EM_ITERS. The mixture's uniform outlier density is no
-    setting either: em_refine.e_step takes it from the data, as the inverse
-    volume of the targets' bounding box padded by H
-    (ransac.padded_box_fraction).
+    config file set: the three for_matches sets per dimension, and the
+    seed. Values no caller sets are module constants beside the code that
+    reads them: ransac.T_MIN, ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P,
+    em_refine.P_MIN, em_refine.THETA and em_refine.MAX_EM_ITERS. The
+    mixture's uniform outlier density is no setting either: em_refine.e_step
+    takes it from the data, as the inverse volume of the targets' bounding
+    box padded by H (ransac.padded_box_fraction).
     """
 
     H: float = 20.0
-    T_min: int = 5
     r: float = 50.0
-    p_min: float = 0.5
-    theta: float = 0.005
     N_neighbor: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("T_min", 1), ("N_neighbor", 1), ("seed", 0)):
+        for name, least in (("N_neighbor", 1), ("seed", 0)):
             check_count(name, getattr(self, name), least, ConfigError)
-        for name in ("H", "r", "theta"):
+        for name in ("H", "r"):
             v = getattr(self, name)
             # bool is an int subclass, so True would pass as 1
             if isinstance(v, bool) or not (math.isfinite(v) and v > 0.0):
                 raise ConfigError(f"{name} must be positive, got {v}")
-        if not (0.0 < self.p_min < 1.0):
-            raise ConfigError(f"p_min must lie in (0, 1), got {self.p_min}")
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
@@ -262,26 +255,28 @@ class NeighborGraph:
     matches: MatchSet | None = field(default=None, repr=False, compare=False)
 
 
-def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
-    """k-nearest neighbors by source-side distance, self in column 0.
+def graph_width(n: int, cfg: Config) -> int:
+    """Columns of build_neighbors' graph over n matches: max(N_neighbor,
+    POOL_COLUMNS) neighbors, or every other match when n is smaller, plus
+    the match itself; the control pool and EM read its leading columns.
+    Among tied sources the kd-tree keeps other neighbors at another width,
+    so EM reads no graph of another width (init_from_hypotheses)."""
+    return min(max(cfg.N_neighbor, POOL_COLUMNS), n - 1) + 1
 
-    Uses max(N_neighbor, POOL_COLUMNS) neighbors plus the match itself, wide
-    enough for the control pool and for EM, which blends over its leading
-    N_neighbor columns; with fewer matches every other match is a
-    neighbor. This is the one width any graph is built at: among sources
-    tied at one distance the kd-tree keeps other neighbors at another
-    width, so a narrower build would let EM's result depend on who built
-    its graph. The indices and distances are the kd-tree query's, so dist
-    is bit-identical to the square root of the summed squared source
-    differences. A run builds its graph once, before RANSAC; it never
-    changes.
+
+def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
+    """k-nearest neighbors by source-side distance, self in column 0, in
+    graph_width(m.n, cfg) columns. The indices and distances are the
+    kd-tree query's, so dist is bit-identical to the square root of the
+    summed squared source differences. A run builds its graph once, before
+    RANSAC; it never changes.
     """
     n = m.n
     if n == 1:
         idx = np.zeros((1, 1), dtype=np.int64)
         dist = np.zeros((1, 1))
     else:
-        dist, idx = cKDTree(m.x).query(m.x, k=min(max(cfg.N_neighbor, POOL_COLUMNS), n - 1) + 1)
+        dist, idx = cKDTree(m.x).query(m.x, k=graph_width(n, cfg))
         idx = idx.astype(np.int64)
         # the kd-tree breaks distance ties arbitrarily; force self into
         # column 0 so blending always sees the match's own motion. Only

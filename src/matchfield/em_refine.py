@@ -36,6 +36,7 @@ from .core import (
     MatchSet,
     NeighborGraph,
     build_neighbors,
+    graph_width,
 )
 from .dualquat import (
     dq8_apply,
@@ -53,9 +54,13 @@ SIGMA_INIT_FLOOR_FACTOR = 0.1
 # the inlier fraction prior is clamped here and then held fixed
 GAMMA_MIN = 0.05
 GAMMA_MAX = 0.95
-# EM iteration cap. Runs stop on theta long before it: after at most 15
+# EM stops once an iteration's mean absolute posterior change is below it
+THETA = 0.005
+# EM iteration cap. Runs stop on THETA long before it: after at most 15
 # iterations on synthetic scenes at 30-97% outliers
 MAX_EM_ITERS = 50
+# an inlier's final posterior exceeds it, and its field residual is below H
+P_MIN = 0.5
 
 
 @dataclass
@@ -96,12 +101,12 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
 
     The state reads the first min(N_neighbor, n - 1) + 1 columns of the
     outcome's graph as views when build_neighbors built it on this very
-    match set (identity, as matches are immutable) at least that wide,
-    whatever cfg.r is. A hand-made, foreign, too narrow or missing graph
-    is replaced by build_neighbors(m, cfg), whose leading columns the state
-    reads alike. Every graph is built at one width, so the two hold the
-    same neighbors, ties included, and EM's result does not depend on
-    which graph it read.
+    match set (identity, as matches are immutable) graph_width(n, cfg)
+    wide, whatever cfg.r is. A hand-made, foreign, missing or other-width
+    graph, such as one of a RANSAC run at a larger N_neighbor, is replaced
+    by build_neighbors(m, cfg), whose leading columns the state reads
+    alike. The kd-tree's choice among tied neighbors depends on the width
+    alone, so EM's result does not depend on who built its graph.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
@@ -111,7 +116,7 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     n = m.n
     k = min(cfg.N_neighbor, n - 1) + 1
     g = outcome.graph
-    if g is None or g.matches is not m or g.idx.shape[1] < k:
+    if g is None or g.matches is not m or g.idx.shape[1] != graph_width(n, cfg):
         g = build_neighbors(m, cfg)
     graph = NeighborGraph(idx=g.idx[:, :k], dist=g.dist[:, :k], matches=m)
     qs = dq8_identity(n)
@@ -257,11 +262,11 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
     seed-residual sigma (support counts are not posteriors yet) so the first
     posterior pass can still tell field-consistent matches from strays.
     Iterations stop when the mean absolute posterior change drops below
-    theta, or at MAX_EM_ITERS with the converged flag left false. A match
-    ends up an inlier when its final posterior exceeds p_min and its field
+    THETA, or at MAX_EM_ITERS with the converged flag left false. A match
+    ends up an inlier when its final posterior exceeds P_MIN and its field
     residual stays below H. The kNN graph is the leading N_neighbor columns
-    of the one RANSAC built on the same matches, carried on the outcome, or
-    a fresh build (see init_from_hypotheses).
+    of the one RANSAC built on the same matches under the same cfg, carried
+    on the outcome, or a fresh build (see init_from_hypotheses).
     """
     state = init_from_hypotheses(m, outcome, cfg)
     p_prev: FloatArray | None = None
@@ -272,12 +277,12 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
         if p_prev is not None:
             delta = float(np.mean(np.abs(p - p_prev)))
             state.delta_history.append(delta)
-            if delta < cfg.theta:
+            if delta < THETA:
                 state.converged = True
                 break
         p_prev = p
     residual = np.linalg.norm(m.y - state.field_at_x, axis=1)
-    inlier = (state.p > cfg.p_min) & (residual < cfg.H)
+    inlier = (state.p > P_MIN) & (residual < cfg.H)
     labels = LabelResult(inlier=inlier, posterior=state.p, residual=residual)
     return labels, state
 

@@ -20,7 +20,7 @@ LPM (Ma et al., IJCV 2019) used only as a prior on which controls are
 drawn, as in PROSAC (Chum & Matas, CVPR 2005); every kept motion still
 scores every match, and EM still decides the labels. The graph travels to
 EM on the outcome, which blends over its first N_neighbor neighbors, so a
-run makes one kd-tree query.
+run whose two stages share one cfg makes one kd-tree query.
 
 A motion is kept only when chance cannot explain its support (the a
 contrario rule of Moisan & Stival, IJCV 2004). A wrong match lands within H
@@ -28,7 +28,7 @@ of a random motion's prediction with probability p_c, the volume of an
 H-ball over that of y's bounding box padded by H on every side, so a random
 motion catches Binomial(n, p_c) matches. The run's acceptance threshold
 t_acc is the smallest support with P[Binomial(n, p_c) >= t_acc] <= ALPHA,
-and never below T_min; it replaces T_min in the acceptance test, in the
+and never below T_MIN; it replaces T_MIN in the acceptance test, in the
 stop on too few unreserved matches and in the trial bound. Without it a
 large scene keeps nearly every trial: at n = 10k in an 800x600 frame a
 random motion catches about 23 wrong matches within H = 20, and t_acc is 41.
@@ -87,6 +87,9 @@ RANK_TOL = 1e-9
 # motion reaches its support with probability at most ALPHA
 ALPHA = 1e-3
 
+# floor on the support of a kept motion, however little chance explains
+T_MIN = 5
+
 # consistent neighbors a control needs among those columns. With 2, 2D
 # trials at n = 1000 fall from 92/146/215/272 to 12/15/23/28 at
 # 30/50/70/85% outliers, and mean F at 85% moves from 0.9766 to 0.9763. 3
@@ -127,10 +130,9 @@ class TransformHypothesis:
 class RansacOutcome:
     """What a run decided: the kept hypotheses in the order they were
     found, the match count n, gamma after each trial, the size of the
-    control pool the trials drew from, and the run's kNN graph of
-    max(N_neighbor, POOL_COLUMNS) neighbors (every other match when n is
-    smaller), whose leading columns EM blends over (None in an outcome
-    made by hand).
+    control pool the trials drew from, and the run's kNN graph
+    (core.build_neighbors, graph_width columns), whose leading columns EM
+    blends over (None in an outcome made by hand).
 
     Everything else is derived from these. trials is the length of
     gamma_history, one entry per trial; owner names the motion that owns
@@ -207,18 +209,17 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
     from. Each of its ratios H / padded extent is at most 1/2, so p_c stays
     below pi / 4 even when every target sits on one point. The chance
     support of a motion is then Binomial(n, p_c); its upper tail is found
-    by walking the CDF up from 0 in log space. Returns t_acc = max(T_min, t) for the
-    smallest t with P[Binomial(n, p_c) >= t] <= ALPHA. Depends only on the
-    extent of y, so it is unchanged by a shift, and by a similarity rescale
-    that rescales H with it.
+    by walking the CDF up from 0 in log space. Returns t_acc = max(T_MIN, t)
+    for the smallest t with P[Binomial(n, p_c) >= t] <= ALPHA. Depends only
+    on the extent of y, so it is unchanged by a shift, and by a similarity
+    rescale that rescales H with it.
     """
     n, H = m.n, cfg.H
     p_c = (math.pi if m.dim == 2 else 4.0 / 3.0 * math.pi) * padded_box_fraction(m, H, H)
     if p_c == 0.0:
         # in a 3D box some 1e108 H wide (2D: 1e162) p_c underflows, and
-        # log(0) raises: chance explains no support, and t = 1 is the
-        # smallest with P[X >= t] = 0
-        return max(cfg.T_min, 1)
+        # log(0) raises: chance explains no support, so t = 1, below T_MIN
+        return T_MIN
     log_c, log_p, log_q = math.lgamma(n + 1), math.log(p_c), math.log1p(-p_c)
     cdf, t = 0.0, 0
     # P[X >= t] = 1 - P[X < t]; P[X >= n + 1] = 0 ends the walk at the latest
@@ -226,7 +227,7 @@ def acceptance_threshold(m: MatchSet, cfg: Config) -> int:
         log_pmf = log_c - math.lgamma(t + 1) - math.lgamma(n - t + 1)
         cdf += math.exp(log_pmf + t * log_p + (n - t) * log_q)
         t += 1
-    return max(cfg.T_min, t)
+    return max(T_MIN, t)
 
 
 def neighbor_sq_dists(pts: FloatArray, idx: IntArray) -> FloatArray:
@@ -265,7 +266,7 @@ def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> 
 def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
     """Trial count needed for confidence p that no findable motion remains.
 
-    t_acc is the run's acceptance threshold, T_min or more. A remaining
+    t_acc is the run's acceptance threshold, T_MIN or more. A remaining
     motion must have at least t_acc of the n (1 - gamma) unreserved
     matches, so a uniformly drawn control hits one with probability at
     least t_acc / (n - gamma n) per trial; the bound is
@@ -474,17 +475,16 @@ def reweight_fit(m: MatchSet, o: int, cfg: Config):
 def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
     """Extract locally rigid motions until the confidence bound is met.
 
-    The run first builds its one kNN graph (core.build_neighbors),
-    max(N_neighbor, POOL_COLUMNS) neighbors wide, and opens the control
-    pool from it (control_pool): the matches that keep their distances to
-    at least two of their 16 nearest source neighbors.
+    The run first builds its one kNN graph (core.build_neighbors) and opens
+    the control pool from it (control_pool): the matches that keep their
+    distances to at least two of their 16 nearest source neighbors.
     Controls are drawn uniformly from pooled matches that no accepted
     hypothesis covers yet, and each control is tried at most once (a trial
     is deterministic in the control, so retrying one is pointless), so a
     run makes at most pool <= n trials. Each trial fits on all n matches,
     and its motion is kept when at least
     t_acc = acceptance_threshold(m, cfg) matches fall within H of it:
-    T_min, or more when a random motion would catch T_min wrong matches
+    T_MIN, or more when a random motion would catch T_MIN wrong matches
     too often. The run stops when fewer than t_acc matches remain
     unreserved, when no untried control is left, or when the trial count
     exceeds the bound for t_acc at confidence RANSAC_P, re-evaluated with
@@ -492,16 +492,15 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
 
     At the end of the run one batched dq8_from_rt call turns the kept
     motions into the dualquat rows EM seeds from. The outcome records the
-    pool size and carries the graph; run_em on the same match set blends
-    over its first N_neighbor neighbors and queries no kd-tree. With
+    pool size and carries the graph; run_em on the same match set under
+    the same cfg blends over its first N_neighbor neighbors and queries no
+    kd-tree. Fewer than T_MIN matches raise DegenerateGeometryError. With
     nothing but outliers the outcome is empty: no hypotheses and
     gamma = 0.
     """
     n = m.n
-    if n < cfg.T_min:
-        raise DegenerateGeometryError(
-            f"{n} matches cannot support a hypothesis with T_min={cfg.T_min}"
-        )
+    if n < T_MIN:
+        raise DegenerateGeometryError(f"{n} matches cannot support a hypothesis, which needs {T_MIN}")
     graph = build_neighbors(m, cfg)
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
@@ -546,7 +545,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
                          pool=pool, graph=graph)
 
 
-def labels_from_outcome(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> LabelResult:
+def labels_from_outcome(m: MatchSet, outcome: RansacOutcome) -> LabelResult:
     """Hard labels straight from the RANSAC cover, for baselines and reports.
 
     A match is an inlier iff some hypothesis covers it. Posterior is 1 or 0;

@@ -39,7 +39,7 @@ def sweep_2d():
             labels, state = run_em(m, outcome, cfg)
             rows.append(
                 (
-                    compute_metrics(labels_from_outcome(m, outcome, cfg), gt),
+                    compute_metrics(labels_from_outcome(m, outcome), gt),
                     compute_metrics(labels, gt),
                 )
             )
@@ -77,7 +77,7 @@ def test_refinement_improves_on_consensus_stage(sweep_2d):
         cfg = Config(seed=seed)
         outcome = ransac_run(m, cfg)
         labels, _ = run_em(m, outcome, cfg)
-        p_ransac = compute_metrics(labels_from_outcome(m, outcome, cfg), gt).precision
+        p_ransac = compute_metrics(labels_from_outcome(m, outcome), gt).precision
         p_em = compute_metrics(labels, gt).precision
         gaps.append(p_em - p_ransac)
     assert np.mean(gaps) >= 0.1, f"precision gaps {np.round(gaps, 3)}"
@@ -154,7 +154,7 @@ def test_3d_default_noise_accuracy(ratio):
     # the synth --dim 3 default scene: noise 2 per axis in the 100-unit
     # cube. EM weighs each match against the outlier density of the
     # targets' padded box in 3D, so inliers at high outlier ratios keep a
-    # posterior above p_min; mean F over seeds 0-4 >= 0.96 (0.9725 /
+    # posterior above P_MIN; mean F over seeds 0-4 >= 0.96 (0.9725 /
     # 0.9800 / 0.9790 with 24 neighbors)
     scores = []
     for seed in range(5):

@@ -72,7 +72,7 @@ def test_synth_defaults_are_the_synth_spec_defaults(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [9, 1, 2])
 def test_default_3d_synth_scene_keeps_its_inliers(tmp_path, capsys, seed):
-    # synth's default 3D noise once drove every posterior below p_min, so
+    # synth's default 3D noise once drove every posterior below P_MIN, so
     # filter labelled all 600 matches outliers
     scene = tmp_path / "scene3.csv"
     labels = tmp_path / "labels3.csv"
@@ -271,10 +271,8 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_run_pipeline", fake_pipeline)
     scene = tmp_path / "scene.csv"
     save_matches(scene, *synth_generate(SynthSpec(n=50, seed=0)))
-    want = {"H": 12.5, "r": 40.0, "p_min": 0.6, "theta": 0.01, "T_min": 6, "N_neighbor": 9,
-            "seed": 4}
-    flags = ["--H", "12.5", "--r", "40", "--p-min", "0.6", "--theta", "0.01", "--t-min", "6",
-             "--n-neighbor", "9", "--seed", "4"]
+    want = {"H": 12.5, "r": 40.0, "N_neighbor": 9, "seed": 4}
+    flags = ["--H", "12.5", "--r", "40", "--n-neighbor", "9", "--seed", "4"]
     for cmd in ("filter", "field"):
         assert main([cmd, "--input", str(scene), "--output", str(tmp_path / "o.csv")]
                     + flags) == 2
@@ -313,18 +311,21 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
 def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
     # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone;
-    # ransac_p, n_reweight_iters and max_em_iters are module constants, and
-    # EM takes its outlier density a from the targets' box
+    # ransac_p, n_reweight_iters, max_em_iters, T_min, p_min and theta are
+    # module constants, and EM takes its outlier density a from the
+    # targets' box
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
     argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
-    for flags in (["--sparse"], ["--n-sparse", "100"], ["--a", "1"]):
+    for flags in (["--sparse"], ["--n-sparse", "100"], ["--a", "1"], ["--t-min", "5"],
+                  ["--p-min", "0.5"], ["--theta", "0.005"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 2
     cfgfile = tmp_path / "old.cfg"
     for key, val in (("N_sparse", "100"), ("ransac_p", "0.99"), ("n_reweight_iters", "3"),
-                     ("max_em_iters", "50"), ("a", "1e-5")):
+                     ("max_em_iters", "50"), ("a", "1e-5"), ("T_min", "5"), ("p_min", "0.5"),
+                     ("theta", "0.01")):
         cfgfile.write_text(f"{key} = {val}\n")
         capsys.readouterr()
         assert main(argv + ["--config", str(cfgfile)]) == 2
@@ -335,7 +336,7 @@ def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
 def test_config_flags_set_exactly_the_config_fields():
     # the flags and the config file set the same names, and nothing else
     names = [name for _, name, _, _ in cli._CONFIG_FLAGS]
-    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 7
+    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 4
 
 
 def test_bench_emits_table(tmp_path, capsys):

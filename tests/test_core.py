@@ -103,19 +103,18 @@ def test_label_result_validation():
 def test_config_defaults():
     cfg = Config()
     assert cfg.H == 20.0
-    assert cfg.T_min == 5
     assert cfg.r == 50.0
-    assert cfg.p_min == 0.5
-    assert cfg.theta == 0.005
     assert cfg.N_neighbor == 16
     assert cfg.seed == 0
     # one RANSAC path: no sample-size knob left
     assert not hasattr(cfg, "N_sparse")
 
 
-@pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters", "a"])
+@pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters", "a",
+                                  "T_min", "p_min", "theta"])
 def test_config_holds_no_unset_knob(name):
-    # settings no caller sets are module constants, not Config fields, and
+    # settings no caller sets are module constants, not Config fields
+    # (ransac.T_MIN, em_refine.P_MIN and em_refine.THETA among them), and
     # the outlier density a is taken from the targets' box
     assert not hasattr(Config(), name)
     with pytest.raises(TypeError):
@@ -128,24 +127,18 @@ def test_config_rejects_out_of_range():
     with pytest.raises(ConfigError):
         Config(r=-1.0)
     with pytest.raises(ConfigError):
-        Config(p_min=0.0)
-    with pytest.raises(ConfigError):
-        Config(p_min=1.0)
-    with pytest.raises(ConfigError):
-        Config(T_min=0)
-    with pytest.raises(ConfigError):
         Config(N_neighbor=0)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
-    # H=True once ran as H = 1 and theta=True as theta = 1
-    for name in ("H", "r", "theta"):
+    # H=True once ran as H = 1
+    for name in ("H", "r"):
         for v in (True, False):
             with pytest.raises(ConfigError, match=f"{name} must be positive, got {v}"):
                 Config(**{name: v})
 
 
-@pytest.mark.parametrize("name", ["T_min", "N_neighbor", "seed"])
+@pytest.mark.parametrize("name", ["N_neighbor", "seed"])
 @pytest.mark.parametrize("value", [2.0, 2.5, True, False, np.float64(9.0), "9"])
 def test_config_rejects_integer_fields_given_as_other_types(name, value):
     # Config(seed=1.5) once failed in numpy's SeedSequence, N_neighbor=2.5
@@ -155,8 +148,8 @@ def test_config_rejects_integer_fields_given_as_other_types(name, value):
 
 
 def test_config_takes_python_and_numpy_integers():
-    cfg = Config(T_min=np.int64(6), N_neighbor=np.int32(9), seed=np.uint64(4))
-    assert (cfg.T_min, cfg.N_neighbor, cfg.seed) == (6, 9, 4)
+    cfg = Config(N_neighbor=np.int32(9), seed=np.uint64(4))
+    assert (cfg.N_neighbor, cfg.seed) == (9, 4)
     with pytest.raises(ConfigError, match="N_neighbor must be >= 1, got 0"):
         Config(N_neighbor=np.int64(0))
 
@@ -192,14 +185,25 @@ def test_config_for_matches_adapts_only_3d():
     assert cfg3.seed == 7
 
 
+def test_config_holds_only_what_the_scale_sets_and_the_seed():
+    # a setting stays a Config field only while a second value of it is in
+    # use: for_matches gives 3D match sets their own value of every field
+    # but the seed. A one-value knob fails here; make it a module constant
+    rng = make_rng(0)
+    x3 = rng.uniform(0.0, 100.0, size=(50, 3))
+    cfg3 = Config.for_matches(MatchSet.from_points(x3, x3 + 1.0))
+    scaled = {f.name for f in fields(Config) if getattr(cfg3, f.name) != getattr(Config(), f.name)}
+    assert {f.name for f in fields(Config)} == scaled | {"seed"}
+
+
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "params.cfg"
-    p.write_text("# comment\n\nH = 30\nT_min=7\nseed=3\n")
+    p.write_text("# comment\n\nH = 30\nN_neighbor=7\nseed=3\n")
     out = config_overrides_from_file(p)
-    assert out == {"H": 30.0, "T_min": 7, "seed": 3}
+    assert out == {"H": 30.0, "N_neighbor": 7, "seed": 3}
     m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
     cfg = Config.for_matches(m, **out)
-    assert cfg.H == 30.0 and cfg.T_min == 7 and cfg.seed == 3
+    assert cfg.H == 30.0 and cfg.N_neighbor == 7 and cfg.seed == 3
 
 
 def test_config_file_values_take_their_field_type(tmp_path):
@@ -228,7 +232,7 @@ def test_config_file_errors(tmp_path):
     p.write_text("N_sparse = none\n")
     with pytest.raises(ConfigError, match="unknown config key 'N_sparse'"):
         config_overrides_from_file(p)
-    p.write_text("T_min=abc\n")
+    p.write_text("N_neighbor=abc\n")
     with pytest.raises(ConfigError):
         config_overrides_from_file(p)
     p.write_text("seed = -3\n")

@@ -184,13 +184,13 @@ def test_huge_3d_coordinates_keep_the_labels(tmp_path, capsys, scale):
 def test_underflowing_chance_level_keeps_t_min(tmp_path, capsys):
     # 3D targets some 1e110 wide with H = 100: p_c = 4/3 pi prod H / extent
     # underflows to 0, and math.log(p_c) raised "math domain error" (exit
-    # 2 naming nothing). Chance explains no support, so t_acc is T_min; H
+    # 2 naming nothing). Chance explains no support, so t_acc is T_MIN; H
     # is far below the 2e108 noise, so no motion is found and all matches
     # are outliers
     m, gt = synth_generate(SynthSpec(n=300, dim=3, seed=1))
     big = MatchSet.from_points(m.x * 1e108, m.y * 1e108)
     cfg = Config.for_matches(big, H=100.0)
-    assert ransac.acceptance_threshold(big, cfg) == cfg.T_min
+    assert ransac.acceptance_threshold(big, cfg) == ransac.T_MIN
     labels, _, _ = filter_and_refine(big, cfg)
     assert_label_invariants(labels, big.n)
     assert not labels.inlier.any()

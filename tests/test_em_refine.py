@@ -354,7 +354,7 @@ def test_run_em_rigid_scene_converges():
     assert state.converged
     assert labels.residual.max() < 1e-6
     assert len(state.delta_history) == state.n_iters - 1
-    assert state.delta_history[-1] < cfg.theta
+    assert state.delta_history[-1] < em_refine.THETA
 
 
 def test_run_em_pure_noise_labels_almost_nothing():
@@ -388,7 +388,7 @@ def test_labels_consistent_with_state():
     m, gt = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=3))
     cfg = Config(seed=3)
     labels, state, out = filter_and_refine(m, cfg)
-    want = (state.p > cfg.p_min) & (labels.residual < cfg.H)
+    want = (state.p > em_refine.P_MIN) & (labels.residual < cfg.H)
     assert np.array_equal(labels.inlier, want)
     assert np.allclose(labels.residual, np.linalg.norm(m.y - state.field_at_x, axis=1))
 
@@ -768,14 +768,41 @@ def tied_lattice(seed):
 @pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
 def test_em_on_tied_sources_does_not_depend_on_who_built_the_graph(n_neighbor):
     # among sources tied at one distance the kd-tree keeps other neighbors
-    # at other widths; every graph is built at one width, so EM on the
-    # run's graph and EM on a build of its own read the same neighbors
+    # at other widths, so EM reads a graph only at the width of its own
+    # build: on the run's graph, on a graph built wider by a RANSAC run at
+    # the 3D neighborhood of 24, and on a build of its own EM reads the
+    # same neighbors
     cfg = Config(N_neighbor=n_neighbor, seed=2)
     for seed in range(5):
         m = tied_lattice(seed)
         outcome = ransac_run(m, cfg)
-        bare = replace(outcome, graph=None)
-        assert em_bytes(*run_em(m, outcome, cfg)) == em_bytes(*run_em(m, bare, cfg))
+        wide = ransac_run(m, replace(cfg, N_neighbor=24))
+        assert wide.graph.idx.shape[1] == 25
+        for run in (outcome, wide):
+            bare = replace(run, graph=None)
+            assert em_bytes(*run_em(m, run, cfg)) == em_bytes(*run_em(m, bare, cfg))
+
+
+@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
+def test_3d_em_reads_the_run_graph_only_at_its_own_width(n_neighbor):
+    # an 8 x 8 x 6 source lattice of step 10 under a smooth field, 96 of its
+    # 384 targets redrawn: RANSAC under the 3D defaults builds 25 columns,
+    # and EM at a smaller neighborhood rebuilds rather than read the
+    # leading columns of that wider query
+    g = np.meshgrid(*(np.arange(k) * 10.0 for k in (8, 8, 6)), indexing="ij")
+    x = np.column_stack([a.ravel() for a in g])
+    y = x + np.column_stack([2.0 * np.sin(x[:, 1] / 30.0), 1.5 * np.cos(x[:, 0] / 40.0),
+                             np.sin(x[:, 2] / 20.0)])
+    rng = make_rng(3)
+    wrong = rng.choice(x.shape[0], size=96, replace=False)
+    y[wrong] = rng.uniform(0.0, 70.0, size=(96, 3))
+    m = MatchSet.from_points(x, y)
+    cfg = Config.for_matches(m, seed=2)
+    outcome = ransac_run(m, cfg)
+    assert outcome.graph.idx.shape[1] == 25
+    small = replace(cfg, N_neighbor=n_neighbor)
+    bare = replace(outcome, graph=None)
+    assert em_bytes(*run_em(m, outcome, small)) == em_bytes(*run_em(m, bare, small))
 
 
 def test_em_stops_at_the_iteration_cap(monkeypatch):
@@ -789,4 +816,4 @@ def test_em_stops_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(em_refine, "MAX_EM_ITERS", 2)
     _, capped = run_em(m, outcome, cfg)
     assert not capped.converged and capped.n_iters == 2
-    assert len(capped.delta_history) == 1 and capped.delta_history[0] >= cfg.theta
+    assert len(capped.delta_history) == 1 and capped.delta_history[0] >= em_refine.THETA

@@ -21,6 +21,7 @@ from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     ALPHA,
     RANK_TOL,
+    T_MIN,
     RansacOutcome,
     TransformHypothesis,
     acceptance_threshold,
@@ -355,7 +356,7 @@ def test_trial_bound_hand_value():
     assert math.ceil(b) == 29
     # tightens as gamma grows
     assert trial_bound(100, 0.6, 5, 0.95) < b
-    # exactly T_min matches left: one trial decides, so the bound is 0
+    # exactly T_MIN matches left: one trial decides, so the bound is 0
     assert trial_bound(5, 0.0, 5, 0.95) == 0.0
     assert trial_bound(50, 0.9, 5, 0.95) == 0.0
 
@@ -404,7 +405,7 @@ def test_acceptance_threshold_is_the_exact_binomial_tail(n, extent, H):
     cfg = Config(H=H)
     ball = math.pi * H * H if m.dim == 2 else 4.0 / 3.0 * math.pi * H**3
     p_c = ball / math.prod(e + 2.0 * H for e in extent)
-    assert acceptance_threshold(m, cfg) == exact_acceptance_threshold(n, p_c, cfg.T_min)
+    assert acceptance_threshold(m, cfg) == exact_acceptance_threshold(n, p_c, T_MIN)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -417,7 +418,7 @@ def test_acceptance_threshold_of_collapsed_targets_is_finite(dim):
         warnings.simplefilter("error")
         t = acceptance_threshold(m, cfg)
     assert isinstance(t, int)
-    assert cfg.T_min < t <= m.n
+    assert T_MIN < t <= m.n
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -429,7 +430,7 @@ def test_acceptance_threshold_is_shift_and_scale_invariant(dim):
         m = box_targets(2000, (100.0, 100.0, 100.0), seed=5)
         cfg = Config(H=10.0, seed=5)
     t = acceptance_threshold(m, cfg)
-    assert t > cfg.T_min
+    assert t > T_MIN
     shifted = MatchSet.from_points(m.x + 1e6, m.y + 1e6)
     assert acceptance_threshold(shifted, cfg) == t
     for s in (0.37, 250.0):
@@ -439,21 +440,21 @@ def test_acceptance_threshold_is_shift_and_scale_invariant(dim):
 
 @pytest.mark.parametrize("n, outlier_ratio", [(629, 0.24), (1784, 0.61), (693, 0.84)])
 def test_acceptance_threshold_is_t_min_on_3d_acceptance_scenes(n, outlier_ratio):
-    # small H against a 100-unit cube: chance explains no T_min support, so
+    # small H against a 100-unit cube: chance explains no T_MIN support, so
     # the 3D runs are the runs without the rule
     for seed in range(5):
         m, _ = surface_scene_3d(n, outlier_ratio, seed)
         cfg = Config.for_matches(m, seed=seed)
-        assert acceptance_threshold(m, cfg) == cfg.T_min
+        assert acceptance_threshold(m, cfg) == T_MIN
 
 
 def test_kept_hypotheses_beat_chance():
-    # at n = 1000 and 85% outliers the threshold is above T_min, and every
+    # at n = 1000 and 85% outliers the threshold is above T_MIN, and every
     # kept motion reaches it
     m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.85, seed=0))
     cfg = Config(seed=0)
     t_acc = acceptance_threshold(m, cfg)
-    assert t_acc > cfg.T_min
+    assert t_acc > T_MIN
     out = ransac_run(m, cfg)
     assert out.hypotheses
     assert min(h.support for h in out.hypotheses) >= t_acc
@@ -484,7 +485,7 @@ def test_ransac_outcome_bookkeeping():
     controls = [h.control for h in out.hypotheses]
     assert len(controls) == len(set(controls))
     for h in out.hypotheses:
-        assert h.support == h.inliers.size >= Config().T_min
+        assert h.support == h.inliers.size >= T_MIN
 
 
 def test_ransac_is_deterministic():
@@ -539,11 +540,11 @@ def exact_similarity(n, seed=50):
 @pytest.mark.parametrize("n", [5, 6])
 def test_t_min_and_t_min_plus_one_exact_matches_get_one_trial(n):
     # exact matches under one rotation and scale: the single trial explains
-    # all of them, also at n = T_min, where the stopping rule must still
+    # all of them, also at n = T_MIN, where the stopping rule must still
     # allow the first draw
     m = exact_similarity(n)
     cfg = Config(seed=0)
-    assert cfg.T_min == 5
+    assert T_MIN == 5
     out = ransac_run(m, cfg)
     assert out.trials == 1 and len(out.hypotheses) == 1
     assert np.array_equal(out.inlier_union, np.arange(n))
@@ -556,7 +557,7 @@ def test_labels_from_outcome_rigid_scene():
     m, R, t, mu = similarity_scene(rng, 60, 2)
     cfg = Config(seed=0)
     out = ransac_run(m, cfg)
-    labels = labels_from_outcome(m, out, cfg)
+    labels = labels_from_outcome(m, out)
     assert labels.inlier.all()
     assert labels.residual.max() < 1e-6
     assert set(np.unique(labels.posterior)) <= {0.0, 1.0}
@@ -565,7 +566,7 @@ def test_labels_from_outcome_rigid_scene():
 def test_labels_from_empty_outcome():
     m = MatchSet.from_points(np.zeros((4, 2)) + np.arange(4)[:, None], np.ones((4, 2)))
     empty = RansacOutcome(hypotheses=(), n=m.n, gamma_history=())
-    labels = labels_from_outcome(m, empty, Config())
+    labels = labels_from_outcome(m, empty)
     assert not labels.inlier.any()
     assert np.isinf(labels.residual).all()
 
@@ -684,7 +685,7 @@ def test_labels_from_outcome_equal_the_reference_loop(scene):
         cfg = Config.for_matches(m, seed=42)
         out = ransac_run(m, cfg)
         assert len(out.hypotheses) >= 2
-    labels = labels_from_outcome(m, out, cfg)
+    labels = labels_from_outcome(m, out)
     inlier, posterior, residual = reference_labels_from_outcome(m, out)
     assert labels.inlier.tobytes() == inlier.tobytes()
     assert labels.posterior.tobytes() == posterior.tobytes()
@@ -833,7 +834,7 @@ REFERENCE_SCENES = {
     "3d-1784/0.39": lambda: surface_scene_3d(1784, 0.61, seed=44)[0],
     "2d-collapsed-targets": lambda: collapsed_targets(2),
     "3d-collapsed-targets": lambda: collapsed_targets(3),
-    "2d-t-min": lambda: exact_similarity(Config().T_min),
+    "2d-t-min": lambda: exact_similarity(T_MIN),
 }
 
 
@@ -1008,7 +1009,7 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
         out = RansacOutcome(hypotheses=(), n=25, gamma_history=())
         counts = "outcome of 25 matches used with 20 matches"
     with pytest.raises(ValueError, match=counts):
-        labels_from_outcome(other, out, Config())
+        labels_from_outcome(other, out)
 
 
 def pool_of(m, cfg):
@@ -1042,7 +1043,7 @@ def test_pool_just_above_t_min_drops_the_wrong_match():
     # wrong one keeps none, and the one trial keeps all five true matches
     m = with_wrong_targets(exact_similarity(6), [2], (250.0, 100.0))
     cfg = Config(seed=0)
-    assert acceptance_threshold(m, cfg) == cfg.T_min == 5
+    assert acceptance_threshold(m, cfg) == T_MIN == 5
     labels, _, outcome = filter_and_refine(m, cfg)
     assert outcome.pool == 5 and outcome.trials == 1
     assert [h.inliers.tolist() for h in outcome.hypotheses] == [[0, 1, 3, 4, 5]]

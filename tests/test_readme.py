@@ -1,12 +1,14 @@
 """Every ```python block of README.md runs, so an example cannot name a
-function the package no longer has, and README's 3D defaults are the ones
-the code sets."""
+function the package no longer has, and README's 3D defaults and named
+module constants are the ones the code sets."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import matchfield
 from matchfield import Config, ransac_run, reweight_fit
 from matchfield.core import scale_estimate
 from matchfield.io_eval import SynthSpec, synth_generate
@@ -39,3 +41,15 @@ def test_readme_3d_defaults_are_the_builders():
     cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, h * s) and np.isclose(cfg.r, r * s)
     assert cfg.N_neighbor == k
+
+
+@pytest.mark.parametrize("name", ["ransac.T_MIN", "ransac.N_REWEIGHT_ITERS", "ransac.RANSAC_P",
+                                  "em_refine.P_MIN", "em_refine.THETA",
+                                  "em_refine.MAX_EM_ITERS"])
+def test_readme_states_each_retired_setting_as_its_constant(name):
+    # the config-key paragraph names the module constants that took the
+    # place of settings, each with the value the code holds
+    found = re.search(rf"`matchfield\.{re.escape(name)} = ([\d.e-]+)`", README.read_text())
+    assert found, f"README does not state matchfield.{name}"
+    module, attr = name.split(".")
+    assert float(found[1]) == getattr(getattr(matchfield, module), attr)
