@@ -54,7 +54,6 @@ GRID_STEP = 50.0
 _CONFIG_FLAGS = (
     ("--H", "H", float, "inlier residual threshold"),
     ("--r", "r", float, "neighborhood radius"),
-    ("--n-neighbor", "N_neighbor", int, "neighbors for blending"),
     ("--seed", "seed", int, "random seed"),
 )
 

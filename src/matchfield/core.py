@@ -5,9 +5,9 @@ consumes the value types defined here. All of them are immutable after
 construction; the arrays they hold are marked read-only so accidental
 mutation fails loudly. The k-nearest-neighbor graph lives here because a
 run makes one kd-tree query and both stages read its answer: RANSAC picks
-its controls from the first POOL_COLUMNS neighbors, EM blends over the first
-N_neighbor. The graph is the neighbor indices and source distances; it
-holds no weights, so one graph serves any radius r.
+its controls from the first POOL_COLUMNS neighbors, EM blends over all
+N_NEIGHBOR[dim] of them. The graph is the neighbor indices and source
+distances; it holds no weights, so one graph serves any radius r.
 """
 
 from __future__ import annotations
@@ -65,6 +65,12 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
 # benchmark scenes (629/0.76, 1784/0.39, 693/0.16 inliers) the first 16 cut
 # mean trials from 69/459/321 to 12/32/38, all 24 only to 21/67/93
 POOL_COLUMNS = 16
+# neighbors each match's motion is blended from, in EM and in field
+# queries, per dimension. In 3D the field's hold-out error over 24 is at
+# most 9.9% above its error over 50, over 16 up to 39.7%
+# (BENCH_neighbors_3d.json). Both values are at least POOL_COLUMNS, so a
+# run's one graph serves both the control pool and the blend
+N_NEIGHBOR = {2: 16, 3: 24}
 
 # largest coordinate magnitude the package takes in, in match files, match
 # sets, synthetic and lattice boxes and query points. Squared distances
@@ -102,8 +108,7 @@ class MatchSet:
     y: FloatArray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         x = np.asarray(self.x, dtype=np.float64)
         y = np.asarray(self.y, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
@@ -127,7 +132,15 @@ class MatchSet:
     @classmethod
     def from_points(cls, x, y) -> "MatchSet":
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ValueError(f"x must be (n, dim), got {x.shape}")
         return cls(dim=int(x.shape[1]), x=x, y=y)
+
+
+def check_dim(dim) -> None:
+    """Raise ValueError unless dim is a Python or numpy integer 2 or 3."""
+    if not isinstance(dim, (int, np.integer)) or dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
 def check_count(name: str, v, least: int, error=ValueError) -> None:
@@ -169,7 +182,8 @@ class LabelResult:
         n = inl.shape[0]
         if inl.ndim != 1 or post.shape != (n,) or res.shape != (n,):
             raise ValueError("labels must be parallel 1-d arrays")
-        if ((post < 0.0) | (post > 1.0)).any():
+        # NaN fails both comparisons, so it fails the check
+        if not ((post >= 0.0) & (post <= 1.0)).all():
             raise ValueError("posteriors must lie in [0, 1]")
         if (res < 0.0).any() or np.isnan(res).any():
             raise ValueError("residuals must be non-negative")
@@ -188,29 +202,27 @@ class Config:
     Config.for_matches, the one builder of a run's config, rescales them
     for 3D inputs.
 
-    H           inlier residual threshold
-    r           radius of the Gaussian distance weights of the blend
-    N_neighbor  neighbors used for blending and field queries
-    seed        seed for every random draw in a run
+    H     inlier residual threshold
+    r     radius of the Gaussian distance weights of the blend
+    seed  seed for every random draw in a run
 
     These are exactly the settings the filter and field flags and the
-    config file set: the three for_matches sets per dimension, and the
+    config file set: the two for_matches sets per dimension, and the
     seed. Values no caller sets are module constants beside the code that
-    reads them: ransac.T_MIN, ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P,
-    em_refine.P_MIN, em_refine.THETA and em_refine.MAX_EM_ITERS. The
-    mixture's uniform outlier density is no setting either: em_refine.e_step
-    takes it from the data, as the inverse volume of the targets' bounding
-    box padded by H (ransac.padded_box_fraction).
+    reads them: N_NEIGHBOR (one per dimension), ransac.T_MIN,
+    ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P, em_refine.P_MIN,
+    em_refine.THETA and em_refine.MAX_EM_ITERS. The mixture's uniform
+    outlier density is no setting either: em_refine.e_step takes it from
+    the data, as the inverse volume of the targets' bounding box padded by
+    H (ransac.padded_box_fraction).
     """
 
     H: float = 20.0
     r: float = 50.0
-    N_neighbor: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("N_neighbor", 1), ("seed", 0)):
-            check_count(name, getattr(self, name), least, ConfigError)
+        check_count("seed", self.seed, 0, ConfigError)
         for name in ("H", "r"):
             v = getattr(self, name)
             # bool is an int subclass, so True would pass as 1
@@ -222,10 +234,10 @@ class Config:
         """The one builder of a run's config: defaults, rescaled to m's
         spatial scale s = scale_estimate(m) when m is 3D, then overrides.
 
-        3D inputs have no pixel grid, so H becomes 0.1 s, r becomes 0.3 s
-        and the neighborhood grows to 24. Every other length the run uses
-        (sigma, the targets' padded box) comes from the data, so a change
-        of units leaves every posterior, and so every label, unchanged.
+        3D inputs have no pixel grid, so H becomes 0.1 s and r becomes
+        0.3 s. Every other length the run uses (sigma, the targets' padded
+        box) comes from the data, so a change of units leaves every
+        posterior, and so every label, unchanged.
 
         The CLI passes its config-file values updated with its flags as the
         overrides.
@@ -233,7 +245,7 @@ class Config:
         scaled = {}
         if m.dim == 3:
             s = scale_estimate(m)
-            scaled = dict(H=0.1 * s, r=0.3 * s, N_neighbor=24)
+            scaled = dict(H=0.1 * s, r=0.3 * s)
         return cls(**{**scaled, **overrides})
 
 
@@ -244,8 +256,8 @@ class NeighborGraph:
 
     idx is (n, k) with column 0 the match itself, and dist holds the source
     distances |x_j - x_i| per (match, neighbor), so column 0 is 0. The
-    width k is the graph's one setting; the weights that blend over it
-    (em_refine.blend_neighbors) are formed from dist by whoever blends.
+    weights that blend over it (em_refine.blend_neighbors) are formed from
+    dist by whoever blends.
     matches records the match set build_neighbors built the graph from; a
     graph made by hand has none and is never taken for a build.
     """
@@ -255,20 +267,12 @@ class NeighborGraph:
     matches: MatchSet | None = field(default=None, repr=False, compare=False)
 
 
-def graph_width(n: int, cfg: Config) -> int:
-    """Columns of build_neighbors' graph over n matches: max(N_neighbor,
-    POOL_COLUMNS) neighbors, or every other match when n is smaller, plus
-    the match itself; the control pool and EM read its leading columns.
-    Among tied sources the kd-tree keeps other neighbors at another width,
-    so EM reads no graph of another width (init_from_hypotheses)."""
-    return min(max(cfg.N_neighbor, POOL_COLUMNS), n - 1) + 1
-
-
-def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
-    """k-nearest neighbors by source-side distance, self in column 0, in
-    graph_width(m.n, cfg) columns. The indices and distances are the
-    kd-tree query's, so dist is bit-identical to the square root of the
-    summed squared source differences. A run builds its graph once, before
+def build_neighbors(m: MatchSet) -> NeighborGraph:
+    """k-nearest neighbors by source-side distance, self in column 0: the
+    N_NEIGHBOR[m.dim] nearest, or every other match when n is smaller,
+    plus the match itself. The indices and distances are the kd-tree
+    query's, so dist is bit-identical to the square root of the summed
+    squared source differences. A run builds its graph once, before
     RANSAC; it never changes.
     """
     n = m.n
@@ -276,7 +280,7 @@ def build_neighbors(m: MatchSet, cfg: Config) -> NeighborGraph:
         idx = np.zeros((1, 1), dtype=np.int64)
         dist = np.zeros((1, 1))
     else:
-        dist, idx = cKDTree(m.x).query(m.x, k=graph_width(n, cfg))
+        dist, idx = cKDTree(m.x).query(m.x, k=min(N_NEIGHBOR[m.dim], n - 1) + 1)
         idx = idx.astype(np.int64)
         # the kd-tree breaks distance ties arbitrarily; force self into
         # column 0 so blending always sees the match's own motion. Only

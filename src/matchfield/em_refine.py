@@ -36,7 +36,6 @@ from .core import (
     MatchSet,
     NeighborGraph,
     build_neighbors,
-    graph_width,
 )
 from .dualquat import (
     dq8_apply,
@@ -99,14 +98,11 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     inlier prior gamma is the RANSAC cover fraction clamped to
     [0.05, 0.95] and stays fixed for the whole EM run.
 
-    The state reads the first min(N_neighbor, n - 1) + 1 columns of the
-    outcome's graph as views when build_neighbors built it on this very
-    match set (identity, as matches are immutable) graph_width(n, cfg)
-    wide, whatever cfg.r is. A hand-made, foreign, missing or other-width
-    graph, such as one of a RANSAC run at a larger N_neighbor, is replaced
-    by build_neighbors(m, cfg), whose leading columns the state reads
-    alike. The kd-tree's choice among tied neighbors depends on the width
-    alone, so EM's result does not depend on who built its graph.
+    The state's graph is the outcome's when build_neighbors built it on
+    this very match set (identity, as matches are immutable), whatever
+    cfg is. A hand-made, foreign or missing graph is replaced by
+    build_neighbors(m). Every build on m is the same query, so EM's result
+    does not depend on who built its graph.
 
     An empty outcome is legal and yields the all-identity, all-zero-weight,
     gamma = 0.05 state. An outcome of another match count raises
@@ -114,11 +110,9 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     """
     owner = outcome.owner_for(m)
     n = m.n
-    k = min(cfg.N_neighbor, n - 1) + 1
-    g = outcome.graph
-    if g is None or g.matches is not m or g.idx.shape[1] != graph_width(n, cfg):
-        g = build_neighbors(m, cfg)
-    graph = NeighborGraph(idx=g.idx[:, :k], dist=g.dist[:, :k], matches=m)
+    graph = outcome.graph
+    if graph is None or graph.matches is not m:
+        graph = build_neighbors(m)
     qs = dq8_identity(n)
     mus = np.ones(n)
     p = np.zeros(n)
@@ -264,9 +258,9 @@ def run_em(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> tuple[LabelResul
     Iterations stop when the mean absolute posterior change drops below
     THETA, or at MAX_EM_ITERS with the converged flag left false. A match
     ends up an inlier when its final posterior exceeds P_MIN and its field
-    residual stays below H. The kNN graph is the leading N_neighbor columns
-    of the one RANSAC built on the same matches under the same cfg, carried
-    on the outcome, or a fresh build (see init_from_hypotheses).
+    residual stays below H. The kNN graph is the one RANSAC built on the
+    same matches, carried on the outcome, or a fresh build (see
+    init_from_hypotheses).
     """
     state = init_from_hypotheses(m, outcome, cfg)
     p_prev: FloatArray | None = None

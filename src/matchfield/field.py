@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import (COORD_RULE, Config, FloatArray, LabelResult, MatchSet, box_corners,
-                   coords_in_range)
+from .core import (COORD_RULE, N_NEIGHBOR, Config, FloatArray, LabelResult, MatchSet,
+                   box_corners, coords_in_range)
 from .dualquat import dq8_apply
 from .em_refine import EmState, blend_neighbors
 from .io_eval import flag_column, float_column, write_csv_columns
@@ -35,8 +35,8 @@ from .io_eval import flag_column, float_column, write_csv_columns
 SUPPORT_MIN = 0.01
 # query points are blended this many rows at a time, so the (rows, k)
 # planes of neighbor distances, indices, weights and hemisphere dots (k up
-# to N_neighbor) stay a few MB however many points are asked for; every
-# step is row-wise, so the result does not depend on it
+# to core.N_NEIGHBOR[dim]) stay a few MB however many points are asked for;
+# every step is row-wise, so the result does not depend on it
 QUERY_BLOCK = 4096
 
 
@@ -64,18 +64,22 @@ def query_field(
 ) -> list[FieldSample]:
     """Evaluate the field at arbitrary points (k, dim).
 
-    Each point blends the motions of its N_neighbor nearest labeled inliers
-    with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j, the M-step's
-    rule (em_refine.blend_neighbors), and applies the blended motion to the
-    point. support is the raw weight sum; a sample with support below
+    Each point blends the motions of its core.N_NEIGHBOR[dim] nearest
+    labeled inliers with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j,
+    the M-step's rule (em_refine.blend_neighbors), and applies the blended
+    motion to the point. support is the raw weight sum; a sample with support below
     SUPPORT_MIN (0.01) is flagged invalid but still reports the blended
     motion applied to the point. Only a sample without
     any weight (support 0) reports the query point itself as the displaced
     position. With zero inliers every sample is invalid.
     Query points obey the coordinate rule (core.coords_in_range: finite and
     at most MAX_COORD in magnitude); a ValueError names the first that
-    breaks it.
+    breaks it. labels and state must come from a run on m's n matches; a
+    ValueError names both counts when either does not.
     """
+    for what, count in (("labels", labels.n), ("EM state", state.qs.shape[0])):
+        if count != m.n:
+            raise ValueError(f"{what} of {count} matches used with {m.n} matches")
     pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != m.dim:
         raise ValueError(f"query points must be (k, {m.dim}), got {pts.shape}")
@@ -94,7 +98,7 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
     inl = np.nonzero(labels.inlier)[0]
     if inl.size == 0:
         return pts.copy(), np.zeros(n_pts), np.zeros(n_pts, dtype=bool)
-    k = min(cfg.N_neighbor, inl.size)
+    k = min(N_NEIGHBOR[m.dim], inl.size)
     tree = cKDTree(m.x[inl])
     qs, mus, post = state.qs[inl], state.mus[inl], labels.posterior[inl]
     disp = np.empty_like(pts)

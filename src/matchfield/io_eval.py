@@ -28,7 +28,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import (COORD_RULE, BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners,
-                   check_count, coords_in_range, make_rng)
+                   check_count, check_dim, coords_in_range, make_rng)
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 
 
@@ -309,8 +309,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        check_dim(self.dim)
         if self.bounds is None:
             box = ((0.0, 0.0), (800.0, 600.0)) if self.dim == 2 else ((0.0,) * 3, (100.0,) * 3)
             object.__setattr__(self, "bounds", box)

@@ -12,15 +12,15 @@ as unit dual quaternions with a scale, in the one (..., 8) layout of
 dualquat: they are the initial values of EM's blended field.
 
 Controls are not drawn from all n matches. A run first builds one kNN
-graph over the sources (core.build_neighbors), max(N_neighbor, 16)
+graph over the sources (core.build_neighbors), core.N_NEIGHBOR[dim]
 neighbors wide, and opens only the matches that keep their distances to
 near neighbors: a wrong match rarely agrees with two of its 16 nearest
 neighbors (control_pool). This is the neighborhood-preservation test of
 LPM (Ma et al., IJCV 2019) used only as a prior on which controls are
 drawn, as in PROSAC (Chum & Matas, CVPR 2005); every kept motion still
 scores every match, and EM still decides the labels. The graph travels to
-EM on the outcome, which blends over its first N_neighbor neighbors, so a
-run whose two stages share one cfg makes one kd-tree query.
+EM on the outcome, which blends over all of its neighbors, so a run makes
+one kd-tree query.
 
 A motion is kept only when chance cannot explain its support (the a
 contrario rule of Moisan & Stival, IJCV 2004). A wrong match lands within H
@@ -131,8 +131,8 @@ class RansacOutcome:
     """What a run decided: the kept hypotheses in the order they were
     found, the match count n, gamma after each trial, the size of the
     control pool the trials drew from, and the run's kNN graph
-    (core.build_neighbors, graph_width columns), whose leading columns EM
-    blends over (None in an outcome made by hand).
+    (core.build_neighbors), which EM blends over (None in an outcome made
+    by hand).
 
     Everything else is derived from these. trials is the length of
     gamma_history, one entry per trial; owner names the motion that owns
@@ -251,9 +251,8 @@ def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> 
     side is computed here. The pool holds the matches scoring at least
     POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept motion's
     control need not keep more neighbors than the motion has other
-    inliers. graph holds POOL_COLUMNS neighbors, or every other match when
-    n is smaller: build_neighbors builds every graph that wide whatever
-    N_neighbor is, so the pool does not depend on N_neighbor.
+    inliers. graph holds at least POOL_COLUMNS neighbors (core.N_NEIGHBOR),
+    or every other match when n is smaller.
     """
     cols = slice(1, POOL_COLUMNS + 1)
     # a contiguous copy gathers about twice as fast as the strided view
@@ -492,16 +491,15 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
 
     At the end of the run one batched dq8_from_rt call turns the kept
     motions into the dualquat rows EM seeds from. The outcome records the
-    pool size and carries the graph; run_em on the same match set under
-    the same cfg blends over its first N_neighbor neighbors and queries no
-    kd-tree. Fewer than T_MIN matches raise DegenerateGeometryError. With
-    nothing but outliers the outcome is empty: no hypotheses and
-    gamma = 0.
+    pool size and carries the graph; run_em on the same match set blends
+    over it and queries no kd-tree. Fewer than T_MIN matches raise
+    DegenerateGeometryError. With nothing but outliers the outcome is
+    empty: no hypotheses and gamma = 0.
     """
     n = m.n
     if n < T_MIN:
         raise DegenerateGeometryError(f"{n} matches cannot support a hypothesis, which needs {T_MIN}")
-    graph = build_neighbors(m, cfg)
+    graph = build_neighbors(m)
     t_acc = acceptance_threshold(m, cfg)
     rng = make_rng(cfg.seed)
     inlier_mask = np.zeros(n, dtype=bool)

@@ -153,6 +153,14 @@ def test_eval_of_labels_for_another_match_count_returns_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: label count 59 does not match 60 matches\n"
 
 
+def test_eval_of_labels_with_a_nan_posterior_returns_2(tmp_path, capsys):
+    scene, labels = tmp_path / "scene.csv", tmp_path / "labels.csv"
+    run_ok(["synth", "--output", str(scene), "--n", "3", "--seed", "3"], capsys)
+    labels.write_text("index,inlier,posterior,residual\n0,1,0.9,0.5\n1,1,nan,0.5\n2,0,0.1,40\n")
+    assert main(["eval", "--input", str(labels), "--truth", str(scene)]) == 2
+    assert capsys.readouterr().err == "error: posteriors must lie in [0, 1]\n"
+
+
 def test_eval_without_ground_truth_returns_2(tmp_path, capsys):
     scene = tmp_path / "scene.csv"
     labels = tmp_path / "labels.csv"
@@ -271,8 +279,8 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_run_pipeline", fake_pipeline)
     scene = tmp_path / "scene.csv"
     save_matches(scene, *synth_generate(SynthSpec(n=50, seed=0)))
-    want = {"H": 12.5, "r": 40.0, "N_neighbor": 9, "seed": 4}
-    flags = ["--H", "12.5", "--r", "40", "--n-neighbor", "9", "--seed", "4"]
+    want = {"H": 12.5, "r": 40.0, "seed": 4}
+    flags = ["--H", "12.5", "--r", "40", "--seed", "4"]
     for cmd in ("filter", "field"):
         assert main([cmd, "--input", str(scene), "--output", str(tmp_path / "o.csv")]
                     + flags) == 2
@@ -280,21 +288,6 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
         assert got == want
         assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
     assert len(cli._CONFIG_FLAGS) == len(want)
-
-
-def test_filter_with_one_neighbor_still_finds_the_motions(tmp_path, capsys):
-    # RANSAC's control pool reads its own 16 neighbors, so a one-neighbor EM
-    # graph leaves the draws as they are and the run still finds the scene
-    scene = tmp_path / "scene.csv"
-    labels = tmp_path / "labels.csv"
-    save_matches(scene, *synth_generate(SynthSpec(n=300, outlier_ratio=0.3, seed=1)))
-    assert main(["filter", "--input", str(scene), "--output", str(labels), "--seed", "1",
-                 "--n-neighbor", "1"]) == 0
-    printed = capsys.readouterr()
-    assert "no rigid motion found" not in printed.err
-    assert float(re.search(r"gamma=([0-9.]+)", printed.out).group(1)) > 0.5
-    out = run_ok(["eval", "--input", str(labels), "--truth", str(scene)], capsys)
-    assert float(re.search(r"fscore=([0-9.]+)", out).group(1)) > 0.9
 
 
 def test_bad_config_file_returns_2(tmp_path, capsys):
@@ -311,21 +304,21 @@ def test_bad_config_file_returns_2(tmp_path, capsys):
 
 def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
     # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone;
-    # ransac_p, n_reweight_iters, max_em_iters, T_min, p_min and theta are
-    # module constants, and EM takes its outlier density a from the
-    # targets' box
+    # ransac_p, n_reweight_iters, max_em_iters, T_min, p_min, theta and
+    # N_neighbor are module constants, and EM takes its outlier density a
+    # from the targets' box
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
     argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
     for flags in (["--sparse"], ["--n-sparse", "100"], ["--a", "1"], ["--t-min", "5"],
-                  ["--p-min", "0.5"], ["--theta", "0.005"]):
+                  ["--p-min", "0.5"], ["--theta", "0.005"], ["--n-neighbor", "9"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 2
     cfgfile = tmp_path / "old.cfg"
     for key, val in (("N_sparse", "100"), ("ransac_p", "0.99"), ("n_reweight_iters", "3"),
                      ("max_em_iters", "50"), ("a", "1e-5"), ("T_min", "5"), ("p_min", "0.5"),
-                     ("theta", "0.01")):
+                     ("theta", "0.01"), ("N_neighbor", "24")):
         cfgfile.write_text(f"{key} = {val}\n")
         capsys.readouterr()
         assert main(argv + ["--config", str(cfgfile)]) == 2
@@ -336,7 +329,7 @@ def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
 def test_config_flags_set_exactly_the_config_fields():
     # the flags and the config file set the same names, and nothing else
     names = [name for _, name, _, _ in cli._CONFIG_FLAGS]
-    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 4
+    assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 3
 
 
 def test_bench_emits_table(tmp_path, capsys):
@@ -489,7 +482,7 @@ def test_each_run_passes_both_stage_attributes_once(tmp_path, capsys, monkeypatc
     assert calls["ransac"][0] is calls["em"][0]
 
 
-@pytest.mark.parametrize("dim,cfg_text,H", [(2, "H = 12\nN_neighbor = 24\nseed = 4\n", 15.0),
+@pytest.mark.parametrize("dim,cfg_text,H", [(2, "H = 12\nr = 35\nseed = 4\n", 15.0),
                                             (3, "r = 9\nseed = 4\n", 3.0)],
                          ids=["2d", "3d"])
 def test_cli_labels_equal_library_run(tmp_path, capsys, dim, cfg_text, H):
@@ -566,7 +559,7 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
     # leaves the adapted r alone
     scene = _synth(tmp_path / "scene3.csv", capsys, dim=3)
     cfgfile = tmp_path / "f.cfg"
-    cfgfile.write_text("seed = 4\nN_neighbor = 30\n")
+    cfgfile.write_text("seed = 4\n")
     calls = _count_stage_calls(monkeypatch)
     run_ok(["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
             "--config", str(cfgfile), "--H", "2.5"], capsys)
@@ -574,7 +567,7 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
     s = scale_estimate(load_matches(scene)[0])
     assert cfg.H == 2.5
     assert np.isclose(cfg.r, 0.3 * s)
-    assert cfg.N_neighbor == 30 and cfg.seed == 4
+    assert cfg.seed == 4
     # a bad file value exits 2 even when a flag overrides it
     cfgfile.write_text("r = -1\n")
     for flags in ([], ["--r", "5"]):

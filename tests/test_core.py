@@ -40,6 +40,9 @@ def test_matchset_rejects_bad_inputs():
             MatchSet(dim=dim, x=np.zeros((3, 2)), y=np.zeros((3, 2)))
     with pytest.raises(ValueError):
         MatchSet(dim=2, x=np.zeros((3, 3)), y=np.zeros((3, 3)))
+    # one point as a flat list once raised IndexError reading its width
+    with pytest.raises(ValueError, match=re.escape("x must be (n, dim), got (2,)")):
+        MatchSet.from_points([1.0, 2.0], [3.0, 4.0])
     with pytest.raises(ValueError):
         MatchSet(dim=2, x=np.zeros((3, 2)), y=np.zeros((4, 2)))
     with pytest.raises(ValueError):
@@ -98,24 +101,27 @@ def test_label_result_validation():
             posterior=np.array([0.5]),
             residual=np.array([0.0]),
         )
+    # NaN fails every comparison, so a check for values outside [0, 1] let
+    # it through
+    with pytest.raises(ValueError, match=re.escape("posteriors must lie in [0, 1]")):
+        LabelResult(inlier=[True, False], posterior=[0.5, np.nan], residual=[0.0, 0.0])
 
 
 def test_config_defaults():
     cfg = Config()
     assert cfg.H == 20.0
     assert cfg.r == 50.0
-    assert cfg.N_neighbor == 16
     assert cfg.seed == 0
     # one RANSAC path: no sample-size knob left
     assert not hasattr(cfg, "N_sparse")
 
 
 @pytest.mark.parametrize("name", ["ransac_p", "n_reweight_iters", "max_em_iters", "a",
-                                  "T_min", "p_min", "theta"])
+                                  "T_min", "p_min", "theta", "N_neighbor"])
 def test_config_holds_no_unset_knob(name):
     # settings no caller sets are module constants, not Config fields
-    # (ransac.T_MIN, em_refine.P_MIN and em_refine.THETA among them), and
-    # the outlier density a is taken from the targets' box
+    # (ransac.T_MIN, em_refine.P_MIN, em_refine.THETA and core.N_NEIGHBOR
+    # among them), and the outlier density a is taken from the targets' box
     assert not hasattr(Config(), name)
     with pytest.raises(TypeError):
         Config(**{name: 1})
@@ -126,8 +132,6 @@ def test_config_rejects_out_of_range():
         Config(H=0.0)
     with pytest.raises(ConfigError):
         Config(r=-1.0)
-    with pytest.raises(ConfigError):
-        Config(N_neighbor=0)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
@@ -138,20 +142,18 @@ def test_config_rejects_out_of_range():
                 Config(**{name: v})
 
 
-@pytest.mark.parametrize("name", ["N_neighbor", "seed"])
+@pytest.mark.parametrize("name", ["seed"])
 @pytest.mark.parametrize("value", [2.0, 2.5, True, False, np.float64(9.0), "9"])
 def test_config_rejects_integer_fields_given_as_other_types(name, value):
-    # Config(seed=1.5) once failed in numpy's SeedSequence, N_neighbor=2.5
-    # ran a kd-tree query for 3.5 neighbors and N_neighbor=True ran as 1
+    # Config(seed=1.5) once failed in numpy's SeedSequence
     with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         Config(**{name: value})
 
 
 def test_config_takes_python_and_numpy_integers():
-    cfg = Config(N_neighbor=np.int32(9), seed=np.uint64(4))
-    assert (cfg.N_neighbor, cfg.seed) == (9, 4)
-    with pytest.raises(ConfigError, match="N_neighbor must be >= 1, got 0"):
-        Config(N_neighbor=np.int64(0))
+    assert Config(seed=np.uint64(4)).seed == Config(seed=np.int32(4)).seed == 4
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        Config(seed=np.int64(-1))
 
 
 def test_config_scale_adaptation():
@@ -163,7 +165,6 @@ def test_config_scale_adaptation():
     cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
-    assert cfg.N_neighbor == 24
     assert not hasattr(Config, "adapted_for_scale")
     # a 3D set without spread has no scale to adapt to
     with pytest.raises(DegenerateScaleError):
@@ -181,7 +182,6 @@ def test_config_for_matches_adapts_only_3d():
     s = scale_estimate(m3)
     assert np.isclose(cfg3.H, 0.1 * s)
     assert np.isclose(cfg3.r, 0.3 * s)
-    assert cfg3.N_neighbor == 24
     assert cfg3.seed == 7
 
 
@@ -198,12 +198,12 @@ def test_config_holds_only_what_the_scale_sets_and_the_seed():
 
 def test_config_file_parsing(tmp_path):
     p = tmp_path / "params.cfg"
-    p.write_text("# comment\n\nH = 30\nN_neighbor=7\nseed=3\n")
+    p.write_text("# comment\n\nH = 30\nr=7\nseed=3\n")
     out = config_overrides_from_file(p)
-    assert out == {"H": 30.0, "N_neighbor": 7, "seed": 3}
+    assert out == {"H": 30.0, "r": 7.0, "seed": 3}
     m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
     cfg = Config.for_matches(m, **out)
-    assert cfg.H == 30.0 and cfg.N_neighbor == 7 and cfg.seed == 3
+    assert cfg.H == 30.0 and cfg.r == 7.0 and cfg.seed == 3
 
 
 def test_config_file_values_take_their_field_type(tmp_path):
@@ -232,8 +232,8 @@ def test_config_file_errors(tmp_path):
     p.write_text("N_sparse = none\n")
     with pytest.raises(ConfigError, match="unknown config key 'N_sparse'"):
         config_overrides_from_file(p)
-    p.write_text("N_neighbor=abc\n")
-    with pytest.raises(ConfigError):
+    p.write_text("seed=abc\n")
+    with pytest.raises(ConfigError, match="bad value for seed"):
         config_overrides_from_file(p)
     p.write_text("seed = -3\n")
     with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 from matchfield import em_refine, ransac
-from matchfield.core import Config, MatchSet, make_rng
+from matchfield import core
+from matchfield.core import N_NEIGHBOR, Config, MatchSet, make_rng
 from matchfield.dualquat import (
     dq8_apply,
     dq8_from_rt,
@@ -53,7 +54,7 @@ def test_build_neighbors_layout():
     rng = make_rng(40)
     x = rng.uniform(0.0, 500.0, size=(30, 2))
     m = MatchSet.from_points(x, x + 1.0)
-    g = build_neighbors(m, Config())
+    g = build_neighbors(m)
     assert g.idx.shape == (30, 17)
     assert np.array_equal(g.idx[:, 0], np.arange(30))
     assert not g.dist[:, 0].any()
@@ -77,7 +78,7 @@ def test_neighbor_weight_hand_value():
     m = MatchSet.from_points(
         [[0.0, 0.0], [50.0, 0.0]], [[100.0, 100.0], [100.0, 150.0]]
     )
-    g = build_neighbors(m, Config())
+    g = build_neighbors(m)
     assert g.dist.tolist() == [[0.0, 50.0], [0.0, 50.0]]
     assert np.allclose(blend_weight_sums(g, [1.0, 1.0], 50.0), 1.0 + np.exp(-0.5),
                        rtol=1e-15, atol=0.0)
@@ -87,7 +88,7 @@ def test_neighbor_weight_reads_only_the_source_side():
     # far apart in x, coincident in y: ten radii of source distance leave
     # the pair a weight of exp(-50) whatever the targets do
     m = MatchSet.from_points([[0.0, 0.0], [500.0, 0.0]], [[7.0, 7.0], [7.0, 7.0]])
-    g = build_neighbors(m, Config())
+    g = build_neighbors(m)
     assert g.dist[0, 1] == 500.0
     assert np.allclose(blend_weight_sums(g, [0.0, 1.0], 50.0)[0], np.exp(-50.0),
                        rtol=1e-12, atol=0.0)
@@ -146,9 +147,8 @@ def test_neighbor_distances_bit_identical_to_full_difference_array():
         MatchSet.from_points([[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]),
     ]
     for m in scenes:
-        cfg = Config.for_matches(m) if m.n > 1 else Config()
-        g = build_neighbors(m, cfg)
-        assert g.idx.shape == g.dist.shape == (m.n, min(cfg.N_neighbor + 1, m.n))
+        g = build_neighbors(m)
+        assert g.idx.shape == g.dist.shape == (m.n, min(N_NEIGHBOR[m.dim] + 1, m.n))
         assert np.array_equal(g.idx[:, 0], np.arange(m.n))
         assert g.dist.tobytes() == reference_neighbor_dists(m, g.idx).tobytes()
         if m.n > 1:
@@ -160,7 +160,7 @@ def test_neighbor_distances_bit_identical_to_full_difference_array():
     # every doubled point sees its twin at distance 0, so the kd-tree put
     # self out of column 0 in some rows, and no row misses self
     m = doubled(big_2d)
-    raw = cKDTree(m.x).query(m.x, k=Config.for_matches(m).N_neighbor + 1)[1]
+    raw = cKDTree(m.x).query(m.x, k=N_NEIGHBOR[2] + 1)[1]
     assert (raw[:, 0] != np.arange(m.n)).any()
     assert (raw == np.arange(m.n)[:, None]).any(axis=1).all()
 
@@ -605,10 +605,9 @@ def test_em_readers_reject_an_outcome_of_another_match_count(with_hypotheses):
             read()
 
 
-def graph_bytes(g, k=None):
-    """The bytes of g's indices and distances, of its first k columns when
-    k is given: what EM reads of a graph for N_neighbor = k - 1."""
-    return [np.ascontiguousarray(a[:, :k]).tobytes() for a in (g.idx, g.dist)]
+def graph_bytes(g):
+    """The bytes of g's indices and distances."""
+    return [a.tobytes() for a in (g.idx, g.dist)]
 
 
 def count_builds(monkeypatch):
@@ -616,9 +615,9 @@ def count_builds(monkeypatch):
     up through ransac.build_neighbors and em_refine.build_neighbors."""
     calls = []
     for mod in (ransac, em_refine):
-        def counted(m, cfg, build=mod.build_neighbors, name=mod.__name__):
+        def counted(m, build=mod.build_neighbors, name=mod.__name__):
             calls.append(name)
-            return build(m, cfg)
+            return build(m)
         monkeypatch.setattr(mod, "build_neighbors", counted)
     return calls
 
@@ -629,34 +628,27 @@ def test_run_em_reuses_only_the_graph_built_for_its_matches_and_settings(monkeyp
     outcome = ransac_run(m, cfg)
     bare = replace(outcome, graph=None)
     calls = count_builds(monkeypatch)
-    # the graph holds distances, not weights, so another r reads it too, and
-    # a narrower N_neighbor reads its leading columns as views: no build,
-    # and the leading columns of a fresh build
-    for other_cfg in (cfg, replace(cfg, r=35.0), replace(cfg, r=80.0),
-                      replace(cfg, N_neighbor=9), replace(cfg, N_neighbor=1)):
+    # the graph holds distances, not weights, so EM under another r takes it
+    # too: no build, and the bytes of a fresh build
+    for other_cfg in (cfg, replace(cfg, r=35.0), replace(cfg, r=80.0)):
         labels, state = run_em(m, outcome, other_cfg)
         assert calls == []
-        k = other_cfg.N_neighbor + 1
-        assert state.graph.idx.shape == (m.n, k)
-        assert np.shares_memory(state.graph.idx, outcome.graph.idx)
-        assert np.shares_memory(state.graph.dist, outcome.graph.dist)
-        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, other_cfg), k)
+        assert state.graph is outcome.graph
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m))
         assert em_bytes(labels, state) == em_bytes(*run_em(m, bare, other_cfg))
         calls.clear()
-    # a wider N_neighbor than the graph holds, another match set of the same
-    # n, an equal copy of m (identity, not content, ties a graph to its
-    # matches) and no graph each get a fresh build, with the bytes of a run
-    # that never had a graph
+    # another match set of the same n, an equal copy of m (identity, not
+    # content, ties a graph to its matches) and no graph each get a fresh
+    # build, with the bytes of a run that never had a graph
     same_n, _ = synth_generate(SynthSpec(n=500, outlier_ratio=0.5, seed=22))
     copy = MatchSet.from_points(m.x.copy(), m.y.copy())
-    for other_m, other_cfg, out in ((m, replace(cfg, N_neighbor=24), outcome), (same_n, cfg, outcome),
-                                    (copy, cfg, outcome), (m, cfg, bare)):
-        labels, state = run_em(other_m, out, other_cfg)
+    for other_m, out in ((same_n, outcome), (copy, outcome), (m, bare)):
+        labels, state = run_em(other_m, out, cfg)
         assert calls == ["matchfield.em_refine"]
         assert not np.shares_memory(state.graph.idx, outcome.graph.idx)
         assert state.graph.matches is other_m
-        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(other_m, other_cfg))
-        assert em_bytes(labels, state) == em_bytes(*run_em(other_m, bare, other_cfg))
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(other_m))
+        assert em_bytes(labels, state) == em_bytes(*run_em(other_m, bare, cfg))
         calls.clear()
 
 
@@ -673,7 +665,7 @@ def test_a_hand_made_graph_is_never_taken_for_a_build(monkeypatch):
         labels, state = run_em(m, replace(outcome, graph=hand_made), cfg)
         assert calls == ["matchfield.em_refine"]
         assert state.graph is not hand_made and state.graph.matches is m
-        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, cfg))
+        assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m))
         assert em_bytes(labels, state) == em_bytes(*run_em(m, outcome, cfg))
         calls.clear()
 
@@ -729,80 +721,125 @@ def test_a_run_builds_the_neighbor_graph_once(path, monkeypatch):
     assert calls == ["matchfield.ransac"]
 
 
-@pytest.mark.parametrize("dim,n_neighbor", [(2, 1), (2, 9), (2, 16), (3, 9), (3, 50)])
-def test_one_kd_query_per_run_whatever_n_neighbor(dim, n_neighbor, monkeypatch):
-    # the run's one graph is max(N_neighbor, 16) wide: the control pool
-    # reads its first 16 columns and builds nothing, EM its first N_neighbor
-    if dim == 2:
-        m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25))
-    else:
-        m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25, **ACCEPTANCE_3D))
-    cfg = Config.for_matches(m, seed=25, N_neighbor=n_neighbor)
-    calls = count_builds(monkeypatch)
+def count_kd_queries(monkeypatch):
+    """One entry per kd-tree query that core.build_neighbors makes."""
+    calls = []
+    class Counted(core.cKDTree):
+        def query(self, *args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return super().query(*args, **kwargs)
+    monkeypatch.setattr(core, "cKDTree", Counted)
+    return calls
+
+
+def test_the_neighborhood_serves_the_control_pool():
+    # the run's one graph is N_NEIGHBOR[dim] wide and the control pool reads
+    # its first POOL_COLUMNS columns, so no dimension may blend over fewer
+    for dim in (2, 3):
+        assert N_NEIGHBOR[dim] >= core.POOL_COLUMNS
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_kd_query_per_run(dim, monkeypatch):
+    # RANSAC builds the run's one graph, N_NEIGHBOR[dim] neighbors wide; the
+    # control pool reads its first 16 columns and EM blends over the graph
+    # itself
+    spec = ACCEPTANCE_3D if dim == 3 else {}
+    m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25, **spec))
+    cfg = Config.for_matches(m, seed=25)
+    queries = count_kd_queries(monkeypatch)
     labels, state, outcome = filter_and_refine(m, cfg)
-    assert calls == ["matchfield.ransac"]
-    assert outcome.graph.idx.shape == (m.n, max(n_neighbor, ransac.POOL_COLUMNS) + 1)
-    assert state.graph.idx.shape == (m.n, n_neighbor + 1)
-    # build_neighbors owns the width, so a build of its own is the run's graph
-    assert graph_bytes(outcome.graph) == graph_bytes(build_neighbors(m, cfg))
-    assert graph_bytes(state.graph) == graph_bytes(outcome.graph, n_neighbor + 1)
-    calls.clear()
+    assert queries == [N_NEIGHBOR[dim] + 1]
+    assert state.graph is outcome.graph
+    assert outcome.graph.idx.shape == (m.n, N_NEIGHBOR[dim] + 1)
+    assert graph_bytes(outcome.graph) == graph_bytes(build_neighbors(m))
+    queries.clear()
     # the same labels and EM state as EM on a graph of its own
     assert em_bytes(labels, state) == em_bytes(*run_em(m, replace(outcome, graph=None), cfg))
-    assert calls == ["matchfield.em_refine"]
+    assert queries == [N_NEIGHBOR[dim] + 1]
 
 
-def tied_lattice(seed):
-    """A 20 x 15 source lattice of step 20, where each source has several
-    neighbors at every distance, under a smooth field, with 100 of its 300
-    targets redrawn uniformly over the frame."""
-    gx, gy = np.meshgrid(np.arange(20) * 20.0, np.arange(15) * 20.0, indexing="ij")
-    x = np.column_stack([gx.ravel(), gy.ravel()])
-    y = x + np.column_stack([8.0 * np.sin(x[:, 1] / 90.0), 6.0 * np.cos(x[:, 0] / 120.0)])
+@pytest.mark.parametrize("dim,n_neighbor", [(2, 1), (2, 9), (2, 16), (3, 9), (3, 50)])
+def test_one_kd_query_per_run_whatever_n_neighbor(dim, n_neighbor, monkeypatch):
+    # build_neighbors is the one reader of N_NEIGHBOR, so whatever width it
+    # holds the run's graph is that wide, the only kd-tree query, and the
+    # graph EM blends over. Narrower than POOL_COLUMNS, the control pool
+    # reads every column, as it does on a run of n <= 16 matches
+    spec = ACCEPTANCE_3D if dim == 3 else {}
+    m, _ = synth_generate(SynthSpec(n=400, outlier_ratio=0.5, seed=25, **spec))
+    cfg = Config.for_matches(m, seed=25)
+    monkeypatch.setitem(N_NEIGHBOR, dim, n_neighbor)
+    queries = count_kd_queries(monkeypatch)
+    labels, state, outcome = filter_and_refine(m, cfg)
+    assert queries == [n_neighbor + 1]
+    assert state.graph is outcome.graph
+    assert outcome.graph.idx.shape == (m.n, n_neighbor + 1)
+    assert graph_bytes(outcome.graph) == graph_bytes(build_neighbors(m))
+    queries.clear()
+    assert em_bytes(labels, state) == em_bytes(*run_em(m, replace(outcome, graph=None), cfg))
+    assert queries == [n_neighbor + 1]
+
+
+def tied_lattice(dim, seed):
+    """A source lattice where each source has several neighbors at every
+    distance, under a smooth field, with some targets redrawn uniformly:
+    20 x 15 of step 20 with 100 of 300 redrawn over the frame in 2D,
+    8 x 8 x 6 of step 10 with 96 of 384 redrawn in [0, 70]^3 in 3D."""
+    if dim == 2:
+        counts, step, wrong_n, hi = (20, 15), 20.0, 100, (380.0, 280.0)
+    else:
+        counts, step, wrong_n, hi = (8, 8, 6), 10.0, 96, 70.0
+    g = np.meshgrid(*(np.arange(k) * step for k in counts), indexing="ij")
+    x = np.column_stack([a.ravel() for a in g])
+    if dim == 2:
+        y = x + np.column_stack([8.0 * np.sin(x[:, 1] / 90.0), 6.0 * np.cos(x[:, 0] / 120.0)])
+    else:
+        y = x + np.column_stack([2.0 * np.sin(x[:, 1] / 30.0), 1.5 * np.cos(x[:, 0] / 40.0),
+                                 np.sin(x[:, 2] / 20.0)])
     rng = make_rng(seed)
-    wrong = rng.choice(x.shape[0], size=100, replace=False)
-    y[wrong] = rng.uniform((0.0, 0.0), (380.0, 280.0), size=(100, 2))
+    wrong = rng.choice(x.shape[0], size=wrong_n, replace=False)
+    y[wrong] = rng.uniform(0.0, hi, size=(wrong_n, dim))
     return MatchSet.from_points(x, y)
 
 
-@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
-def test_em_on_tied_sources_does_not_depend_on_who_built_the_graph(n_neighbor):
-    # among sources tied at one distance the kd-tree keeps other neighbors
-    # at other widths, so EM reads a graph only at the width of its own
-    # build: on the run's graph, on a graph built wider by a RANSAC run at
-    # the 3D neighborhood of 24, and on a build of its own EM reads the
-    # same neighbors
-    cfg = Config(N_neighbor=n_neighbor, seed=2)
-    for seed in range(5):
-        m = tied_lattice(seed)
-        outcome = ransac_run(m, cfg)
-        wide = ransac_run(m, replace(cfg, N_neighbor=24))
-        assert wide.graph.idx.shape[1] == 25
-        for run in (outcome, wide):
-            bare = replace(run, graph=None)
-            assert em_bytes(*run_em(m, run, cfg)) == em_bytes(*run_em(m, bare, cfg))
-
-
-@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
-def test_3d_em_reads_the_run_graph_only_at_its_own_width(n_neighbor):
-    # an 8 x 8 x 6 source lattice of step 10 under a smooth field, 96 of its
-    # 384 targets redrawn: RANSAC under the 3D defaults builds 25 columns,
-    # and EM at a smaller neighborhood rebuilds rather than read the
-    # leading columns of that wider query
-    g = np.meshgrid(*(np.arange(k) * 10.0 for k in (8, 8, 6)), indexing="ij")
-    x = np.column_stack([a.ravel() for a in g])
-    y = x + np.column_stack([2.0 * np.sin(x[:, 1] / 30.0), 1.5 * np.cos(x[:, 0] / 40.0),
-                             np.sin(x[:, 2] / 20.0)])
-    rng = make_rng(3)
-    wrong = rng.choice(x.shape[0], size=96, replace=False)
-    y[wrong] = rng.uniform(0.0, 70.0, size=(96, 3))
-    m = MatchSet.from_points(x, y)
-    cfg = Config.for_matches(m, seed=2)
+def assert_em_reads_the_run_graph(m, cfg):
+    """RANSAC's graph on m is N_NEIGHBOR[m.dim] wide, EM takes it as it is,
+    and EM on it gives the bytes of EM on a build of its own."""
     outcome = ransac_run(m, cfg)
-    assert outcome.graph.idx.shape[1] == 25
-    small = replace(cfg, N_neighbor=n_neighbor)
-    bare = replace(outcome, graph=None)
-    assert em_bytes(*run_em(m, outcome, small)) == em_bytes(*run_em(m, bare, small))
+    assert outcome.graph.idx.shape[1] == N_NEIGHBOR[m.dim] + 1
+    labels, state = run_em(m, outcome, cfg)
+    assert state.graph is outcome.graph
+    assert em_bytes(labels, state) == em_bytes(*run_em(m, replace(outcome, graph=None), cfg))
+
+
+@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
+def test_em_on_tied_sources_does_not_depend_on_who_built_the_graph(n_neighbor, monkeypatch):
+    # among sources tied at one distance the kd-tree's choice of neighbors
+    # depends on the query's width; every graph on m is built N_NEIGHBOR[dim]
+    # wide, so EM on the run's graph and on a build of its own reads the
+    # same neighbors, on the 2D lattice at its width of 16 and at a narrower
+    # N_NEIGHBOR
+    cfg = Config(seed=2)
+    for seed in range(5):
+        m = tied_lattice(2, seed)
+        assert_em_reads_the_run_graph(m, cfg)
+        with monkeypatch.context() as patch:
+            patch.setitem(N_NEIGHBOR, 2, n_neighbor)
+            assert_em_reads_the_run_graph(m, cfg)
+
+
+@pytest.mark.parametrize("n_neighbor", [1, 4, 9, 15])
+def test_3d_em_reads_the_run_graph_only_at_its_own_width(n_neighbor, monkeypatch):
+    # the 3D tied lattice: RANSAC under the 3D defaults builds 25 columns and
+    # EM blends over all of them, as it does over the narrower graph of a
+    # smaller N_NEIGHBOR, never over leading columns of a wider one
+    for seed in range(5):
+        m = tied_lattice(3, seed)
+        cfg = Config.for_matches(m, seed=2)
+        assert_em_reads_the_run_graph(m, cfg)
+        with monkeypatch.context() as patch:
+            patch.setitem(N_NEIGHBOR, 3, n_neighbor)
+            assert_em_reads_the_run_graph(m, cfg)
 
 
 def test_em_stops_at_the_iteration_cap(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from matchfield import em_refine, field
-from matchfield.core import Config, LabelResult, MatchSet, make_rng
+from matchfield.core import N_NEIGHBOR, Config, LabelResult, MatchSet, make_rng
 from matchfield.dualquat import dq8_apply, dq8_blend, embed3
 from matchfield.em_refine import filter_and_refine, run_em
 from matchfield.field import (
@@ -292,6 +292,26 @@ def test_query_rejects_wrong_width():
         query_field(state, labels, m, np.full((2, 2, 2), 100.0), cfg)
 
 
+@pytest.mark.parametrize("n_other", [200, 400])
+def test_query_rejects_labels_and_state_of_another_match_count(n_other):
+    # a field fitted on 300 matches and queried with a smaller match set
+    # once indexed past its end, and with a larger one blended the wrong
+    # sources without a word
+    m, _ = synth_generate(SynthSpec(n=300, outlier_ratio=0.3, seed=4))
+    cfg = Config(seed=4)
+    labels, state, _ = filter_and_refine(m, cfg)
+    other, _ = synth_generate(SynthSpec(n=n_other, outlier_ratio=0.3, seed=5))
+    counts = f"labels of 300 matches used with {n_other} matches"
+    with pytest.raises(ValueError, match=counts):
+        query_field(state, labels, other, [[400.0, 300.0]], cfg)
+    with pytest.raises(ValueError, match=counts):
+        grid_field(state, labels, other, ((0.0, 0.0), (800.0, 600.0)), 100.0, cfg)
+    fits = LabelResult(inlier=np.ones(n_other, dtype=bool), posterior=np.ones(n_other),
+                       residual=np.zeros(n_other))
+    with pytest.raises(ValueError, match=f"EM state of 300 matches used with {n_other} matches"):
+        query_field(state, fits, other, [[400.0, 300.0]], cfg)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_query_rejects_non_finite_points_with_and_without_inliers(bad):
     pts = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [bad, 40.0], [50.0, bad]])
@@ -471,7 +491,7 @@ def reference_field_eval(state, labels, m, pts, cfg):
     neighbour motions, 2D points lifted into z = 0 by hand and sliced back,
     all rows in one block."""
     inl = np.nonzero(labels.inlier)[0]
-    k = min(cfg.N_neighbor, inl.size)
+    k = min(N_NEIGHBOR[m.dim], inl.size)
     qs, mus, post = state.qs[inl], state.mus[inl], labels.posterior[inl]
     dist, jdx = cKDTree(m.x[inl]).query(pts, k=[k] if k == 1 else k)
     w = np.exp(-(dist * dist) / (2.0 * cfg.r * cfg.r)) * post[jdx]
@@ -551,4 +571,4 @@ def test_field_queries_blend_through_the_em_refine_kernel(monkeypatch):
 
     monkeypatch.setattr(em_refine, "dq8_blend", counting)
     query_field(state, labels, m, m.x[:5], cfg)
-    assert calls == [(5, cfg.N_neighbor)]
+    assert calls == [(5, N_NEIGHBOR[2])]

@@ -16,7 +16,7 @@ from matchfield.core import (
     scale_estimate,
 )
 from matchfield.dualquat import dq8_apply, dq8_from_rt
-from matchfield.em_refine import filter_and_refine, run_em
+from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import SynthSpec, synth_generate
 from matchfield.ransac import (
     ALPHA,
@@ -770,9 +770,9 @@ def reference_reweight_spatial(m, o, cfg):
 def reference_pool(m, cfg, t_acc):
     """Pool membership from the whole (n, k, dim) difference arrays: a match
     is a control candidate when at least min(2, t_acc - 1) of its first 16
-    source neighbors (the columns after self in build_neighbors' order, on
-    a graph of at least 16 neighbors) change their distance by less than H."""
-    idx = build_neighbors(m, replace(cfg, N_neighbor=max(cfg.N_neighbor, 16))).idx[:, 1:17]
+    source neighbors (the columns after self in build_neighbors' order)
+    change their distance by less than H."""
+    idx = build_neighbors(m).idx[:, 1:17]
     dx = np.sqrt(np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1))
     dy = np.sqrt(np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1))
     return (np.abs(dy - dx) < cfg.H).sum(axis=1) >= min(2, t_acc - 1)
@@ -1013,7 +1013,7 @@ def test_labels_from_outcome_of_another_match_count_raise(with_hypotheses):
 
 
 def pool_of(m, cfg):
-    return ransac.control_pool(m, build_neighbors(m, cfg), cfg, acceptance_threshold(m, cfg))
+    return ransac.control_pool(m, build_neighbors(m), cfg, acceptance_threshold(m, cfg))
 
 
 def with_wrong_targets(m, wrong, shift):
@@ -1057,7 +1057,7 @@ def test_pool_of_a_graph_narrower_than_its_columns(dim):
     m, _, _, _ = similarity_scene(make_rng(27), 12, dim, mu=1.0)
     m = with_wrong_targets(m, [4, 9], 400.0)
     cfg = Config.for_matches(m, seed=0)
-    assert build_neighbors(m, cfg).idx.shape == (12, 12)
+    assert build_neighbors(m).idx.shape == (12, 12)
     true = np.ones(12, dtype=bool)
     true[[4, 9]] = False
     pool = pool_of(m, cfg)
@@ -1076,12 +1076,12 @@ def test_pool_threshold_never_exceeds_the_other_inliers_a_motion_needs():
     m = with_wrong_targets(exact_similarity(12), [5], 300.0)
     m = MatchSet.from_points(np.vstack([m.x, m.x[5]]), np.vstack([m.y, m.y[5]]))
     cfg = Config()
-    graph = build_neighbors(m, cfg)
+    graph = build_neighbors(m)
     for t_acc, pool in ((1, range(13)), (2, range(13)), (3, [i for i in range(13) if i not in (5, 12)]),
                         (5, [i for i in range(13) if i not in (5, 12)])):
         assert ransac.control_pool(m, graph, cfg, t_acc).tolist() == list(pool)
     one = MatchSet.from_points([[1.0, 2.0]], [[3.0, 4.0]])
-    assert ransac.control_pool(one, build_neighbors(one, cfg), cfg, 1).tolist() == [0]
+    assert ransac.control_pool(one, build_neighbors(one), cfg, 1).tolist() == [0]
 
 
 def test_pool_on_collinear_2d_sources():
@@ -1118,43 +1118,6 @@ def test_pool_is_permutation_and_similarity_invariant(dim):
         assert np.array_equal(pool_of(scaled, replace(cfg, H=cfg.H * s, r=cfg.r * s)), pool)
 
 
-def rigid_scene_with_wrong_targets(n, dim, wrong_ratio, seed):
-    """n matches under one rotation and translation in a 100-wide box, with
-    a wrong_ratio share of the targets scattered over the box."""
-    m, _, _, _ = similarity_scene(make_rng(seed), n, dim, mu=1.0)
-    wrong = np.arange(int(n * wrong_ratio))
-    y = m.y.copy()
-    y[wrong] = make_rng(seed + 1).uniform(0.0, 100.0, size=(wrong.size, dim))
-    return MatchSet.from_points(m.x, y), wrong.size
-
-
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("n_neighbor", [1, 9])
-def test_pool_does_not_depend_on_n_neighbor(dim, n_neighbor):
-    # a graph of one other column would give every match a score of at most
-    # 1 and an empty pool, and one of 9 a narrower pool than the columns
-    # were measured on: the run's one graph is POOL_COLUMNS wide whatever
-    # N_neighbor, the pool reads it, and EM blends over its first
-    # N_neighbor columns
-    m, n_wrong = rigid_scene_with_wrong_targets(400, dim, 0.5, seed=30 + dim)
-    cfg = Config.for_matches(m, seed=0, H=2.0) if dim == 2 else Config.for_matches(m, seed=0)
-    narrow = replace(cfg, N_neighbor=n_neighbor)
-    pool = pool_of(m, cfg)
-    assert 0 < pool.size < m.n
-    assert np.array_equal(pool_of(m, narrow), pool)
-    assert np.array_equal(reference_pool(m, narrow, acceptance_threshold(m, narrow)),
-                          np.isin(np.arange(m.n), pool))
-    out = ransac_run(m, narrow)
-    assert out.pool == pool.size and out.hypotheses
-    assert out.graph.matches is m and out.graph.idx.shape == (m.n, ransac.POOL_COLUMNS + 1)
-    assert graph_bytes(out.graph) == graph_bytes(build_neighbors(m, narrow))
-    assert np.isin(np.arange(n_wrong, m.n), out.inlier_union).all()
-    labels, state = run_em(m, out, narrow)
-    assert graph_bytes(state.graph) == graph_bytes(build_neighbors(m, narrow), n_neighbor + 1)
-    assert labels.inlier[n_wrong:].all()
-    assert labels.inlier.tolist() == filter_and_refine(m, narrow)[0].inlier.tolist()
-
-
 def test_controls_come_from_the_pool():
     m, _ = synth_generate(SynthSpec(n=1000, outlier_ratio=0.7, seed=6))
     cfg = Config(seed=6)
@@ -1162,5 +1125,5 @@ def test_controls_come_from_the_pool():
     out = ransac_run(m, cfg)
     assert out.pool == pool.size < m.n
     assert out.graph.matches is m
-    assert graph_bytes(out.graph) == graph_bytes(build_neighbors(m, cfg))
+    assert graph_bytes(out.graph) == graph_bytes(build_neighbors(m))
     assert np.isin([h.control for h in out.hypotheses], pool).all()

@@ -2,6 +2,7 @@
 function the package no longer has, and README's 3D defaults and named
 module constants are the ones the code sets."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import matchfield
 from matchfield import Config, ransac_run, reweight_fit
-from matchfield.core import scale_estimate
+from matchfield.core import N_NEIGHBOR, scale_estimate
 from matchfield.io_eval import SynthSpec, synth_generate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -30,8 +31,8 @@ def test_every_readme_python_block_runs():
 
 
 def test_readme_3d_defaults_are_the_builders():
-    # the sentence on 3D defaults names the factors of H and r and the
-    # neighborhood size that Config.for_matches sets
+    # the sentence on 3D defaults names the factors of H and r that
+    # Config.for_matches sets, and the 3D neighborhood size
     text = " ".join(README.read_text().split())
     found = re.search(r"\(H = ([\d.]+) s, r = ([\d.]+) s for scale s, (\d+) neighbors\)", text)
     assert found, "README no longer states the 3D defaults"
@@ -40,16 +41,16 @@ def test_readme_3d_defaults_are_the_builders():
     s = scale_estimate(m)
     cfg = Config.for_matches(m)
     assert np.isclose(cfg.H, h * s) and np.isclose(cfg.r, r * s)
-    assert cfg.N_neighbor == k
+    assert N_NEIGHBOR[3] == k
 
 
 @pytest.mark.parametrize("name", ["ransac.T_MIN", "ransac.N_REWEIGHT_ITERS", "ransac.RANSAC_P",
                                   "em_refine.P_MIN", "em_refine.THETA",
-                                  "em_refine.MAX_EM_ITERS"])
+                                  "em_refine.MAX_EM_ITERS", "core.N_NEIGHBOR"])
 def test_readme_states_each_retired_setting_as_its_constant(name):
     # the config-key paragraph names the module constants that took the
     # place of settings, each with the value the code holds
-    found = re.search(rf"`matchfield\.{re.escape(name)} = ([\d.e-]+)`", README.read_text())
+    found = re.search(rf"`matchfield\.{re.escape(name)} = ([^`]+)`", README.read_text())
     assert found, f"README does not state matchfield.{name}"
     module, attr = name.split(".")
-    assert float(found[1]) == getattr(getattr(matchfield, module), attr)
+    assert ast.literal_eval(found[1]) == getattr(getattr(matchfield, module), attr)
