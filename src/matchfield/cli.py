@@ -32,7 +32,7 @@ from .core import (
     config_overrides_from_file,
 )
 from .em_refine import filter_and_refine
-from .field import grid_axes, grid_field, render_scene_svg, write_field_csv
+from .field import grid_field, grid_points, render_scene_svg, write_field_csv
 from .io_eval import (
     DimensionMismatchError,
     MatchFileError,
@@ -166,14 +166,16 @@ def cmd_filter(args) -> int:
 
 
 def _field_bounds(args, m):
-    """The lattice bounds, checked with --svg before the pipeline runs."""
+    """The lattice bounds, checked with --svg before the pipeline runs: a
+    lattice that field.grid_points refuses, or that does not fit in
+    memory, exits before RANSAC spends its time."""
     if args.svg is not None and m.dim != 2:
         raise ValueError("--svg requires 2D input")
     if args.bounds is not None:
         bounds = _parse_bounds(args.bounds, m.dim)
     else:
         bounds = (m.x.min(axis=0), m.x.max(axis=0))
-    grid_axes(bounds, args.grid_step, m.dim)
+    grid_points(bounds, args.grid_step, m.dim)
     return bounds
 
 

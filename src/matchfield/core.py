@@ -354,14 +354,16 @@ def scale_estimate(m: MatchSet) -> float:
     s = sqrt((sum ||x_i - mean(x)||^2 + sum ||y_i - mean(y)||^2) / (2 n)).
     Translation invariant and homogeneous of degree one under scaling of
     both clouds. Raises DegenerateScaleError for fewer than two matches
-    and when both clouds collapse to single points.
+    and when both clouds collapse to single points: s at most 1e-12 of the
+    largest coordinate magnitude, a tolerance relative at every scale, so
+    a cloud of spread 1e-14 is not taken for a point.
     """
     if m.n < 2:
         raise DegenerateScaleError("scale estimate needs at least two matches")
     xc = m.x - m.x.mean(axis=0)
     yc = m.y - m.y.mean(axis=0)
     s = math.sqrt((np.sum(xc * xc) + np.sum(yc * yc)) / (2.0 * m.n))
-    tol = 1e-12 * max(1.0, float(np.abs(m.x).max()), float(np.abs(m.y).max()))
+    tol = 1e-12 * max(float(np.abs(m.x).max()), float(np.abs(m.y).max()))
     if s <= tol:
         raise DegenerateScaleError("all points coincide, scale is undefined")
     return s

@@ -126,21 +126,22 @@ def _lattice_fits(counts: list[int], step: float):
 
 
 def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
-    """Per-axis sample positions: lo, lo + step, ... up to and including hi.
+    """Per-axis sample positions: sample i is lo + i * step, rounded per
+    sample rather than summed from a rounded increment.
 
     bounds is (mins, maxs), whose corners obey the coordinate rule (see
     core.box_corners). An axis holds floor((hi - lo) / step) + 1 samples:
     bounds (0, 11) at step 4 give 0, 4, 8. A ratio a few ulps short of an
     integer counts as that integer, so an exact multiple keeps its end
-    sample, and a last sample that np.arange rounds past hi becomes hi:
-    (0, 0.7) at step 0.1 ends at exactly 0.7. So no sample lies past hi,
-    and every lattice point obeys the coordinate rule; the samples at or
-    below hi keep np.arange's bits. A step larger than an extent yields the
-    single sample at that axis minimum. Rejects inverted bounds, non-finite
-    or non-positive steps, an axis with more samples than an index can
-    count, axes too long to allocate, a step the float spacing at lo rounds
-    so far that the last sample would drift half a step or more from
-    lo + (count - 1) step, and samples that would not all differ.
+    sample, and a last sample that rounds past hi becomes hi: (0, 0.7) at
+    step 0.1 ends at exactly 0.7. So no sample lies past hi, and every
+    lattice point obeys the coordinate rule. Sample 0 is lo itself, so a
+    zero keeps its sign; where (lo + step) - lo == step, as in every box
+    starting at 0, the samples are np.arange's bits. A step larger than an
+    extent yields the single sample at that axis minimum. Rejects inverted
+    bounds, non-finite or non-positive steps, an axis with more samples
+    than an index can count, axes too long to allocate, and samples that
+    would not all differ (a step at or below the float spacing at the box).
     """
     mins, maxs = box_corners(bounds, dim)
     if (maxs < mins).any():
@@ -154,40 +155,33 @@ def grid_axes(bounds, step: float, dim: int) -> list[FloatArray]:
         raise ValueError(f"lattice of {(np.floor(q) + 1.0).tolist()} samples per axis at step "
                          f"{step} overflows an index")
     counts = np.floor(q + 4.0 * np.spacing(q)).astype(np.intp) + 1
-    # np.arange steps by (lo + step) - lo, the step rounded to the float
-    # spacing at lo: 0 below it, and 2 for a step of 3 at 1e16, where the
-    # last sample would fall short of lo + (c - 1) step by 2 steps
-    for a, (lo, c) in enumerate(zip(mins, counts)):
-        inc = (lo + step) - lo
-        if abs(inc - step) * (c - 1) >= 0.5 * step:
-            raise ValueError(f"lattice axis {a}: step {step} advances by {inc} at the box, so "
-                             f"its {c} samples would drift half a step or more off the lattice")
     with _lattice_fits(counts.tolist(), step):
-        axes = [np.arange(lo, hi + 0.5 * step, step)[:c] for lo, hi, c in zip(mins, maxs, counts)]
-    # an increment the spacing at lo resolves can still fall below the
-    # spacing at hi, a binade up, where two samples round to one
+        axes = [np.concatenate(([lo], lo + np.arange(1, c) * step)) for lo, c in zip(mins, counts)]
+    # np.where, unlike np.minimum, keeps the sign of a zero sample
+    axes = [np.where(ax > hi, hi, ax) for ax, hi in zip(axes, maxs)]
     for a, (ax, c) in enumerate(zip(axes, counts)):
-        if ax.size < c or not (np.diff(ax) > 0.0).all():
+        if not (np.diff(ax) > 0.0).all():
             raise ValueError(f"lattice axis {a}: step {step} is at or below the float spacing "
                              f"at the box, so its {c} samples would not all differ")
-    # np.where, unlike np.minimum, keeps the sign of a zero sample
-    return [np.where(ax > hi, hi, ax) for ax, hi in zip(axes, maxs)]
+    return axes
+
+
+def grid_points(bounds, step: float, dim: int) -> tuple[tuple[int, ...], FloatArray]:
+    """The lattice of grid_axes as its per-axis counts and its (k, dim)
+    points in row-major order. A lattice whose axes or points cannot be
+    allocated raises ValueError naming the per-axis sample counts."""
+    axes = grid_axes(bounds, step, dim)
+    shape = tuple(ax.size for ax in axes)
+    with _lattice_fits(list(shape), step):
+        return shape, np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 def grid_field(
     state: EmState, labels: LabelResult, m: MatchSet, bounds, step: float, cfg: Config
 ) -> FieldGrid:
-    """Sample the field on a regular lattice over bounds with the given step.
-
-    A lattice whose axes or points cannot be allocated raises ValueError
-    naming the per-axis sample counts.
-    """
-    axes = grid_axes(bounds, step, m.dim)
-    with _lattice_fits([ax.size for ax in axes], step):
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    samples = query_field(state, labels, m, pts, cfg)
-    return FieldGrid(shape=tuple(len(ax) for ax in axes), samples=tuple(samples))
+    """Sample the field at the points of grid_points(bounds, step, m.dim)."""
+    shape, pts = grid_points(bounds, step, m.dim)
+    return FieldGrid(shape=shape, samples=tuple(query_field(state, labels, m, pts, cfg)))
 
 
 def write_field_csv(grid: FieldGrid, path, dim: int) -> None:

@@ -450,10 +450,9 @@ def _count_stage_calls(monkeypatch) -> dict:
     "lattice",
     [["--bounds", "nan,0,10,10"], ["--bounds", "0,0,10"], ["--grid-step", "0"],
      ["--bounds=0,0,1e200,1e200", "--grid-step", "5e199"],
-     ["--bounds=1e16,0,10000000000000010,1", "--grid-step", "1"],
-     ["--bounds=9999999999999990,0,10000000000000010,1", "--grid-step", "3"]],
+     ["--bounds=1e16,0,10000000000000010,1", "--grid-step", "1"]],
     ids=["nan-bounds", "bounds-count", "zero-step", "past-the-coordinate-rule",
-         "step-below-the-float-spacing", "step-rounded-by-the-float-spacing"],
+         "step-below-the-float-spacing"],
 )
 def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeypatch, lattice):
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
@@ -465,6 +464,19 @@ def test_field_rejects_bad_lattice_before_the_pipeline(tmp_path, capsys, monkeyp
     assert "error" in capsys.readouterr().err
     assert not calls["ransac"] and not calls["em"]
     assert not field.exists() and not labels.exists()
+
+
+def test_field_samples_a_step_the_float_spacing_rounds(tmp_path, capsys):
+    # at 1e16 the float spacing is 2, so a step of 3 cannot be held exactly;
+    # sample i is still lo + 3 i, rounded, and the 7 samples all differ
+    scene = _synth(tmp_path / "scene.csv", capsys, n=150)
+    field = tmp_path / "f.csv"
+    out = run_ok(["field", "--input", str(scene), "--output", str(field),
+                  "--bounds=9999999999999990,0,10000000000000010,1", "--grid-step", "3"], capsys)
+    assert "grid=7x1" in out
+    qx = [float(row.split(",")[0]) for row in field.read_text().splitlines()[1:]]
+    assert qx == [9999999999999990.0 + 3.0 * i for i in range(7)]
+    assert len(set(qx)) == 7 and qx[-1] <= 1e16 + 10
 
 
 @pytest.mark.parametrize("entry", ["filter", "field", "library"])
@@ -648,8 +660,10 @@ def test_field_rejects_a_lattice_that_overflows_an_index(tmp_path, capsys, monke
 
 def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys, monkeypatch):
     # 100,001 samples per axis are 0.8 MB each, but the 1e15-point 3D
-    # lattice needs petabytes, which numpy refuses without allocating
+    # lattice needs petabytes, which numpy refuses without allocating; the
+    # lattice is built before RANSAC runs
     scene = _synth(tmp_path / "scene3.csv", capsys, dim=3, n=150)
+    calls = _count_stage_calls(monkeypatch)
     field, labels = tmp_path / "f.csv", tmp_path / "l.csv"
     rc = main(["field", "--input", str(scene), "--output", str(field),
                "--labels-output", str(labels), "--bounds=0,0,0,1e5,1e5,1e5", "--grid-step", "1"])
@@ -657,11 +671,10 @@ def test_field_on_a_lattice_too_large_to_allocate_exits_2(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err == ("error: lattice of [100001, 100001, 100001] samples per axis at step 1.0 "
                    "does not fit in memory\n")
-    assert not field.exists() and not labels.exists()
-    # one axis of 1e14 samples (728 TiB) already fails as the lattice is
-    # checked, with the same message, before RANSAC runs
+    assert not calls["ransac"] and not field.exists() and not labels.exists()
+    # one axis of 1e14 samples (728 TiB) already fails as its axes are
+    # allocated, with the same message, before RANSAC runs
     scene = _synth(tmp_path / "scene2.csv", capsys, n=150)
-    calls = _count_stage_calls(monkeypatch)
     rc = main(["field", "--input", str(scene), "--output", str(field),
                "--bounds=0,0,1e14,1", "--grid-step", "1"])
     assert rc == 2

@@ -260,9 +260,11 @@ def test_scale_estimate_invariances():
 
 
 def test_scale_estimate_degenerate():
-    x = np.tile([1.0, 2.0], (5, 1))
-    with pytest.raises(DegenerateScaleError):
-        scale_estimate(MatchSet.from_points(x, x))
+    # the tolerance is relative to the coordinates, so clouds on one point
+    # raise at any magnitude, zero and 1e-300 included
+    for x in (np.tile([1.0, 2.0], (5, 1)), np.zeros((5, 3)), np.full((5, 3), 1e-300)):
+        with pytest.raises(DegenerateScaleError, match="all points coincide"):
+            scale_estimate(MatchSet.from_points(x, x))
     # one match has no spread either: degenerate, not a malformed input
     with pytest.raises(DegenerateScaleError, match="at least two matches"):
         scale_estimate(MatchSet.from_points([[0.0, 1.0, 2.0]], [[3.0, 4.0, 5.0]]))

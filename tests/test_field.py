@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -105,23 +106,27 @@ def test_grid_axes_rejects_a_step_at_or_below_the_float_spacing():
         grid_axes(((0.0, 0.0, 1e16), (10.0, 10.0, 1e16 + 10)), 1.0, 3)
 
 
-def test_grid_axes_rejects_a_step_the_float_spacing_rounds_off():
-    # np.arange steps by (lo + 3) - lo = 2 at 1e16: the 7 samples would end
-    # 2 steps short of lo + 6 * 3, at step 2 where 3 was asked
-    lo = 1e16 - 10
-    assert (lo + 3.0) - lo == 2.0
-    with pytest.raises(ValueError, match=r"lattice axis 0: step 3.0 advances by 2.0 .* its 7 "
-                                         r"samples would drift half a step or more"):
-        grid_axes(((lo, 0.0), (1e16 + 10, 1.0)), 3.0, 2)
-    # at 1e10 the step 1e-3 rounds to 0.00099945..., 0.55 steps over 1000
-    with pytest.raises(ValueError, match=r"lattice axis 1: step 0.001 advances by 0.000999"):
-        grid_axes(((0.0, 1e10), (1.0, 1e10 + 1.0)), 1e-3, 2)
-    # steps the spacing rounds by less keep np.arange's bits
-    for lo, hi, step in [(0.0, 800.0, 5.0), (0.1, 10.1, 0.2), (0.0, 0.7, 0.1)]:
+def test_grid_axes_sample_i_is_lo_plus_i_steps():
+    # np.arange steps by the increment (lo + step) - lo, which the float
+    # spacing at lo rounds: 2 for a step of 3 at 1e16, 0.000999... for 1e-3
+    # at 1e10. Sample i is lo + i * step instead, so these boxes give
+    # distinct samples within one spacing of the exact lo + i * step
+    cases = [(1e16 - 10, 1e16 + 10, 3.0, 7), (1e10, 1e10 + 1.0, 1e-3, 1001),
+             (0.0, 800.0, 5.0, 161), (0.1, 10.1, 0.2, 51), (0.0, 0.7, 0.1, 8)]
+    for lo, hi, step, count in cases:
         ax = grid_axes(((lo, 0.0), (hi, 1.0)), step, 2)[0]
+        i = np.arange(count)
+        assert ax.size == count
+        assert ax.tobytes() == np.minimum(lo + i * step, hi).tobytes()
+        assert ax[0] == lo and (np.diff(ax) > 0.0).all()
+        exact = [Fraction(lo) + k * Fraction(step) for k in range(ax.size)]
+        assert all(abs(Fraction(a) - e) < np.spacing(a) for a, e in zip(ax.tolist(), exact))
+        # where the increment is the step, the samples below hi are
+        # np.arange's bits; (0.1 + 0.2) - 0.1 is not 0.2, so that box moves
+        # in the last bits
         want = np.arange(lo, hi + 0.5 * step, step)[:ax.size]
-        assert ax.size == round((hi - lo) / step) + 1
-        assert ax[:-1].tobytes() == want[:-1].tobytes() and ax[-1] == min(want[-1], hi)
+        same = ax[:-1].tobytes() == want[:-1].tobytes()
+        assert same == ((lo + step) - lo == step), (lo, hi, step)
 
 
 def test_grid_axes_rejects_samples_that_round_together_a_binade_up():

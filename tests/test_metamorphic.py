@@ -61,11 +61,13 @@ def test_3d_rescale_with_plain_config_keeps_labels():
     # Config.for_matches adapts H and r to the cloud scale, and EM's outlier
     # term is a ratio of lengths, so a change of units alone leaves every
     # label unchanged; powers of two keep the posteriors bit-identical, other
-    # factors round in the last bits
+    # factors round in the last bits. A spread far below 1 is a scale like
+    # any other, not a collapsed cloud
     m, _, cfg = scene_3d()
     _, base = run_pipeline(m, cfg)
     assert base.inlier.any()
-    for s, tol in ((4.0, 0.0), (0.25, 0.0), (10.0, 1e-12), (0.1, 1e-12)):
+    for s, tol in ((4.0, 0.0), (0.25, 0.0), (10.0, 1e-12), (0.1, 1e-12),
+                   (2.0 ** -50, 0.0), (2.0 ** -300, 0.0), (2.0 ** -480, 0.0)):
         ms = MatchSet.from_points(m.x * s, m.y * s)
         _, labels = run_pipeline(ms, Config.for_matches(ms, seed=8))
         assert np.array_equal(labels.inlier, base.inlier)
@@ -115,3 +117,31 @@ def test_swapping_source_and_target_keeps_the_fscore(make_scene):
     _, base = run_pipeline(m, cfg)
     _, labels = run_pipeline(MatchSet.from_points(m.y, m.x), cfg)
     assert abs(compute_metrics(labels, gt).fscore - compute_metrics(base, gt).fscore) <= 0.01
+
+
+def rotation(dim):
+    """45 degrees about the z axis in 3D, the same turn in the plane in 2D."""
+    c = s = np.sqrt(0.5)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return R[:dim, :dim]
+
+
+@pytest.mark.parametrize("dim, ratio", [(2, 0.85), (3, 0.85), (3, 0.5)])
+def test_rotating_the_targets_about_their_centre_keeps_the_mean_fscore(dim, ratio):
+    # a rigid turn of the targets composes with every local motion, so the
+    # field stays locally rigid; only the targets' axis-aligned box, and
+    # with it the acceptance threshold and EM's outlier density, moves.
+    # Labels may flip near the threshold, but the mean F over a few scenes
+    # holds
+    f_base, f_rot = [], []
+    for seed in range(4):
+        m, gt = synth_generate(SynthSpec(n=1000, dim=dim, outlier_ratio=ratio, seed=seed))
+        cfg = Config.for_matches(m, seed=seed)
+        _, base = run_pipeline(m, cfg)
+        centre = m.y.mean(axis=0)
+        turned = MatchSet.from_points(m.x, (m.y - centre) @ rotation(dim).T + centre)
+        _, labels = run_pipeline(turned, cfg)
+        f_base.append(compute_metrics(base, gt).fscore)
+        f_rot.append(compute_metrics(labels, gt).fscore)
+    assert min(f_base) > 0.9
+    assert abs(np.mean(f_rot) - np.mean(f_base)) <= 0.01
