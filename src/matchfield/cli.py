@@ -29,7 +29,6 @@ from .core import (
     DegenerateGeometryError,
     DegenerateScaleError,
     MatchSet,
-    config_overrides_from_file,
 )
 from .em_refine import filter_and_refine
 from .field import grid_field, grid_points, render_scene_svg, write_field_csv
@@ -137,10 +136,9 @@ def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
 
     Loads the input and checks --dim, takes field's lattice bounds_of(m)
     before the pipeline spends its time, builds the config with
-    Config.for_matches (defaults, scale-adapted for 3D, then file
-    overrides, then flags), runs the pipeline and warns when no match is
-    an inlier. Returns the run with its bounds and the head of the summary
-    line.
+    Config.for_matches (defaults, scale-adapted for 3D, then the flags
+    given), runs the pipeline and warns when no match is an inlier.
+    Returns the run with its bounds and the head of the summary line.
     """
     m, _ = load_matches(args.input)
     if args.dim is not None and args.dim != m.dim:
@@ -148,8 +146,7 @@ def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
             f"{args.input}: file is {m.dim}D but --dim {args.dim} was requested"
         )
     bounds = bounds_of(m)
-    overrides = {} if args.config is None else config_overrides_from_file(args.config)
-    cfg = Config.for_matches(m, **{**overrides, **_given(args, _CONFIG_FLAGS)})
+    cfg = Config.for_matches(m, **_given(args, _CONFIG_FLAGS))
     labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
     _warn_if_no_inliers(outcome, labels, nothing)
     head = (f"n={m.n} gamma={outcome.gamma:.4f} inliers={int(labels.inlier.sum())} "
@@ -272,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dim", type=int, choices=(2, 3), default=None,
                      help="expected input dimension")
     params = run.add_argument_group("algorithm parameters")
-    params.add_argument("--config", type=Path, default=None, help="key=value parameter file")
     _add_flags(params, _CONFIG_FLAGS)
 
     p_filter = sub.add_parser("filter", parents=[run],

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -206,12 +204,12 @@ class Config:
     r     radius of the Gaussian distance weights of the blend
     seed  seed for every random draw in a run
 
-    These are exactly the settings the filter and field flags and the
-    config file set: the two for_matches sets per dimension, and the
-    seed. Values no caller sets are module constants beside the code that
-    reads them: N_NEIGHBOR (one per dimension), ransac.T_MIN,
-    ransac.N_REWEIGHT_ITERS, ransac.RANSAC_P, em_refine.P_MIN,
-    em_refine.THETA and em_refine.MAX_EM_ITERS. The mixture's uniform
+    These are exactly the settings the filter and field flags set: the two
+    for_matches sets per dimension, and the seed. Values no caller sets
+    are module constants beside the code that reads them: N_NEIGHBOR (one
+    per dimension), ransac.T_MIN, ransac.N_REWEIGHT_ITERS,
+    ransac.RANSAC_P, em_refine.P_MIN, em_refine.THETA and
+    em_refine.MAX_EM_ITERS. The mixture's uniform
     outlier density is no setting either: em_refine.e_step takes it from
     the data, as the inverse volume of the targets' bounding box padded by
     H (ransac.padded_box_fraction).
@@ -239,8 +237,8 @@ class Config:
         box) comes from the data, so a change of units leaves every
         posterior, and so every label, unchanged.
 
-        The CLI passes its config-file values updated with its flags as the
-        overrides.
+        The CLI passes the flags it was given as the overrides, so a run's
+        settings are the defaults, then the 3D adaptation, then the flags.
         """
         scaled = {}
         if m.dim == 3:
@@ -295,41 +293,6 @@ def build_neighbors(m: MatchSet) -> NeighborGraph:
     for a in (idx, dist):
         a.setflags(write=False)
     return NeighborGraph(idx=idx, dist=dist, matches=m)
-
-
-# Config field name -> its annotated type, int or float
-_CONFIG_TYPES = get_type_hints(Config)
-
-
-def config_overrides_from_file(path) -> dict:
-    """Parse a key=value config file into a dict of Config field overrides.
-
-    Blank lines and lines starting with # are skipped. Keys must be Config
-    field names. Each value is range checked here, so a flag that overrides
-    a bad file value cannot hide it.
-    """
-    text = Path(path).read_text()
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            out[key] = _CONFIG_TYPES[key](val)
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {val!r}") from e
-    try:
-        Config(**out)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return out
 
 
 def box_corners(bounds, dim: int) -> tuple[FloatArray, FloatArray]:

@@ -212,10 +212,14 @@ def render_scene_svg(
 
     Inlier matches are teal segments from x to y, outliers faint red, and
     every valid grid sample becomes an arrow from the query point to its
-    displaced position.
+    displaced position. labels must come from a run on m's n matches; a
+    ValueError names both counts, before the file is opened, when they
+    do not.
     """
     if m.dim != 2:
         raise ValueError("SVG rendering is 2D only")
+    if labels.n != m.n:
+        raise ValueError(f"labels of {labels.n} matches used with {m.n} matches")
     pts = [m.x, m.y]
     if grid is not None and grid.samples:
         pts += [np.array([s.query for s in grid.samples])]

@@ -90,7 +90,14 @@ def write_csv_columns(path, header: str, columns) -> None:
 
 
 def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "units") -> None:
-    """Write a match file, appending the ground-truth column when given."""
+    """Write a match file, appending the ground-truth column when given.
+
+    units is the header's third field, so a comma or a line break in it
+    raises ValueError before the file is opened: load_matches could not
+    read the header back."""
+    header = f"{m.dim},{m.n},{units}"
+    if header.count(",") != 2 or header.splitlines() != [header]:
+        raise ValueError(f"units must hold no comma or line break, got {units!r}")
     if gt is not None:
         gt = np.asarray(gt, dtype=bool)
         if gt.shape != (m.n,):
@@ -98,12 +105,16 @@ def save_matches(path, m: MatchSet, gt: BoolArray | None = None, units: str = "u
     columns = [(float_column, c) for c in (*m.x.T, *m.y.T)]
     if gt is not None:
         columns.append((flag_column, gt))
-    write_csv_columns(path, f"{m.dim},{m.n},{units}", columns)
+    write_csv_columns(path, header, columns)
 
 
 def _data_lines(path) -> list[str]:
-    """The file's non-blank lines, with any line ending (LF, CRLF, CR) removed."""
-    return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    """The file's non-blank lines, with any line ending (LF, CRLF, CR)
+    removed; a file that does not decode raises MatchFileError naming it."""
+    try:
+        return [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise MatchFileError(f"{path}: {e}") from None
 
 
 def _widths_agree(body: list[str], cols: int) -> bool:

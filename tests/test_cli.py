@@ -16,7 +16,6 @@ from matchfield.core import (
     Config,
     LabelResult,
     MatchSet,
-    config_overrides_from_file,
     scale_estimate,
 )
 from matchfield.em_refine import filter_and_refine
@@ -144,6 +143,22 @@ def test_missing_input_file_returns_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_an_undecodable_input_is_named_and_exits_2(tmp_path, capsys):
+    # the decode error names the file, so eval tells --input from --truth
+    scene, labels, bad = tmp_path / "scene.csv", tmp_path / "labels.csv", tmp_path / "bad.csv"
+    run_ok(["synth", "--output", str(scene), "--n", "60", "--seed", "3"], capsys)
+    run_ok(["filter", "--input", str(scene), "--output", str(labels)], capsys)
+    bad.write_bytes(b"\xff\xfe2,3,px\n")
+    out = tmp_path / "l.csv"
+    for argv in (["filter", "--input", str(bad), "--output", str(out)],
+                 ["eval", "--input", str(bad), "--truth", str(scene)],
+                 ["eval", "--input", str(labels), "--truth", str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff"), err
+    assert not out.exists()
+
+
 def test_eval_of_labels_for_another_match_count_returns_2(tmp_path, capsys):
     scene, labels = tmp_path / "scene.csv", tmp_path / "labels.csv"
     run_ok(["synth", "--output", str(scene), "--n", "60", "--seed", "3"], capsys)
@@ -245,29 +260,6 @@ def test_field_rejects_non_finite_bounds(tmp_path, capsys, bounds):
     assert not synth.exists()
 
 
-def test_flag_overrides_config_file(tmp_path, capsys):
-    scene = tmp_path / "scene.csv"
-    run_ok(
-        ["synth", "--output", str(scene), "--n", "200", "--outlier-ratio", "0.3", "--seed", "0"],
-        capsys,
-    )
-    cfgfile = tmp_path / "strict.cfg"
-    cfgfile.write_text("H=0.5\n")
-    out_small = run_ok(
-        ["filter", "--input", str(scene), "--output", str(tmp_path / "a.csv"),
-         "--config", str(cfgfile), "--seed", "0"],
-        capsys,
-    )
-    n_small = int(re.search(r"inliers=(\d+)", out_small).group(1))
-    out_big = run_ok(
-        ["filter", "--input", str(scene), "--output", str(tmp_path / "b.csv"),
-         "--config", str(cfgfile), "--H", "20", "--seed", "0"],
-        capsys,
-    )
-    n_big = int(re.search(r"inliers=(\d+)", out_big).group(1))
-    assert n_big > n_small
-
-
 def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     # the flags are one table; each must reach its Config field with its type
     seen = {}
@@ -290,23 +282,11 @@ def test_every_parameter_flag_sets_its_config_field(monkeypatch, tmp_path):
     assert len(cli._CONFIG_FLAGS) == len(want)
 
 
-def test_bad_config_file_returns_2(tmp_path, capsys):
-    scene = tmp_path / "scene.csv"
-    run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "0"], capsys)
-    cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("H=not_a_number\n")
-    rc = main(
-        ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
-         "--config", str(cfgfile)]
-    )
-    assert rc == 2
-
-
 def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
-    # RANSAC has one path, so --sparse, --n-sparse and N_sparse are gone;
-    # ransac_p, n_reweight_iters, max_em_iters, T_min, p_min, theta and
-    # N_neighbor are module constants, and EM takes its outlier density a
-    # from the targets' box
+    # RANSAC has one path, so --sparse and --n-sparse are gone; ransac_p,
+    # n_reweight_iters, max_em_iters, T_min, p_min, theta and N_neighbor are
+    # module constants, and EM takes its outlier density a from the targets'
+    # box. The key=value config file is gone too: each setting has its flag
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "5"], capsys)
     argv = ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv")]
@@ -315,19 +295,20 @@ def test_retired_sparse_flag_and_config_key_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 2
-    cfgfile = tmp_path / "old.cfg"
-    for key, val in (("N_sparse", "100"), ("ransac_p", "0.99"), ("n_reweight_iters", "3"),
-                     ("max_em_iters", "50"), ("a", "1e-5"), ("T_min", "5"), ("p_min", "0.5"),
-                     ("theta", "0.01"), ("N_neighbor", "24")):
-        cfgfile.write_text(f"{key} = {val}\n")
+    # argparse refuses --config before the input is read: a missing input
+    # would exit 2 through main's handler instead, without SystemExit
+    for cmd in ("filter", "field"):
         capsys.readouterr()
-        assert main(argv + ["--config", str(cfgfile)]) == 2
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "o.csv").exists()
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--input", str(tmp_path / "missing.csv"), "--output",
+                  str(tmp_path / "o.csv"), "--config", "x.cfg"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config x.cfg" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_config_flags_set_exactly_the_config_fields():
-    # the flags and the config file set the same names, and nothing else
+    # the flags set exactly the Config fields, and nothing else
     names = [name for _, name, _, _ in cli._CONFIG_FLAGS]
     assert sorted(names) == sorted(f.name for f in fields(Config)) and len(set(names)) == 3
 
@@ -494,18 +475,14 @@ def test_each_run_passes_both_stage_attributes_once(tmp_path, capsys, monkeypatc
     assert calls["ransac"][0] is calls["em"][0]
 
 
-@pytest.mark.parametrize("dim,cfg_text,H", [(2, "H = 12\nr = 35\nseed = 4\n", 15.0),
-                                            (3, "r = 9\nseed = 4\n", 3.0)],
-                         ids=["2d", "3d"])
-def test_cli_labels_equal_library_run(tmp_path, capsys, dim, cfg_text, H):
+@pytest.mark.parametrize("dim,H,r", [(2, 15.0, 35.0), (3, 3.0, 9.0)], ids=["2d", "3d"])
+def test_cli_labels_equal_library_run(tmp_path, capsys, dim, H, r):
     scene = _synth(tmp_path / "scene.csv", capsys, dim=dim)
-    cfgfile = tmp_path / "f.cfg"
-    cfgfile.write_text(cfg_text)
     cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
     run_ok(["filter", "--input", str(scene), "--output", str(cli_out),
-            "--config", str(cfgfile), "--H", repr(H)], capsys)
+            "--H", repr(H), "--r", repr(r), "--seed", "4"], capsys)
     m, _ = load_matches(scene)
-    cfg = Config.for_matches(m, **{**config_overrides_from_file(cfgfile), "H": H})
+    cfg = Config.for_matches(m, H=H, r=r, seed=4)
     labels, _, _ = filter_and_refine(m, cfg)
     save_labels(lib_out, labels)
     assert cli_out.read_bytes() == lib_out.read_bytes()
@@ -515,14 +492,11 @@ def test_negative_seed_exits_2_before_the_pipeline(tmp_path, capsys, monkeypatch
     # a seed below 0 is refused where the config or scene is built, naming
     # seed, before any RANSAC run and without writing an output file
     scene = _synth(tmp_path / "scene.csv", capsys, n=150)
-    cfgfile = tmp_path / "f.cfg"
-    cfgfile.write_text("seed = -3\n")
     out = tmp_path / "o.csv"
     calls = _count_stage_calls(monkeypatch)
     for argv, got in (
         (["filter", "--input", str(scene), "--seed", "-1"], "got -1"),
         (["field", "--input", str(scene), "--seed", "-1"], "got -1"),
-        (["filter", "--input", str(scene), "--config", str(cfgfile)], "got -3"),
         (["synth", "--n", "50", "--seed", "-1"], "got -1"),
     ):
         assert main(argv + ["--output", str(out)]) == 2
@@ -567,26 +541,22 @@ def test_bounds_item_errors_name_the_flag(tmp_path, capsys, command):
 
 
 def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypatch):
-    # precedence: defaults, 3D adaptation, config file, flags; a flag for H
-    # leaves the adapted r alone
+    # precedence: defaults, 3D adaptation, flags; a flag for H leaves the
+    # adapted r alone
     scene = _synth(tmp_path / "scene3.csv", capsys, dim=3)
-    cfgfile = tmp_path / "f.cfg"
-    cfgfile.write_text("seed = 4\n")
     calls = _count_stage_calls(monkeypatch)
     run_ok(["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
-            "--config", str(cfgfile), "--H", "2.5"], capsys)
+            "--seed", "4", "--H", "2.5"], capsys)
     cfg = calls["ransac"][0]
     s = scale_estimate(load_matches(scene)[0])
     assert cfg.H == 2.5
     assert np.isclose(cfg.r, 0.3 * s)
     assert cfg.seed == 4
-    # a bad file value exits 2 even when a flag overrides it
-    cfgfile.write_text("r = -1\n")
-    for flags in ([], ["--r", "5"]):
-        rc = main(["filter", "--input", str(scene), "--output", str(tmp_path / "bad.csv"),
-                   "--config", str(cfgfile)] + flags)
-        assert rc == 2
-        assert "r must be positive" in capsys.readouterr().err
+    # a bad flag value exits 2 before RANSAC runs
+    rc = main(["filter", "--input", str(scene), "--output", str(tmp_path / "bad.csv"),
+               "--r", "-1"])
+    assert rc == 2
+    assert "r must be positive" in capsys.readouterr().err
     assert len(calls["ransac"]) == 1 and not (tmp_path / "bad.csv").exists()
 
 

@@ -10,7 +10,6 @@ from matchfield.core import (
     DegenerateScaleError,
     LabelResult,
     MatchSet,
-    config_overrides_from_file,
     make_rng,
     scale_estimate,
     small_det,
@@ -194,50 +193,6 @@ def test_config_holds_only_what_the_scale_sets_and_the_seed():
     cfg3 = Config.for_matches(MatchSet.from_points(x3, x3 + 1.0))
     scaled = {f.name for f in fields(Config) if getattr(cfg3, f.name) != getattr(Config(), f.name)}
     assert {f.name for f in fields(Config)} == scaled | {"seed"}
-
-
-def test_config_file_parsing(tmp_path):
-    p = tmp_path / "params.cfg"
-    p.write_text("# comment\n\nH = 30\nr=7\nseed=3\n")
-    out = config_overrides_from_file(p)
-    assert out == {"H": 30.0, "r": 7.0, "seed": 3}
-    m = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
-    cfg = Config.for_matches(m, **out)
-    assert cfg.H == 30.0 and cfg.r == 7.0 and cfg.seed == 3
-
-
-def test_config_file_values_take_their_field_type(tmp_path):
-    # every key parses to the type its Config field is annotated with
-    p = tmp_path / "params.cfg"
-    default = Config()
-    for f in fields(Config):
-        p.write_text(f"{f.name}={getattr(default, f.name)}\n")
-        out = config_overrides_from_file(p)
-        assert out == {f.name: getattr(default, f.name)}
-        assert type(out[f.name]).__name__ == f.type
-        if f.type == "int":
-            p.write_text(f"{f.name}=2.5\n")
-            with pytest.raises(ConfigError, match=f"bad value for {f.name}"):
-                config_overrides_from_file(p)
-
-
-def test_config_file_errors(tmp_path):
-    p = tmp_path / "bad.cfg"
-    p.write_text("no equals sign\n")
-    with pytest.raises(ConfigError):
-        config_overrides_from_file(p)
-    p.write_text("unknown_key=1\n")
-    with pytest.raises(ConfigError):
-        config_overrides_from_file(p)
-    p.write_text("N_sparse = none\n")
-    with pytest.raises(ConfigError, match="unknown config key 'N_sparse'"):
-        config_overrides_from_file(p)
-    p.write_text("seed=abc\n")
-    with pytest.raises(ConfigError, match="bad value for seed"):
-        config_overrides_from_file(p)
-    p.write_text("seed = -3\n")
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
-        config_overrides_from_file(p)
 
 
 def test_scale_estimate_hand_value():

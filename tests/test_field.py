@@ -490,6 +490,20 @@ def test_svg_rendering(tmp_path):
         render_scene_svg(m3, labels3, None, tmp_path / "bad.svg")
 
 
+@pytest.mark.parametrize("n_matches,n_labels", [(300, 200), (200, 300)])
+def test_svg_rejects_labels_of_another_match_count(tmp_path, n_matches, n_labels):
+    # fewer labels than matches once indexed past their end; more drew the
+    # scene in the wrong labels' colours without a word
+    m, _ = synth_generate(SynthSpec(n=n_matches, outlier_ratio=0.3, seed=4))
+    other, _ = synth_generate(SynthSpec(n=n_labels, outlier_ratio=0.3, seed=5))
+    labels, _, _ = filter_and_refine(other, Config(seed=5))
+    path = tmp_path / "scene.svg"
+    counts = f"labels of {n_labels} matches used with {n_matches} matches"
+    with pytest.raises(ValueError, match=counts):
+        render_scene_svg(m, labels, None, path)
+    assert not path.exists()
+
+
 def reference_field_eval(state, labels, m, pts, cfg):
     """query_field's blend as written before blend_neighbors: its own weight
     normalization, the written-out blend of test_dualquat over the gathered

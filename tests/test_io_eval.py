@@ -540,6 +540,22 @@ def test_save_matches_rejects_a_flag_array_of_another_length(tmp_path):
     assert not (tmp_path / "m.csv").exists()
 
 
+def test_save_matches_writes_only_units_load_matches_reads_back(tmp_path):
+    # units is the header's third field: a comma or any line break
+    # str.splitlines knows would give a header load_matches refuses
+    m = MatchSet.from_points(np.zeros((4, 2)), np.ones((4, 2)))
+    p = tmp_path / "m.csv"
+    for units in ("a,b", "a\nb", "a\r\nb", "a\rb", "a\x0bb", "a\u2028b", "mm\n"):
+        with pytest.raises(ValueError, match="units must hold no comma or line break"):
+            save_matches(p, m, units=units)
+        assert not p.exists()
+    for units in ("mm (scan 2)", "", "µm"):
+        save_matches(p, m, units=units)
+        m2, _ = load_matches(p)
+        assert np.array_equal(m2.x, m.x) and np.array_equal(m2.y, m.y)
+        assert p.read_text().splitlines()[0] == f"2,4,{units}"
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_a_match_file_of_no_rows_is_named(tmp_path, capsys, dim):
     p = tmp_path / "m.csv"
