@@ -136,9 +136,10 @@ def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
 
     Loads the input and checks --dim, takes field's lattice bounds_of(m)
     before the pipeline spends its time, builds the config with
-    Config.for_matches (defaults, scale-adapted for 3D, then the flags
+    Config.for_matches (H and r from the data's scale, then the flags
     given), runs the pipeline and warns when no match is an inlier.
-    Returns the run with its bounds and the head of the summary line.
+    Returns the run with its bounds and the head of the summary line,
+    which prints the H and r in force.
     """
     m, _ = load_matches(args.input)
     if args.dim is not None and args.dim != m.dim:
@@ -150,7 +151,7 @@ def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
     labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
     _warn_if_no_inliers(outcome, labels, nothing)
     head = (f"n={m.n} gamma={outcome.gamma:.4f} inliers={int(labels.inlier.sum())} "
-            f"em_iters={state.n_iters}")
+            f"em_iters={state.n_iters} H={cfg.H:.6g} r={cfg.r:.6g}")
     return SimpleNamespace(m=m, bounds=bounds, cfg=cfg, labels=labels, state=state,
                            head=head, ms=elapsed_ms)
 

@@ -8,6 +8,10 @@ run makes one kd-tree query and both stages read its answer: RANSAC picks
 its controls from the first POOL_COLUMNS neighbors, EM blends over all
 N_NEIGHBOR[dim] of them. The graph is the neighbor indices and source
 distances; it holds no weights, so one graph serves any radius r.
+
+A run's two lengths, the inlier threshold H and the blend radius r, follow
+the data's scale by one rule in every dimension: Config.for_matches takes
+them as fractions SCALE_FRACTIONS[dim] of scale_estimate(m).
 """
 
 from __future__ import annotations
@@ -69,6 +73,13 @@ POOL_COLUMNS = 16
 # (BENCH_neighbors_3d.json). Both values are at least POOL_COLUMNS, so a
 # run's one graph serves both the control pool and the blend
 N_NEIGHBOR = {2: 16, 3: 24}
+# (h, f) per dimension: Config.for_matches sets H = h s and r = f s from
+# the match set's scale s = scale_estimate(m), so a change of units leaves
+# every label unchanged. The 2D pair gives H ~ 20 and r ~ 50 on an 800x600
+# frame (s ~ 288.6). One pair for both dimensions does not serve: (0.1, 0.3)
+# in 2D drops 2d-1k-mix fscore_worst_group to 0.966-0.970 and raises
+# field_holdout_err by 11-27% (BENCH_one_scale_rule.json)
+SCALE_FRACTIONS = {2: (0.0693, 0.1733), 3: (0.1, 0.3)}
 
 # largest coordinate magnitude the package takes in, in match files, match
 # sets, synthetic and lattice boxes and query points. Squared distances
@@ -196,16 +207,17 @@ class LabelResult:
 
 @dataclass(frozen=True)
 class Config:
-    """Algorithm parameters. Defaults are the tuned 2D pixel-scale values;
-    Config.for_matches, the one builder of a run's config, rescales them
-    for 3D inputs.
+    """Algorithm parameters. The class defaults are the tuned values of an
+    800x600 pixel frame, for direct construction; Config.for_matches, the
+    one builder of a run's config, sets H and r from the data's scale in
+    every dimension (SCALE_FRACTIONS).
 
     H     inlier residual threshold
     r     radius of the Gaussian distance weights of the blend
     seed  seed for every random draw in a run
 
     These are exactly the settings the filter and field flags set: the two
-    for_matches sets per dimension, and the seed. Values no caller sets
+    for_matches sets from the scale, and the seed. Values no caller sets
     are module constants beside the code that reads them: N_NEIGHBOR (one
     per dimension), ransac.T_MIN, ransac.N_REWEIGHT_ITERS,
     ransac.RANSAC_P, em_refine.P_MIN, em_refine.THETA and
@@ -229,22 +241,21 @@ class Config:
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
-        """The one builder of a run's config: defaults, rescaled to m's
-        spatial scale s = scale_estimate(m) when m is 3D, then overrides.
+        """The one builder of a run's config: H and r follow m's spatial
+        scale s = scale_estimate(m), then the overrides apply.
 
-        3D inputs have no pixel grid, so H becomes 0.1 s and r becomes
-        0.3 s. Every other length the run uses (sigma, the targets' padded
-        box) comes from the data, so a change of units leaves every
-        posterior, and so every label, unchanged.
+        One rule in every dimension: H = h s and r = f s with (h, f) =
+        SCALE_FRACTIONS[m.dim]. Every other length the run uses (sigma, the
+        targets' padded box) comes from the data, so a change of units
+        leaves every posterior, and so every label, unchanged. A match set
+        without spread has no scale: DegenerateScaleError.
 
         The CLI passes the flags it was given as the overrides, so a run's
-        settings are the defaults, then the 3D adaptation, then the flags.
+        settings are the scale rule's, then the flags.
         """
-        scaled = {}
-        if m.dim == 3:
-            s = scale_estimate(m)
-            scaled = dict(H=0.1 * s, r=0.3 * s)
-        return cls(**{**scaled, **overrides})
+        s = scale_estimate(m)
+        h, f = SCALE_FRACTIONS[m.dim]
+        return cls(**{"H": h * s, "r": f * s, **overrides})
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,9 @@ def test_bench_size_sweep_is_a_list_of_n(capsys):
 def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
     # sources collapsed onto one point pin no rotation, so RANSAC finds no
     # motion; EM then refines from the identity motion, which explains
-    # y = x + 1 but not a 500-unit scatter
+    # y = x + 1 but not a 500-unit scatter. The scale rule would set H from
+    # the scatter itself (s = shift / sqrt(2)), so H and r are fixed in
+    # pixels to keep both cases
     n = 200
     x = np.tile([200.0, 100.0], (n, 1))
     ang = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, size=n)
@@ -357,7 +359,7 @@ def test_no_motion_warning_agrees_with_labels(tmp_path, capsys, command, shift):
     scene = tmp_path / "line.csv"
     labels_csv = tmp_path / "labels.csv"
     save_matches(scene, MatchSet.from_points(x, y))
-    argv = [command, "--input", str(scene), "--seed", "0"]
+    argv = [command, "--input", str(scene), "--seed", "0", "--H", "20", "--r", "50"]
     if command == "filter":
         argv += ["--output", str(labels_csv)]
     else:
@@ -540,9 +542,25 @@ def test_bounds_item_errors_name_the_flag(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["filter", "field"])
+@pytest.mark.parametrize("flags", [{}, {"H": 7.5}], ids=["rule", "H-flag"])
+@pytest.mark.parametrize("dim", [2, 3], ids=["2d", "3d"])
+def test_summary_prints_the_H_and_r_in_force(tmp_path, capsys, command, flags, dim):
+    # the scale rule sets H and r from the data, so the summary line shows
+    # the values the run used: for_matches' with the flags given
+    scene = _synth(tmp_path / "scene.csv", capsys, dim=dim, n=150)
+    argv = [command, "--input", str(scene), "--output", str(tmp_path / "o.csv")]
+    for name, v in flags.items():
+        argv += [f"--{name}", repr(v)]
+    out = run_ok(argv, capsys)
+    cfg = Config.for_matches(load_matches(scene)[0], **flags)
+    assert re.search(r" em_iters=\d+ H=(\S+) r=(\S+) ", out).groups() == (
+        f"{cfg.H:.6g}", f"{cfg.r:.6g}")
+
+
 def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypatch):
-    # precedence: defaults, 3D adaptation, flags; a flag for H leaves the
-    # adapted r alone
+    # precedence: the scale rule, then flags; a flag for H leaves the
+    # scale's r alone
     scene = _synth(tmp_path / "scene3.csv", capsys, dim=3)
     calls = _count_stage_calls(monkeypatch)
     run_ok(["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"),
@@ -707,13 +725,19 @@ def test_filter_and_field_go_through_the_traced_io_names(tmp_path, capsys, monke
 
 def test_readme_parameter_table_is_the_flag_table():
     # the README's parameter table lists the flags of _CONFIG_FLAGS in
-    # order, each with its 2D Config default
+    # order: the seed with its Config default, H and r with the value the
+    # scale rule gives on an 800x600 scene, the Config default (the rule's
+    # fractions are checked in tests/test_readme.py)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Parameters", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(--[\w-]+)` \| ([^|]+) \|", section, re.M)
     assert [flag for flag, _ in rows] == [flag for flag, *_ in cli._CONFIG_FLAGS]
     for (_, default), (_, name, kind, _) in zip(rows, cli._CONFIG_FLAGS):
-        assert kind(default.strip()) == getattr(Config(), name), name
+        want = getattr(Config(), name)
+        if name == "seed":
+            assert kind(default.strip()) == want
+        else:
+            assert default.strip().endswith(f"≈ {want:g} on an 800×600 scene"), name
 
 
 def _subcommand_flags() -> dict:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from matchfield.core import (
+    SCALE_FRACTIONS,
     Config,
     ConfigError,
     DegenerateScaleError,
@@ -156,7 +157,7 @@ def test_config_takes_python_and_numpy_integers():
 
 
 def test_config_scale_adaptation():
-    # Config.for_matches is the one builder of a 3D config; these clouds
+    # Config.for_matches is the one builder of a run's config; these clouds
     # have scale estimate exactly 50
     x = [[50.0, 0.0, 0.0], [-50.0, 0.0, 0.0]]
     m = MatchSet.from_points(x, x)
@@ -165,34 +166,45 @@ def test_config_scale_adaptation():
     assert np.isclose(cfg.H, 5.0)
     assert np.isclose(cfg.r, 15.0)
     assert not hasattr(Config, "adapted_for_scale")
-    # a 3D set without spread has no scale to adapt to
-    with pytest.raises(DegenerateScaleError):
-        Config.for_matches(MatchSet.from_points(x[:1] * 2, x[:1] * 2))
+    # a set without spread has no scale to adapt to, in either dimension
+    for p in (x[:1] * 2, [[3.0, 4.0]] * 2):
+        with pytest.raises(DegenerateScaleError):
+            Config.for_matches(MatchSet.from_points(p, p))
 
 
-def test_config_for_matches_adapts_only_3d():
-    m2 = MatchSet.from_points([[0.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [0.0, 2.0]])
-    cfg2 = Config.for_matches(m2)
-    assert cfg2 == Config()
+def test_config_for_matches_follows_the_scale_in_every_dimension():
+    # one rule: H and r are the dimension's fractions of the scale estimate,
+    # so a power-of-two change of units scales both exactly, in 2D as in 3D
     rng = make_rng(0)
-    x3 = rng.uniform(0.0, 100.0, size=(50, 3))
-    m3 = MatchSet.from_points(x3, x3 + 1.0)
-    cfg3 = Config.for_matches(m3, seed=7)
-    s = scale_estimate(m3)
-    assert np.isclose(cfg3.H, 0.1 * s)
-    assert np.isclose(cfg3.r, 0.3 * s)
-    assert cfg3.seed == 7
+    for dim in (2, 3):
+        x = rng.uniform(0.0, 100.0, size=(50, dim))
+        m = MatchSet.from_points(x, x + 1.0)
+        cfg = Config.for_matches(m, seed=7)
+        h, f = SCALE_FRACTIONS[dim]
+        s = scale_estimate(m)
+        assert (cfg.H, cfg.r, cfg.seed) == (h * s, f * s, 7)
+        for k in (2.0 ** -40, 0.25, 4.0, 2.0 ** 40):
+            ck = Config.for_matches(MatchSet.from_points(x * k, (x + 1.0) * k), seed=7)
+            assert (ck.H, ck.r, ck.seed) == (k * cfg.H, k * cfg.r, 7)
+        # flags override the rule's values one by one
+        assert Config.for_matches(m, H=3.0) == Config(H=3.0, r=f * s)
+    # the 2D fractions keep the tuned pixel values on an 800x600 frame
+    x = rng.uniform((0.0, 0.0), (800.0, 600.0), size=(20000, 2))
+    cfg2 = Config.for_matches(MatchSet.from_points(x, x))
+    assert abs(cfg2.H - Config().H) < 0.5 and abs(cfg2.r - Config().r) < 1.0
 
 
 def test_config_holds_only_what_the_scale_sets_and_the_seed():
     # a setting stays a Config field only while a second value of it is in
-    # use: for_matches gives 3D match sets their own value of every field
-    # but the seed. A one-value knob fails here; make it a module constant
+    # use: for_matches gives each match set, 2D or 3D, its own value of
+    # every field but the seed. A one-value knob fails here; make it a
+    # module constant
     rng = make_rng(0)
-    x3 = rng.uniform(0.0, 100.0, size=(50, 3))
-    cfg3 = Config.for_matches(MatchSet.from_points(x3, x3 + 1.0))
-    scaled = {f.name for f in fields(Config) if getattr(cfg3, f.name) != getattr(Config(), f.name)}
-    assert {f.name for f in fields(Config)} == scaled | {"seed"}
+    for dim in (2, 3):
+        x = rng.uniform(0.0, 100.0, size=(50, dim))
+        cfg = Config.for_matches(MatchSet.from_points(x, x + 1.0))
+        scaled = {f.name for f in fields(Config) if getattr(cfg, f.name) != getattr(Config(), f.name)}
+        assert {f.name for f in fields(Config)} == scaled | {"seed"}
 
 
 def test_scale_estimate_hand_value():

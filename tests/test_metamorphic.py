@@ -57,19 +57,20 @@ def test_rescale_with_rescaled_thresholds_is_bit_identical(make_scene):
         assert np.array_equal(labels.posterior, base.posterior)
 
 
-def test_3d_rescale_with_plain_config_keeps_labels():
-    # Config.for_matches adapts H and r to the cloud scale, and EM's outlier
-    # term is a ratio of lengths, so a change of units alone leaves every
-    # label unchanged; powers of two keep the posteriors bit-identical, other
-    # factors round in the last bits. A spread far below 1 is a scale like
-    # any other, not a collapsed cloud
-    m, _, cfg = scene_3d()
-    _, base = run_pipeline(m, cfg)
+@pytest.mark.parametrize("make_scene", [scene_2d, scene_3d], ids=["2d", "3d"])
+def test_rescale_with_plain_config_keeps_labels(make_scene):
+    # Config.for_matches sets H and r from the cloud scale in every
+    # dimension, and EM's outlier term is a ratio of lengths, so a change of
+    # units alone leaves every label unchanged; powers of two keep the
+    # posteriors bit-identical, other factors round in the last bits. A
+    # spread far below 1 is a scale like any other, not a collapsed cloud
+    m, _, cfg = make_scene()
+    _, base = run_pipeline(m, Config.for_matches(m, seed=cfg.seed))
     assert base.inlier.any()
     for s, tol in ((4.0, 0.0), (0.25, 0.0), (10.0, 1e-12), (0.1, 1e-12),
                    (2.0 ** -50, 0.0), (2.0 ** -300, 0.0), (2.0 ** -480, 0.0)):
         ms = MatchSet.from_points(m.x * s, m.y * s)
-        _, labels = run_pipeline(ms, Config.for_matches(ms, seed=8))
+        _, labels = run_pipeline(ms, Config.for_matches(ms, seed=cfg.seed))
         assert np.array_equal(labels.inlier, base.inlier)
         assert np.abs(labels.posterior - base.posterior).max() <= tol
 

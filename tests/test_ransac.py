@@ -841,7 +841,10 @@ REFERENCE_SCENES = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_SCENES))
 def test_lean_loop_reproduces_the_reference_run(name):
     m = REFERENCE_SCENES[name]()
-    cfg = Config.for_matches(m, seed=7)
+    # the scale rule gives the five t-min matches H of about 2.5, below the
+    # 10% stretch of their source distances, so no control would enter the
+    # pool; that scene keeps the class default H = 20
+    cfg = Config(seed=7) if name == "2d-t-min" else Config.for_matches(m, seed=7)
     ref, union, gamma = reference_run(m, cfg)
     out = ransac_run(m, cfg)
     assert out.trials == ref.trials <= m.n

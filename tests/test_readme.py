@@ -1,17 +1,16 @@
 """Every ```python block of README.md runs, so an example cannot name a
-function the package no longer has, and README's 3D defaults and named
+function the package no longer has, and README's scale rule and named
 module constants are the ones the code sets."""
 
 import ast
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import matchfield
 from matchfield import Config, ransac_run, reweight_fit
-from matchfield.core import N_NEIGHBOR, scale_estimate
+from matchfield.core import scale_estimate
 from matchfield.io_eval import SynthSpec, synth_generate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,17 +30,23 @@ def test_every_readme_python_block_runs():
 
 
 def test_readme_3d_defaults_are_the_builders():
-    # the sentence on 3D defaults names the factors of H and r that
-    # Config.for_matches sets, and the 3D neighborhood size
-    text = " ".join(README.read_text().split())
-    found = re.search(r"\(H = ([\d.]+) s, r = ([\d.]+) s for scale s, (\d+) neighbors\)", text)
-    assert found, "README no longer states the 3D defaults"
-    h, r, k = float(found[1]), float(found[2]), int(found[3])
-    m, _ = synth_generate(SynthSpec(n=200, dim=3, seed=5))
-    s = scale_estimate(m)
-    cfg = Config.for_matches(m)
-    assert np.isclose(cfg.H, h * s) and np.isclose(cfg.r, r * s)
-    assert N_NEIGHBOR[3] == k
+    # the scale rule's fractions of H and r, as README's table and its
+    # constant state them, are the ones Config.for_matches applies, in 2D
+    # and in 3D
+    text = README.read_text()
+    found = re.search(r"`matchfield\.core\.SCALE_FRACTIONS = ([^`]+)`", text)
+    assert found, "README no longer states the scale rule"
+    fractions = ast.literal_eval(found[1])
+    assert sorted(fractions) == [2, 3]
+    for name, col in (("H", 0), ("r", 1)):
+        row = re.search(rf"\| `--{name}` \| ([\d.]+) s in 2D, ([\d.]+) s in 3D;", text)
+        assert row, f"README's table no longer states the rule for {name}"
+        assert [float(row[1]), float(row[2])] == [fractions[2][col], fractions[3][col]]
+    for dim, (h, f) in fractions.items():
+        m, _ = synth_generate(SynthSpec(n=200, dim=dim, seed=5))
+        s = scale_estimate(m)
+        cfg = Config.for_matches(m)
+        assert (cfg.H, cfg.r) == (h * s, f * s)
 
 
 @pytest.mark.parametrize("name", ["ransac.T_MIN", "ransac.N_REWEIGHT_ITERS", "ransac.RANSAC_P",
