@@ -9,11 +9,8 @@ in the scene.
 
 from .core import (
     Config,
-    ConfigError,
     DegenerateGeometryError,
-    DegenerateScaleError,
     LabelResult,
-    MatchFieldError,
     MatchSet,
     NeighborGraph,
     build_neighbors,
@@ -36,12 +33,9 @@ from .field import (
     write_field_csv,
 )
 from .io_eval import (
-    DimensionMismatchError,
     MatchFileError,
     Metrics,
-    NonNumericRowError,
     SynthSpec,
-    TruncatedFileError,
     compute_metrics,
     load_labels,
     load_matches,
@@ -63,24 +57,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Config",
-    "ConfigError",
     "DegenerateGeometryError",
-    "DegenerateScaleError",
-    "DimensionMismatchError",
     "EmState",
     "FieldGrid",
     "FieldSample",
     "LabelResult",
-    "MatchFieldError",
     "MatchFileError",
     "MatchSet",
     "Metrics",
     "NeighborGraph",
-    "NonNumericRowError",
     "RansacOutcome",
     "SynthSpec",
     "TransformHypothesis",
-    "TruncatedFileError",
     "build_neighbors",
     "compute_metrics",
     "e_step",

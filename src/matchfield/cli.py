@@ -8,10 +8,11 @@ Subcommands:
 * eval:   score a label file against a ground-truthed match file
 * bench:  outlier-ratio and size sweep with accuracy and runtime columns
 
-Exit codes: 0 on success, 2 for unparseable input (bad flags or malformed
-files), 3 for degenerate input such as collapsed geometry or too few
-matches. Identical invocations with identical seeds write byte-identical
-outputs.
+Exit codes: 0 on success, 2 for input that breaks a rule (bad flags or
+malformed files: a ValueError, io_eval.MatchFileError among them, or an
+OSError), 3 for degenerate input such as collapsed geometry or too few
+matches (core.DegenerateGeometryError). Identical invocations with
+identical seeds write byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -23,17 +24,10 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from .core import (
-    Config,
-    ConfigError,
-    DegenerateGeometryError,
-    DegenerateScaleError,
-    MatchSet,
-)
+from .core import Config, DegenerateGeometryError, MatchSet
 from .em_refine import filter_and_refine
 from .field import grid_field, grid_points, render_scene_svg, write_field_csv
 from .io_eval import (
-    DimensionMismatchError,
     MatchFileError,
     SynthSpec,
     compute_metrics,
@@ -134,18 +128,15 @@ def _warn_if_no_inliers(outcome, labels, nothing: str) -> None:
 def _run(args, nothing: str, bounds_of=lambda m: None) -> SimpleNamespace:
     """The run step of filter and field.
 
-    Loads the input and checks --dim, takes field's lattice bounds_of(m)
-    before the pipeline spends its time, builds the config with
-    Config.for_matches (H and r from the data's scale, then the flags
-    given), runs the pipeline and warns when no match is an inlier.
+    Loads the input, whose header fixes the run's dimension, takes field's
+    lattice bounds_of(m) before the pipeline spends its time, builds the
+    config with Config.for_matches (H and r from the data's scale, then
+    the flags given), runs the pipeline and warns when no match is an
+    inlier.
     Returns the run with its bounds and the head of the summary line,
     which prints the H and r in force.
     """
     m, _ = load_matches(args.input)
-    if args.dim is not None and args.dim != m.dim:
-        raise DimensionMismatchError(
-            f"{args.input}: file is {m.dim}D but --dim {args.dim} was requested"
-        )
     bounds = bounds_of(m)
     cfg = Config.for_matches(m, **_given(args, _CONFIG_FLAGS))
     labels, state, outcome, elapsed_ms = _run_pipeline(m, cfg)
@@ -267,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     # input and parameters shared by filter and field
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--input", type=Path, required=True, help="match CSV file")
-    run.add_argument("--dim", type=int, choices=(2, 3), default=None,
-                     help="expected input dimension")
     params = run.add_argument_group("algorithm parameters")
     _add_flags(params, _CONFIG_FLAGS)
 
@@ -319,10 +308,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MatchFileError, ConfigError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DegenerateGeometryError, DegenerateScaleError) as e:
+    except DegenerateGeometryError as e:
         print(f"error: degenerate input: {e}", file=sys.stderr)
         return 3
 

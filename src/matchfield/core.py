@@ -29,20 +29,11 @@ BoolArray = NDArray[np.bool_]
 IntArray = NDArray[np.int64]
 
 
-class MatchFieldError(Exception):
-    """Base class for errors raised by this package."""
-
-
-class ConfigError(MatchFieldError, ValueError):
-    """A configuration value is out of its legal range."""
-
-
-class DegenerateGeometryError(MatchFieldError):
-    """Point geometry is too degenerate to determine a transform."""
-
-
-class DegenerateScaleError(MatchFieldError):
-    """Point clouds have zero spatial spread, no scale can be estimated."""
+class DegenerateGeometryError(Exception):
+    """The input parses, but its geometry determines no transform or no
+    scale: too few matches, collapsed clouds, degenerate fits. The CLI
+    exits 3 on it; every input that breaks a rule raises ValueError and
+    exits 2."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -91,6 +82,10 @@ SCALE_FRACTIONS = {2: (0.0693, 0.1733), 3: (0.1, 0.3)}
 MAX_COORD = 1e145
 # the coordinate rule as every error message words it
 COORD_RULE = f"finite and at most {MAX_COORD:g} in magnitude"
+# smallest H and r a Config takes. EM squares r, and its sigma, never below
+# 1e-3 H; below 1e-150 those squares leave the normal floats, r * r
+# underflows to 0 near 1e-162, and the blend weights become 0 / 0
+MIN_LENGTH = 1e-150
 
 
 def coords_in_range(a) -> BoolArray:
@@ -152,14 +147,14 @@ def check_dim(dim) -> None:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
 
 
-def check_count(name: str, v, least: int, error=ValueError) -> None:
-    """Raise error naming the field name unless v is a Python or numpy
+def check_count(name: str, v, least: int) -> None:
+    """Raise ValueError naming the field name unless v is a Python or numpy
     integer of at least least. A bool or a float of integral value is no
     integer here, so neither stands in for a count or a seed."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {v!r}")
+        raise ValueError(f"{name} must be an integer, got {v!r}")
     if v < least:
-        raise error(f"{name} must be >= {least}, got {v}")
+        raise ValueError(f"{name} must be >= {least}, got {v}")
 
 
 def small_det(a: FloatArray) -> float:
@@ -216,6 +211,9 @@ class Config:
     r     radius of the Gaussian distance weights of the blend
     seed  seed for every random draw in a run
 
+    H and r must be finite and at least MIN_LENGTH, the seed an integer of
+    at least 0; anything else raises ValueError naming the field.
+
     These are exactly the settings the filter and field flags set: the two
     for_matches sets from the scale, and the seed. Values no caller sets
     are module constants beside the code that reads them: N_NEIGHBOR (one
@@ -232,12 +230,14 @@ class Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_count("seed", self.seed, 0, ConfigError)
+        check_count("seed", self.seed, 0)
         for name in ("H", "r"):
             v = getattr(self, name)
             # bool is an int subclass, so True would pass as 1
             if isinstance(v, bool) or not (math.isfinite(v) and v > 0.0):
-                raise ConfigError(f"{name} must be positive, got {v}")
+                raise ValueError(f"{name} must be positive, got {v}")
+            if v < MIN_LENGTH:
+                raise ValueError(f"{name} must be at least {MIN_LENGTH:g}, got {v}")
 
     @classmethod
     def for_matches(cls, m: MatchSet, **overrides) -> "Config":
@@ -248,7 +248,7 @@ class Config:
         SCALE_FRACTIONS[m.dim]. Every other length the run uses (sigma, the
         targets' padded box) comes from the data, so a change of units
         leaves every posterior, and so every label, unchanged. A match set
-        without spread has no scale: DegenerateScaleError.
+        without spread has no scale: DegenerateGeometryError.
 
         The CLI passes the flags it was given as the overrides, so a run's
         settings are the scale rule's, then the flags.
@@ -285,21 +285,19 @@ def build_neighbors(m: MatchSet) -> NeighborGraph:
     RANSAC; it never changes.
     """
     n = m.n
-    if n == 1:
-        idx = np.zeros((1, 1), dtype=np.int64)
-        dist = np.zeros((1, 1))
-    else:
-        dist, idx = cKDTree(m.x).query(m.x, k=min(N_NEIGHBOR[m.dim], n - 1) + 1)
-        idx = idx.astype(np.int64)
-        # the kd-tree breaks distance ties arbitrarily; force self into
-        # column 0 so blending always sees the match's own motion. Only
-        # duplicates of the source, at distance 0, come before it, so the
-        # swap leaves dist valid. A row that misses itself (more duplicates
-        # than columns) finds no hit, argmax 0, and takes itself in column 0
-        wrong = np.flatnonzero(idx[:, 0] != np.arange(n))
-        rows = idx[wrong]
-        idx[wrong, np.argmax(rows == wrong[:, None], axis=1)] = rows[:, 0]
-        idx[wrong, 0] = wrong
+    # the list form of k returns (n, len(k)) arrays for every k, one
+    # column at n = 1
+    dist, idx = cKDTree(m.x).query(m.x, k=list(range(1, min(N_NEIGHBOR[m.dim], n - 1) + 2)))
+    idx = idx.astype(np.int64)
+    # the kd-tree breaks distance ties arbitrarily; force self into
+    # column 0 so blending always sees the match's own motion. Only
+    # duplicates of the source, at distance 0, come before it, so the
+    # swap leaves dist valid. A row that misses itself (more duplicates
+    # than columns) finds no hit, argmax 0, and takes itself in column 0
+    wrong = np.flatnonzero(idx[:, 0] != np.arange(n))
+    rows = idx[wrong]
+    idx[wrong, np.argmax(rows == wrong[:, None], axis=1)] = rows[:, 0]
+    idx[wrong, 0] = wrong
     # the outcome and every EM state on it share these arrays
     for a in (idx, dist):
         a.setflags(write=False)
@@ -327,17 +325,17 @@ def scale_estimate(m: MatchSet) -> float:
 
     s = sqrt((sum ||x_i - mean(x)||^2 + sum ||y_i - mean(y)||^2) / (2 n)).
     Translation invariant and homogeneous of degree one under scaling of
-    both clouds. Raises DegenerateScaleError for fewer than two matches
+    both clouds. Raises DegenerateGeometryError for fewer than two matches
     and when both clouds collapse to single points: s at most 1e-12 of the
     largest coordinate magnitude, a tolerance relative at every scale, so
     a cloud of spread 1e-14 is not taken for a point.
     """
     if m.n < 2:
-        raise DegenerateScaleError("scale estimate needs at least two matches")
+        raise DegenerateGeometryError("scale estimate needs at least two matches")
     xc = m.x - m.x.mean(axis=0)
     yc = m.y - m.y.mean(axis=0)
     s = math.sqrt((np.sum(xc * xc) + np.sum(yc * yc)) / (2.0 * m.n))
     tol = 1e-12 * max(float(np.abs(m.x).max()), float(np.abs(m.y).max()))
     if s <= tol:
-        raise DegenerateScaleError("all points coincide, scale is undefined")
+        raise DegenerateGeometryError("all points coincide, scale is undefined")
     return s

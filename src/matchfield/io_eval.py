@@ -27,8 +27,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import (COORD_RULE, BoolArray, LabelResult, MatchFieldError, MatchSet, box_corners,
-                   check_count, check_dim, coords_in_range, make_rng)
+from .core import (COORD_RULE, BoolArray, LabelResult, MatchSet, box_corners, check_count,
+                   check_dim, coords_in_range, make_rng)
 from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 
 
@@ -40,20 +40,10 @@ from .dualquat import dq8_apply, dq8_blend, dq8_from_rt, quat_to_matrix
 CSV_BLOCK = 1024
 
 
-class MatchFileError(MatchFieldError):
-    """Base class for match/label file parse errors."""
-
-
-class DimensionMismatchError(MatchFileError):
-    """Row width or declared dimension does not match what was expected."""
-
-
-class NonNumericRowError(MatchFileError):
-    """A data field failed to parse as a number."""
-
-
-class TruncatedFileError(MatchFileError):
-    """The file ends before the declared number of rows (or has extras)."""
+class MatchFileError(ValueError):
+    """A match or label file that does not decode or parse, or breaks a
+    rule of its format; the message names the file, and the first bad row
+    where there is one."""
 
 
 def float_column(values) -> list[str]:
@@ -130,18 +120,18 @@ def _fields(body: list[str]) -> list[str]:
 def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
     """Read a match file back into a MatchSet and its optional labels.
 
-    Raises DimensionMismatchError for a bad declared dimension or wrong row
-    widths, NonNumericRowError for unparseable fields and for coordinates
-    that break the coordinate rule (core.coords_in_range), and
-    TruncatedFileError when the row count disagrees with the header. The
-    first data row decides whether the ground-truth column is present. The
+    Raises MatchFileError for an empty file or a bad header, a bad declared
+    dimension, a row count that disagrees with the header, wrong row
+    widths, unparseable fields, coordinates that break the coordinate rule
+    (core.coords_in_range) and gt flags other than 0 and 1. The first data
+    row decides whether the ground-truth column is present. The
     body is checked and converted in bulk; only a file that fails a check
     is walked row by row, so its error names the path and the first bad
     row.
     """
     lines = _data_lines(path)
     if not lines:
-        raise TruncatedFileError(f"{path}: empty file")
+        raise MatchFileError(f"{path}: empty file")
     head = lines[0].split(",")
     if len(head) != 3:
         raise MatchFileError(f"{path}: header must be dim,n,units, got {lines[0]!r}")
@@ -149,12 +139,12 @@ def load_matches(path) -> tuple[MatchSet, BoolArray | None]:
         dim = int(head[0])
         n = int(head[1])
     except ValueError as e:
-        raise NonNumericRowError(f"{path}: non-numeric header counts {lines[0]!r}") from e
+        raise MatchFileError(f"{path}: non-numeric header counts {lines[0]!r}") from e
     if dim not in (2, 3):
-        raise DimensionMismatchError(f"{path}: dim must be 2 or 3, got {dim}")
+        raise MatchFileError(f"{path}: dim must be 2 or 3, got {dim}")
     body = lines[1:]
     if len(body) != n:
-        raise TruncatedFileError(f"{path}: header declares {n} rows, found {len(body)}")
+        raise MatchFileError(f"{path}: header declares {n} rows, found {len(body)}")
     if not body:
         raise MatchFileError(f"{path}: header declares 0 rows, need at least one match")
     width = 2 * dim
@@ -191,18 +181,16 @@ def _raise_first_bad_match_row(path, body: list[str], dim: int) -> NoReturn:
             elif len(parts) == width:
                 has_gt = False
         if len(parts) != width + (1 if has_gt else 0):
-            raise DimensionMismatchError(
-                f"{path}: row {i + 1} has {len(parts)} fields, expected "
-                f"{width + (1 if has_gt else 0)} for dim={dim}"
-            )
+            raise MatchFileError(f"{path}: row {i + 1} has {len(parts)} fields, expected "
+                                 f"{width + (1 if has_gt else 0)} for dim={dim}")
         try:
             vals = [float(v) for v in parts[:width]]
         except ValueError as e:
-            raise NonNumericRowError(f"{path}: row {i + 1}: {e}") from e
+            raise MatchFileError(f"{path}: row {i + 1}: {e}") from e
         if not coords_in_range(vals):
-            raise NonNumericRowError(f"{path}: row {i + 1}: coordinates must be {COORD_RULE}")
+            raise MatchFileError(f"{path}: row {i + 1}: coordinates must be {COORD_RULE}")
         if has_gt and parts[width].strip() not in ("0", "1"):
-            raise NonNumericRowError(f"{path}: row {i + 1}: gt flag must be 0 or 1")
+            raise MatchFileError(f"{path}: row {i + 1}: gt flag must be 0 or 1")
     raise AssertionError("bulk check failed but every row passes")
 
 
@@ -219,11 +207,12 @@ def save_labels(path, labels: LabelResult) -> None:
 def load_labels(path) -> LabelResult:
     """Read a label file written by save_labels.
 
-    Raises MatchFileError for a missing header or indices that do not count
-    up from 0, DimensionMismatchError for rows that are not 4 fields wide,
-    NonNumericRowError for unparseable fields, each naming the first row
-    that fails: one walk over the rows parses and checks each in turn (its
-    width, then each field, then its index).
+    Raises MatchFileError for a missing header, rows that are not 4 fields
+    wide, unparseable fields, inlier flags other than 0 and 1 (padding
+    around a flag is stripped, as load_matches strips its gt flag) and
+    indices that do not count up from 0, naming the first row that fails:
+    one walk over the rows parses and checks each in turn (its width, then
+    each field, then its index).
     """
     lines = _data_lines(path)
     if not lines or lines[0] != "index,inlier,posterior,residual":
@@ -232,14 +221,17 @@ def load_labels(path) -> LabelResult:
     for row, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) != 4:
-            raise DimensionMismatchError(f"{path}: row {row + 1} has {len(parts)} fields")
+            raise MatchFileError(f"{path}: row {row + 1} has {len(parts)} fields")
         try:
             i = int(parts[0])
-            flags.append({"0": False, "1": True}[parts[1]])
+            flag = parts[1].strip()
+            if flag not in ("0", "1"):
+                raise ValueError("inlier flag must be 0 or 1")
+            flags.append(flag == "1")
             post.append(float(parts[2]))
             resid.append(float(parts[3]))
-        except (ValueError, KeyError) as e:
-            raise NonNumericRowError(f"{path}: row {row + 1}: {e}") from e
+        except ValueError as e:
+            raise MatchFileError(f"{path}: row {row + 1}: {e}") from e
         if i != row:
             raise MatchFileError(f"{path}: rows out of order at {row + 1}")
     return LabelResult(inlier=np.array(flags, dtype=bool), posterior=np.array(post),

@@ -251,15 +251,19 @@ def control_pool(m: MatchSet, graph: NeighborGraph, cfg: Config, t_acc: int) -> 
     side is computed here. The pool holds the matches scoring at least
     POOL_MIN_SCORE. The threshold never exceeds t_acc - 1: a kept motion's
     control need not keep more neighbors than the motion has other
-    inliers. graph holds at least POOL_COLUMNS neighbors (core.N_NEIGHBOR),
-    or every other match when n is smaller.
+    inliers. When no match scores enough the pool is every match, the
+    uniform draw trial_bound assumes: a small scene whose scale change
+    stretches each neighbor distance past H still holds its motion.
+    graph holds at least POOL_COLUMNS neighbors (core.N_NEIGHBOR), or every
+    other match when n is smaller.
     """
     cols = slice(1, POOL_COLUMNS + 1)
     # a contiguous copy gathers about twice as fast as the strided view
     stretch = np.sqrt(neighbor_sq_dists(m.y, np.ascontiguousarray(graph.idx[:, cols])))
     stretch -= graph.dist[:, cols]
     score = np.count_nonzero(np.abs(stretch) < cfg.H, axis=1)
-    return np.nonzero(score >= min(POOL_MIN_SCORE, t_acc - 1))[0]
+    pool = np.nonzero(score >= min(POOL_MIN_SCORE, t_acc - 1))[0]
+    return pool if pool.size else np.arange(m.n)
 
 
 def trial_bound(n: int, gamma: float, t_acc: int, p: float) -> float:
@@ -476,7 +480,8 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
 
     The run first builds its one kNN graph (core.build_neighbors) and opens
     the control pool from it (control_pool): the matches that keep their
-    distances to at least two of their 16 nearest source neighbors.
+    distances to at least two of their 16 nearest source neighbors, or
+    every match when none does.
     Controls are drawn uniformly from pooled matches that no accepted
     hypothesis covers yet, and each control is tried at most once (a trial
     is deterministic in the control, so retrying one is pointless), so a

@@ -1,7 +1,9 @@
 """The package's public names: everything exported resolves, and the
 dual-quaternion toolbox is the (..., 8) array kernels alone."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import matchfield
-from matchfield import core, dualquat, em_refine, ransac
+from matchfield import core, dualquat, em_refine, io_eval, ransac
 
 
 def test_every_exported_name_resolves():
@@ -56,6 +58,34 @@ def test_the_matrix_motion_type_is_gone(name):
     assert not hasattr(ransac, name)
     assert not hasattr(matchfield, name)
     assert name not in matchfield.__all__
+
+
+def package_exception_classes() -> dict:
+    """Every exception class a module of the package defines, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(matchfield.__path__):
+        module = importlib.import_module(f"matchfield.{info.name}")
+        found.update({name: obj for name, obj in vars(module).items()
+                      if isinstance(obj, type) and issubclass(obj, BaseException)
+                      and obj.__module__ == module.__name__})
+    return found
+
+
+FOLDED_ERRORS = ["MatchFieldError", "ConfigError", "DegenerateScaleError",
+                 "DimensionMismatchError", "NonNumericRowError", "TruncatedFileError"]
+
+
+def test_one_error_class_per_exit_code():
+    # the CLI exits 2 on a ValueError (a file that does not parse raises
+    # MatchFileError, a ValueError) and 3 on DegenerateGeometryError
+    assert package_exception_classes() == {"MatchFileError": io_eval.MatchFileError,
+                                           "DegenerateGeometryError": core.DegenerateGeometryError}
+    assert issubclass(io_eval.MatchFileError, ValueError)
+    assert not issubclass(core.DegenerateGeometryError, ValueError)
+    for name in FOLDED_ERRORS:
+        assert name not in matchfield.__all__ and not hasattr(matchfield, name)
+        for info in pkgutil.iter_modules(matchfield.__path__):
+            assert not hasattr(importlib.import_module(f"matchfield.{info.name}"), name)
 
 
 def test_sparse_ransac_entry_point_is_gone():

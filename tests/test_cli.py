@@ -201,13 +201,19 @@ def test_degenerate_input_returns_3(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
-def test_dim_flag_mismatch_returns_2(tmp_path, capsys):
+def test_filter_and_field_take_the_dimension_from_the_file(tmp_path, capsys):
+    # the match file's header fixes a run's dimension, so filter and field
+    # have no --dim: argparse refuses it, whatever the file holds
     scene = tmp_path / "scene.csv"
     run_ok(["synth", "--output", str(scene), "--n", "50", "--seed", "0"], capsys)
-    rc = main(
-        ["filter", "--input", str(scene), "--output", str(tmp_path / "o.csv"), "--dim", "3"]
-    )
-    assert rc == 2
+    for cmd in ("filter", "field"):
+        for dim in ("2", "3"):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--input", str(scene), "--output", str(tmp_path / "o.csv"),
+                      "--dim", dim])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --dim {dim}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_svg_flag_rejects_3d_input(tmp_path, capsys):
@@ -576,6 +582,22 @@ def test_3d_flag_overrides_keep_the_scale_adaptation(tmp_path, capsys, monkeypat
     assert rc == 2
     assert "r must be positive" in capsys.readouterr().err
     assert len(calls["ransac"]) == 1 and not (tmp_path / "bad.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "field"])
+def test_lengths_below_the_floor_exit_2(tmp_path, capsys, command):
+    # r * r of r = 1e-170 underflows and EM's blend weights became 0 / 0;
+    # Config refuses H and r below core.MIN_LENGTH, and at the floor a run
+    # raises no RuntimeWarning
+    scene = _synth(tmp_path / "scene.csv", capsys, n=300, seed=1)
+    out = tmp_path / "out.csv"
+    argv = [command, "--input", str(scene), "--output", str(out)]
+    for flag in ("--H", "--r"):
+        assert main(argv + [flag, "1e-170"]) == 2
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be at least 1e-150, got 1e-170\n"
+        assert not out.exists()
+    run_ok(argv + ["--H", "1e-150", "--r", "1e-150"], capsys)
+    run_ok(argv + ["--r", "1e-150"], capsys)
 
 
 def test_overflowing_bounds_exit_2(tmp_path, capsys):

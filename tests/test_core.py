@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from matchfield.core import (
+    MIN_LENGTH,
     SCALE_FRACTIONS,
     Config,
-    ConfigError,
-    DegenerateScaleError,
+    DegenerateGeometryError,
     LabelResult,
     MatchSet,
     make_rng,
@@ -128,17 +128,24 @@ def test_config_holds_no_unset_knob(name):
 
 
 def test_config_rejects_out_of_range():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         Config(H=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         Config(r=-1.0)
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         Config(seed=-1)
     assert Config(seed=0).seed == 0
     # H=True once ran as H = 1
     for name in ("H", "r"):
         for v in (True, False):
-            with pytest.raises(ConfigError, match=f"{name} must be positive, got {v}"):
+            with pytest.raises(ValueError, match=f"{name} must be positive, got {v}"):
+                Config(**{name: v})
+        # r * r underflows to 0 near 1e-162 and EM's blend weights became
+        # 0 / 0; from MIN_LENGTH up, r^2, H^2 and sigma^2 >= (1e-3 H)^2 are
+        # normal floats
+        assert getattr(Config(**{name: MIN_LENGTH}), name) == MIN_LENGTH == 1e-150
+        for v in (MIN_LENGTH * 0.999, 1e-170, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be at least 1e-150, got {v}")):
                 Config(**{name: v})
 
 
@@ -146,13 +153,13 @@ def test_config_rejects_out_of_range():
 @pytest.mark.parametrize("value", [2.0, 2.5, True, False, np.float64(9.0), "9"])
 def test_config_rejects_integer_fields_given_as_other_types(name, value):
     # Config(seed=1.5) once failed in numpy's SeedSequence
-    with pytest.raises(ConfigError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
         Config(**{name: value})
 
 
 def test_config_takes_python_and_numpy_integers():
     assert Config(seed=np.uint64(4)).seed == Config(seed=np.int32(4)).seed == 4
-    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         Config(seed=np.int64(-1))
 
 
@@ -168,7 +175,7 @@ def test_config_scale_adaptation():
     assert not hasattr(Config, "adapted_for_scale")
     # a set without spread has no scale to adapt to, in either dimension
     for p in (x[:1] * 2, [[3.0, 4.0]] * 2):
-        with pytest.raises(DegenerateScaleError):
+        with pytest.raises(DegenerateGeometryError):
             Config.for_matches(MatchSet.from_points(p, p))
 
 
@@ -230,10 +237,10 @@ def test_scale_estimate_degenerate():
     # the tolerance is relative to the coordinates, so clouds on one point
     # raise at any magnitude, zero and 1e-300 included
     for x in (np.tile([1.0, 2.0], (5, 1)), np.zeros((5, 3)), np.full((5, 3), 1e-300)):
-        with pytest.raises(DegenerateScaleError, match="all points coincide"):
+        with pytest.raises(DegenerateGeometryError, match="all points coincide"):
             scale_estimate(MatchSet.from_points(x, x))
     # one match has no spread either: degenerate, not a malformed input
-    with pytest.raises(DegenerateScaleError, match="at least two matches"):
+    with pytest.raises(DegenerateGeometryError, match="at least two matches"):
         scale_estimate(MatchSet.from_points([[0.0, 1.0, 2.0]], [[3.0, 4.0, 5.0]]))
 
 

@@ -76,10 +76,10 @@ def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys
     # every y on one point: each trial's targets collapse onto the control,
     # so every trial is degenerate and RANSAC keeps no hypothesis; a
     # collapsed target box lets chance explain almost any support, so the
-    # acceptance threshold (258 in 2D) ends the run after a few trials. A
-    # neighbor's stretch is then its source distance: some 2D sources have
-    # two neighbors within H and are drawn, no 3D source has, so the 3D
-    # control pool is empty and the run makes no trial
+    # acceptance threshold (258 in 2D, 185 in 3D) ends the run after a few
+    # trials. A neighbor's stretch is then its source distance: some 2D
+    # sources have two neighbors within H and are drawn, no 3D source has,
+    # so the 3D control pool falls back to every match
     rng = make_rng(70 + dim)
     n = 300
     x = rng.uniform(0.0, 200.0 if dim == 2 else 100.0, size=(n, dim))
@@ -98,8 +98,8 @@ def test_collapsed_targets_find_no_motion_and_warn_consistently(tmp_path, capsys
     monkeypatch.setattr(ransac, "reweight_fit", counted_fit)
     labels, _, outcome = filter_and_refine(m, Config.for_matches(m, seed=0))
     assert outcome.hypotheses == ()
-    assert outcome.trials == len(degenerate) == {2: 2, 3: 0}[dim]
-    assert (outcome.pool == 0) == (dim == 3)
+    assert outcome.trials == len(degenerate) == {2: 2, 3: 4}[dim]
+    assert (outcome.pool == n) == (dim == 3)
     assert_label_invariants(labels, n)
     scene = tmp_path / "collapsed-targets.csv"
     labels_csv = tmp_path / "labels.csv"

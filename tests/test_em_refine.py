@@ -722,11 +722,14 @@ def test_a_run_builds_the_neighbor_graph_once(path, monkeypatch):
 
 
 def count_kd_queries(monkeypatch):
-    """One entry per kd-tree query that core.build_neighbors makes."""
+    """One entry per kd-tree query that core.build_neighbors makes: the
+    number of neighbor columns it asks for, self included (k, or the
+    length of a list of ks)."""
     calls = []
     class Counted(core.cKDTree):
         def query(self, *args, **kwargs):
-            calls.append(kwargs.get("k"))
+            k = kwargs.get("k")
+            calls.append(len(k) if isinstance(k, list) else k)
             return super().query(*args, **kwargs)
     monkeypatch.setattr(core, "cKDTree", Counted)
     return calls

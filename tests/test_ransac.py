@@ -552,6 +552,23 @@ def test_t_min_and_t_min_plus_one_exact_matches_get_one_trial(n):
     assert labels.inlier.all()
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_small_scaled_scene_keeps_every_match(n):
+    # n noisy matches under one similarity of scale 1.1 in a 100-unit box:
+    # the scale rule's H is below many neighbor stretches, so on some seeds
+    # no match scores and the pool falls back to every match. The first
+    # trial then covers all n, and EM keeps them
+    c, s = math.cos(0.3), math.sin(0.3)
+    for seed in range(5):
+        rng = make_rng(seed)
+        x = rng.uniform(0.0, 100.0, size=(n, 2))
+        y = 1.1 * x @ np.array([[c, -s], [s, c]]).T + np.array([10.0, -5.0])
+        m = MatchSet.from_points(x, y + rng.normal(0.0, 0.2, size=(n, 2)))
+        labels, _, out = filter_and_refine(m, Config.for_matches(m, seed=seed))
+        assert out.pool > 0 and out.gamma == 1.0, seed
+        assert labels.inlier.all(), seed
+
+
 def test_labels_from_outcome_rigid_scene():
     rng = make_rng(30)
     m, R, t, mu = similarity_scene(rng, 60, 2)
@@ -771,11 +788,12 @@ def reference_pool(m, cfg, t_acc):
     """Pool membership from the whole (n, k, dim) difference arrays: a match
     is a control candidate when at least min(2, t_acc - 1) of its first 16
     source neighbors (the columns after self in build_neighbors' order)
-    change their distance by less than H."""
+    change their distance by less than H; every match when none is."""
     idx = build_neighbors(m).idx[:, 1:17]
     dx = np.sqrt(np.sum((m.x[idx] - m.x[:, None, :]) ** 2, axis=-1))
     dy = np.sqrt(np.sum((m.y[idx] - m.y[:, None, :]) ** 2, axis=-1))
-    return (np.abs(dy - dx) < cfg.H).sum(axis=1) >= min(2, t_acc - 1)
+    pool = (np.abs(dy - dx) < cfg.H).sum(axis=1) >= min(2, t_acc - 1)
+    return pool if pool.any() else np.ones(m.n, dtype=bool)
 
 
 def reference_run(m, cfg):
@@ -842,9 +860,9 @@ REFERENCE_SCENES = {
 def test_lean_loop_reproduces_the_reference_run(name):
     m = REFERENCE_SCENES[name]()
     # the scale rule gives the five t-min matches H of about 2.5, below the
-    # 10% stretch of their source distances, so no control would enter the
-    # pool; that scene keeps the class default H = 20
-    cfg = Config(seed=7) if name == "2d-t-min" else Config.for_matches(m, seed=7)
+    # 10% stretch of their source distances, so no match scores and the
+    # pool is every match
+    cfg = Config.for_matches(m, seed=7)
     ref, union, gamma = reference_run(m, cfg)
     out = ransac_run(m, cfg)
     assert out.trials == ref.trials <= m.n
@@ -861,9 +879,10 @@ def test_lean_loop_reproduces_the_reference_run(name):
     assert out.pool == np.count_nonzero(reference_pool(m, cfg, acceptance_threshold(m, cfg)))
     if name.endswith("collapsed-targets"):
         # every target on one point, so a stretch is the source distance:
-        # some 2D sources keep two neighbors within H and are drawn, each
-        # trial degenerate; no 3D source does, and the run makes no trial
-        assert out.hypotheses == () and (out.trials > 0) == name.startswith("2d")
+        # some 2D sources keep two neighbors within H and are drawn; no 3D
+        # source does, and the pool is every match. Each trial is degenerate
+        assert out.hypotheses == () and out.trials > 0
+        assert (out.pool == m.n) == name.startswith("3d")
     else:
         assert out.hypotheses
 

@@ -1,8 +1,9 @@
 """Every ```python block of README.md runs, so an example cannot name a
-function the package no longer has, and README's scale rule and named
-module constants are the ones the code sets."""
+function the package no longer has, and README's scale rule, named
+module constants and error classes are the ones the code sets."""
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -12,6 +13,8 @@ import matchfield
 from matchfield import Config, ransac_run, reweight_fit
 from matchfield.core import scale_estimate
 from matchfield.io_eval import SynthSpec, synth_generate
+
+from test_api import package_exception_classes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,3 +62,11 @@ def test_readme_states_each_retired_setting_as_its_constant(name):
     assert found, f"README does not state matchfield.{name}"
     module, attr = name.split(".")
     assert ast.literal_eval(found[1]) == getattr(getattr(matchfield, module), attr)
+
+
+def test_readme_error_paragraph_names_exactly_the_package_error_classes():
+    # the exit-code paragraph names each error class of the package, and no
+    # class the package no longer has
+    paragraph = next(p for p in README.read_text().split("\n\n") if p.startswith("Exit codes:"))
+    named = set(re.findall(r"`(?:matchfield\.)?(\w+Error)`", paragraph))
+    assert named - set(dir(builtins)) == set(package_exception_classes())

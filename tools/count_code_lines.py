@@ -6,14 +6,20 @@ line, outside a docstring: a logical line made of string literals alone
 multi-line token spans all count. Run from anywhere:
 
     python tools/count_code_lines.py [DIR]
+    python tools/count_code_lines.py --against REF [DIR]
 
-which prints one "lines  module" row per module of DIR (default
-src/matchfield) and then their total.
+The first prints one "lines  module" row per module of DIR (default
+src/matchfield) and then their total. With --against, DIR must lie in a
+git work tree: each row holds the module's lines at the commit REF (read
+with git show, "-" where the module is absent) beside its lines in the
+working tree, and the last row both totals.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -39,14 +45,38 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _git(root: Path, *args: str) -> str:
+    return subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True,
+                          text=True).stdout
+
+
+def lines_at(ref: str, root: Path) -> dict[str, int]:
+    """Code lines of each module in directory root as the commit ref holds it."""
+    # ls-tree and the ./ form of show both take paths relative to root
+    names = _git(root, "ls-tree", "--name-only", ref, "./").splitlines()
+    return {name: code_lines(_git(root, "show", f"{ref}:./{name}"))
+            for name in names if name.endswith(".py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else PACKAGE
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    parser = argparse.ArgumentParser(description="Count code lines per module.")
+    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--against", metavar="REF", help="also count each module at commit REF")
+    args = parser.parse_args(argv)
+    now = {p.name: code_lines(p.read_text()) for p in sorted(args.dir.glob("*.py"))}
+    if args.against is None:
+        for name, n in now.items():
+            print(f"{n:6d}  {name}")
+        print(f"{sum(now.values()):6d}  total")
+        return 0
+    try:
+        then = lines_at(args.against, args.dir)
+    except subprocess.CalledProcessError as e:
+        print(f"error: {e.stderr.strip()}", file=sys.stderr)
+        return 2
+    for name in sorted(then.keys() | now.keys()):
+        print(f"{then.get(name, '-'):>6}  {now.get(name, '-'):>6}  {name}")
+    print(f"{sum(then.values()):6d}  {sum(now.values()):6d}  total")
     return 0
 
 
