@@ -37,7 +37,6 @@ from .io_eval import (
     save_matches,
     synth_generate,
 )
-from .ransac import labels_from_outcome
 
 
 # default lattice spacing of field, and the one bench samples at
@@ -213,7 +212,9 @@ def _bench_once(spec: SynthSpec) -> tuple:
     m, gt = synth_generate(spec)
     cfg = Config.for_matches(m, seed=spec.seed)
     labels, state, outcome, filter_ms = _run_pipeline(m, cfg)
-    rm = compute_metrics(labels_from_outcome(m, outcome), gt)
+    # a match is a RANSAC inlier iff some motion covers it, as in
+    # ransac.labels_from_outcome, whose residuals bench does not print
+    rm = compute_metrics(outcome.owner >= 0, gt)
     em = compute_metrics(labels, gt)
     t1 = time.perf_counter()
     grid_field(state, labels, m, spec.bounds, GRID_STEP, cfg)

@@ -288,7 +288,8 @@ def build_neighbors(m: MatchSet) -> NeighborGraph:
     # the list form of k returns (n, len(k)) arrays for every k, one
     # column at n = 1
     dist, idx = cKDTree(m.x).query(m.x, k=list(range(1, min(N_NEIGHBOR[m.dim], n - 1) + 2)))
-    idx = idx.astype(np.int64)
+    # the kd-tree's index plane is already int64; asarray keeps it uncopied
+    idx = np.asarray(idx, dtype=np.int64)
     # the kd-tree breaks distance ties arbitrarily; force self into
     # column 0 so blending always sees the match's own motion. Only
     # duplicates of the source, at distance 0, come before it, so the

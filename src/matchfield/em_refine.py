@@ -88,15 +88,17 @@ class EmState:
 def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> EmState:
     """Seed per-match motions from the RANSAC cover.
 
-    Each covered match adopts the motion of its owner (RansacOutcome.owner:
-    the covering hypothesis with the largest support, the earliest one
-    among equal supports), its dual quaternion and scale as they are, and
-    that support count as its (unnormalized) starting weight.
-    Uncovered matches start at the identity with scale 1 and weight 0, so
-    they pull no blend until the first E-step scores them. sigma starts at
-    the RMS seeding residual of covered matches, floored at H / 10; the
-    inlier prior gamma is the RANSAC cover fraction clamped to
-    [0.05, 0.95] and stays fixed for the whole EM run.
+    Each match adopts the motion of its owner (RansacOutcome.owner: the
+    covering hypothesis with the largest support, the earliest one among
+    equal supports), its dual quaternion and scale as they are, and that
+    support count as its (unnormalized) starting weight. The seed is one
+    gather by owner from a table of one row per hypothesis and a sentinel
+    row, the rule labels_from_outcome reads its residuals by. An uncovered
+    match, owner -1, picks the sentinel: the identity with scale 1 and
+    weight 0, so it pulls no blend until the first E-step scores it.
+    sigma starts at the RMS seeding residual of covered matches, floored
+    at H / 10; the inlier prior gamma is the RANSAC cover fraction clamped
+    to [0.05, 0.95] and stays fixed for the whole EM run.
 
     The state's graph is the outcome's when build_neighbors built it on
     this very match set (identity, as matches are immutable), whatever
@@ -109,20 +111,15 @@ def init_from_hypotheses(m: MatchSet, outcome: RansacOutcome, cfg: Config) -> Em
     ValueError.
     """
     owner = outcome.owner_for(m)
-    n = m.n
     graph = outcome.graph
     if graph is None or graph.matches is not m:
         graph = build_neighbors(m)
-    qs = dq8_identity(n)
-    mus = np.ones(n)
-    p = np.zeros(n)
     hyps = outcome.hypotheses
+    # one row per motion, then the sentinel row that owner -1 picks
+    qs = np.vstack([h.dq for h in hyps] + [dq8_identity()])[owner]
+    mus = np.array([h.mu for h in hyps] + [1.0])[owner]
+    p = np.array([h.support for h in hyps] + [0.0])[owner]
     covered = owner >= 0
-    if hyps:
-        win = owner[covered]
-        qs[covered] = np.stack([h.dq for h in hyps])[win]
-        mus[covered] = np.array([h.mu for h in hyps])[win]
-        p[covered] = np.array([h.support for h in hyps])[win]
     field_at_x = dq8_apply(qs, mus, m.x)
     resid = np.linalg.norm(m.y - field_at_x, axis=1)
     floor = SIGMA_INIT_FLOOR_FACTOR * cfg.H

@@ -105,8 +105,9 @@ def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArra
     support = np.empty(n_pts)
     for lo in range(0, n_pts, QUERY_BLOCK):
         rows = slice(lo, lo + QUERY_BLOCK)
-        # a list of k keeps the neighbor axis when k is 1
-        dist, jdx = tree.query(pts[rows], k=[k] if k == 1 else k)
+        # the list form of k, as in core.build_neighbors, keeps the neighbor
+        # axis when k is 1
+        dist, jdx = tree.query(pts[rows], k=list(range(1, k + 1)))
         qbar, mubar, support[rows] = blend_neighbors(dist, post[jdx], qs, mus, jdx, cfg.r)
         # rows without support blended to NaN; they keep the query point
         moved = dq8_apply(qbar, mubar, pts[rows])

@@ -178,7 +178,7 @@ class RansacOutcome:
 
     @property
     def inlier_union(self) -> IntArray:
-        return np.nonzero(self.owner >= 0)[0].astype(np.int64)
+        return np.flatnonzero(self.owner >= 0)
 
     @property
     def gamma(self) -> float:
@@ -531,7 +531,7 @@ def ransac_run(m: MatchSet, cfg: Config) -> RansacOutcome:
         else:
             inl = np.nonzero(d < cfg.H)[0]
             if inl.size >= t_acc:
-                kept.append((o, R, t, mu, inl.astype(np.int64)))
+                kept.append((o, R, t, mu, np.asarray(inl, dtype=np.int64)))
                 new = inl[~inlier_mask[inl]]
                 inlier_mask[new] = True
                 n_in += new.size

@@ -21,6 +21,7 @@ from matchfield.core import (
 from matchfield.em_refine import filter_and_refine
 from matchfield.io_eval import (
     SynthSpec,
+    compute_metrics,
     load_labels,
     load_matches,
     save_labels,
@@ -330,11 +331,16 @@ def test_bench_emits_table(tmp_path, capsys):
     assert lines[1].split(",")[0] == "30"
     header_fields = lines[0].split(",")
     assert len(lines[1].split(",")) == len(header_fields)
-    # one repeat: the trials and pool cells are that run's counts
-    m, _ = synth_generate(SynthSpec(n=120, outlier_ratio=0.3, seed=0))
-    outcome = ransac.ransac_run(m, Config.for_matches(m, seed=0))
-    cells = dict(zip(header_fields, lines[1].split(",")))
-    assert (cells["trials"], cells["pool"]) == (f"{outcome.trials:.1f}", f"{outcome.pool:.1f}")
+    # one repeat: the trials and pool cells are that run's counts, and the
+    # RANSAC-only cells score the labels of ransac.labels_from_outcome
+    for line, ratio in zip(lines[1:], (0.3, 0.5)):
+        m, gt = synth_generate(SynthSpec(n=120, outlier_ratio=ratio, seed=0))
+        outcome = ransac.ransac_run(m, Config.for_matches(m, seed=0))
+        cells = dict(zip(header_fields, line.split(",")))
+        assert (cells["trials"], cells["pool"]) == (f"{outcome.trials:.1f}", f"{outcome.pool:.1f}")
+        rm = compute_metrics(ransac.labels_from_outcome(m, outcome), gt)
+        assert ((cells["ransac_errors"], cells["ransac_fscore"])
+                == (f"{rm.n_errors:.2f}", f"{rm.fscore:.4f}"))
 
 
 def test_bench_size_sweep_is_a_list_of_n(capsys):

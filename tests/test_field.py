@@ -552,15 +552,26 @@ def assert_query_equals_reference(state, labels, m, pts, cfg):
     return support
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_query_byte_equal_to_the_inline_blend(dim, monkeypatch):
+@pytest.mark.parametrize("dim, one_inlier", [
+    pytest.param(2, False, id="2"),
+    pytest.param(3, False, id="3"),
+    pytest.param(2, True, id="2-one-inlier"),
+    pytest.param(3, True, id="3-one-inlier"),
+])
+def test_query_byte_equal_to_the_inline_blend(dim, one_inlier, monkeypatch):
     # ordinary, zero-support and tiny-support (1e-197..1e-293) rows, over
-    # several query blocks
+    # several query blocks; with one labelled inlier every query blends
+    # k = 1 neighbour
     m, cfg, labels, state, pts = query_scene(dim)
     monkeypatch.setattr(field, "QUERY_BLOCK", 64)
+    if one_inlier:
+        first = np.arange(m.n) == np.argmax(labels.inlier)
+        labels = LabelResult(inlier=first, posterior=labels.posterior, residual=labels.residual)
     support = assert_query_equals_reference(state, labels, m, pts, cfg)
     assert support.min() == 0.0
-    if dim == 3:
+    if one_inlier:
+        assert support.max() > field.SUPPORT_MIN
+    elif dim == 3:
         assert 0.0 < support[:3].min() < 1e-190
 
 

@@ -1,10 +1,15 @@
-"""The code-line counter that ROADMAP's line figures quote."""
+"""The code-line counter and the scene digest that ROADMAP's line figures
+and byte-identity claims quote."""
 
 import importlib.util
+import json
+import re
 import subprocess
+import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "count_code_lines.py"
 spec = importlib.util.spec_from_file_location("count_code_lines", TOOL)
 count_code_lines = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(count_code_lines)
@@ -67,3 +72,16 @@ def test_against_prints_each_module_at_a_commit_beside_the_working_tree(tmp_path
     # a ref git does not know exits 2 with git's message
     assert count_code_lines.main(["--against", "no-such-ref", str(pkg)]) == 2
     assert "no-such-ref" in capsys.readouterr().err
+
+
+def test_scene_digest_prints_one_stable_digest_per_benchmark_workload():
+    # two runs in fresh interpreters, as a digest is quoted from the shell
+    runs = [subprocess.run([sys.executable, str(ROOT / "tools" / "scene_digest.py"), "--small"],
+                           check=True, capture_output=True, text=True).stdout
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    rows = [re.fullmatch(r"([0-9a-f]{64})  (\S+)", line) for line in runs[0].splitlines()]
+    assert all(rows) and [r[2] for r in rows] == names
+    # the workloads run different scenes, so no two digests agree
+    assert len({r[1] for r in rows}) == len(names)
