@@ -175,7 +175,7 @@ def cmd_field(args) -> int:
         save_labels(args.labels_output, run.labels)
     if args.svg is not None:
         render_scene_svg(run.m, run.labels, grid, args.svg)
-    n_valid = sum(1 for s in grid.samples if s.valid)
+    n_valid = grid.samples["valid"].sum()
     print(f"{run.head} grid={'x'.join(str(s) for s in grid.shape)} valid={n_valid} "
           f"time_ms={run.ms:.1f}")
     return 0

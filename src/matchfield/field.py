@@ -15,12 +15,11 @@ command line.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,29 +39,70 @@ SUPPORT_MIN = 0.01
 QUERY_BLOCK = 4096
 
 
-class FieldSample(NamedTuple):
+class FieldSample(np.void):
     """Field value at one query point: where the field moves it, and how
-    much inlier evidence backed the answer. query and displaced are row
-    views into the arrays of one query_field call."""
+    much inlier evidence backed the answer. One read-only record of the
+    sample_dtype array query_field returns: query and displaced are (dim,)
+    views into it, support is a float and valid a bool. Unpacked as a
+    tuple it yields numpy values (two arrays, a np.float64, a np.bool_).
+    A whole column is a field of the array: samples["displaced"]."""
 
-    query: FloatArray
-    displaced: FloatArray
-    support: float
-    valid: bool
+    __slots__ = ()
+    query = property(lambda self: self["query"])
+    displaced = property(lambda self: self["displaced"])
+    support = property(lambda self: float(self["support"]))
+    valid = property(lambda self: bool(self["valid"]))
 
 
-@dataclass(frozen=True)
+def sample_dtype(dim: int) -> np.dtype:
+    """The record type of dim-wide field samples, whose scalars are FieldSample."""
+    return np.dtype((FieldSample, [("query", np.float64, (dim,)), ("displaced", np.float64, (dim,)),
+                                   ("support", np.float64), ("valid", np.bool_)]))
+
+
+def _check_width(dtype: np.dtype, dim: int) -> None:
+    for name in ("query", "displaced"):
+        if dtype[name].shape != (dim,):
+            raise ValueError(f"field samples hold {name} points of shape {dtype[name].shape}, "
+                             f"but dim is {dim}")
+
+
+@dataclass(frozen=True, eq=False)
 class FieldGrid:
-    """Row-major lattice of field samples; shape is the per-axis count."""
+    """Row-major lattice of field samples; shape is the per-axis count.
+
+    samples is one array of sample_dtype records. An array, such as the
+    read-only one query_field returns, is held as it is; a sequence of
+    FieldSample records, such as tuple(samples), is copied once into a
+    read-only array, and a record of another width than the first raises
+    ValueError. So does a shape whose product is not the sample count.
+    """
 
     shape: tuple[int, ...]
-    samples: tuple[FieldSample, ...]
+    samples: np.ndarray
+
+    def __post_init__(self):
+        if math.prod(self.shape) != len(self.samples):
+            raise ValueError(f"lattice shape {self.shape} does not hold {len(self.samples)} samples")
+        if not isinstance(self.samples, np.ndarray):
+            # numpy casts a 3D record to a 2D one by dropping z, so each
+            # record's own dtype is checked against the first's before the copy
+            first, *others = dict.fromkeys(map(attrgetter("dtype"), self.samples)) or [
+                sample_dtype(len(self.shape))]
+            for dtype in others:
+                _check_width(dtype, first["query"].shape[0])
+            samples = np.fromiter(self.samples, dtype=first, count=len(self.samples))
+            samples.flags.writeable = False
+            object.__setattr__(self, "samples", samples)
 
 
 def query_field(
     state: EmState, labels: LabelResult, m: MatchSet, pts, cfg: Config
-) -> list[FieldSample]:
-    """Evaluate the field at arbitrary points (k, dim).
+) -> np.ndarray:
+    """Evaluate the field at arbitrary points (k, dim), as a read-only
+    array of k FieldSample records (sample_dtype(dim)): samples[i].displaced
+    is one point's displaced position, samples["displaced"] the (k, dim)
+    column. The caller's points are copied into the query column.
 
     Each point blends the motions of its core.N_NEIGHBOR[dim] nearest
     labeled inliers with weights exp(-|pt - x_j|^2 / 2 r^2) * posterior_j,
@@ -87,10 +127,11 @@ def query_field(
     if not ok.all():
         i = int(np.argmin(ok))
         raise ValueError(f"query point {i} must be {COORD_RULE}, got {pts[i].tolist()}")
-    disp, support, valid = _field_eval(state, labels, m, pts, cfg)
-    # tuple.__new__ builds each sample in C, without FieldSample's Python-level __new__
-    return list(map(tuple.__new__, repeat(FieldSample),
-                    zip(pts.copy(), disp, support.tolist(), valid.tolist())))
+    samples = np.empty(pts.shape[0], dtype=sample_dtype(m.dim))
+    for name, column in zip(samples.dtype.names, (pts, *_field_eval(state, labels, m, pts, cfg))):
+        samples[name] = column
+    samples.flags.writeable = False
+    return samples
 
 
 def _field_eval(state: EmState, labels: LabelResult, m: MatchSet, pts: FloatArray, cfg: Config):
@@ -180,29 +221,25 @@ def grid_points(bounds, step: float, dim: int) -> tuple[tuple[int, ...], FloatAr
 def grid_field(
     state: EmState, labels: LabelResult, m: MatchSet, bounds, step: float, cfg: Config
 ) -> FieldGrid:
-    """Sample the field at the points of grid_points(bounds, step, m.dim)."""
+    """Sample the field at the points of grid_points(bounds, step, m.dim);
+    the grid holds query_field's array as it is."""
     shape, pts = grid_points(bounds, step, m.dim)
-    return FieldGrid(shape=shape, samples=tuple(query_field(state, labels, m, pts, cfg)))
+    return FieldGrid(shape=shape, samples=query_field(state, labels, m, pts, cfg))
 
 
 def write_field_csv(grid: FieldGrid, path, dim: int) -> None:
     """Write samples as CSV: query coords, displaced coords, support, valid.
 
     Samples whose query or displaced points are not dim wide raise
-    ValueError before the file is opened, so nothing is written.
+    ValueError before the file is opened, so nothing is written. The
+    columns are read from the grid's array, not gathered from its records.
     """
     header = ",".join(["qx", "qy", "qz"][:dim] + ["dx", "dy", "dz"][:dim] + ["support", "valid"])
-    columns = []
-    if grid.samples:
-        # one C-level pass per field; zip(*samples) would make an iterator per sample
-        for f, name in enumerate(("query", "displaced")):
-            pts = np.array(list(map(itemgetter(f), grid.samples)), dtype=np.float64)
-            if pts.shape[1:] != (dim,):
-                raise ValueError(f"field samples hold {name} points of shape {pts.shape[1:]}, "
-                                 f"but dim is {dim}")
-            columns += [(float_column, c) for c in pts.T]
-        columns += [(float_column, list(map(itemgetter(2), grid.samples))),
-                    (flag_column, list(map(itemgetter(3), grid.samples)))]
+    s = grid.samples
+    if len(s):
+        _check_width(s.dtype, dim)
+    columns = [(float_column, c) for name in ("query", "displaced") for c in s[name].T]
+    columns += [(float_column, s["support"]), (flag_column, s["valid"])]
     write_csv_columns(path, header, columns)
 
 
@@ -221,10 +258,9 @@ def render_scene_svg(
         raise ValueError("SVG rendering is 2D only")
     if labels.n != m.n:
         raise ValueError(f"labels of {labels.n} matches used with {m.n} matches")
-    pts = [m.x, m.y]
-    if grid is not None and grid.samples:
-        pts += [np.array([s.query for s in grid.samples])]
-    allp = np.vstack(pts)
+    q, d, valid = ([], [], []) if grid is None else (
+        grid.samples[f].tolist() for f in ("query", "displaced", "valid"))
+    allp = np.vstack([m.x, m.y, np.reshape(q, (-1, 2))])
     lo = allp.min(axis=0) - 20.0
     hi = allp.max(axis=0) + 20.0
     size = hi - lo
@@ -245,18 +281,9 @@ def render_scene_svg(
             f'<line x1="{m.x[i, 0]:.2f}" y1="{m.x[i, 1]:.2f}" x2="{m.y[i, 0]:.2f}" '
             f'y2="{m.y[i, 1]:.2f}" stroke="{color}" stroke-width="{width}" opacity="{op}"/>'
         )
-    if grid is not None:
-        for s in grid.samples:
-            if not s.valid:
-                parts.append(
-                    f'<circle cx="{s.query[0]:.2f}" cy="{s.query[1]:.2f}" r="1.5" '
-                    'fill="#bbbbbb"/>'
-                )
-                continue
-            parts.append(
-                f'<line x1="{s.query[0]:.2f}" y1="{s.query[1]:.2f}" '
-                f'x2="{s.displaced[0]:.2f}" y2="{s.displaced[1]:.2f}" stroke="#1f5fbf" '
-                'stroke-width="1.0" marker-end="url(#tip)"/>'
-            )
+    for (qx, qy), (dx, dy), ok in zip(q, d, valid):
+        parts.append(f'<line x1="{qx:.2f}" y1="{qy:.2f}" x2="{dx:.2f}" y2="{dy:.2f}" '
+                     'stroke="#1f5fbf" stroke-width="1.0" marker-end="url(#tip)"/>' if ok else
+                     f'<circle cx="{qx:.2f}" cy="{qy:.2f}" r="1.5" fill="#bbbbbb"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

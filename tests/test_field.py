@@ -337,20 +337,43 @@ def test_query_keeps_to_the_coordinate_rule():
     assert all(np.isfinite(s.displaced).all() and not s.valid for s in samples)
 
 
-def test_samples_are_named_tuples_over_one_copied_array():
+def test_samples_are_read_only_records_over_one_copied_array():
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     pts = np.array([[10.0, 20.0], [30.0, 40.0], [1e6, 1e6]])
     samples = query_field(state, labels, m, pts, cfg)
+    assert samples.dtype == field.sample_dtype(2) and not samples.flags.writeable
     assert all(isinstance(s, FieldSample) for s in samples)
-    query, displaced, support, valid = samples[0]
-    assert type(support) is float and type(valid) is bool
+    assert type(samples[0].support) is float and type(samples[0].valid) is bool
     assert samples[0].valid and not samples[2].valid
+    # tuple unpacking yields the fields as numpy values, and a column is
+    # the field of the whole array
+    query, displaced, support, valid = samples[0]
+    assert type(support) is np.float64 and type(valid) is np.bool_
+    assert displaced.tobytes() == samples[0].displaced.tobytes()
+    assert samples["displaced"].shape == (3, 2)
+    assert samples["displaced"][0].tobytes() == displaced.tobytes()
     # the caller's array is copied, so changing it later leaves samples alone
     pts[0, 0] = -1.0
     assert samples[0].query[0] == 10.0
-    assert np.array_equal(np.stack([s.query for s in samples]), [[10.0, 20.0], [30.0, 40.0], [1e6, 1e6]])
+    assert np.array_equal(samples["query"], [[10.0, 20.0], [30.0, 40.0], [1e6, 1e6]])
     with pytest.raises(AttributeError):
         samples[0].valid = False
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0]["support"] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        samples[0].displaced[0] = 0.0
+
+
+def test_field_grid_rejects_a_shape_of_another_sample_count():
+    # a 3x3 shape over 5 samples used to be written as 5 rows
+    m, cfg, labels, state, R, t, mu = rigid_pipeline()
+    samples = query_field(state, labels, m, make_rng(3).uniform(0.0, 500.0, size=(5, 2)), cfg)
+    for given in (samples, tuple(samples)):
+        with pytest.raises(ValueError, match=r"lattice shape \(3, 3\) does not hold 5 samples"):
+            FieldGrid(shape=(3, 3), samples=given)
+    assert FieldGrid(shape=(5, 1), samples=tuple(samples)).samples.shape == (5,)
+    with pytest.raises(ValueError, match=r"lattice shape \(1,\) does not hold 0 samples"):
+        FieldGrid(shape=(1,), samples=())
 
 
 def reference_write_field_csv(grid, path, dim):
@@ -367,10 +390,15 @@ def reference_write_field_csv(grid, path, dim):
 
 
 def assert_field_csv_bytes_match_reference(grid, dim, tmp_path):
+    # the grid as grid_field builds it, holding query_field's array, and
+    # rebuilt from a tuple of its records, the benchmark's call
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     write_field_csv(grid, got, dim)
     reference_write_field_csv(grid, want, dim)
     assert got.read_bytes() == want.read_bytes()
+    records = tmp_path / "records.csv"
+    write_field_csv(FieldGrid(shape=grid.shape, samples=tuple(grid.samples)), records, dim)
+    assert records.read_bytes() == want.read_bytes()
 
 
 def test_field_csv_bytes_match_per_sample_writer_2d(tmp_path):
@@ -387,8 +415,7 @@ def test_field_csv_bytes_match_per_sample_writer_at_block_seams(tmp_path, rows):
     m, cfg, labels, state, R, t, mu = rigid_pipeline()
     pts = make_rng(rows).uniform(-300.0, 800.0, size=(rows, 2))
     samples = query_field(state, labels, m, pts, cfg)
-    assert_field_csv_bytes_match_reference(FieldGrid(shape=(rows,), samples=tuple(samples)), 2,
-                                           tmp_path)
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(rows,), samples=samples), 2, tmp_path)
 
 
 def test_field_csv_bytes_match_per_sample_writer_3d(tmp_path):
@@ -411,13 +438,13 @@ def test_field_csv_bytes_match_per_sample_writer_edge_cases(tmp_path):
     pts = np.array([[-0.0, 5.0], [120.0, -0.0], [-0.0, -0.0], [-0.0, 1e6], [1e6, -0.0]])
     samples = query_field(state, labels, m, pts, cfg)
     assert [s.valid for s in samples] == [True, True, True, False, False]
-    assert_field_csv_bytes_match_reference(FieldGrid(shape=(5,), samples=tuple(samples)), 2, tmp_path)
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(5,), samples=samples), 2, tmp_path)
     assert "-0.0" in (tmp_path / "got.csv").read_text()
     # zero inliers: every sample invalid with support 0.0
     m0, cfg0, labels0, state0 = zero_inlier_field()
     samples0 = query_field(state0, labels0, m0, np.vstack([m0.x, pts]), cfg0)
     assert not any(s.valid for s in samples0)
-    assert_field_csv_bytes_match_reference(FieldGrid(shape=(len(samples0),), samples=tuple(samples0)), 2, tmp_path)
+    assert_field_csv_bytes_match_reference(FieldGrid(shape=(len(samples0),), samples=samples0), 2, tmp_path)
     # no samples: the header line alone
     assert_field_csv_bytes_match_reference(FieldGrid(shape=(0,), samples=()), 2, tmp_path)
     assert (tmp_path / "got.csv").read_text() == "qx,qy,dx,dy,support,valid\n"
@@ -433,9 +460,15 @@ def test_field_csv_rejects_samples_of_another_width(tmp_path):
     with pytest.raises(ValueError, match=r"query points of shape \(2,\), but dim is 1"):
         write_field_csv(grid, path, 1)
     assert not path.exists()
-    mixed = FieldSample(np.zeros(2), np.zeros(3), 1.0, True)
-    with pytest.raises(ValueError, match=r"displaced points of shape \(3,\), but dim is 2"):
-        write_field_csv(FieldGrid(shape=(1,), samples=(mixed,)), path, 2)
+    # numpy casts a 3D record to the 2D record type by dropping z, without
+    # a word, so records of mixed width are refused before the copy
+    flat = grid.samples[0]
+    deep = np.zeros(1, dtype=field.sample_dtype(3))[0]
+    assert np.fromiter([deep], dtype=flat.dtype, count=1)["query"].shape == (1, 2)
+    with pytest.raises(ValueError, match=r"query points of shape \(3,\), but dim is 2"):
+        write_field_csv(FieldGrid(shape=(2,), samples=(flat, deep)), path, 2)
+    with pytest.raises(ValueError, match=r"query points of shape \(2,\), but dim is 3"):
+        write_field_csv(FieldGrid(shape=(2,), samples=(deep, flat)), path, 3)
     assert not path.exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from matchfield.cli import main
 from matchfield.core import Config, LabelResult, MatchSet, make_rng
-from matchfield.field import FieldGrid, FieldSample, write_field_csv
+from matchfield.field import FieldGrid, sample_dtype, write_field_csv
 from matchfield.io_eval import (
     CSV_BLOCK,
     MatchFileError,
@@ -367,9 +367,8 @@ def traced_peak(write) -> int:
 
 def test_csv_writers_hold_a_block_not_the_file(tmp_path):
     # written whole, a file's cells, rows and text peaked at 8-9x its size;
-    # streamed in blocks, the match and label writers hold one block however
-    # long the file, and the field writer also the columns it gathers from
-    # its samples
+    # streamed in blocks, each writer holds one block however long the
+    # file: the field writer reads its columns from the grid's array
     peaks = {}
     for n in (20_000, 80_000):
         rng = make_rng(n)
@@ -377,8 +376,10 @@ def test_csv_writers_hold_a_block_not_the_file(tmp_path):
         m = MatchSet.from_points(x, y)
         labels = LabelResult(inlier=rng.uniform(size=n) < 0.5, posterior=rng.uniform(size=n),
                              residual=rng.uniform(0.0, 50.0, size=n))
-        grid = FieldGrid(shape=(n,), samples=tuple(map(
-            FieldSample, x, y, labels.posterior.tolist(), labels.inlier.tolist())))
+        samples = np.empty(n, dtype=sample_dtype(2))
+        samples["query"], samples["displaced"] = x, y
+        samples["support"], samples["valid"] = labels.posterior, labels.inlier
+        grid = FieldGrid(shape=(n,), samples=samples)
         writers = {"save_matches": lambda p: save_matches(p, m, gt=labels.inlier),
                    "save_labels": lambda p: save_labels(p, labels),
                    "write_field_csv": lambda p: write_field_csv(grid, p, 2)}
@@ -386,7 +387,7 @@ def test_csv_writers_hold_a_block_not_the_file(tmp_path):
             path = tmp_path / f"{name}.csv"
             peaks[name, n] = traced_peak(lambda: write(path))
             assert peaks[name, n] < 1.5 * path.stat().st_size, (name, n)
-    for name in ("save_matches", "save_labels"):
+    for name in writers:
         assert abs(peaks[name, 80_000] - peaks[name, 20_000]) < 0.2e6, name
 
 
